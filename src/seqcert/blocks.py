@@ -17,25 +17,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .arithmetic import FLOAT, RATIONAL, Real, validate_arithmetic
+from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
-from .errors import BlockSpecError, DependenceError, ParameterError
+from .errors import BlockSpecError, ParameterError
 from .fpmaps import ConvexCoefficients
-from .sampling import SamplingBudget, coefficient_samples
-from .sequences import (
-    BasicSequence,
-    _rational_eval_set,
-    _ratio_scan_float,
-    _require_exact_tags,
-    _witness,
-)
-from .spaces import (
-    CoordinateVector,
-    norm,
-    norm_batch,
-    summing_basis_norm,
-    summing_basis_norm_batch,
-)
+from .sampling import SamplingBudget
+from .sequences import BasicSequence, _eval_rows, _ratio_scan, _scalar, _witness
+from .spaces import norm_batch, summing_basis_norm_batch
 
 INEQ_TOL = 1e-9
 
@@ -129,29 +117,15 @@ def wuc_constant(
     optimal sup-coefficient domination constant."""
     validate_arithmetic(arithmetic)
     m = len(ys)
-    if arithmetic == RATIONAL:
-        _require_exact_tags(ys)
-        best = None
-        wit = ()
-        for t in _rational_eval_set(m, budget):
-            den = max(abs(v) for v in t)
-            if den == 0:
-                continue
-            r = ys.span_norm(t) / den
-            if best is None or r > best:
-                best, wit = r, t
-        c2_hat = best
-    else:
-        coeffs = coefficient_samples(m, budget)
-        num = ys.span_norm_batch(coeffs)
-        den = np.max(np.abs(coeffs), axis=1)
-        _, c2_hat, _, row, _ = _ratio_scan_float(num, den, coeffs)
-        wit = _witness(row)
+    coeffs = _eval_rows(m, budget, arithmetic, ys)
+    num = ys.span_norm_batch(coeffs)
+    den = np.max(np.abs(coeffs), axis=1)
+    _, c2_hat, _, row, _ = _ratio_scan(num, den, coeffs)
     return Certificate(
         kind="wuc_constant",
         constants={"c2_hat": c2_hat},
         holds=True,
-        witness={"argmax": wit},
+        witness={"argmax": _witness(row)},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
     )
@@ -170,38 +144,19 @@ def summing_equivalence_check(
     if not (c1 > 0 and c2 > 0):
         raise ParameterError("c1 and c2 must be positive")
     m = len(bs)
-    skipped = 0
-    if arithmetic == RATIONAL:
-        _require_exact_tags(bs)
-        lo_m = hi_m = None
-        wit_lo = wit_hi = ()
-        for a in _rational_eval_set(m, budget):
-            sn = summing_basis_norm(a)
-            if sn == 0:
-                skipped += 1
-                continue
-            v = bs.span_norm(a)
-            lo = v - c1 * sn
-            hi = 2 * c2 * sn - v
-            if lo_m is None or lo < lo_m:
-                lo_m, wit_lo = lo, a
-            if hi_m is None or hi < hi_m:
-                hi_m, wit_hi = hi, a
-        holds = lo_m is not None and lo_m >= 0 and hi_m >= 0
-    else:
-        c1f, c2f = float(c1), float(c2)
-        coeffs = coefficient_samples(m, budget)
-        sn = summing_basis_norm_batch(coeffs)
-        keep = sn > 0
-        skipped = int(len(sn) - np.count_nonzero(keep))
-        coeffs, sn = coeffs[keep], sn[keep]
-        v = bs.span_norm_batch(coeffs)
-        lo = v - c1f * sn
-        hi = 2.0 * c2f * sn - v
-        i_lo, i_hi = int(np.argmin(lo)), int(np.argmin(hi))
-        lo_m, hi_m = float(lo[i_lo]), float(hi[i_hi])
-        wit_lo, wit_hi = _witness(coeffs[i_lo]), _witness(coeffs[i_hi])
-        holds = lo_m >= -INEQ_TOL and hi_m >= -INEQ_TOL
+    coeffs = _eval_rows(m, budget, arithmetic, bs)
+    c1s, c2s = coerce(c1, arithmetic), coerce(c2, arithmetic)
+    tol = 0 if arithmetic == RATIONAL else INEQ_TOL
+    sn = summing_basis_norm_batch(coeffs)
+    keep = sn > 0
+    skipped = int(len(sn) - np.count_nonzero(keep))
+    coeffs, sn = coeffs[keep], sn[keep]
+    v = bs.span_norm_batch(coeffs)
+    lo = v - c1s * sn
+    hi = 2 * c2s * sn - v
+    i_lo, i_hi = int(np.argmin(lo)), int(np.argmin(hi))
+    lo_m, hi_m = _scalar(lo[i_lo]), _scalar(hi[i_hi])
+    holds = lo_m >= -tol and hi_m >= -tol
     return Certificate(
         kind="summing_equivalence",
         constants={
@@ -212,24 +167,16 @@ def summing_equivalence_check(
             "skipped_zero_norm": skipped,
         },
         holds=bool(holds),
-        witness={"worst_lower": wit_lo, "worst_upper": wit_hi},
+        witness={"worst_lower": _witness(coeffs[i_lo]), "worst_upper": _witness(coeffs[i_hi])},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
     )
 
 
-def _shift_norms_float(s: BasicSequence, coeffs: np.ndarray, p: int) -> np.ndarray:
+def _shift_norms(s: BasicSequence, coeffs: np.ndarray, p: int) -> np.ndarray:
+    """||sum_i a_i x_{i+p}|| for every row a; exact on object rows."""
     m = coeffs.shape[1]
-    return norm_batch(coeffs @ s.matrix()[p : p + m], s.ambient)
-
-
-def _shift_norm_exact(s: BasicSequence, a, p: int) -> Real:
-    acc = [0] * s.ambient_length
-    for i, c in enumerate(a):
-        if c:
-            for j, x in enumerate(s.vectors[i + p].entries):
-                acc[j] = acc[j] + c * x
-    return norm(CoordinateVector(tuple(acc)), s.ambient)
+    return norm_batch(coeffs @ s.matrix(coeffs.dtype == object)[p : p + m], s.ambient)
 
 
 def shift_equivalence_constants(
@@ -248,42 +195,18 @@ def shift_equivalence_constants(
     l_hat = None
     wit = ()
     rejected = 0
-    if arithmetic == RATIONAL:
-        _require_exact_tags(s)
-        eval_set = _rational_eval_set(m, budget)
-        for p in range(1, p_max + 1):
-            r_min = r_max = None
-            wmin = wmax = ()
-            for a in eval_set:
-                den = s.span_norm(a)
-                if den == 0:
-                    rejected += 1
-                    continue
-                r = _shift_norm_exact(s, a, p) / den
-                if r_min is None or r < r_min:
-                    r_min, wmin = r, a
-                if r_max is None or r > r_max:
-                    r_max, wmax = r, a
-            if r_min is None:
-                raise DependenceError("all denominators vanished on the evaluated set")
-            cand = max(r_max, 1 / r_min)
-            constants[f"r_min_p{p}"] = r_min
-            constants[f"r_max_p{p}"] = r_max
-            if l_hat is None or cand > l_hat:
-                l_hat, wit = cand, (wmax if cand == r_max else wmin)
-    else:
-        coeffs = coefficient_samples(m, budget)
-        den = s.span_norm_batch(coeffs)
-        for p in range(1, p_max + 1):
-            num = _shift_norms_float(s, coeffs, p)
-            r_min, r_max, row_min, row_max, rej = _ratio_scan_float(num, den, coeffs)
-            rejected += rej
-            constants[f"r_min_p{p}"] = r_min
-            constants[f"r_max_p{p}"] = r_max
-            cand = max(r_max, 1.0 / r_min)
-            if l_hat is None or cand > l_hat:
-                l_hat = cand
-                wit = _witness(row_max if cand == r_max else row_min)
+    coeffs = _eval_rows(m, budget, arithmetic, s)
+    den = s.span_norm_batch(coeffs)
+    for p in range(1, p_max + 1):
+        num = _shift_norms(s, coeffs, p)
+        r_min, r_max, row_min, row_max, rej = _ratio_scan(num, den, coeffs)
+        rejected += rej
+        constants[f"r_min_p{p}"] = r_min
+        constants[f"r_max_p{p}"] = r_max
+        cand = max(r_max, 1 / r_min)
+        if l_hat is None or cand > l_hat:
+            l_hat = cand
+            wit = _witness(row_max if cand == r_max else row_min)
     constants["L_hat"] = l_hat
     constants["rejected_denominators"] = rejected
     return Certificate(
@@ -330,8 +253,9 @@ def lemma79_conclusion_check(
         raise ParameterError("L must be positive")
     if not 1 <= p_max < len(s):
         raise ParameterError(f"p_max must lie in 1..{len(s) - 1}, got {p_max}")
-    printed = L / 2 if arithmetic == RATIONAL else float(L) / 2.0
-    symmetric = 1 / (2 * L) if arithmetic == RATIONAL else 1.0 / (2.0 * float(L))
+    exact = arithmetic == RATIONAL
+    printed = Fraction(L) / 2 if exact else float(L) / 2.0
+    symmetric = 1 / (2 * Fraction(L)) if exact else 1.0 / (2.0 * float(L))
     used = lower_c if lower_c is not None else printed
     convention = (
         "printed(L/2)"
@@ -341,43 +265,26 @@ def lemma79_conclusion_check(
     m = len(s) - p_max
     lo_pr = lo_sy = lo_used = hi_m = None
     wit_lo = wit_hi = ()
-    if arithmetic == RATIONAL:
-        _require_exact_tags(s)
-        for p in range(1, p_max + 1):
-            for a in _rational_eval_set(m, budget):
-                base = s.span_norm(a)
-                sh = _shift_norm_exact(s, a, p)
-                c_pr, c_sy, c_us = sh - printed * base, sh - symmetric * base, sh - used * base
-                hi = L * base - sh
-                if lo_pr is None or c_pr < lo_pr:
-                    lo_pr = c_pr
-                if lo_sy is None or c_sy < lo_sy:
-                    lo_sy = c_sy
-                if lo_used is None or c_us < lo_used:
-                    lo_used, wit_lo = c_us, a
-                if hi_m is None or hi < hi_m:
-                    hi_m, wit_hi = hi, a
-        holds = lo_used >= 0 and hi_m >= 0
-    else:
-        used_f = float(used)
-        coeffs = coefficient_samples(m, budget)
-        base = s.span_norm_batch(coeffs)
-        for p in range(1, p_max + 1):
-            sh = _shift_norms_float(s, coeffs, p)
-            c_pr = sh - float(printed) * base
-            c_sy = sh - float(symmetric) * base
-            c_us = sh - used_f * base
-            hi = float(L) * base - sh
-            i_us, i_hi = int(np.argmin(c_us)), int(np.argmin(hi))
-            if lo_pr is None or c_pr.min() < lo_pr:
-                lo_pr = float(c_pr.min())
-            if lo_sy is None or c_sy.min() < lo_sy:
-                lo_sy = float(c_sy.min())
-            if lo_used is None or c_us[i_us] < lo_used:
-                lo_used, wit_lo = float(c_us[i_us]), _witness(coeffs[i_us])
-            if hi_m is None or hi[i_hi] < hi_m:
-                hi_m, wit_hi = float(hi[i_hi]), _witness(coeffs[i_hi])
-        holds = lo_used >= -INEQ_TOL and hi_m >= -INEQ_TOL
+    coeffs = _eval_rows(m, budget, arithmetic, s)
+    c_printed, c_symmetric, c_used, c_L = (coerce(c, arithmetic) for c in (printed, symmetric, used, L))
+    tol = 0 if exact else INEQ_TOL
+    base = s.span_norm_batch(coeffs)
+    for p in range(1, p_max + 1):
+        sh = _shift_norms(s, coeffs, p)
+        c_pr = sh - c_printed * base
+        c_sy = sh - c_symmetric * base
+        c_us = sh - c_used * base
+        hi = c_L * base - sh
+        i_us, i_hi = int(np.argmin(c_us)), int(np.argmin(hi))
+        if lo_pr is None or c_pr.min() < lo_pr:
+            lo_pr = _scalar(c_pr.min())
+        if lo_sy is None or c_sy.min() < lo_sy:
+            lo_sy = _scalar(c_sy.min())
+        if lo_used is None or c_us[i_us] < lo_used:
+            lo_used, wit_lo = _scalar(c_us[i_us]), _witness(coeffs[i_us])
+        if hi_m is None or hi[i_hi] < hi_m:
+            hi_m, wit_hi = _scalar(hi[i_hi]), _witness(coeffs[i_hi])
+    holds = lo_used >= -tol and hi_m >= -tol
     return Certificate(
         kind="lemma79_conclusion",
         constants={

@@ -59,9 +59,11 @@ from .fpmaps import (
     theta_of_map,
 )
 from .perturbation import claim2_chain, perturb_toward_next, psp_equivalence_check
-from .sampling import SamplingBudget, simplex_uniform
+from .sampling import SamplingBudget, rational_simplex, simplex_uniform
 from .sequences import (
     BasicSequence,
+    _scalar,
+    _witness,
     basis_constant,
     builtin_sequence,
     domination_constant,
@@ -97,12 +99,14 @@ class RunContext:
             raise ConfigError(
                 f"rational mode requires a piecewise-linear norm, got {self.seq.ambient.label()}"
             )
-        basis_constant(self.seq, SamplingBudget(count=KAPPA_SAMPLES, seed=derive_seed(cfg.seed, 0)))
+        self.seq._kappa = basis_constant(
+            self.seq, SamplingBudget(count=KAPPA_SAMPLES, seed=derive_seed(cfg.seed, 0))
+        )
         self.blocks_seq: Optional[BasicSequence] = None
         if cfg.blocks_sets is not None:
             spec = ConvexBlockSpec(blocks=cfg.blocks_sets, weights=cfg.blocks_weights)
             self.blocks_seq = build_convex_blocks(self.seq, spec)
-            basis_constant(
+            self.blocks_seq._kappa = basis_constant(
                 self.blocks_seq,
                 SamplingBudget(count=KAPPA_SAMPLES, seed=derive_seed(cfg.seed, 1)),
             )
@@ -292,38 +296,21 @@ def _residual_check(ctx: RunContext, check: CheckConfig, seed: int) -> Certifica
     n = start_length(spec, s, 1)
     budget = _budget(check, seed, 1000)
     if ctx.cfg.arithmetic == RATIONAL:
-        from .sampling import rational_simplex
-
-        points = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        points += rational_simplex(n, budget)
-        best = None
-        wit = ()
-        for t in points:
-            from .fpmaps import fixed_point_residual
-
-            r = fixed_point_residual(spec, t, s)
-            if best is None or r < best:
-                best, wit = r, t
-        holds = best is not None and best > 0
-        count = len(points)
+        T = np.array(np.eye(n, dtype=int).tolist() + rational_simplex(n, budget), dtype=object)
     else:
         rng = np.random.default_rng(budget.seed)
         T = np.concatenate([np.eye(n), simplex_uniform(rng, budget.count, n)], axis=0)
-        FT = apply_map_batch(spec, T)
-        width = FT.shape[1]
-        Tp = np.zeros((T.shape[0], width))
-        Tp[:, :n] = T
-        res = s.span_norm_batch(FT - Tp)
-        i = int(np.argmin(res))
-        best = float(res[i])
-        wit = tuple(map(float, T[i]))
-        holds = best > 0
-        count = len(T)
+    FT = apply_map_batch(spec, T)
+    Tp = np.zeros(FT.shape, dtype=T.dtype)
+    Tp[:, :n] = T
+    res = s.span_norm_batch(FT - Tp)
+    i = int(np.argmin(res))
+    best = _scalar(res[i])
     return Certificate(
         kind="fixed_point_residual",
-        constants={"min_residual": best, "evaluated": count},
-        holds=bool(holds),
-        witness={"argmin": wit},
+        constants={"min_residual": best, "evaluated": len(T)},
+        holds=bool(best > 0),
+        witness={"argmin": _witness(T[i])},
         mode=budget.mode_label(n),
         arithmetic=ctx.cfg.arithmetic,
     )

@@ -32,8 +32,8 @@ from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError, TruncationError
 from .sampling import SamplingBudget, rational_simplex, simplex_uniform
-from .sequences import BasicSequence
-from .spaces import CoordinateVector, norm
+from .sequences import BasicSequence, _ratio_scan, _require_exact_tags, _witness
+from .spaces import CoordinateVector, as_rows, norm
 
 DIAG_SHIFT = "diag_shift"
 RIGHT_SHIFT = "right_shift"
@@ -250,21 +250,21 @@ def iterate(spec: AffineMapSpec, t, p: int) -> ConvexCoefficients:
 
 
 def apply_map_batch(spec: AffineMapSpec, mat: np.ndarray) -> np.ndarray:
-    """Float batch version of ``apply_map`` over rows."""
-    mat = np.asarray(mat, dtype=float)
+    """Batch version of ``apply_map`` over rows; exact on object rows."""
+    mat = as_rows(mat)
     rows, n = mat.shape
     if spec.variant == RIGHT_SHIFT:
-        out = np.concatenate([np.zeros((rows, 1)), mat], axis=1)
+        out = np.concatenate([np.zeros((rows, 1), dtype=mat.dtype), mat], axis=1)
     elif spec.variant == DIAG_SHIFT:
-        al = np.array([float(a) for a in spec.schedule.alphas[:n]])
+        al = np.array(spec.schedule.alphas[:n], dtype=mat.dtype)
         if len(al) < n:
             raise ParameterError(
                 f"alpha schedule has {len(spec.schedule.alphas)} entries; need at least {n}"
             )
-        out = np.zeros((rows, n + 1))
-        out[:, 0] = (1.0 - al[0]) * mat[:, 0]
+        out = np.zeros((rows, n + 1), dtype=mat.dtype)
+        out[:, 0] = (1 - al[0]) * mat[:, 0]
         if n > 1:
-            out[:, 1:n] = (1.0 - al[1:n]) * mat[:, 1:n] + al[0 : n - 1] * mat[:, 0 : n - 1]
+            out[:, 1:n] = (1 - al[1:n]) * mat[:, 1:n] + al[0 : n - 1] * mat[:, 0 : n - 1]
         out[:, n] = al[n - 1] * mat[:, n - 1]
     elif spec.variant == BILATERAL:
         targets = bilateral_targets(n)
@@ -274,12 +274,13 @@ def apply_map_batch(spec: AffineMapSpec, mat: np.ndarray) -> np.ndarray:
         return out
     else:  # geometric
         out = np.zeros_like(mat)
-        w = 0.5
+        half = Fraction(1, 2) if mat.dtype == object else 0.5
+        w = half
         for j in range(1, n):
             upto = n - 1 - j
             if upto > 0:
                 out[:, j : n - 1] += w * mat[:, 0 : upto]
-            w *= 0.5
+            w *= half
         out[:, n - 1] = mat.sum(axis=1) - out[:, : n - 1].sum(axis=1)
         return out
     if spec.policy == FOLD_TAIL and out.shape[1] > n:
@@ -310,28 +311,27 @@ def start_length(spec: AffineMapSpec, s: BasicSequence, steps: int) -> int:
     return n
 
 
-def _pair_matrices(n: int, budget: SamplingBudget, include_equal: bool):
-    """All vertex pairs plus random simplex pairs, as two (P, n) arrays."""
-    xs, ys = [], []
-    for i in range(n):
-        for j in range(n):
-            if not include_equal and i == j:
-                continue
-            ex = np.zeros(n)
-            ey = np.zeros(n)
-            ex[i] = 1.0
-            ey[j] = 1.0
-            xs.append(ex)
-            ys.append(ey)
-    parts_x = [np.array(xs)] if xs else []
-    parts_y = [np.array(ys)] if ys else []
-    if budget.count > 0:
+def _pair_matrices(n: int, budget: SamplingBudget, include_equal: bool, arithmetic: str = FLOAT):
+    """All vertex pairs plus simplex pairs, as two (P, n) arrays.
+
+    Float pairs draw ``budget.count`` uniform points per side; rational pairs
+    split ``rational_simplex`` points into halves and are object arrays.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(n) if include_equal or i != j]
+    exact = arithmetic == RATIONAL
+    eye = np.eye(n, dtype=object if exact else float)
+    X = [eye[[i for i, _ in pairs]]]
+    Y = [eye[[j for _, j in pairs]]]
+    if budget.count > 0 and exact:
+        pts = np.array(rational_simplex(n, budget), dtype=object)
+        half = len(pts) // 2
+        X.append(pts[:half])
+        Y.append(pts[half : 2 * half])
+    elif budget.count > 0:
         rng = np.random.default_rng(budget.seed)
-        parts_x.append(simplex_uniform(rng, budget.count, n))
-        parts_y.append(simplex_uniform(rng, budget.count, n))
-    X = np.concatenate(parts_x, axis=0)
-    Y = np.concatenate(parts_y, axis=0)
-    return X, Y
+        X.append(simplex_uniform(rng, budget.count, n))
+        Y.append(simplex_uniform(rng, budget.count, n))
+    return np.concatenate(X, axis=0), np.concatenate(Y, axis=0)
 
 
 def _pair_mode(n_vertex_pairs: int, budget: SamplingBudget) -> str:
@@ -360,31 +360,21 @@ def bilipschitz_estimate(
         raise ParameterError("p_max must be >= 1")
     n = start_length(spec, s, p_max)
     if arithmetic == RATIONAL:
-        return _bilipschitz_rational(spec, s, pair_budget, p_max, n)
-    X, Y = _pair_matrices(n, pair_budget, include_equal=False)
-    base_diff = X - Y
-    base = s.span_norm_batch(base_diff)
-    keep = base > 1e-12
-    X, Y, base = X[keep], Y[keep], base[keep]
-    c1 = np.inf
-    c2 = -np.inf
+        _require_exact_tags(s)
+    X, Y = _pair_matrices(n, pair_budget, include_equal=False, arithmetic=arithmetic)
+    base = s.span_norm_batch(X - Y)
+    pairs = np.arange(len(X))
+    c1 = c2 = None
     p1 = p2 = 1
-    wit_min = wit_max = (np.zeros(n), np.zeros(n))
     FX, FY = X, Y
     for p in range(1, p_max + 1):
         FX = apply_map_batch(spec, FX)
         FY = apply_map_batch(spec, FY)
-        ratios = s.span_norm_batch(FX - FY) / base
-        i_min = int(np.argmin(ratios))
-        i_max = int(np.argmax(ratios))
-        if ratios[i_min] < c1:
-            c1 = float(ratios[i_min])
-            p1 = p
-            wit_min = (X[i_min], Y[i_min])
-        if ratios[i_max] > c2:
-            c2 = float(ratios[i_max])
-            p2 = p
-            wit_max = (X[i_max], Y[i_max])
+        r_min, r_max, i_min, i_max, _ = _ratio_scan(s.span_norm_batch(FX - FY), base, pairs)
+        if c1 is None or r_min < c1:
+            c1, p1, i1 = r_min, p, i_min
+        if c2 is None or r_max > c2:
+            c2, p2, i2 = r_max, p, i_max
     return Certificate(
         kind="bilipschitz",
         constants={
@@ -397,69 +387,13 @@ def bilipschitz_estimate(
         },
         holds=True,
         witness={
-            "pair_min_x": tuple(map(float, wit_min[0])),
-            "pair_min_y": tuple(map(float, wit_min[1])),
-            "pair_max_x": tuple(map(float, wit_max[0])),
-            "pair_max_y": tuple(map(float, wit_max[1])),
+            "pair_min_x": _witness(X[i1]),
+            "pair_min_y": _witness(Y[i1]),
+            "pair_max_x": _witness(X[i2]),
+            "pair_max_y": _witness(Y[i2]),
         },
         mode=_pair_mode(n * (n - 1), pair_budget),
-        arithmetic=FLOAT,
-    )
-
-
-def _bilipschitz_rational(spec, s, budget, p_max, n) -> Certificate:
-    from .sequences import _require_exact_tags
-
-    _require_exact_tags(s)
-    pairs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                pairs.append(
-                    (ConvexCoefficients.vertex(i, n), ConvexCoefficients.vertex(j, n))
-                )
-    if budget.count:
-        pts = rational_simplex(n, budget)
-        half = len(pts) // 2
-        for u, v in zip(pts[:half], pts[half:]):
-            pairs.append((ConvexCoefficients.of(u), ConvexCoefficients.of(v)))
-    c1 = c2 = None
-    p1 = p2 = 1
-    wit_min = wit_max = ((), ())
-    for tx, ty in pairs:
-        diff = tuple(a - b for a, b in zip(tx.t, ty.t))
-        base = s.span_norm(diff)
-        if base == 0:
-            continue
-        fx, fy = tx, ty
-        for p in range(1, p_max + 1):
-            fx = apply_map(spec, fx)
-            fy = apply_map(spec, fy)
-            fd = tuple(a - b for a, b in zip(fx.t, fy.t))
-            r = s.span_norm(fd) / base
-            if c1 is None or r < c1:
-                c1, p1, wit_min = r, p, (tx.t, ty.t)
-            if c2 is None or r > c2:
-                c2, p2, wit_max = r, p, (tx.t, ty.t)
-    return Certificate(
-        kind="bilipschitz",
-        constants={
-            "c1_hat": c1,
-            "c2_hat": c2,
-            "L_hat": c2 / c1,
-            "p_max": p_max,
-            "p_at_min": p1,
-            "p_at_max": p2,
-        },
-        holds=True,
-        witness={
-            "pair_min_x": wit_min[0],
-            "pair_min_y": wit_min[1],
-            "pair_max_x": wit_max[0],
-            "pair_max_y": wit_max[1],
-        },
-        mode=_pair_mode(n * (n - 1), budget),
-        arithmetic=RATIONAL,
+        arithmetic=arithmetic,
     )
 
 

@@ -36,12 +36,14 @@ from .fpmaps import AlphaSchedule
 from .sampling import SamplingBudget
 from .sequences import (
     BasicSequence,
+    _eval_rows,
     _kappa_is_certified,
-    _rational_eval_set,
+    _ratio_scan,
     _require_exact_tags,
+    _scalar,
+    _witness,
 )
 from .spaces import CoordinateVector, norm, norm_batch
-from .sampling import coefficient_samples
 
 INEQ_TOL = 1e-9
 
@@ -115,47 +117,21 @@ def psp_equivalence_check(
             arithmetic=arithmetic,
             flags=tuple(flags),
         )
-    if arithmetic == RATIONAL:
-        _require_exact_tags(s)
-        lo_margin = hi_margin = None
-        r_min = r_max = None
-        wit_lo = wit_hi = ()
-        count = 0
-        for t in _rational_eval_set(m, budget):
-            nx = s.span_norm(t)
-            nz = norm(_combine(z.z_vectors, t), s.ambient)
-            count += 1
-            lo = nz - (1 - theta) * nx
-            hi = (1 + theta) * nx - nz
-            if lo_margin is None or lo < lo_margin:
-                lo_margin, wit_lo = lo, t
-            if hi_margin is None or hi < hi_margin:
-                hi_margin, wit_hi = hi, t
-            if nx != 0:
-                r = nz / nx
-                r_min = r if r_min is None or r < r_min else r_min
-                r_max = r if r_max is None or r > r_max else r_max
-        holds = lo_margin >= 0 and hi_margin >= 0
-    else:
-        theta = float(theta)
-        coeffs = coefficient_samples(m, budget)
-        nx = s.span_norm_batch(coeffs)
-        zmat = np.array([zv.as_floats() for zv in z.z_vectors])
-        nz = norm_batch(coeffs @ zmat, s.ambient)
-        lo = nz - (1.0 - theta) * nx
-        hi = (1.0 + theta) * nx - nz
-        i_lo = int(np.argmin(lo))
-        i_hi = int(np.argmin(hi))
-        lo_margin = float(lo[i_lo])
-        hi_margin = float(hi[i_hi])
-        wit_lo = tuple(map(float, coeffs[i_lo]))
-        wit_hi = tuple(map(float, coeffs[i_hi]))
-        ok = nx > 1e-12
-        ratios = nz[ok] / nx[ok]
-        r_min = float(np.min(ratios))
-        r_max = float(np.max(ratios))
-        count = len(coeffs)
-        holds = lo_margin >= -INEQ_TOL and hi_margin >= -INEQ_TOL
+    coeffs = _eval_rows(m, budget, arithmetic, s)
+    exact = coeffs.dtype == object
+    theta = coerce(theta, arithmetic)
+    nx = s.span_norm_batch(coeffs)
+    zmat = np.array([zv.entries if exact else zv.as_floats() for zv in z.z_vectors], dtype=coeffs.dtype)
+    nz = norm_batch(coeffs @ zmat, s.ambient)
+    lo = nz - (1 - theta) * nx
+    hi = (1 + theta) * nx - nz
+    i_lo = int(np.argmin(lo))
+    i_hi = int(np.argmin(hi))
+    lo_margin = _scalar(lo[i_lo])
+    hi_margin = _scalar(hi[i_hi])
+    r_min, r_max, _, _, _ = _ratio_scan(nz, nx, coeffs)
+    tol = 0 if exact else INEQ_TOL
+    holds = lo_margin >= -tol and hi_margin >= -tol
     return Certificate(
         kind="psp_equivalence",
         constants={
@@ -164,10 +140,10 @@ def psp_equivalence_check(
             "margin_upper": hi_margin,
             "ratio_min": r_min,
             "ratio_max": r_max,
-            "evaluated": count,
+            "evaluated": len(coeffs),
         },
         holds=bool(holds),
-        witness={"worst_lower": wit_lo, "worst_upper": wit_hi},
+        witness={"worst_lower": _witness(coeffs[i_lo]), "worst_upper": _witness(coeffs[i_hi])},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
         flags=tuple(flags),
@@ -214,12 +190,3 @@ def claim2_chain(
         arithmetic=arithmetic,
         flags=tuple(flags),
     )
-
-
-def _combine(vectors: Tuple[CoordinateVector, ...], coeffs) -> CoordinateVector:
-    acc = [0] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for j, x in enumerate(v.entries):
-                acc[j] = acc[j] + c * x
-    return CoordinateVector(tuple(acc))

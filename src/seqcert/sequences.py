@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .spaces import (
     NormTag,
     norm,
     norm_batch,
-    summing_basis_norm,
     summing_basis_norm_batch,
 )
 
@@ -92,7 +91,7 @@ class BasicSequence:
         self.exact = all(
             not isinstance(x, float) for v in vecs for x in v.entries
         )
-        self._matrix: Optional[np.ndarray] = None
+        self._matrices: Dict[bool, np.ndarray] = {}
         self._kappa: Optional[Tuple[float, float]] = None
         self._check_independent()
         norms = [norm(v, ambient) for v in vecs]
@@ -116,10 +115,15 @@ class BasicSequence:
     def ambient_length(self) -> int:
         return len(self.vectors[0])
 
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.array([v.as_floats() for v in self.vectors])
-        return self._matrix
+    def matrix(self, exact: bool = False) -> np.ndarray:
+        """The vectors as rows: floats, or with ``exact`` an object array of
+        their int/Fraction entries."""
+        if exact not in self._matrices:
+            self._matrices[exact] = np.array(
+                [v.entries if exact else v.as_floats() for v in self.vectors],
+                dtype=object if exact else float,
+            )
+        return self._matrices[exact]
 
     def span_vector(self, coeffs) -> CoordinateVector:
         """Materialize sum a_i x_i; exact on exact inputs."""
@@ -137,8 +141,9 @@ class BasicSequence:
         return norm(self.span_vector(coeffs), self.ambient)
 
     def span_norm_batch(self, coeff_mat: np.ndarray) -> np.ndarray:
+        """||sum_i c_i x_i|| for every row c; exact on object rows."""
         m = coeff_mat.shape[1]
-        return norm_batch(coeff_mat @ self.matrix()[:m], self.ambient)
+        return norm_batch(coeff_mat @ self.matrix(coeff_mat.dtype == object)[:m], self.ambient)
 
     # kappa caching -------------------------------------------------------
 
@@ -148,7 +153,7 @@ class BasicSequence:
         (float-to-Fraction conversion loses nothing) so downstream rational
         arithmetic stays exact."""
         if self._kappa is None:
-            basis_constant(self, DEFAULT_KAPPA_BUDGET)
+            self._kappa = basis_constant(self, DEFAULT_KAPPA_BUDGET)
         lo, up = self._kappa
         if self.exact:
             return (Fraction(lo), Fraction(up))
@@ -220,7 +225,9 @@ def builtin_sequence(name: str, n: int, p: Real = 2) -> BasicSequence:
 # ---------------------------------------------------------------------------
 
 
-def _rational_eval_set(m: int, budget: SamplingBudget) -> List[Tuple[Real, ...]]:
+def _rational_eval_set(m: int, budget: SamplingBudget) -> np.ndarray:
+    """Exact evaluation rows: every {-1,0,1} pattern up to the exhaustive
+    limit, then ``rational_vectors``, as an object array of ints."""
     vecs: List[Tuple[Real, ...]] = []
     if m <= budget.exhaustive_limit:
         vecs.extend(
@@ -230,34 +237,60 @@ def _rational_eval_set(m: int, budget: SamplingBudget) -> List[Tuple[Real, ...]]
         vecs.extend(rational_vectors(m, budget))
     if not vecs:
         raise ParameterError("empty sampling budget")
-    return vecs
+    return np.array(vecs, dtype=object)
 
 
-def _ratio_scan_float(
+def _eval_rows(m: int, budget: SamplingBudget, arithmetic: str, *seqs: BasicSequence) -> np.ndarray:
+    """Coefficient rows of one scan: exact ``_rational_eval_set`` rows in
+    rational mode (which needs piecewise-linear norms), float samples otherwise."""
+    if arithmetic == RATIONAL:
+        _require_exact_tags(*seqs)
+        return _rational_eval_set(m, budget)
+    return coefficient_samples(m, budget)
+
+
+_FRACTION = np.frompyfunc(Fraction, 1, 1)
+
+
+def _guard(values: np.ndarray):
+    """What a denominator must exceed: 0 on exact rows, DENOM_GUARD on float rows."""
+    return 0 if values.dtype == object else DENOM_GUARD
+
+
+
+def _scalar(x) -> Real:
+    """One entry of a scan as a plain scalar: float from float rows, exact otherwise."""
+    return float(x) if isinstance(x, np.floating) else x
+
+
+def _ratio_scan(
     num: np.ndarray, den: np.ndarray, coeffs: np.ndarray
-) -> Tuple[float, float, np.ndarray, np.ndarray, int]:
-    """(min, max, argmin row, argmax row, rejected) of num/den with guard."""
-    ok = den > DENOM_GUARD
+) -> Tuple[Real, Real, np.ndarray, np.ndarray, int]:
+    """(min, max, argmin row, argmax row, rejected) of num/den over the rows
+    whose denominator passes ``_guard``; ties go to the first row.  Exact
+    entries divide as Fractions, since int / int would give a float."""
+    ok = den > _guard(den)
     rejected = int(np.size(den) - np.count_nonzero(ok))
     if not np.any(ok):
         raise DependenceError("all denominators vanished on the evaluated set")
-    ratios = num[ok] / den[ok]
+    ratios = _FRACTION(num[ok]) / den[ok] if num.dtype == object else num[ok] / den[ok]
     rows = coeffs[ok]
     i_min = int(np.argmin(ratios))
     i_max = int(np.argmax(ratios))
     return (
-        float(ratios[i_min]),
-        float(ratios[i_max]),
+        _scalar(ratios[i_min]),
+        _scalar(ratios[i_max]),
         rows[i_min],
         rows[i_max],
         rejected,
     )
 
 
-def _witness(row) -> Tuple[Real, ...]:
-    if isinstance(row, np.ndarray):
-        return tuple(float(x) for x in row)
-    return tuple(row)
+def _witness(row: np.ndarray) -> Tuple[Real, ...]:
+    """A coefficient row as a tuple: exact rows keep their entries."""
+    if row.dtype == object:
+        return tuple(row)
+    return tuple(float(x) for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +358,7 @@ def basis_constant(s: BasicSequence, budget: SamplingBudget = DEFAULT_KAPPA_BUDG
         if cand > upper:
             upper = cand
             seedvec = trial[keep][j]
-    interval = (lower, max(upper, lower))
-    s._kappa = interval
-    return interval
+    return (lower, max(upper, lower))
 
 
 def domination_constant(
@@ -343,28 +374,10 @@ def domination_constant(
         raise ParameterError("sequences must have the same number of vectors")
     m = len(xs)
     flags: List[str] = []
-    if arithmetic == RATIONAL:
-        _require_exact_tags(xs, ys)
-        best: Optional[Real] = None
-        wit: Tuple[Real, ...] = ()
-        rejected = 0
-        for a in _rational_eval_set(m, budget):
-            den = xs.span_norm(a)
-            if den == 0:
-                rejected += 1
-                continue
-            r = ys.span_norm(a) / den
-            if best is None or r > best:
-                best, wit = r, a
-        if best is None:
-            raise DependenceError("all denominators vanished")
-        l_hat: Real = best
-    else:
-        coeffs = coefficient_samples(m, budget)
-        nx = xs.span_norm_batch(coeffs)
-        ny = ys.span_norm_batch(coeffs)
-        _, l_hat, _, wit_row, rejected = _ratio_scan_float(ny, nx, coeffs)
-        wit = _witness(wit_row)
+    coeffs = _eval_rows(m, budget, arithmetic, xs, ys)
+    nx = xs.span_norm_batch(coeffs)
+    ny = ys.span_norm_batch(coeffs)
+    _, l_hat, _, wit_row, rejected = _ratio_scan(ny, nx, coeffs)
     if rejected:
         flags.append(f"dependence-evidence(rejected={rejected})")
     constants = {"L_hat": l_hat, "rejected_denominators": rejected}
@@ -372,7 +385,7 @@ def domination_constant(
         kind="domination",
         constants=constants,
         holds=True,
-        witness={"argmax": wit},
+        witness={"argmax": _witness(wit_row)},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
         flags=tuple(flags),
@@ -390,31 +403,11 @@ def equivalence_constants(
     if len(xs) != len(ys):
         raise ParameterError("sequences must have the same number of vectors")
     m = len(xs)
-    if arithmetic == RATIONAL:
-        _require_exact_tags(xs, ys)
-        r_min = r_max = None
-        wit_min = wit_max = ()
-        rejected = 0
-        for a in _rational_eval_set(m, budget):
-            den = xs.span_norm(a)
-            if den == 0:
-                rejected += 1
-                continue
-            r = ys.span_norm(a) / den
-            if r_min is None or r < r_min:
-                r_min, wit_min = r, a
-            if r_max is None or r > r_max:
-                r_max, wit_max = r, a
-        if r_min is None:
-            raise DependenceError("all denominators vanished")
-        smallest = max(r_max, 1 / r_min)
-    else:
-        coeffs = coefficient_samples(m, budget)
-        nx = xs.span_norm_batch(coeffs)
-        ny = ys.span_norm_batch(coeffs)
-        r_min, r_max, row_min, row_max, rejected = _ratio_scan_float(ny, nx, coeffs)
-        wit_min, wit_max = _witness(row_min), _witness(row_max)
-        smallest = max(r_max, 1.0 / r_min)
+    coeffs = _eval_rows(m, budget, arithmetic, xs, ys)
+    nx = xs.span_norm_batch(coeffs)
+    ny = ys.span_norm_batch(coeffs)
+    r_min, r_max, row_min, row_max, rejected = _ratio_scan(ny, nx, coeffs)
+    smallest = max(r_max, 1 / r_min)
     flags = (f"dependence-evidence(rejected={rejected})",) if rejected else ()
     return Certificate(
         kind="equivalence",
@@ -425,7 +418,7 @@ def equivalence_constants(
             "rejected_denominators": rejected,
         },
         holds=True,
-        witness={"argmin": wit_min, "argmax": wit_max},
+        witness={"argmin": _witness(row_min), "argmax": _witness(row_max)},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
         flags=flags,
@@ -444,30 +437,15 @@ def wide_s_certificate(
     """
     validate_arithmetic(arithmetic)
     m = len(s)
-    if arithmetic == RATIONAL:
-        _require_exact_tags(s)
-        d_hat = None
-        wit: Tuple[Real, ...] = ()
-        for a in _rational_eval_set(m, budget):
-            sn = summing_basis_norm(a)
-            if sn == 0:
-                continue
-            r = s.span_norm(a) / sn
-            if d_hat is None or r < d_hat:
-                d_hat, wit = r, a
-        holds = d_hat is not None and d_hat > 0
-    else:
-        coeffs = coefficient_samples(m, budget)
-        sn = summing_basis_norm_batch(coeffs)
-        nx = s.span_norm_batch(coeffs)
-        d_hat, _, row, _, _ = _ratio_scan_float(nx, sn, coeffs)
-        wit = _witness(row)
-        holds = d_hat > DENOM_GUARD
+    coeffs = _eval_rows(m, budget, arithmetic, s)
+    sn = summing_basis_norm_batch(coeffs)
+    nx = s.span_norm_batch(coeffs)
+    d_hat, _, row, _, _ = _ratio_scan(nx, sn, coeffs)
     return Certificate(
         kind="wide_s",
         constants={"d_hat": d_hat},
-        holds=bool(holds),
-        witness={"argmin": wit},
+        holds=bool(d_hat > _guard(sn)),
+        witness={"argmin": _witness(row)},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
     )

@@ -21,7 +21,9 @@ DP may therefore leave indices uncovered on either side or in the middle.
 Scalar entry points accept int/Fraction entries and stay exact wherever the
 norm is piecewise linear (sup, ell_1, lin, and the summing-basis norm); the
 ``james`` power sum is exact for integer p via ``james_power_sum_exact``.
-Batch entry points take a 2-D numpy array of rows and are float-only.
+Batch entry points take a 2-D numpy array of rows.  A float array is
+evaluated in float; an ``object`` array holding int/Fraction entries keeps
+them, so the piecewise-linear batch norms are exact on it.
 """
 
 from __future__ import annotations
@@ -223,8 +225,16 @@ def norm(v, tag: NormTag) -> Real:
 
 
 # ---------------------------------------------------------------------------
-# Batch float backends: rows of a 2-D array are independent vectors.
+# Batch backends: rows of a 2-D array are independent vectors.  Object
+# arrays of exact scalars stay exact; every other array is read as float.
 # ---------------------------------------------------------------------------
+
+
+def as_rows(mat) -> np.ndarray:
+    """``mat`` as an array of rows: object arrays keep their exact entries,
+    anything else becomes float."""
+    mat = np.asarray(mat)
+    return mat if mat.dtype == object else np.asarray(mat, dtype=float)
 
 
 def lin_weights_float(n: int) -> np.ndarray:
@@ -262,13 +272,14 @@ def _james_dp_batch(mat: np.ndarray, p: float) -> np.ndarray:
 
 
 def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
-    """Vectorized ``norm`` over the rows of ``mat`` (float only)."""
-    mat = np.asarray(mat, dtype=float)
+    """Vectorized ``norm`` over the rows of ``mat``; exact on object rows of a
+    piecewise-linear norm."""
+    mat = as_rows(mat)
     if mat.ndim != 2:
         raise ParameterError("norm_batch expects a 2-D array of row vectors")
     rows, n = mat.shape
     if n == 0:
-        return np.zeros(rows)
+        return np.zeros(rows, dtype=mat.dtype)
     if tag.variant == SUP:
         return np.max(np.abs(mat), axis=1)
     if tag.variant == ELL_P:
@@ -277,17 +288,30 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
             return np.sum(np.abs(mat), axis=1)
         return np.sum(np.abs(mat) ** p, axis=1) ** (1.0 / p)
     if tag.variant == LIN:
+        if mat.dtype == object:
+            return _lin_norm_exact_batch(mat)
         tails = np.cumsum(np.abs(mat)[:, ::-1], axis=1)[:, ::-1]
         return np.max(tails * lin_weights_float(n), axis=1)
     return _james_dp_batch(mat, float(tag.p))
 
 
+def _lin_norm_exact_batch(mat: np.ndarray) -> np.ndarray:
+    """``lin_norm`` of every exact row, one column at a time: the running max
+    over exact tails never materializes a rows x N array of Fractions."""
+    best = np.zeros(mat.shape[0], dtype=object)
+    tail = np.zeros(mat.shape[0], dtype=object)
+    for k in range(mat.shape[1], 0, -1):
+        tail = tail + np.abs(mat[:, k - 1])
+        best = np.maximum(best, lin_weight(k) * tail)
+    return best
+
+
 def summing_basis_norm_batch(mat: np.ndarray) -> np.ndarray:
-    """Vectorized ``summing_basis_norm`` over rows (float only)."""
-    mat = np.asarray(mat, dtype=float)
+    """Vectorized ``summing_basis_norm`` over rows; exact on object rows."""
+    mat = as_rows(mat)
     rows, n = mat.shape
     if n == 0:
-        return np.zeros(rows)
+        return np.zeros(rows, dtype=mat.dtype)
     tails = np.cumsum(mat[:, ::-1], axis=1)[:, ::-1]
     return np.max(np.abs(tails), axis=1)
 

@@ -441,3 +441,52 @@ def test_threads_env_var(tmp_path, monkeypatch):
     assert main(["certify", "--config", path, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["meta"]["threads"] == 4
+
+
+KAPPA_ORDER = """
+[space]
+tag = ell_p
+p = 1
+
+[sequence]
+builtin = summing_c0
+n = 12
+
+[map f]
+variant = diag_shift
+theta = 1/2
+
+[check claim2]
+kind = claim2_chain
+map = f
+
+[check bc]
+kind = basis_constant
+samples = 64
+
+[check claim2_again]
+kind = claim2_chain
+map = f
+
+[check gap]
+kind = gap_bound
+
+[run]
+seed = 3
+"""
+
+
+def test_basis_constant_check_leaves_kappa_alone(tmp_path, monkeypatch):
+    """A basis_constant check reports its own interval; later checks keep the run's kappa."""
+    path = write(tmp_path, KAPPA_ORDER)
+    blocks = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("SEQCERT_THREADS", threads)
+        out = tmp_path / f"r{threads}.json"
+        main(["certify", "--config", path, "--out", str(out)])
+        certs = json.loads(out.read_text())["certificates"]
+        first, again = (dict(c, name=None) for c in (certs[0], certs[2]))
+        assert first == again
+        assert first["holds"]
+        blocks.append(json.dumps(certs, indent=2, sort_keys=True))
+    assert blocks[0] == blocks[1]
