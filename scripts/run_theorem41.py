@@ -23,7 +23,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args()
 
-    out = args.out or tempfile.mktemp(suffix=".json")
+    out = args.out or str(Path(tempfile.mkdtemp(prefix="seqcert-")) / "report.json")
     argv = ["certify", "--config", str(CONFIG), "--out", out]
     if args.seed is not None:
         argv += ["--seed", str(args.seed)]

@@ -55,7 +55,6 @@ from .perturbation import (
     claim2_chain,
     perturb_toward_next,
     psp_equivalence_check,
-    psp_theta,
 )
 from .blocks import (
     ConvexBlockSpec,

@@ -6,27 +6,25 @@ configuration or parse errors.
 
 Reports are JSON with top-level ``config``, ``certificates``, ``meta``.
 The certificates block is byte-identical across runs of the same (config,
-seed); wall-clock times live only under ``meta``.  The environment variable
-``SEQCERT_THREADS`` sets the number of worker threads used to execute
-checks; output order always follows config order.
+seed); wall-clock times live only under ``meta``.  Checks run one at a time
+in config order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
-from .arithmetic import FLOAT, RATIONAL, parse_scalar
+from .arithmetic import FLOAT, RATIONAL, Real, parse_scalar
 from .blocks import (
     ConvexBlockSpec,
     build_convex_blocks,
@@ -89,8 +87,17 @@ def truncate_schedule(sch: AlphaSchedule, k: int) -> AlphaSchedule:
     )
 
 
+def kappa_interval(s: BasicSequence, seed: int) -> Tuple[Real, Real]:
+    """The run's basis-constant interval for s.  Exact families get Fraction
+    endpoints (the float-to-Fraction conversion loses nothing), so rational
+    theta and claim2 values computed from it stay exact."""
+    lo, up = basis_constant(s, SamplingBudget(count=KAPPA_SAMPLES, seed=seed))
+    return (Fraction(lo), Fraction(up)) if s.exact else (lo, up)
+
+
 class RunContext:
-    """Sequence, block sequence, and realized maps for one certify run."""
+    """Sequence, block sequence, their basis-constant intervals, and realized
+    maps for one certify run."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -99,17 +106,13 @@ class RunContext:
             raise ConfigError(
                 f"rational mode requires a piecewise-linear norm, got {self.seq.ambient.label()}"
             )
-        self.seq._kappa = basis_constant(
-            self.seq, SamplingBudget(count=KAPPA_SAMPLES, seed=derive_seed(cfg.seed, 0))
-        )
+        self.kappa = kappa_interval(self.seq, derive_seed(cfg.seed, 0))
         self.blocks_seq: Optional[BasicSequence] = None
+        self.kappa_blocks: Optional[Tuple[Real, Real]] = None
         if cfg.blocks_sets is not None:
             spec = ConvexBlockSpec(blocks=cfg.blocks_sets, weights=cfg.blocks_weights)
             self.blocks_seq = build_convex_blocks(self.seq, spec)
-            self.blocks_seq._kappa = basis_constant(
-                self.blocks_seq,
-                SamplingBudget(count=KAPPA_SAMPLES, seed=derive_seed(cfg.seed, 1)),
-            )
+            self.kappa_blocks = kappa_interval(self.blocks_seq, derive_seed(cfg.seed, 1))
         self.map_specs: Dict[str, AffineMapSpec] = {}
         for name, mc in cfg.maps.items():
             self.map_specs[name] = self._realize_map(mc)
@@ -121,7 +124,7 @@ class RunContext:
                     mc.theta,
                     self.seq.a,
                     self.seq.b,
-                    self.seq.kappa_upper,
+                    self.kappa[1],
                     len(self.seq),
                     arithmetic=self.cfg.arithmetic,
                 )
@@ -140,6 +143,9 @@ class RunContext:
                 raise ConfigError(f"check {check.name!r} targets blocks but none defined")
             return self.blocks_seq
         return self.seq
+
+    def kappa_for(self, check: CheckConfig) -> Tuple[Real, Real]:
+        return self.kappa_blocks if self.target(check) is self.blocks_seq else self.kappa
 
     def map_for(self, check: CheckConfig, variant: Optional[str] = None) -> AffineMapSpec:
         name = check.params.get("map")
@@ -197,12 +203,12 @@ def run_check(ctx: RunContext, check: CheckConfig, seed: int) -> Certificate:
         )
     if kind == "claim2_chain":
         sch = truncate_schedule(ctx.schedule_for(check), len(ctx.seq) - 1)
-        return claim2_chain(ctx.seq, sch, arithmetic=cfg.arithmetic)
+        return claim2_chain(ctx.seq, sch, ctx.kappa, arithmetic=cfg.arithmetic)
     if kind == "psp_equivalence":
         sch = truncate_schedule(ctx.schedule_for(check), len(ctx.seq) - 1)
         z = perturb_toward_next(ctx.seq, sch)
         return psp_equivalence_check(
-            ctx.seq, z, z.theta, _budget(check, seed, 2000), arithmetic=cfg.arithmetic
+            ctx.seq, z, z.theta, ctx.kappa, _budget(check, seed, 2000), arithmetic=cfg.arithmetic
         )
     if kind == "bilipschitz":
         return bilipschitz_estimate(
@@ -239,7 +245,7 @@ def run_check(ctx: RunContext, check: CheckConfig, seed: int) -> Certificate:
             ctx.target(check), other, _budget(check, seed, 2000), arithmetic=cfg.arithmetic
         )
     if kind == "gap_bound":
-        return gap_bound_check(ctx.target(check), _budget(check, seed, 2000))
+        return gap_bound_check(ctx.target(check), ctx.kappa_for(check), _budget(check, seed, 2000))
     if kind == "wuc_constant":
         return wuc_constant(
             ctx.target(check), _budget(check, seed, 2000), arithmetic=cfg.arithmetic
@@ -327,7 +333,7 @@ def _theta_bound_check(ctx: RunContext, check: CheckConfig, seed: int) -> Certif
     else:
         phi = parse_coeff_list(phi_text, ctx.cfg.arithmetic)
     functional = make_summing_functional(s, phi)
-    bound = theta_lower_bound_rightshift(s, functional, eps)
+    bound = theta_lower_bound_rightshift(functional, eps, ctx.kappa[1])
     theta_cert = theta_of_map(
         spec, s, _budget(check, seed, 0, key="pairs"), n_window=n_window
     )
@@ -357,14 +363,6 @@ def _theta_bound_check(ctx: RunContext, check: CheckConfig, seed: int) -> Certif
 # ---------------------------------------------------------------------------
 
 
-def thread_count() -> int:
-    raw = os.environ.get("SEQCERT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_certify(config_path: str, out_path: Optional[str], seed_override, arithmetic_override) -> int:
     cfg = load_config(config_path)
     if seed_override is not None:
@@ -372,45 +370,21 @@ def run_certify(config_path: str, out_path: Optional[str], seed_override, arithm
     if arithmetic_override is not None:
         cfg = _override(cfg, arithmetic=arithmetic_override)
     ctx = RunContext(cfg)
-    names: List[str] = []
-    jobs: List[Tuple[CheckConfig, int]] = []
-    for idx, check in enumerate(cfg.checks):
-        names.append(check.name)
-        jobs.append((check, derive_seed(cfg.seed, idx + 2)))
-
-    results: List[Optional[Certificate]] = [None] * len(jobs)
+    done: List[Tuple[str, Certificate]] = []
     wall: Dict[str, float] = {}
     failed_error: Optional[str] = None
-
-    def execute(i: int):
-        t0 = time.perf_counter()
-        cert = run_check(ctx, jobs[i][0], jobs[i][1])
-        return i, cert, time.perf_counter() - t0
-
-    workers = thread_count()
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for i, cert, dt in pool.map(execute, range(len(jobs))):
-                    results[i] = cert
-                    wall[names[i]] = dt
-        else:
-            for i in range(len(jobs)):
-                _, cert, dt = execute(i)
-                results[i] = cert
-                wall[names[i]] = dt
+        for idx, check in enumerate(cfg.checks):
+            t0 = time.perf_counter()
+            cert = run_check(ctx, check, derive_seed(cfg.seed, idx + 2))
+            wall[check.name] = time.perf_counter() - t0
+            done.append((check.name, cert))
     except ConfigError:
         raise
     except Exception as exc:  # partial report with a failed marker
         failed_error = f"{type(exc).__name__}: {exc}"
 
-    certificates = []
-    for name, cert in zip(names, results):
-        if cert is None:
-            continue
-        entry = {"name": name}
-        entry.update(cert.to_json_dict())
-        certificates.append(entry)
+    certificates = [{"name": name, **cert.to_json_dict()} for name, cert in done]
     report = {
         "config": cfg.echo_dict(),
         "certificates": certificates,
@@ -421,7 +395,6 @@ def run_certify(config_path: str, out_path: Optional[str], seed_override, arithm
                 "numpy": np.__version__,
             },
             "wall_times": wall,
-            "threads": workers,
             "failed": failed_error,
         },
     }

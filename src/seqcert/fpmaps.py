@@ -354,6 +354,8 @@ def bilipschitz_estimate(
     of ||f^p t - f^p t'|| / ||t - t'|| evaluated through the ambient norm of
     s; L_hat = c2_hat / c1_hat.  The iterate count attaining each extreme is
     recorded so the witness pair re-evaluates to the reported constant.
+    When some iterate identifies two evaluated points, c1_hat = 0: the
+    certificate fails with a flag and has no L_hat.
     """
     validate_arithmetic(arithmetic)
     if p_max < 1:
@@ -375,17 +377,14 @@ def bilipschitz_estimate(
             c1, p1, i1 = r_min, p, i_min
         if c2 is None or r_max > c2:
             c2, p2, i2 = r_max, p, i_max
+    constants = {"c1_hat": c1, "c2_hat": c2, "p_max": p_max, "p_at_min": p1, "p_at_max": p2}
+    injective = c1 > 0
+    if injective:
+        constants["L_hat"] = c2 / c1
     return Certificate(
         kind="bilipschitz",
-        constants={
-            "c1_hat": c1,
-            "c2_hat": c2,
-            "L_hat": c2 / c1,
-            "p_max": p_max,
-            "p_at_min": p1,
-            "p_at_max": p2,
-        },
-        holds=True,
+        constants=constants,
+        holds=bool(injective),
         witness={
             "pair_min_x": _witness(X[i1]),
             "pair_min_y": _witness(Y[i1]),
@@ -394,6 +393,7 @@ def bilipschitz_estimate(
         },
         mode=_pair_mode(n * (n - 1), pair_budget),
         arithmetic=arithmetic,
+        flags=() if injective else ("not-injective-at-truncation",),
     )
 
 
@@ -507,17 +507,15 @@ def make_summing_functional(s: BasicSequence, phi) -> SummingFunctional:
     return SummingFunctional(phi=pv, gamma=gamma, norm_phi=nphi, beta=gamma / nphi)
 
 
-def theta_lower_bound_rightshift(
-    s: BasicSequence, f: SummingFunctional, eps: Real
-) -> Real:
-    """(beta - eps*(1 + 2*kappa)) / kappa, positive by the precondition.
+def theta_lower_bound_rightshift(f: SummingFunctional, eps: Real, kappa: Real) -> Real:
+    """(beta - eps*(1 + 2*kappa)) / kappa, positive by the precondition;
+    ``kappa`` is the upper end of the basis-constant interval.
 
     Compare against theta_of_map's estimate: theta_hat >= bound - 1e-9 is
     the recorded check.
     """
     if not f.gamma > 0:
         raise ParameterError("functional must have gamma > 0")
-    kappa = s.kappa_upper
     limit = f.beta / (1 + 2 * kappa)
     if not 0 < eps < limit:
         raise ParameterError(f"eps must lie in (0, {limit}), got {eps}")

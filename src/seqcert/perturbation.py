@@ -25,6 +25,7 @@ certificates are flagged, not silently trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
@@ -62,7 +63,8 @@ class PerturbedSequence:
 
 def perturb_toward_next(s: BasicSequence, alpha: AlphaSchedule) -> PerturbedSequence:
     """z_n = (1 - alpha_n) x_n + alpha_n x_{n+1}, a nontrivial convex
-    combination of consecutive vectors; needs alpha no longer than M - 1."""
+    combination of consecutive vectors; needs alpha no longer than M - 1.
+    theta uses the basis constant the schedule was budgeted with."""
     m = len(s)
     if len(alpha) > m - 1:
         raise ParameterError(
@@ -75,7 +77,7 @@ def perturb_toward_next(s: BasicSequence, alpha: AlphaSchedule) -> PerturbedSequ
         zs.append(
             CoordinateVector(tuple((1 - al) * a + al * b for a, b in zip(xn, xn1)))
         )
-    theta = 2 * s.kappa_upper * _relative_gap_sum(s, tuple(zs))
+    theta = 2 * alpha.kappa * _relative_gap_sum(s, tuple(zs))
     return PerturbedSequence(base=s, z_vectors=tuple(zs), theta=theta)
 
 
@@ -88,25 +90,22 @@ def _relative_gap_sum(s: BasicSequence, z_vectors) -> Real:
     return total
 
 
-def psp_theta(s: BasicSequence, z: PerturbedSequence) -> Real:
-    """2 * kappa_upper * sum ||x_n - z_n|| / ||x_n||; valid policy needs < 1."""
-    return 2 * s.kappa_upper * _relative_gap_sum(s, z.z_vectors)
-
-
 def psp_equivalence_check(
     s: BasicSequence,
     z: PerturbedSequence,
     theta: Real,
+    kappa: Tuple[Real, Real],
     budget: SamplingBudget = SamplingBudget(),
     arithmetic: str = FLOAT,
 ) -> Certificate:
     """Verify (1-theta)||sum t x|| <= ||sum t z|| <= (1+theta)||sum t x||
-    on the evaluated coefficient set; records the worst margin per side."""
+    on the evaluated coefficient set; records the worst margin per side.
+    ``kappa``, the basis-constant interval behind theta, only sets the flags."""
     validate_arithmetic(arithmetic)
     if not theta < 1:
         raise ParameterError(f"perturbation sum must be < 1, got {theta}")
     m = len(z)
-    flags = [] if _kappa_is_certified(s) else ["kappa-upper-heuristic"]
+    flags = [] if _kappa_is_certified(kappa) else ["kappa-upper-heuristic"]
     if m == 0:
         return Certificate(
             kind="psp_equivalence",
@@ -153,19 +152,23 @@ def psp_equivalence_check(
 def claim2_chain(
     s: BasicSequence,
     alpha: AlphaSchedule,
+    kappa: Tuple[Real, Real],
     arithmetic: str = FLOAT,
 ) -> Certificate:
-    """Verify each link of the schedule-budget chain and record all four
-    quantities: perturbation sum, 2b-bounded sum, schedule budget, theta."""
+    """Verify each link of the schedule-budget chain, with the upper end of
+    the basis-constant interval ``kappa``, and record all four quantities:
+    perturbation sum, 2b-bounded sum, schedule budget, theta."""
     validate_arithmetic(arithmetic)
-    kap = coerce(s.kappa_upper, arithmetic)
+    kap = coerce(kappa[1], arithmetic)
+    a, b = s.a, s.b
     if arithmetic == RATIONAL:
         _require_exact_tags(s)
+        a, b = Fraction(a), Fraction(b)  # int norms would divide to a float
     z = perturb_toward_next(s, alpha)
     q1 = 2 * kap * _relative_gap_sum(s, z.z_vectors)
     sum_alpha = sum(alpha.alphas, 0)
-    q2 = 2 * kap * (2 * s.b / s.a) * sum_alpha
-    q3 = (4 * s.b * kap / s.a) * sum_alpha
+    q2 = 2 * kap * (2 * b / a) * sum_alpha
+    q3 = (4 * b * kap / a) * sum_alpha
     theta = alpha.theta
     tol = 0 if arithmetic == RATIONAL else 1e-12
     links = (
@@ -174,7 +177,7 @@ def claim2_chain(
         q3 <= theta + tol,
         theta < 1,
     )
-    flags = [] if _kappa_is_certified(s) else ["kappa-upper-heuristic"]
+    flags = [] if _kappa_is_certified(kappa) else ["kappa-upper-heuristic"]
     return Certificate(
         kind="claim2_chain",
         constants={

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .spaces import (
 )
 
 DENOM_GUARD = 1e-12
-DEFAULT_KAPPA_BUDGET = SamplingBudget(count=1024, seed=0)
 
 
 def _exact_rank(rows: List[Tuple[Real, ...]]) -> int:
@@ -92,7 +91,6 @@ class BasicSequence:
             not isinstance(x, float) for v in vecs for x in v.entries
         )
         self._matrices: Dict[bool, np.ndarray] = {}
-        self._kappa: Optional[Tuple[float, float]] = None
         self._check_independent()
         norms = [norm(v, ambient) for v in vecs]
         self.a = min(norms)
@@ -144,28 +142,6 @@ class BasicSequence:
         """||sum_i c_i x_i|| for every row c; exact on object rows."""
         m = coeff_mat.shape[1]
         return norm_batch(coeff_mat @ self.matrix(coeff_mat.dtype == object)[:m], self.ambient)
-
-    # kappa caching -------------------------------------------------------
-
-    @property
-    def kappa(self) -> Tuple[Real, Real]:
-        """Basis-constant interval; exact sequences expose exact endpoints
-        (float-to-Fraction conversion loses nothing) so downstream rational
-        arithmetic stays exact."""
-        if self._kappa is None:
-            self._kappa = basis_constant(self, DEFAULT_KAPPA_BUDGET)
-        lo, up = self._kappa
-        if self.exact:
-            return (Fraction(lo), Fraction(up))
-        return (lo, up)
-
-    @property
-    def kappa_lower(self) -> Real:
-        return self.kappa[0]
-
-    @property
-    def kappa_upper(self) -> Real:
-        return self.kappa[1]
 
 
 class SpanElement:
@@ -301,7 +277,7 @@ def _witness(row: np.ndarray) -> Tuple[Real, ...]:
 PM_ONE_LIMIT = 12
 
 
-def basis_constant(s: BasicSequence, budget: SamplingBudget = DEFAULT_KAPPA_BUDGET):
+def basis_constant(s: BasicSequence, budget: SamplingBudget):
     """Interval (lower, upper) around sup_n ||P_n|| at this truncation.
 
     ``lower`` is certified: the max ratio ||P_n e|| / ||e|| over every
@@ -453,13 +429,15 @@ def wide_s_certificate(
 
 def gap_bound_check(
     s: BasicSequence,
+    kappa: Tuple[Real, Real],
     budget: SamplingBudget = SamplingBudget(),
     tol: float = 1e-9,
 ) -> Certificate:
-    """Sampled check of ||x - y|| >= a / kappa_upper for heads x with
-    ||x|| >= a and tails y (float mode)."""
+    """Sampled check of ||x - y|| >= a / K for heads x with ||x|| >= a and
+    tails y (float mode), where K is the upper end of ``kappa``, the
+    basis-constant interval of s."""
     m = len(s)
-    kappa_up = float(s.kappa_upper)
+    kappa_up = float(kappa[1])
     a = float(s.a)
     bound = a / kappa_up
     if m == 1:
@@ -497,7 +475,7 @@ def gap_bound_check(
             wit_head = _witness(heads[i])
             wit_tail = _witness(tails[i])
     holds = min_gap is not None and min_gap >= bound - tol
-    cert_flags = () if _kappa_is_certified(s) else ("kappa-upper-heuristic",)
+    cert_flags = () if _kappa_is_certified(kappa) else ("kappa-upper-heuristic",)
     return Certificate(
         kind="gap_bound",
         constants={"bound": bound, "min_gap": min_gap, "kappa_upper": kappa_up},
@@ -509,10 +487,10 @@ def gap_bound_check(
     )
 
 
-def _kappa_is_certified(s: BasicSequence) -> bool:
+def _kappa_is_certified(kappa: Tuple[Real, Real]) -> bool:
     """The interval is a point only when refinement found nothing above the
     certified lower bound; polyhedral exhaustive cases land here."""
-    lo, up = s.kappa
+    lo, up = kappa
     return float(up) - float(lo) <= 1e-12
 
 

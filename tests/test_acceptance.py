@@ -26,6 +26,7 @@ from seqcert.fpmaps import (
 from seqcert.sampling import SamplingBudget, rational_simplex
 from seqcert.sequences import (
     BasicSequence,
+    basis_constant,
     builtin_sequence,
     domination_constant,
     equivalence_constants,
@@ -203,7 +204,8 @@ def test_criterion_6_theta_and_bilateral():
         assert theta_cert.constants["theta_hat"] == 2.0
 
         functional = make_summing_functional(s, (1,) * 64)
-        bound = theta_lower_bound_rightshift(s, functional, 0.1)
+        kappa = basis_constant(s, SamplingBudget(count=1024, seed=0))
+        bound = theta_lower_bound_rightshift(functional, 0.1, kappa[1])
         assert abs(float(bound) - 0.7) <= 1e-12
         assert theta_cert.constants["theta_hat"] >= float(bound)
 

@@ -127,8 +127,8 @@ def test_certify_minimal_and_report_schema(tmp_path):
     assert set(cert) == {
         "name", "kind", "constants", "holds", "witness", "mode", "arithmetic", "flags",
     }
+    assert set(report["meta"]) == {"versions", "wall_times", "failed"}
     assert report["meta"]["failed"] is None
-    assert "wall_times" in report["meta"]
 
 
 def test_certify_determinism_bytes(tmp_path):
@@ -434,15 +434,6 @@ def test_console_entry_point_runs():
     assert float(proc.stdout) == 6.0
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEQCERT_THREADS", "4")
-    path = write(tmp_path, MINIMAL)
-    out = tmp_path / "r.json"
-    assert main(["certify", "--config", path, "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["meta"]["threads"] == 4
-
-
 KAPPA_ORDER = """
 [space]
 tag = ell_p
@@ -476,17 +467,12 @@ seed = 3
 """
 
 
-def test_basis_constant_check_leaves_kappa_alone(tmp_path, monkeypatch):
+def test_basis_constant_check_leaves_kappa_alone(tmp_path):
     """A basis_constant check reports its own interval; later checks keep the run's kappa."""
     path = write(tmp_path, KAPPA_ORDER)
-    blocks = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("SEQCERT_THREADS", threads)
-        out = tmp_path / f"r{threads}.json"
-        main(["certify", "--config", path, "--out", str(out)])
-        certs = json.loads(out.read_text())["certificates"]
-        first, again = (dict(c, name=None) for c in (certs[0], certs[2]))
-        assert first == again
-        assert first["holds"]
-        blocks.append(json.dumps(certs, indent=2, sort_keys=True))
-    assert blocks[0] == blocks[1]
+    out = tmp_path / "r.json"
+    main(["certify", "--config", path, "--out", str(out)])
+    certs = json.loads(out.read_text())["certificates"]
+    first, again = (dict(c, name=None) for c in (certs[0], certs[2]))
+    assert first == again
+    assert first["holds"]

@@ -34,6 +34,7 @@ from seqcert.perturbation import perturb_toward_next, psp_equivalence_check
 from seqcert.sampling import SamplingBudget, rational_simplex
 from seqcert.sequences import (
     _rational_eval_set,
+    basis_constant,
     builtin_sequence,
     domination_constant,
     equivalence_constants,
@@ -42,6 +43,7 @@ from seqcert.sequences import (
 from seqcert.spaces import norm, summing_basis_norm
 
 BUDGET = SamplingBudget(count=30, seed=5)
+KAPPA_BUDGET = SamplingBudget(count=1024, seed=0)
 
 
 def lin_blocks():
@@ -198,7 +200,8 @@ def test_lemma79_matches_reference(family, lower_c):
 
 def test_psp_matches_reference(family):
     m = len(family)
-    sch = make_alpha_schedule(Fraction(1, 2), family.a, family.b, family.kappa_upper, m - 1, arithmetic=RATIONAL)
+    kappa = basis_constant(family, KAPPA_BUDGET)
+    sch = make_alpha_schedule(Fraction(1, 2), family.a, family.b, kappa[1], m - 1, arithmetic=RATIONAL)
     z = perturb_toward_next(family, sch)
     lower, upper, ratios = Extremes(), Extremes(), Extremes()
     rows = eval_rows(len(z))
@@ -210,7 +213,7 @@ def test_psp_matches_reference(family):
         upper.add((1 + z.theta) * nx - nz, t)
         if nx != 0:
             ratios.add(Fraction(nz) / nx, t)
-    cert = psp_equivalence_check(family, z, z.theta, BUDGET, RATIONAL)
+    cert = psp_equivalence_check(family, z, z.theta, kappa, BUDGET, RATIONAL)
     assert cert.constants == {
         "theta": z.theta,
         "margin_lower": lower.lo,
@@ -223,7 +226,8 @@ def test_psp_matches_reference(family):
 
 
 def rational_maps(s):
-    sch = make_alpha_schedule(Fraction(1, 2), s.a, s.b, s.kappa_upper, len(s), arithmetic=RATIONAL)
+    kappa = basis_constant(s, KAPPA_BUDGET)
+    sch = make_alpha_schedule(Fraction(1, 2), s.a, s.b, kappa[1], len(s), arithmetic=RATIONAL)
     return {
         "diag_shift": AffineMapSpec.diag_shift(sch),
         "right_shift": AffineMapSpec.right_shift(),

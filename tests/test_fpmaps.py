@@ -163,8 +163,8 @@ def test_diag_shift_matches_perturbed_family_form():
     from seqcert.perturbation import perturb_toward_next
 
     s = builtin_sequence("ell1_canonical", 8)
-    basis_constant(s, SamplingBudget(count=0, seed=0))
-    sch = make_alpha_schedule(0.5, float(s.a), float(s.b), float(s.kappa_upper), 7)
+    kappa = basis_constant(s, SamplingBudget(count=0, seed=0))
+    sch = make_alpha_schedule(0.5, float(s.a), float(s.b), kappa[1], 7)
     spec = AffineMapSpec.diag_shift(sch)
     z = perturb_toward_next(s, sch)
     rng = np.random.default_rng(7)
@@ -205,9 +205,9 @@ def test_bilipschitz_isometries():
 
 def test_bilipschitz_diag_within_schedule_band():
     s = builtin_sequence("ell1_canonical", 10)
-    basis_constant(s, SamplingBudget(count=0, seed=0))
+    kappa = basis_constant(s, SamplingBudget(count=0, seed=0))
     theta = 0.5
-    sch = make_alpha_schedule(theta, 1, 1, 1, 10)
+    sch = make_alpha_schedule(theta, 1, 1, kappa[1], 10)
     cert = bilipschitz_estimate(
         AffineMapSpec.diag_shift(sch), s, SamplingBudget(count=500, seed=2), p_max=1
     )
@@ -227,6 +227,19 @@ def test_bilipschitz_rational_exact():
     assert cert.constants["c1_hat"] == 1
     assert cert.constants["c2_hat"] == 1
     assert cert.arithmetic == "rational"
+
+
+@pytest.mark.parametrize("arithmetic", ["float", "rational"])
+def test_bilipschitz_not_injective_at_truncation(arithmetic):
+    """Two geometric iterates at n = 5 identify distinct points: c1_hat = 0."""
+    s = builtin_sequence("lin_ell1", 5)
+    cert = bilipschitz_estimate(
+        AffineMapSpec.geometric(), s, SamplingBudget(count=20, seed=1), p_max=2, arithmetic=arithmetic
+    )
+    assert cert.constants["c1_hat"] == 0
+    assert "L_hat" not in cert.to_json_dict()["constants"]
+    assert not cert.holds
+    assert cert.flags == ("not-injective-at-truncation",)
 
 
 def test_fixed_point_residual_examples():
@@ -268,16 +281,16 @@ def test_theta_of_map_right_shift_delta_pairs():
 
 def test_theta_lower_bound_rightshift():
     s = builtin_sequence("ell1_canonical", 12)
-    basis_constant(s, SamplingBudget(count=0, seed=0))
+    kappa = basis_constant(s, SamplingBudget(count=0, seed=0))
     f = make_summing_functional(s, (1,) * 12)
     assert f.gamma == 1
     assert f.norm_phi == 1
-    bound = theta_lower_bound_rightshift(s, f, 0.1)
+    bound = theta_lower_bound_rightshift(f, 0.1, kappa[1])
     assert bound == pytest.approx(0.7, abs=1e-12)
     with pytest.raises(ParameterError):
-        theta_lower_bound_rightshift(s, f, float(f.beta / 3))  # eps == beta/(1+2K)
+        theta_lower_bound_rightshift(f, float(f.beta / 3), kappa[1])  # eps == beta/(1+2K)
     with pytest.raises(ParameterError):
-        theta_lower_bound_rightshift(s, f, 0.0)
+        theta_lower_bound_rightshift(f, 0.0, kappa[1])
 
 
 def test_summing_functional_requires_dualizable_ambient():

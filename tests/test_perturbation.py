@@ -10,13 +10,13 @@ from seqcert.errors import ParameterError
 from seqcert.fpmaps import AlphaSchedule, make_alpha_schedule
 from seqcert.perturbation import (
     PerturbedSequence,
+    _relative_gap_sum,
     claim2_chain,
     perturb_toward_next,
     psp_equivalence_check,
-    psp_theta,
 )
 from seqcert.sampling import SamplingBudget
-from seqcert.sequences import BasicSequence, basis_constant, builtin_sequence
+from seqcert.sequences import BasicSequence, basis_constant, builtin_sequence, gap_bound_check
 from seqcert.spaces import NormTag
 
 R = Fraction
@@ -24,9 +24,11 @@ EXHAUSTIVE = SamplingBudget(count=0, seed=0)
 
 
 def ell1(n):
-    s = builtin_sequence("ell1_canonical", n)
-    basis_constant(s, EXHAUSTIVE)
-    return s
+    return builtin_sequence("ell1_canonical", n)
+
+
+def kappa(s):
+    return basis_constant(s, EXHAUSTIVE)
 
 
 def test_perturb_toward_next_arithmetic():
@@ -59,15 +61,15 @@ def test_psp_theta_formula():
     sch = make_alpha_schedule(R(1, 2), 1, 1, 1, 7, arithmetic="rational")
     z = perturb_toward_next(s, sch)
     # on this family ||x_n - z_n|| = 2 alpha_n, so theta = 4 sum alpha
-    assert psp_theta(s, z) == 4 * sum(sch.alphas)
-    assert z.theta == psp_theta(s, z)
+    assert z.theta == 4 * sum(sch.alphas)
+    assert z.theta == 2 * sch.kappa * _relative_gap_sum(s, z.z_vectors)
     assert z.theta < R(1, 2)
 
 
 def test_psp_theta_zero_for_unperturbed():
     s = ell1(4)
     z = PerturbedSequence(base=s, z_vectors=s.vectors[:3], theta=0)
-    assert psp_theta(s, z) == 0
+    assert _relative_gap_sum(s, z.z_vectors) == 0
 
 
 def test_psp_theta_scales_linearly():
@@ -79,14 +81,14 @@ def test_psp_theta_scales_linearly():
     )
     z1 = perturb_toward_next(s, sch)
     z2 = perturb_toward_next(s, halved)
-    assert psp_theta(s, z2) * 2 == psp_theta(s, z1)
+    assert z2.theta * 2 == z1.theta
 
 
 def test_psp_equivalence_rational_exhaustive():
     s = ell1(7)
     sch = make_alpha_schedule(R(1, 2), 1, 1, 1, 6, arithmetic="rational")
     z = perturb_toward_next(s, sch)
-    cert = psp_equivalence_check(s, z, z.theta, EXHAUSTIVE, arithmetic="rational")
+    cert = psp_equivalence_check(s, z, z.theta, kappa(s), EXHAUSTIVE, arithmetic="rational")
     assert cert.holds
     assert cert.constants["margin_lower"] >= 0
     assert cert.constants["margin_upper"] >= 0
@@ -99,7 +101,7 @@ def test_psp_equivalence_rational_exhaustive():
 def test_psp_equivalence_identity_ratios():
     s = ell1(5)
     z = PerturbedSequence(base=s, z_vectors=s.vectors[:4], theta=0)
-    cert = psp_equivalence_check(s, z, R(1, 4), EXHAUSTIVE, arithmetic="rational")
+    cert = psp_equivalence_check(s, z, R(1, 4), kappa(s), EXHAUSTIVE, arithmetic="rational")
     assert cert.holds
     assert cert.constants["ratio_min"] == 1
     assert cert.constants["ratio_max"] == 1
@@ -122,7 +124,7 @@ def test_psp_witness_reproduces_margin():
     s = ell1(7)
     sch = make_alpha_schedule(0.5, 1, 1, 1, 6)
     z = perturb_toward_next(s, sch)
-    cert = psp_equivalence_check(s, z, z.theta, SamplingBudget(count=300, seed=11))
+    cert = psp_equivalence_check(s, z, z.theta, kappa(s), SamplingBudget(count=300, seed=11))
     from seqcert.spaces import norm
 
     t = cert.witness["worst_lower"]
@@ -137,17 +139,15 @@ def test_psp_theta_dominates_lower_kappa_form():
     s = ell1(6)
     sch = make_alpha_schedule(R(1, 2), 1, 1, 1, 5, arithmetic="rational")
     z = perturb_toward_next(s, sch)
-    from seqcert.perturbation import _relative_gap_sum
-
     gap = _relative_gap_sum(s, z.z_vectors)
-    assert psp_theta(s, z) >= 2 * s.kappa_lower * gap
+    assert z.theta >= 2 * kappa(s)[0] * gap
 
 
 def test_psp_equivalence_rejects_large_theta():
     s = ell1(4)
     z = PerturbedSequence(base=s, z_vectors=s.vectors[:3], theta=0)
     with pytest.raises(ParameterError):
-        psp_equivalence_check(s, z, R(3, 2), EXHAUSTIVE, arithmetic="rational")
+        psp_equivalence_check(s, z, R(3, 2), kappa(s), EXHAUSTIVE, arithmetic="rational")
 
 
 def test_psp_guarantee_on_sampled_families():
@@ -155,20 +155,18 @@ def test_psp_guarantee_on_sampled_families():
     # evaluated vector; exercised across ambient norms
     for name in ("ell1_canonical", "c0_canonical", "summing_c0", "lin_ell1"):
         s = builtin_sequence(name, 6)
-        basis_constant(s, EXHAUSTIVE)
-        sch = make_alpha_schedule(
-            0.8, float(s.a), float(s.b), float(s.kappa_upper), 5
-        )
+        kap = kappa(s)
+        sch = make_alpha_schedule(0.8, float(s.a), float(s.b), kap[1], 5)
         z = perturb_toward_next(s, sch)
         assert z.theta < 1
-        cert = psp_equivalence_check(s, z, z.theta, SamplingBudget(count=500, seed=6))
+        cert = psp_equivalence_check(s, z, z.theta, kap, SamplingBudget(count=500, seed=6))
         assert cert.holds, (name, cert.constants)
 
 
 def test_claim2_chain_values_exact():
     s = ell1(4)
     sch = make_alpha_schedule(R(1, 2), 1, 1, 1, 3, arithmetic="rational")
-    cert = claim2_chain(s, sch, arithmetic="rational")
+    cert = claim2_chain(s, sch, kappa(s), arithmetic="rational")
     assert cert.holds
     assert cert.constants["perturbation_sum"] == R(7, 16)
     assert cert.constants["bounded_sum"] == R(7, 16)
@@ -179,7 +177,7 @@ def test_claim2_chain_values_exact():
 def test_claim2_chain_empty_schedule():
     s = ell1(2)
     sch = make_alpha_schedule(R(1, 3), 1, 1, 1, 0, arithmetic="rational")
-    cert = claim2_chain(s, sch, arithmetic="rational")
+    cert = claim2_chain(s, sch, kappa(s), arithmetic="rational")
     assert cert.holds
     assert cert.constants["perturbation_sum"] == 0
     assert cert.constants["schedule_budget"] == 0
@@ -189,12 +187,13 @@ def test_claim2_chain_scales_with_b_over_a():
     wide = BasicSequence(
         [(1, 0, 0), (0, 2, 0), (0, 0, 2)], NormTag.ell_p(1)
     )
-    basis_constant(wide, SamplingBudget(count=200, seed=1))
+    kappa_w = basis_constant(wide, SamplingBudget(count=200, seed=1))
     narrow = ell1(3)
-    sch_w = make_alpha_schedule(R(1, 2), wide.a, wide.b, wide.kappa_upper, 2, arithmetic="rational")
-    sch_n = make_alpha_schedule(R(1, 2), 1, 1, narrow.kappa_upper, 2, arithmetic="rational")
-    cw = claim2_chain(wide, sch_w, arithmetic="rational")
-    cn = claim2_chain(narrow, sch_n, arithmetic="rational")
+    kappa_n = kappa(narrow)
+    sch_w = make_alpha_schedule(R(1, 2), wide.a, wide.b, kappa_w[1], 2, arithmetic="rational")
+    sch_n = make_alpha_schedule(R(1, 2), 1, 1, kappa_n[1], 2, arithmetic="rational")
+    cw = claim2_chain(wide, sch_w, kappa_w, arithmetic="rational")
+    cn = claim2_chain(narrow, sch_n, kappa_n, arithmetic="rational")
     ratio_w = cw.constants["bounded_sum"] / sum(sch_w.alphas)
     ratio_n = cn.constants["bounded_sum"] / sum(sch_n.alphas)
     # b/a = 2 doubles the middle link relative to the a = b case
@@ -210,6 +209,35 @@ def test_theta_monotone_under_scaling(m, num):
         alphas=tuple(lam * a for a in sch.alphas),
         theta=sch.theta, a=sch.a, b=sch.b, kappa=sch.kappa,
     )
-    assert psp_theta(s, perturb_toward_next(s, scaled)) == lam * psp_theta(
-        s, perturb_toward_next(s, sch)
-    )
+    assert perturb_toward_next(s, scaled).theta == lam * perturb_toward_next(s, sch).theta
+
+
+@pytest.mark.parametrize(
+    "kap, bound, flags",
+    [((1, 1), 1.0, ()), ((1, 2), 0.5, ("kappa-upper-heuristic",))],
+)
+def test_kappa_is_an_explicit_input(kap, bound, flags):
+    """The interval passed in, not one cached on the sequence, sets the
+    gap bound and the kappa-upper-heuristic flag."""
+    s = ell1(6)
+    gap = gap_bound_check(s, kap, SamplingBudget(count=200, seed=1))
+    assert gap.constants["bound"] == bound
+    assert gap.flags == flags
+    sch = make_alpha_schedule(R(1, 2), 1, 1, kap[1], 5, arithmetic="rational")
+    chain = claim2_chain(s, sch, kap, arithmetic="rational")
+    assert chain.holds
+    assert chain.flags == flags
+    z = perturb_toward_next(s, sch)
+    psp = psp_equivalence_check(s, z, z.theta, kap, EXHAUSTIVE, arithmetic="rational")
+    assert psp.holds
+    assert psp.flags == flags
+
+
+def test_claim2_chain_rational_int_norms_stay_exact():
+    s = ell1(8)  # integer norms: a = b = 1
+    sch = make_alpha_schedule(R(1, 2), 1, 1, 1, 7, arithmetic="rational")
+    cert = claim2_chain(s, sch, (1, 1), arithmetic="rational")
+    assert cert.holds
+    bounded = cert.constants["bounded_sum"]
+    assert isinstance(bounded, Fraction)
+    assert bounded == Fraction(127, 256)

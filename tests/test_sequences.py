@@ -192,8 +192,8 @@ def test_wide_s_witness_reproduces_constant():
 
 def test_gap_bound_ell1():
     s = builtin_sequence("ell1_canonical", 6)
-    basis_constant(s, EXHAUSTIVE)
-    cert = gap_bound_check(s, SamplingBudget(count=600, seed=3))
+    kappa = basis_constant(s, EXHAUSTIVE)
+    cert = gap_bound_check(s, kappa, SamplingBudget(count=600, seed=3))
     assert cert.holds
     assert cert.constants["min_gap"] >= 1.0 - 1e-9
     assert cert.constants["bound"] == pytest.approx(1.0)
@@ -201,15 +201,15 @@ def test_gap_bound_ell1():
 
 def test_gap_bound_single_vector_vacuous():
     s = BasicSequence([(1, 0)], NormTag.ell_p(1))
-    cert = gap_bound_check(s, SamplingBudget(count=10, seed=0))
+    cert = gap_bound_check(s, (1, 1), SamplingBudget(count=10, seed=0))
     assert cert.holds
     assert cert.mode == "vacuous"
 
 
 def test_gap_bound_summing_with_oracle_kappa():
     s = builtin_sequence("summing_c0", 6)
-    basis_constant(s, EXHAUSTIVE)  # certified 2.0 for this family
-    cert = gap_bound_check(s, SamplingBudget(count=2000, seed=5))
+    kappa = basis_constant(s, EXHAUSTIVE)  # certified 2.0 for this family
+    cert = gap_bound_check(s, kappa, SamplingBudget(count=2000, seed=5))
     assert cert.holds
     assert cert.constants["bound"] == pytest.approx(0.5)
 
