@@ -28,6 +28,9 @@ def main() -> int:
     if args.seed is not None:
         argv += ["--seed", str(args.seed)]
     code = cli_main(argv)
+    if code == 2:  # configuration error: certify printed it to stderr and wrote no report
+        print(f"certify exited with code 2 for {CONFIG}; no report written", file=sys.stderr)
+        return code
     report = json.loads(Path(out).read_text())
     for cert in report["certificates"]:
         status = "holds" if cert["holds"] else "FAILED"

@@ -32,11 +32,6 @@ def is_finite(x: Real) -> bool:
     return True
 
 
-def is_exact(x: Real) -> bool:
-    """True when x carries no rounding (int or Fraction)."""
-    return isinstance(x, (int, Fraction))
-
-
 def coerce(x: Real, mode: str) -> Real:
     """Coerce a scalar into the representation of the given mode.
 
@@ -55,6 +50,15 @@ def parse_scalar(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"cannot parse scalar literal {text!r}") from exc
+
+
+def parse_coeff_list(text: str, arithmetic: str = FLOAT) -> tuple:
+    """Comma-separated scalar literals, as floats in FLOAT mode."""
+    items = [s for s in (piece.strip() for piece in text.split(",")) if s]
+    vals = [parse_scalar(s) for s in items]
+    if arithmetic == FLOAT:
+        return tuple(float(v) for v in vals)
+    return tuple(vals)
 
 
 def scalar_to_json(x: Real):

@@ -1,0 +1,266 @@
+"""The check registry: each ``[check NAME]`` kind is declared once, in ``CHECKS``.
+
+A ``CheckKind`` holds the runner, the parameters and, for kinds that read a
+map, the map variant they need (``None``: any).  ``params`` maps each name to
+``(parser, default)``; the default is config text, parsed like user input,
+and ``None`` marks a required parameter.  Parsed values do not depend on the
+arithmetic mode, so runners coerce where it matters.  A runner is
+``run(ctx, args, seed)`` with the run's ``cli.RunContext``, the parsed
+parameters and the check's derived seed.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Mapping, Optional, Tuple
+
+import numpy as np
+
+from .arithmetic import FLOAT, RATIONAL, coerce, parse_coeff_list, parse_scalar
+from .blocks import (
+    lemma79_conclusion_check, shift_equivalence_constants, summing_equivalence_check, wuc_constant,
+)
+from .certificates import Certificate
+from .errors import ConfigError
+from .fpmaps import (
+    DIAG_SHIFT, RIGHT_SHIFT, AlphaSchedule, apply_map_batch, bilipschitz_estimate,
+    make_summing_functional, start_length, theta_lower_bound_rightshift, theta_of_map,
+)
+from .perturbation import claim2_chain, perturb_toward_next, psp_equivalence_check
+from .sampling import SamplingBudget, rational_simplex, simplex_uniform
+from .sequences import (
+    BUILTIN_NAMES, _scalar, _witness, basis_constant, builtin_sequence, domination_constant,
+    equivalence_constants, gap_bound_check, wide_s_certificate,
+)
+
+Param = Tuple[Callable[[str], object], Optional[str]]
+
+
+@dataclass(frozen=True)
+class CheckKind:
+    run: Callable[..., Certificate]
+    params: Dict[str, Param]
+    variant: Optional[str] = None
+
+
+def parse_args(name: str, kind: str, params: Mapping[str, str]) -> dict:
+    """The parsed parameters of check ``name``, defaults filled in."""
+    if kind not in CHECKS:
+        raise ConfigError(f"check {name!r}: unknown kind {kind!r}; choose from {sorted(CHECKS)}")
+    schema = CHECKS[kind].params
+    unknown = sorted(set(params) - set(schema))
+    if unknown:
+        raise ConfigError(
+            f"check {name!r}: unknown parameter(s) {unknown} for {kind}; allowed: {sorted(schema)}"
+        )
+    args = {}
+    for key, (parse, default) in schema.items():
+        text = params.get(key, default)
+        if text is None:
+            raise ConfigError(f"check {name!r} requires parameter {key}")
+        try:
+            args[key] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"check {name!r}: bad {key} = {text!r}: {exc}") from exc
+    return args
+
+
+def _choice(*allowed: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"choose from {allowed}")
+        return text
+
+    return parse
+
+
+def _phi(text: str):
+    return text if text == "ones" else parse_coeff_list(text, RATIONAL)
+
+
+def _lower_c(text: str):
+    return text if text in ("printed", "symmetric") else parse_scalar(text)
+
+
+def _schedule(ctx, args) -> AlphaSchedule:
+    """The map's schedule, cut to the M - 1 steps a length-M family supports."""
+    sch, k = ctx.map_specs[args["map"]].schedule, len(ctx.seq) - 1
+    return sch if k >= len(sch) else replace(sch, alphas=sch.alphas[:k])
+
+
+def _basis_constant(ctx, args, seed) -> Certificate:
+    target, budget = ctx.target(args["on"]), SamplingBudget(args["samples"], seed)
+    lo, up = basis_constant(target, budget)
+    return Certificate(
+        kind="basis_constant",
+        constants={"lower": lo, "upper": up},
+        holds=True,
+        witness={},
+        mode=budget.mode_label(len(target)),
+        arithmetic=FLOAT,
+        flags=("upper-heuristic",) if up > lo else (),
+    )
+
+
+def _claim2_chain(ctx, args, seed) -> Certificate:
+    return claim2_chain(ctx.seq, _schedule(ctx, args), ctx.kappa, arithmetic=ctx.cfg.arithmetic)
+
+
+def _psp_equivalence(ctx, args, seed) -> Certificate:
+    z = perturb_toward_next(ctx.seq, _schedule(ctx, args))
+    budget = SamplingBudget(args["samples"], seed)
+    return psp_equivalence_check(ctx.seq, z, z.theta, ctx.kappa, budget, arithmetic=ctx.cfg.arithmetic)
+
+
+def _bilipschitz(ctx, args, seed) -> Certificate:
+    spec, budget = ctx.map_specs[args["map"]], SamplingBudget(args["pairs"], seed)
+    return bilipschitz_estimate(spec, ctx.seq, budget, args["p_max"], ctx.cfg.arithmetic)
+
+
+def _residual(ctx, args, seed) -> Certificate:
+    spec = ctx.map_specs[args["map"]]
+    s = ctx.seq
+    n = start_length(spec, s, 1)
+    budget = SamplingBudget(args["samples"], seed)
+    if ctx.cfg.arithmetic == RATIONAL:
+        T = np.array(np.eye(n, dtype=int).tolist() + rational_simplex(n, budget), dtype=object)
+    else:
+        rng = np.random.default_rng(budget.seed)
+        T = np.concatenate([np.eye(n), simplex_uniform(rng, budget.count, n)], axis=0)
+    FT = apply_map_batch(spec, T)
+    Tp = np.zeros(FT.shape, dtype=T.dtype)
+    Tp[:, :n] = T
+    res = s.span_norm_batch(FT - Tp)
+    i = int(np.argmin(res))
+    best = _scalar(res[i])
+    return Certificate(
+        kind="fixed_point_residual",
+        constants={"min_residual": best, "evaluated": len(T)},
+        holds=bool(best > 0),
+        witness={"argmin": _witness(T[i])},
+        mode=budget.mode_label(n),
+        arithmetic=ctx.cfg.arithmetic,
+    )
+
+
+def _theta_of_map(ctx, args, seed) -> Certificate:
+    spec, budget = ctx.map_specs[args["map"]], SamplingBudget(args["pairs"], seed)
+    return theta_of_map(spec, ctx.seq, budget, args["n_window"], float(args["tol"]))
+
+
+def _theta_rightshift_bound(ctx, args, seed) -> Certificate:
+    s, phi = ctx.seq, args["phi"]
+    if phi == "ones":
+        phi = (1,) * s.ambient_length
+    else:
+        phi = tuple(coerce(v, ctx.cfg.arithmetic) for v in phi)
+    functional = make_summing_functional(s, phi)
+    bound = theta_lower_bound_rightshift(functional, args["eps"], ctx.kappa[1])
+    spec, budget = ctx.map_specs[args["map"]], SamplingBudget(args["pairs"], seed)
+    theta_cert = theta_of_map(spec, s, budget, n_window=args["n_window"])
+    theta_hat = theta_cert.constants["theta_hat"]
+    holds = theta_cert.holds and float(theta_hat) >= float(bound) - 1e-9
+    return Certificate(
+        kind="theta_rightshift_bound",
+        constants={
+            "theta_hat": theta_hat,
+            "bound": bound,
+            "eps": float(args["eps"]),
+            "beta": functional.beta,
+            "gamma": functional.gamma,
+            "norm_phi": functional.norm_phi,
+            "n_window": args["n_window"],
+        },
+        holds=bool(holds),
+        witness=theta_cert.witness,
+        mode=theta_cert.mode,
+        arithmetic=FLOAT,
+        flags=theta_cert.flags,
+    )
+
+
+def _wide_s(ctx, args, seed) -> Certificate:
+    budget = SamplingBudget(args["samples"], seed)
+    return wide_s_certificate(ctx.target(args["on"]), budget, arithmetic=ctx.cfg.arithmetic)
+
+
+def _domination(ctx, args, seed) -> Certificate:
+    target, budget = ctx.target(args["on"]), SamplingBudget(args["samples"], seed)
+    other = builtin_sequence(args["other"], len(target))
+    return domination_constant(target, other, budget, arithmetic=ctx.cfg.arithmetic)
+
+
+def _equivalence(ctx, args, seed) -> Certificate:
+    target, budget = ctx.target(args["on"]), SamplingBudget(args["samples"], seed)
+    other = builtin_sequence(args["other"], len(target))
+    return equivalence_constants(target, other, budget, arithmetic=ctx.cfg.arithmetic)
+
+
+def _gap_bound(ctx, args, seed) -> Certificate:
+    budget = SamplingBudget(args["samples"], seed)
+    return gap_bound_check(ctx.target(args["on"]), ctx.kappa_for(args["on"]), budget)
+
+
+def _wuc_constant(ctx, args, seed) -> Certificate:
+    budget = SamplingBudget(args["samples"], seed)
+    return wuc_constant(ctx.target(args["on"]), budget, arithmetic=ctx.cfg.arithmetic)
+
+
+def _summing_equivalence(ctx, args, seed) -> Certificate:
+    target, budget = ctx.target(args["on"]), SamplingBudget(args["samples"], seed)
+    c1, c2 = args["c1"], args["c2"]
+    return summing_equivalence_check(target, c1, c2, budget, arithmetic=ctx.cfg.arithmetic)
+
+
+def _shift_equivalence(ctx, args, seed) -> Certificate:
+    target, budget = ctx.target(args["on"]), SamplingBudget(args["samples"], seed)
+    return shift_equivalence_constants(target, args["p_max"], budget, arithmetic=ctx.cfg.arithmetic)
+
+
+def _lemma79(ctx, args, seed) -> Certificate:
+    L, lower_c = args["L"], args["lower_c"]
+    if lower_c == "printed":
+        lower_c = None
+    elif lower_c == "symmetric":
+        lower_c = 1 / (2 * L) if ctx.cfg.arithmetic == RATIONAL else 1.0 / (2.0 * float(L))
+    target, budget = ctx.target(args["on"]), SamplingBudget(args["samples"], seed)
+    return lemma79_conclusion_check(target, L, lower_c, args["p_max"], budget, ctx.cfg.arithmetic)
+
+
+MAP: Dict[str, Param] = {"map": (str, None)}
+ON: Dict[str, Param] = {"on": (_choice("sequence", "blocks"), "sequence")}
+OTHER: Dict[str, Param] = {"other": (_choice(*BUILTIN_NAMES), None)}
+SAMPLES: Dict[str, Param] = {"samples": (int, "2000")}
+
+CHECKS: Dict[str, CheckKind] = {
+    "basis_constant": CheckKind(_basis_constant, {**ON, "samples": (int, "1024")}),
+    "claim2_chain": CheckKind(_claim2_chain, MAP, DIAG_SHIFT),
+    "psp_equivalence": CheckKind(_psp_equivalence, {**MAP, **SAMPLES}, DIAG_SHIFT),
+    "bilipschitz": CheckKind(_bilipschitz, {**MAP, "pairs": (int, "2000"), "p_max": (int, "1")}),
+    "fixed_point_residual": CheckKind(_residual, {**MAP, "samples": (int, "1000")}),
+    "theta_of_map": CheckKind(
+        _theta_of_map,
+        {**MAP, "pairs": (int, "200"), "n_window": (int, "50"), "tol": (parse_scalar, "1e-9")},
+    ),
+    "theta_rightshift_bound": CheckKind(
+        _theta_rightshift_bound,
+        {**MAP, "eps": (parse_scalar, None), "n_window": (int, "50"), "phi": (_phi, "ones"),
+         "pairs": (int, "0")},
+        RIGHT_SHIFT,
+    ),
+    "wide_s": CheckKind(_wide_s, {**ON, **SAMPLES}),
+    "domination": CheckKind(_domination, {**ON, **OTHER, **SAMPLES}),
+    "equivalence": CheckKind(_equivalence, {**ON, **OTHER, **SAMPLES}),
+    "gap_bound": CheckKind(_gap_bound, {**ON, **SAMPLES}),
+    "wuc_constant": CheckKind(_wuc_constant, {**ON, **SAMPLES}),
+    "summing_equivalence": CheckKind(
+        _summing_equivalence,
+        {**ON, "c1": (parse_scalar, None), "c2": (parse_scalar, None), **SAMPLES},
+    ),
+    "shift_equivalence": CheckKind(_shift_equivalence, {**ON, "p_max": (int, None), **SAMPLES}),
+    "lemma79": CheckKind(
+        _lemma79,
+        {**ON, "L": (parse_scalar, None), "lower_c": (_lower_c, "printed"), "p_max": (int, "1"),
+         **SAMPLES},
+    ),
+}

@@ -6,16 +6,19 @@ Grammar (INI-style, parsed by configparser, '#' comments allowed):
     [sequence]        builtin = <name>, n = <int>   (or csv = <path>)
     [map NAME]        variant = diag_shift|right_shift|bilateral|geometric,
                       theta = <real in (0,1)> (diag_shift only),
-                      policy = grow|fold_tail
+                      policy = grow|fold_tail (not bilateral; geometric:
+                      fold_tail only)
     [blocks]          sets = 1,2 | 3,4   weights = 1/2,1/2 | 1/2,1/2
-    [check NAME]      kind = <check kind>, plus per-kind parameters
+    [check NAME]      kind = <a key of seqcert.checks.CHECKS>, plus the
+                      parameters that kind declares there
     [orbit]           map = NAME, x = delta:<i>|<coeff list>, y = ...,
                       n_window = <int>
     [run]             seed = <int> (mandatory), arithmetic = float|rational
 
 Scalar literals may be decimal or exact 'p/q' fractions; coefficient lists
 are comma separated.  CSV vector files hold one vector per row, decimal or
-'p/q' cells, optional header row.
+'p/q' cells, optional header row.  An unknown section or key, a missing
+required value or an unparsable one raises ConfigError (exit 2) at load.
 """
 
 from __future__ import annotations
@@ -26,28 +29,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .arithmetic import FLOAT, RATIONAL, Real, parse_scalar
+from .arithmetic import FLOAT, RATIONAL, Real, parse_coeff_list, parse_scalar
+from .checks import CHECKS, parse_args
 from .errors import ConfigError, ParameterError
 from .sequences import BUILTIN_NAMES, BasicSequence, builtin_sequence
 from .spaces import NormTag
 
-CHECK_KINDS = (
-    "basis_constant",
-    "claim2_chain",
-    "psp_equivalence",
-    "bilipschitz",
-    "fixed_point_residual",
-    "theta_of_map",
-    "theta_rightshift_bound",
-    "wide_s",
-    "domination",
-    "equivalence",
-    "gap_bound",
-    "wuc_constant",
-    "summing_equivalence",
-    "shift_equivalence",
-    "lemma79",
-)
+SECTION_KEYS = {
+    "run": {"seed", "arithmetic"},
+    "space": {"tag", "p"},
+    "sequence": {"builtin", "csv", "n", "p"},
+    "map": {"variant", "theta", "policy"},
+    "blocks": {"sets", "weights"},
+    "orbit": {"map", "x", "y", "n_window"},
+}
 
 
 @dataclass(frozen=True)
@@ -166,14 +161,6 @@ def parse_cli_tag(text: str) -> NormTag:
     raise ConfigError(f"unknown norm tag {text!r}")
 
 
-def parse_coeff_list(text: str, arithmetic: str = FLOAT) -> tuple:
-    items = [s for s in (piece.strip() for piece in text.split(",")) if s]
-    vals = [parse_scalar(s) for s in items]
-    if arithmetic == FLOAT:
-        return tuple(float(v) for v in vals)
-    return tuple(vals)
-
-
 def load_vector_csv(path: Path, arithmetic: str) -> List[tuple]:
     """One vector per row; decimal or 'p/q' cells; optional header row."""
     rows: List[tuple] = []
@@ -225,6 +212,11 @@ def load_config(path) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    for section in parser.sections():
+        allowed = SECTION_KEYS.get("map" if section.startswith("map ") else section)
+        unknown = sorted(set(parser[section]) - allowed) if allowed is not None else []
+        if unknown:
+            raise ConfigError(f"[{section}]: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
     if "run" not in parser:
         raise ConfigError("missing [run] section")
@@ -279,9 +271,9 @@ def load_config(path) -> ExperimentConfig:
             if variant not in ("diag_shift", "right_shift", "bilateral", "geometric"):
                 raise ConfigError(f"map {name!r}: unknown variant {variant!r}")
             theta = None
+            if ("theta" in body) != (variant == "diag_shift"):
+                raise ConfigError(f"map {name!r}: diag_shift needs theta, other variants take none")
             if variant == "diag_shift":
-                if "theta" not in body:
-                    raise ConfigError(f"map {name!r}: diag_shift requires theta")
                 theta = parse_scalar(body["theta"])
                 if not 0 < theta < 1:
                     raise ConfigError(f"theta out of (0,1): {body['theta']}")
@@ -290,13 +282,13 @@ def load_config(path) -> ExperimentConfig:
                 policy = policy.strip().lower()
                 if policy not in ("grow", "fold_tail"):
                     raise ConfigError(f"map {name!r}: unknown policy {policy!r}")
+                if variant == "bilateral" or (variant == "geometric" and policy == "grow"):
+                    raise ConfigError(f"map {name!r}: {variant} cannot take policy = {policy}")
             maps[name] = MapConfig(name=name, variant=variant, theta=theta, policy=policy)
         elif section.startswith("check "):
             name = section[6:].strip()
             body = parser[section]
             kind = body.get("kind", "").strip()
-            if kind not in CHECK_KINDS:
-                raise ConfigError(f"check {name!r}: unknown kind {kind!r}")
             params = {k: v for k, v in body.items() if k != "kind"}
             checks.append(CheckConfig(name=name, kind=kind, params=params))
         elif section == "blocks":
@@ -326,8 +318,15 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}]")
 
     for c in checks:
-        if "map" in c.params and c.params["map"] not in maps:
-            raise ConfigError(f"check {c.name!r} references unknown map {c.params['map']!r}")
+        args = parse_args(c.name, c.kind, c.params)
+        if "map" in args:
+            if args["map"] not in maps:
+                raise ConfigError(f"check {c.name!r} references unknown map {args['map']!r}")
+            variant = CHECKS[c.kind].variant
+            if variant not in (None, maps[args["map"]].variant):
+                raise ConfigError(f"check {c.name!r}: {c.kind} requires a {variant} map")
+        if args.get("on") == "blocks" and blocks_sets is None:
+            raise ConfigError(f"check {c.name!r} targets blocks but no [blocks] section is defined")
     if orbit is not None:
         if not orbit.map_name:
             if len(maps) == 1:

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from seqcert.checks import CHECKS
 from seqcert.cli import main
 from seqcert.config import load_config, parse_cli_tag, parse_coeff_list
 from seqcert.errors import ConfigError
+from seqcert.fpmaps import RIGHT_SHIFT
 
 REPO = Path(__file__).resolve().parent.parent
 THEOREM41 = REPO / "configs" / "theorem41.cfg"
@@ -476,3 +478,91 @@ def test_basis_constant_check_leaves_kappa_alone(tmp_path):
     first, again = (dict(c, name=None) for c in (certs[0], certs[2]))
     assert first == again
     assert first["holds"]
+
+
+STRICT_BASE = """
+[sequence]
+builtin = ell1_canonical
+n = 6
+
+[map f]
+variant = diag_shift
+theta = 1/2
+
+[map r]
+variant = right_shift
+
+[check ok]
+kind = wide_s
+
+[run]
+seed = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "[check c]\nkind = wide_s\nsample = 10",
+        "[check c]\nkind = lemma79",
+        "[check c]\nkind = bilipschitz\nmap = f\np_max = two",
+        "[check c]\nkind = wide_s\non = block",
+        "[check c]\nkind = wuc_constant\non = blocks",
+        "[check c]\nkind = claim2_chain\nmap = f\non = sequence",
+        "[check c]\nkind = claim2_chain\nmap = r",
+        "[check c]\nkind = equivalence\nother = wat",
+        "arithmetc = rational",
+        "[map g]\nvariant = geometric\npolicy = grow",
+    ],
+    ids=[
+        "sample-typo",
+        "lemma79-without-L",
+        "p_max-two",
+        "on-block",
+        "on-blocks-without-blocks",
+        "on-for-claim2",
+        "claim2-on-right-shift",
+        "other-wat",
+        "run-key-typo",
+        "geometric-grow",
+    ],
+)
+def test_malformed_config_exits_2_before_any_work(tmp_path, monkeypatch, extra):
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("basis_constant ran for a malformed config")
+
+    monkeypatch.setattr("seqcert.cli.basis_constant", no_kappa)
+    monkeypatch.setattr("seqcert.checks.basis_constant", no_kappa)
+    load_config(write(tmp_path, STRICT_BASE, "base.cfg"))  # the base alone is valid
+    # the [run] section comes last, so a bare key line lands in it
+    path = write(tmp_path, STRICT_BASE + extra + "\n")
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+BUNDLED = sorted((REPO / "configs").glob("*.cfg")) + sorted((REPO / "bench" / "workloads").rglob("*.cfg"))
+REQUIRED_VALUES = {"eps": "1/100", "other": "c0_canonical", "c1": "1/4", "c2": "3", "p_max": "1", "L": "2"}
+
+
+@pytest.mark.parametrize("path", BUNDLED, ids=lambda p: str(p.relative_to(REPO)))
+def test_bundled_configs_load(path):
+    assert load_config(path).checks
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKS))
+def test_every_check_kind_runs_with_only_required_parameters(tmp_path, kind):
+    spec = CHECKS[kind]
+    values = dict(REQUIRED_VALUES, map="r" if spec.variant == RIGHT_SHIFT else "f")
+    lines = [f"{key} = {values[key]}" for key, (_, default) in spec.params.items() if default is None]
+    check = "\n".join([f"[check c]\nkind = {kind}", *lines])
+    # n = 64: the default theta window of 50 steps needs a family longer than 50
+    text = STRICT_BASE.replace("n = 6", "n = 64").replace("[check ok]\nkind = wide_s", check)
+    path = write(tmp_path, text)
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", path, "--out", str(out)]) in (0, 1)
+    report = json.loads(out.read_text())
+    assert report["meta"]["failed"] is None
+    assert [c["name"] for c in report["certificates"]] == ["c"]
+    if kind == "theta_rightshift_bound":
+        assert isinstance(report["certificates"][0]["constants"]["eps"], float)

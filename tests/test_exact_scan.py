@@ -282,7 +282,7 @@ def test_residual_matches_reference(tmp_path, variant):
     )
     ctx = RunContext(load_config(str(path)))
     check = ctx.cfg.checks[0]
-    spec = ctx.map_for(check)
+    spec = ctx.map_specs[check.params["map"]]
     n = start_length(spec, ctx.seq, 1)
     points = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     points += rational_simplex(n, SamplingBudget(count=30, seed=11))
