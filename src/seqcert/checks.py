@@ -1,18 +1,18 @@
 """The check registry: each ``[check NAME]`` kind is declared once, in ``CHECKS``.
 
 A ``CheckKind`` holds the runner, the parameters and, for kinds that read a
-map, the map variant they need (``None``: any).  ``params`` maps each name to
-``(parser, default)``; the default is config text, parsed like user input,
-and ``None`` marks a required parameter.  Parsed values do not depend on the
-arithmetic mode, so runners coerce where it matters.  A runner is
-``run(ctx, args, seed)`` with the run's ``cli.RunContext``, the parsed
-parameters and the check's derived seed.
+map, the map variant they need (``None``: any).  ``params`` is a schema that
+``parse_params`` reads, the same kind of schema ``config.SECTIONS`` gives the
+fixed sections.  Parsed values do not depend on the arithmetic mode, so
+runners coerce where it matters.  A runner is ``run(ctx, args, seed)`` with
+the run's ``cli.RunContext``, the parsed parameters and the check's derived
+seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +33,11 @@ from .sequences import (
     equivalence_constants, gap_bound_check, wide_s_certificate,
 )
 
-Param = Tuple[Callable[[str], object], Optional[str]]
+# (parser, default).  The parser is a function of the text, or the tuple of
+# the allowed values.  The default is config text, parsed like user input;
+# None marks a required key, and OPTIONAL a key that parses to None when absent.
+Param = Tuple[Union[Callable[[str], object], Tuple[str, ...]], object]
+OPTIONAL = object()
 
 
 @dataclass(frozen=True)
@@ -43,35 +47,52 @@ class CheckKind:
     variant: Optional[str] = None
 
 
-def parse_args(name: str, kind: str, params: Mapping[str, str]) -> dict:
-    """The parsed parameters of check ``name``, defaults filled in."""
-    if kind not in CHECKS:
-        raise ConfigError(f"check {name!r}: unknown kind {kind!r}; choose from {sorted(CHECKS)}")
-    schema = CHECKS[kind].params
+def parse_params(where: str, schema: Mapping[str, Param], params: Mapping[str, str]) -> dict:
+    """``params`` parsed against ``schema``, defaults filled in; ``where``
+    names the section in error messages."""
     unknown = sorted(set(params) - set(schema))
     if unknown:
-        raise ConfigError(
-            f"check {name!r}: unknown parameter(s) {unknown} for {kind}; allowed: {sorted(schema)}"
-        )
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(schema)}")
     args = {}
     for key, (parse, default) in schema.items():
         text = params.get(key, default)
         if text is None:
-            raise ConfigError(f"check {name!r} requires parameter {key}")
-        try:
-            args[key] = parse(text)
-        except ValueError as exc:
-            raise ConfigError(f"check {name!r}: bad {key} = {text!r}: {exc}") from exc
+            raise ConfigError(f"{where} requires {key}")
+        if text is OPTIONAL:
+            args[key] = None
+        elif isinstance(parse, tuple):
+            if text not in parse:
+                raise ConfigError(f"{where}: unknown {key} {text!r}; choose from {parse}")
+            args[key] = text
+        else:
+            try:
+                args[key] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: bad {key} = {text!r}: {exc}") from exc
     return args
 
 
-def _choice(*allowed: str) -> Callable[[str], str]:
-    def parse(text: str) -> str:
-        if text not in allowed:
-            raise ValueError(f"choose from {allowed}")
-        return text
+def parse_args(name: str, kind: str, params: Mapping[str, str]) -> dict:
+    """The parsed parameters of check ``name``, defaults filled in."""
+    if kind not in CHECKS:
+        raise ConfigError(f"[check {name}]: unknown kind {kind!r}; choose from {sorted(CHECKS)}")
+    return parse_params(f"[check {name}]", CHECKS[kind].params, params)
 
-    return parse
+
+def count(text: str) -> int:
+    """A nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be >= 0")
+    return value
+
+
+def positive(text: str) -> int:
+    """An integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
 
 
 def _phi(text: str):
@@ -228,24 +249,27 @@ def _lemma79(ctx, args, seed) -> Certificate:
 
 
 MAP: Dict[str, Param] = {"map": (str, None)}
-ON: Dict[str, Param] = {"on": (_choice("sequence", "blocks"), "sequence")}
-OTHER: Dict[str, Param] = {"other": (_choice(*BUILTIN_NAMES), None)}
-SAMPLES: Dict[str, Param] = {"samples": (int, "2000")}
+ON: Dict[str, Param] = {"on": (("sequence", "blocks"), "sequence")}
+OTHER: Dict[str, Param] = {"other": (BUILTIN_NAMES, None)}
+SAMPLES: Dict[str, Param] = {"samples": (count, "2000")}
 
 CHECKS: Dict[str, CheckKind] = {
-    "basis_constant": CheckKind(_basis_constant, {**ON, "samples": (int, "1024")}),
+    "basis_constant": CheckKind(_basis_constant, {**ON, "samples": (count, "1024")}),
     "claim2_chain": CheckKind(_claim2_chain, MAP, DIAG_SHIFT),
     "psp_equivalence": CheckKind(_psp_equivalence, {**MAP, **SAMPLES}, DIAG_SHIFT),
-    "bilipschitz": CheckKind(_bilipschitz, {**MAP, "pairs": (int, "2000"), "p_max": (int, "1")}),
-    "fixed_point_residual": CheckKind(_residual, {**MAP, "samples": (int, "1000")}),
+    "bilipschitz": CheckKind(
+        _bilipschitz, {**MAP, "pairs": (count, "2000"), "p_max": (positive, "1")}
+    ),
+    "fixed_point_residual": CheckKind(_residual, {**MAP, "samples": (count, "1000")}),
     "theta_of_map": CheckKind(
         _theta_of_map,
-        {**MAP, "pairs": (int, "200"), "n_window": (int, "50"), "tol": (parse_scalar, "1e-9")},
+        {**MAP, "pairs": (count, "200"), "n_window": (positive, "50"),
+         "tol": (parse_scalar, "1e-9")},
     ),
     "theta_rightshift_bound": CheckKind(
         _theta_rightshift_bound,
-        {**MAP, "eps": (parse_scalar, None), "n_window": (int, "50"), "phi": (_phi, "ones"),
-         "pairs": (int, "0")},
+        {**MAP, "eps": (parse_scalar, None), "n_window": (positive, "50"), "phi": (_phi, "ones"),
+         "pairs": (count, "0")},
         RIGHT_SHIFT,
     ),
     "wide_s": CheckKind(_wide_s, {**ON, **SAMPLES}),
@@ -257,10 +281,12 @@ CHECKS: Dict[str, CheckKind] = {
         _summing_equivalence,
         {**ON, "c1": (parse_scalar, None), "c2": (parse_scalar, None), **SAMPLES},
     ),
-    "shift_equivalence": CheckKind(_shift_equivalence, {**ON, "p_max": (int, None), **SAMPLES}),
+    "shift_equivalence": CheckKind(
+        _shift_equivalence, {**ON, "p_max": (positive, None), **SAMPLES}
+    ),
     "lemma79": CheckKind(
         _lemma79,
-        {**ON, "L": (parse_scalar, None), "lower_c": (_lower_c, "printed"), "p_max": (int, "1"),
-         **SAMPLES},
+        {**ON, "L": (parse_scalar, None), "lower_c": (_lower_c, "printed"),
+         "p_max": (positive, "1"), **SAMPLES},
     ),
 }

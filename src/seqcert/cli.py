@@ -28,10 +28,10 @@ from . import __version__
 from .arithmetic import FLOAT, RATIONAL, Real, parse_coeff_list
 from .blocks import ConvexBlockSpec, build_convex_blocks
 from .certificates import Certificate
-from .checks import CHECKS, parse_args
+from .checks import CHECKS, count
 from .config import CheckConfig, ExperimentConfig, build_sequence, load_config, parse_cli_tag, parse_point
 from .errors import ConfigError, ParameterError
-from .fpmaps import AffineMapSpec, apply_map, make_alpha_schedule, start_length
+from .fpmaps import DIAG_SHIFT, AffineMapSpec, apply_map, make_alpha_schedule, start_length
 from .sampling import SamplingBudget
 from .sequences import BasicSequence, basis_constant
 from .spaces import CoordinateVector, norm
@@ -77,12 +77,11 @@ class RunContext:
     def _realize_map(self, mc) -> AffineMapSpec:
         s, schedule = self.seq, None
         try:
-            if mc.variant == "diag_shift":
+            if mc.variant == DIAG_SHIFT:
                 schedule = make_alpha_schedule(
                     mc.theta, s.a, s.b, self.kappa[1], len(s), arithmetic=self.cfg.arithmetic
                 )
-            policy = mc.policy or ("fold_tail" if mc.variant == "geometric" else "grow")
-            return AffineMapSpec(mc.variant, schedule, policy)
+            return AffineMapSpec(mc.variant, schedule, mc.policy)
         except ParameterError as exc:
             raise ConfigError(f"map {mc.name!r}: {exc}") from exc
 
@@ -94,8 +93,7 @@ class RunContext:
 
 
 def run_check(ctx: RunContext, check: CheckConfig, seed: int) -> Certificate:
-    args = parse_args(check.name, check.kind, check.params)
-    return CHECKS[check.kind].run(ctx, args, seed)
+    return CHECKS[check.kind].run(ctx, check.args, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +231,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_cert = sub.add_parser("certify", help="run a certification suite")
     p_cert.add_argument("--config", required=True)
     p_cert.add_argument("--out", default=None)
-    p_cert.add_argument("--seed", type=int, default=None)
+    p_cert.add_argument("--seed", type=count, default=None)
     p_cert.add_argument("--arithmetic", default=None, choices=[FLOAT, RATIONAL])
 
     p_orb = sub.add_parser("orbit", help="emit orbit distances as CSV")
     p_orb.add_argument("--config", required=True)
     p_orb.add_argument("--out", default=None)
-    p_orb.add_argument("--seed", type=int, default=None)
+    p_orb.add_argument("--seed", type=count, default=None)
     p_orb.add_argument("--arithmetic", default=None, choices=[FLOAT, RATIONAL])
 
     args = parser.parse_args(argv)

@@ -2,8 +2,9 @@
 
 Grammar (INI-style, parsed by configparser, '#' comments allowed):
 
-    [space]           optional ambient override: tag = sup|ell_p|james|lin, p = ...
-    [sequence]        builtin = <name>, n = <int>   (or csv = <path>)
+    [space]           optional ambient override: tag = sup|ell_p|james|lin,
+                      p = ... (ell_p and james only)
+    [sequence]        builtin = <name>, n = <int >= 1>   (or csv = <path>)
     [map NAME]        variant = diag_shift|right_shift|bilateral|geometric,
                       theta = <real in (0,1)> (diag_shift only),
                       policy = grow|fold_tail (not bilateral; geometric:
@@ -12,13 +13,17 @@ Grammar (INI-style, parsed by configparser, '#' comments allowed):
     [check NAME]      kind = <a key of seqcert.checks.CHECKS>, plus the
                       parameters that kind declares there
     [orbit]           map = NAME, x = delta:<i>|<coeff list>, y = ...,
-                      n_window = <int>
-    [run]             seed = <int> (mandatory), arithmetic = float|rational
+                      n_window = <int >= 0>
+    [run]             seed = <int >= 0> (mandatory), arithmetic = float|rational
 
-Scalar literals may be decimal or exact 'p/q' fractions; coefficient lists
-are comma separated.  CSV vector files hold one vector per row, decimal or
-'p/q' cells, optional header row.  An unknown section or key, a missing
-required value or an unparsable one raises ConfigError (exit 2) at load.
+``SECTIONS`` declares the keys of the fixed sections and ``CHECKS`` those of
+each check kind, both as schemas that ``checks.parse_params`` reads; names
+and choices are case-sensitive.  ``load_config`` adds the rules that tie
+keys and sections together.  Scalar literals may be decimal or exact 'p/q'
+fractions; coefficient lists are comma separated.  CSV vector files hold one
+vector per row, decimal or 'p/q' cells, optional header row.  An unknown
+section or key, a missing required value or an unparsable one raises
+ConfigError (exit 2) at load.
 """
 
 from __future__ import annotations
@@ -27,21 +32,39 @@ import configparser
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .arithmetic import FLOAT, RATIONAL, Real, parse_coeff_list, parse_scalar
-from .checks import CHECKS, parse_args
+from .arithmetic import FLOAT, RATIONAL, Real, coerce, parse_coeff_list, parse_scalar
+from .checks import CHECKS, OPTIONAL, Param, count, parse_args, parse_params
 from .errors import ConfigError, ParameterError
+from .fpmaps import POLICIES, VARIANTS, map_policy
 from .sequences import BUILTIN_NAMES, BasicSequence, builtin_sequence
-from .spaces import NormTag
+from .spaces import ELL_P, JAMES, NormTag
 
-SECTION_KEYS = {
-    "run": {"seed", "arithmetic"},
-    "space": {"tag", "p"},
-    "sequence": {"builtin", "csv", "n", "p"},
-    "map": {"variant", "theta", "policy"},
-    "blocks": {"sets", "weights"},
-    "orbit": {"map", "x", "y", "n_window"},
+def _groups(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    """A parser of '|'-separated groups of comma-separated values."""
+    return lambda text: tuple(
+        tuple(parse(v) for v in group.split(",") if v.strip()) for group in text.split("|")
+    )
+
+
+# The keys of each fixed section, in the schema ``checks.parse_params`` reads.
+SECTIONS: Dict[str, Dict[str, Param]] = {
+    "run": {"seed": (count, None), "arithmetic": ((FLOAT, RATIONAL), FLOAT)},
+    "space": {"tag": (str, None), "p": (str, OPTIONAL)},
+    "sequence": {
+        "builtin": (BUILTIN_NAMES, OPTIONAL),
+        "csv": (str, OPTIONAL),
+        "n": (count, "0"),
+        "p": (parse_scalar, "2"),
+    },
+    "map": {
+        "variant": (VARIANTS, None),
+        "theta": (parse_scalar, OPTIONAL),
+        "policy": (POLICIES, OPTIONAL),
+    },
+    "blocks": {"sets": (_groups(int), None), "weights": (_groups(parse_scalar), None)},
+    "orbit": {"map": (str, OPTIONAL), "x": (str, ""), "y": (str, ""), "n_window": (count, "50")},
 }
 
 
@@ -55,9 +78,12 @@ class MapConfig:
 
 @dataclass(frozen=True)
 class CheckConfig:
+    """A ``[check NAME]`` section: ``params`` as written, ``args`` as parsed."""
+
     name: str
     kind: str
     params: Dict[str, str] = field(default_factory=dict)
+    args: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -124,41 +150,21 @@ class ExperimentConfig:
         }
 
 
-def _parse_tag(tag: str, p_text: Optional[str]) -> NormTag:
-    tag = tag.strip().lower()
+def norm_tag(variant: str, p_text: Optional[str]) -> NormTag:
+    """The norm tag of a variant name and its p (text; None for sup and lin)."""
     try:
-        if tag == "sup":
-            return NormTag.sup()
-        if tag == "lin":
-            return NormTag.lin()
-        if tag == "ell_p":
-            if p_text is None:
-                raise ConfigError("ell_p requires p")
-            return NormTag.ell_p(parse_scalar(p_text))
-        if tag == "james":
-            if p_text is None:
-                raise ConfigError("james requires p")
-            return NormTag.james(parse_scalar(p_text))
+        return NormTag(variant, None if p_text is None else parse_scalar(p_text))
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown norm tag {tag!r}")
 
 
 def parse_cli_tag(text: str) -> NormTag:
     """Compact CLI form: sup | lin | ell<p> | james<p>, e.g. ell1, james2."""
     t = text.strip().lower()
-    try:
-        if t == "sup":
-            return NormTag.sup()
-        if t == "lin":
-            return NormTag.lin()
-        if t.startswith("ell"):
-            return NormTag.ell_p(parse_scalar(t[3:]))
-        if t.startswith("james"):
-            return NormTag.james(parse_scalar(t[5:]))
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown norm tag {text!r}")
+    for prefix, variant in (("ell", ELL_P), ("james", JAMES)):
+        if t.startswith(prefix):
+            return norm_tag(variant, t[len(prefix):])
+    return norm_tag(t, None)
 
 
 def load_vector_csv(path: Path, arithmetic: str) -> List[tuple]:
@@ -175,31 +181,10 @@ def load_vector_csv(path: Path, arithmetic: str) -> List[tuple]:
                 if not rows:
                     continue  # header row
                 raise ConfigError(f"unparsable CSV row {row!r} in {path}")
-            rows.append(
-                tuple(float(v) for v in vals) if arithmetic == FLOAT else tuple(vals)
-            )
+            rows.append(tuple(coerce(v, arithmetic) for v in vals))
     if not rows:
         raise ConfigError(f"no vectors found in {path}")
     return rows
-
-
-def _parse_blocks(sets_text: str, weights_text: str, arithmetic: str):
-    groups = [g.strip() for g in sets_text.split("|")]
-    wgroups = [g.strip() for g in weights_text.split("|")]
-    if len(groups) != len(wgroups):
-        raise ConfigError("blocks: sets and weights group counts differ")
-    blocks = []
-    weights = []
-    for g, w in zip(groups, wgroups):
-        try:
-            blocks.append(tuple(int(i.strip()) for i in g.split(",") if i.strip()))
-        except ValueError as exc:
-            raise ConfigError(f"blocks: bad index list {g!r}") from exc
-        wvals = [parse_scalar(x) for x in w.split(",") if x.strip()]
-        weights.append(
-            tuple(float(v) for v in wvals) if arithmetic == FLOAT else tuple(wvals)
-        )
-    return tuple(blocks), tuple(weights)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -212,147 +197,80 @@ def load_config(path) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    for section in parser.sections():
-        allowed = SECTION_KEYS.get("map" if section.startswith("map ") else section)
-        unknown = sorted(set(parser[section]) - allowed) if allowed is not None else []
-        if unknown:
-            raise ConfigError(f"[{section}]: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
-    if "run" not in parser:
-        raise ConfigError("missing [run] section")
-    run = parser["run"]
-    if "seed" not in run:
-        raise ConfigError("seed is mandatory in [run]")
-    try:
-        seed = int(run["seed"])
-    except ValueError as exc:
-        raise ConfigError(f"bad seed {run['seed']!r}") from exc
-    if seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    arithmetic = run.get("arithmetic", FLOAT).strip().lower()
-    if arithmetic not in (FLOAT, RATIONAL):
-        raise ConfigError(f"arithmetic must be float or rational, got {arithmetic!r}")
+    for section in ("run", "sequence"):  # parsed even when absent, for their required keys
+        if not parser.has_section(section):
+            parser.add_section(section)
 
-    space = None
-    if "space" in parser:
-        sp = parser["space"]
-        if "tag" not in sp:
-            raise ConfigError("[space] requires tag")
-        space = _parse_tag(sp["tag"], sp.get("p"))
-
-    if "sequence" not in parser:
-        raise ConfigError("missing [sequence] section")
-    seq = parser["sequence"]
-    builtin = seq.get("builtin")
-    csv_path = seq.get("csv")
-    if (builtin is None) == (csv_path is None):
-        raise ConfigError("[sequence] needs exactly one of builtin / csv")
-    if builtin is not None and builtin not in BUILTIN_NAMES:
-        raise ConfigError(f"unknown builtin {builtin!r}; choose from {BUILTIN_NAMES}")
-    if csv_path is not None and space is None:
-        raise ConfigError("CSV sequences require a [space] section")
-    try:
-        n = int(seq.get("n", "0")) if builtin is not None else int(seq.get("n", "0") or 0)
-    except ValueError as exc:
-        raise ConfigError(f"bad truncation n {seq.get('n')!r}") from exc
-    if builtin is not None and n < 1:
-        raise ConfigError("truncation n must be >= 1")
-    james_p = parse_scalar(seq.get("p", "2"))
-
+    fixed: Dict[str, dict] = {}
     maps: Dict[str, MapConfig] = {}
     checks: List[CheckConfig] = []
-    orbit = None
-    blocks_sets = blocks_weights = None
     for section in parser.sections():
-        if section.startswith("map "):
-            name = section[4:].strip()
-            body = parser[section]
-            variant = body.get("variant", "").strip()
-            if variant not in ("diag_shift", "right_shift", "bilateral", "geometric"):
-                raise ConfigError(f"map {name!r}: unknown variant {variant!r}")
-            theta = None
-            if ("theta" in body) != (variant == "diag_shift"):
-                raise ConfigError(f"map {name!r}: diag_shift needs theta, other variants take none")
-            if variant == "diag_shift":
-                theta = parse_scalar(body["theta"])
-                if not 0 < theta < 1:
-                    raise ConfigError(f"theta out of (0,1): {body['theta']}")
-            policy = body.get("policy")
-            if policy is not None:
-                policy = policy.strip().lower()
-                if policy not in ("grow", "fold_tail"):
-                    raise ConfigError(f"map {name!r}: unknown policy {policy!r}")
-                if variant == "bilateral" or (variant == "geometric" and policy == "grow"):
-                    raise ConfigError(f"map {name!r}: {variant} cannot take policy = {policy}")
-            maps[name] = MapConfig(name=name, variant=variant, theta=theta, policy=policy)
-        elif section.startswith("check "):
-            name = section[6:].strip()
-            body = parser[section]
+        body = parser[section]
+        head, _, name = section.partition(" ")
+        name = name.strip()
+        if head == "map" and name:
+            m = parse_params(f"[{section}]", SECTIONS["map"], body)
+            try:
+                map_policy(m["variant"], m["theta"], m["policy"])
+            except ParameterError as exc:
+                raise ConfigError(f"[{section}]: {exc}") from exc
+            maps[name] = MapConfig(name=name, **m)
+        elif head == "check" and name:
             kind = body.get("kind", "").strip()
             params = {k: v for k, v in body.items() if k != "kind"}
-            checks.append(CheckConfig(name=name, kind=kind, params=params))
-        elif section == "blocks":
-            body = parser[section]
-            if "sets" not in body or "weights" not in body:
-                raise ConfigError("[blocks] requires sets and weights")
-            blocks_sets, blocks_weights = _parse_blocks(
-                body["sets"], body["weights"], arithmetic
-            )
-        elif section == "orbit":
-            body = parser[section]
-            try:
-                n_window = int(body.get("n_window", "50"))
-            except ValueError as exc:
-                raise ConfigError("bad n_window") from exc
-            if n_window < 0:
-                raise ConfigError("n_window must be >= 0")
-            orbit = OrbitConfig(
-                map_name=body.get("map", "").strip(),
-                x=body.get("x", "").strip(),
-                y=body.get("y", "").strip(),
-                n_window=n_window,
-            )
-        elif section in ("space", "sequence", "run"):
-            continue
+            checks.append(CheckConfig(name, kind, params, parse_args(name, kind, params)))
+        elif section in SECTIONS and section != "map":
+            fixed[section] = parse_params(f"[{section}]", SECTIONS[section], body)
         else:
             raise ConfigError(f"unknown section [{section}]")
+    run, seq, space = fixed["run"], fixed["sequence"], fixed.get("space")
+    if (seq["builtin"] is None) == (seq["csv"] is None):
+        raise ConfigError("[sequence] needs exactly one of builtin / csv")
+    if seq["csv"] is not None and space is None:
+        raise ConfigError("CSV sequences require a [space] section")
+    if seq["builtin"] is not None and seq["n"] < 1:
+        raise ConfigError("truncation n must be >= 1")
 
     for c in checks:
-        args = parse_args(c.name, c.kind, c.params)
-        if "map" in args:
-            if args["map"] not in maps:
-                raise ConfigError(f"check {c.name!r} references unknown map {args['map']!r}")
+        if "map" in c.args:
+            if c.args["map"] not in maps:
+                raise ConfigError(f"[check {c.name}]: unknown map {c.args['map']!r}")
             variant = CHECKS[c.kind].variant
-            if variant not in (None, maps[args["map"]].variant):
-                raise ConfigError(f"check {c.name!r}: {c.kind} requires a {variant} map")
-        if args.get("on") == "blocks" and blocks_sets is None:
-            raise ConfigError(f"check {c.name!r} targets blocks but no [blocks] section is defined")
+            if variant not in (None, maps[c.args["map"]].variant):
+                raise ConfigError(f"[check {c.name}]: {c.kind} requires a {variant} map")
+        if c.args.get("on") == "blocks" and "blocks" not in fixed:
+            raise ConfigError(f"[check {c.name}]: on = blocks needs a [blocks] section")
+    orbit = fixed.get("orbit")
     if orbit is not None:
-        if not orbit.map_name:
-            if len(maps) == 1:
-                orbit = OrbitConfig(
-                    map_name=next(iter(maps)), x=orbit.x, y=orbit.y, n_window=orbit.n_window
-                )
-            else:
+        if not orbit["map"]:
+            if len(maps) != 1:
                 raise ConfigError("[orbit] must name exactly one map")
-        elif orbit.map_name not in maps:
-            raise ConfigError(f"[orbit] references unknown map {orbit.map_name!r}")
-        if not orbit.x or not orbit.y:
+            orbit["map"] = next(iter(maps))
+        elif orbit["map"] not in maps:
+            raise ConfigError(f"[orbit]: unknown map {orbit['map']!r}")
+        if not orbit["x"] or not orbit["y"]:
             raise ConfigError("[orbit] requires both x and y")
+        orbit = OrbitConfig(orbit["map"], orbit["x"], orbit["y"], orbit["n_window"])
+    blocks = fixed.get("blocks")
+    if blocks is not None and len(blocks["sets"]) != len(blocks["weights"]):
+        raise ConfigError("[blocks]: sets and weights group counts differ")
 
     return ExperimentConfig(
-        space=space,
-        builtin=builtin,
-        csv_path=csv_path,
-        n=n,
-        james_p=james_p,
+        space=None if space is None else norm_tag(space["tag"], space["p"]),
+        builtin=seq["builtin"],
+        csv_path=seq["csv"],
+        n=seq["n"],
+        james_p=seq["p"],
         maps=maps,
-        blocks_sets=blocks_sets,
-        blocks_weights=blocks_weights,
+        blocks_sets=None if blocks is None else blocks["sets"],
+        blocks_weights=None
+        if blocks is None
+        else tuple(tuple(coerce(w, run["arithmetic"]) for w in ws) for ws in blocks["weights"]),
         checks=checks,
         orbit=orbit,
-        seed=seed,
-        arithmetic=arithmetic,
+        seed=run["seed"],
+        arithmetic=run["arithmetic"],
         source_dir=str(path.parent),
     )
 
@@ -383,8 +301,7 @@ def parse_point(text: str, n: int, arithmetic: str):
     vals = parse_coeff_list(text, arithmetic)
     if len(vals) > n:
         raise ConfigError(f"point longer than available length {n}")
-    pad: Real = 0 if arithmetic == RATIONAL else 0.0
-    vals = vals + (pad,) * (n - len(vals))
+    vals = vals + (coerce(0, arithmetic),) * (n - len(vals))
     try:
         return ConvexCoefficients.of(vals)
     except ParameterError as exc:

@@ -39,9 +39,11 @@ DIAG_SHIFT = "diag_shift"
 RIGHT_SHIFT = "right_shift"
 BILATERAL = "bilateral"
 GEOMETRIC = "geometric"
+VARIANTS = (DIAG_SHIFT, RIGHT_SHIFT, BILATERAL, GEOMETRIC)
 
 GROW = "grow"
 FOLD_TAIL = "fold_tail"
+POLICIES = (GROW, FOLD_TAIL)
 
 MASS_TOL = 1e-12
 
@@ -125,38 +127,44 @@ def make_alpha_schedule(
     sum 2^-k < 1, so the budget constraint holds strictly for every n.
     """
     validate_arithmetic(arithmetic)
-    if not 0 < theta < 1:
-        raise ParameterError(f"theta out of (0,1): {theta}")
-    if arithmetic == RATIONAL:
-        theta, a, b, kappa = (coerce(v, RATIONAL) for v in (theta, a, b, kappa))
-        base = theta * a / (4 * b * kappa)
-        alphas = tuple(base * Fraction(1, 2**k) for k in range(1, n + 1))
-    else:
-        theta, a, b, kappa = (float(v) for v in (theta, a, b, kappa))
-        base = theta * a / (4.0 * b * kappa)
-        alphas = tuple(base * 2.0**-k for k in range(1, n + 1))
+    theta, a, b, kappa = (coerce(v, arithmetic) for v in (theta, a, b, kappa))
+    base = theta * a / (4 * b * kappa)
+    alphas = tuple(base * coerce(Fraction(1, 2**k), arithmetic) for k in range(1, n + 1))
     return AlphaSchedule(alphas=alphas, theta=theta, a=a, b=b, kappa=kappa)
+
+
+def map_policy(variant: str, theta: Optional[Real], policy: Optional[str]) -> str:
+    """The truncation policy of a ``variant`` map with this theta and policy
+    (``None``: the variant's default).  Raises ParameterError unless theta is
+    given exactly for diag_shift and lies in (0,1), bilateral gets no policy,
+    and geometric gets only fold_tail."""
+    if variant not in VARIANTS:
+        raise ParameterError(f"unknown map variant {variant!r}")
+    if (theta is None) == (variant == DIAG_SHIFT):
+        raise ParameterError("diag_shift needs theta, other variants take none")
+    if theta is not None and not 0 < theta < 1:
+        raise ParameterError(f"theta out of (0,1): {theta}")
+    if policy is None:
+        return FOLD_TAIL if variant == GEOMETRIC else GROW
+    if policy not in POLICIES:
+        raise ParameterError(f"unknown truncation policy {policy!r}")
+    if variant == BILATERAL or (variant == GEOMETRIC and policy != FOLD_TAIL):
+        raise ParameterError(f"{variant} cannot take policy = {policy}")
+    return policy
 
 
 @dataclass(frozen=True)
 class AffineMapSpec:
-    """One of the four simplex self-maps plus its truncation policy."""
+    """One of the four simplex self-maps plus its truncation policy
+    (``None``: the variant's default); ``map_policy`` sets the rules."""
 
     variant: str
     schedule: Optional[AlphaSchedule] = None
-    policy: str = GROW
+    policy: Optional[str] = None
 
     def __post_init__(self):
-        if self.variant not in (DIAG_SHIFT, RIGHT_SHIFT, BILATERAL, GEOMETRIC):
-            raise ParameterError(f"unknown map variant {self.variant!r}")
-        if self.policy not in (GROW, FOLD_TAIL):
-            raise ParameterError(f"unknown truncation policy {self.policy!r}")
-        if self.variant == DIAG_SHIFT and self.schedule is None:
-            raise ParameterError("diag_shift requires an alpha schedule")
-        if self.variant != DIAG_SHIFT and self.schedule is not None:
-            raise ParameterError(f"{self.variant} takes no alpha schedule")
-        if self.variant == GEOMETRIC and self.policy != FOLD_TAIL:
-            raise ParameterError("geometric has infinite support; use fold_tail")
+        theta = None if self.schedule is None else self.schedule.theta
+        object.__setattr__(self, "policy", map_policy(self.variant, theta, self.policy))
 
     @staticmethod
     def diag_shift(schedule: AlphaSchedule, policy: str = GROW) -> "AffineMapSpec":
@@ -168,11 +176,11 @@ class AffineMapSpec:
 
     @staticmethod
     def bilateral() -> "AffineMapSpec":
-        return AffineMapSpec(BILATERAL, None, GROW)
+        return AffineMapSpec(BILATERAL)
 
     @staticmethod
     def geometric() -> "AffineMapSpec":
-        return AffineMapSpec(GEOMETRIC, None, FOLD_TAIL)
+        return AffineMapSpec(GEOMETRIC)
 
     def grows(self) -> bool:
         return self.variant in (DIAG_SHIFT, RIGHT_SHIFT) and self.policy == GROW

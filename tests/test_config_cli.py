@@ -513,6 +513,10 @@ seed = 3
         "[check c]\nkind = equivalence\nother = wat",
         "arithmetc = rational",
         "[map g]\nvariant = geometric\npolicy = grow",
+        "[check c]\nkind = wide_s\nsamples = -5",
+        "[check c]\nkind = bilipschitz\nmap = f\npairs = -1",
+        "[check c]\nkind = bilipschitz\nmap = f\np_max = 0",
+        "[check c]\nkind = theta_of_map\nmap = r\nn_window = 0",
     ],
     ids=[
         "sample-typo",
@@ -525,6 +529,10 @@ seed = 3
         "other-wat",
         "run-key-typo",
         "geometric-grow",
+        "negative-samples",
+        "negative-pairs",
+        "p_max-zero",
+        "theta-window-zero",
     ],
 )
 def test_malformed_config_exits_2_before_any_work(tmp_path, monkeypatch, extra):
@@ -539,6 +547,96 @@ def test_malformed_config_exits_2_before_any_work(tmp_path, monkeypatch, extra):
     out = tmp_path / "r.json"
     assert main(["certify", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_negative_seed_override_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("basis_constant ran for a negative --seed")
+
+    monkeypatch.setattr("seqcert.cli.basis_constant", no_kappa)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--config", str(THEOREM41), "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+EVERY_KEY = """
+[space]
+tag = ell_p
+p = 1
+
+[sequence]
+builtin = summing_c0
+n = 8
+p = 3/2
+
+[map d]
+variant = diag_shift
+theta = 1/3
+policy = fold_tail
+
+[map r]
+variant = right_shift
+policy = grow
+
+[map b]
+variant = bilateral
+
+[map g]
+variant = geometric
+policy = fold_tail
+
+[blocks]
+sets = 1,2 | 4,5 | 7,8
+weights = 1/2,1/2 | 1/3,2/3 | 1/4,3/4
+
+[check psp]
+kind = psp_equivalence
+map = d
+samples = 40
+
+[check shift]
+kind = shift_equivalence
+on = blocks
+p_max = 1
+
+[orbit]
+map = r
+x = delta:1
+y = 1/2,1/2
+n_window = 3
+
+[run]
+seed = 11
+arithmetic = rational
+"""
+
+
+def test_echo_dict_of_every_section_and_key(tmp_path):
+    """The report's config block, as recorded before the sections shared one schema."""
+    assert load_config(write(tmp_path, EVERY_KEY)).echo_dict() == {
+        "space": "ell_p(1)",
+        "sequence": {"builtin": "summing_c0", "csv": None, "n": 8, "p": 1.5},
+        "maps": {
+            "d": {"variant": "diag_shift", "theta": 0.3333333333333333, "policy": "fold_tail"},
+            "r": {"variant": "right_shift", "theta": None, "policy": "grow"},
+            "b": {"variant": "bilateral", "theta": None, "policy": None},
+            "g": {"variant": "geometric", "theta": None, "policy": "fold_tail"},
+        },
+        "blocks": {
+            "sets": [[1, 2], [4, 5], [7, 8]],
+            "weights": [["1/2", "1/2"], ["1/3", "2/3"], ["1/4", "3/4"]],
+        },
+        "checks": [
+            {"name": "psp", "kind": "psp_equivalence", "params": {"map": "d", "samples": "40"}},
+            {"name": "shift", "kind": "shift_equivalence", "params": {"on": "blocks", "p_max": "1"}},
+        ],
+        "orbit": {"map": "r", "x": "delta:1", "y": "1/2,1/2", "n_window": 3},
+        "seed": 11,
+        "arithmetic": "rational",
+    }
 
 
 BUNDLED = sorted((REPO / "configs").glob("*.cfg")) + sorted((REPO / "bench" / "workloads").rglob("*.cfg"))

@@ -20,6 +20,7 @@ from seqcert.fpmaps import (
     iterate,
     make_alpha_schedule,
     make_summing_functional,
+    map_policy,
     start_length,
     theta_lower_bound_rightshift,
     theta_of_map,
@@ -94,6 +95,25 @@ def test_bilateral_needs_even_truncation():
 def test_geometric_requires_fold_tail():
     with pytest.raises(ParameterError):
         AffineMapSpec("geometric", None, "grow")
+
+
+def test_map_policy_defaults_and_rules():
+    assert map_policy("diag_shift", Fraction(1, 2), None) == "grow"
+    assert map_policy("right_shift", None, "fold_tail") == "fold_tail"
+    assert map_policy("bilateral", None, None) == "grow"
+    assert map_policy("geometric", None, None) == "fold_tail"
+    assert AffineMapSpec.geometric().policy == "fold_tail"
+    for variant, theta, policy in [
+        ("diag_shift", None, None),
+        ("right_shift", Fraction(1, 2), None),
+        ("diag_shift", Fraction(3, 2), None),
+        ("bilateral", None, "grow"),
+        ("geometric", None, "grow"),
+        ("right_shift", None, "wat"),
+        ("wat", None, None),
+    ]:
+        with pytest.raises(ParameterError):
+            map_policy(variant, theta, policy)
 
 
 def test_iterate_examples():
