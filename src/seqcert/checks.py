@@ -141,7 +141,7 @@ def _bilipschitz(ctx, args, seed) -> Certificate:
 def _residual(ctx, args, seed) -> Certificate:
     spec = ctx.map_specs[args["map"]]
     s = ctx.seq
-    n = start_length(spec, s, 1)
+    n = start_length(spec.variant, spec.policy, len(s), 1)
     budget = SamplingBudget(args["samples"], seed)
     if ctx.cfg.arithmetic == RATIONAL:
         T = np.array(np.eye(n, dtype=int).tolist() + rational_simplex(n, budget), dtype=object)

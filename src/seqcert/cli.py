@@ -17,10 +17,9 @@ import json
 import platform
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .certificates import Certificate
 from .checks import CHECKS, count
 from .config import CheckConfig, ExperimentConfig, build_sequence, load_config, parse_cli_tag, parse_point
 from .errors import ConfigError, ParameterError
-from .fpmaps import DIAG_SHIFT, AffineMapSpec, apply_map, make_alpha_schedule, start_length
+from .fpmaps import DIAG_SHIFT, AffineMapSpec, apply_map, make_alpha_schedule, map_policy, start_length
 from .sampling import SamplingBudget
 from .sequences import BasicSequence, basis_constant
 from .spaces import CoordinateVector, norm
@@ -54,25 +53,36 @@ def kappa_interval(s: BasicSequence, seed: int) -> Tuple[Real, Real]:
 
 class RunContext:
     """Sequence, block sequence, their basis-constant intervals, and realized
-    maps for one certify run."""
+    maps for one certify run.  ``seq`` is the configured family when the
+    caller has built it already.  ``setup_times`` holds the wall time of
+    each step, in seconds."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, seq: Optional[BasicSequence] = None):
         self.cfg = cfg
-        self.seq = build_sequence(cfg)
+        self.setup_times: Dict[str, float] = {}
+        self.seq = seq if seq is not None else self._timed("sequence", build_sequence, cfg)
         if cfg.arithmetic == RATIONAL and not self.seq.ambient.is_polyhedral():
             raise ConfigError(
                 f"rational mode requires a piecewise-linear norm, got {self.seq.ambient.label()}"
             )
-        self.kappa = kappa_interval(self.seq, derive_seed(cfg.seed, 0))
+        self.kappa = self._timed("kappa", kappa_interval, self.seq, derive_seed(cfg.seed, 0))
         self.blocks_seq: Optional[BasicSequence] = None
         self.kappa_blocks: Optional[Tuple[Real, Real]] = None
         if cfg.blocks_sets is not None:
             spec = ConvexBlockSpec(blocks=cfg.blocks_sets, weights=cfg.blocks_weights)
-            self.blocks_seq = build_convex_blocks(self.seq, spec)
-            self.kappa_blocks = kappa_interval(self.blocks_seq, derive_seed(cfg.seed, 1))
-        self.map_specs: Dict[str, AffineMapSpec] = {}
-        for name, mc in cfg.maps.items():
-            self.map_specs[name] = self._realize_map(mc)
+            self.blocks_seq = self._timed("blocks", build_convex_blocks, self.seq, spec)
+            self.kappa_blocks = self._timed(
+                "kappa_blocks", kappa_interval, self.blocks_seq, derive_seed(cfg.seed, 1)
+            )
+        self.map_specs: Dict[str, AffineMapSpec] = self._timed(
+            "maps", lambda: {name: self._realize_map(mc) for name, mc in cfg.maps.items()}
+        )
+
+    def _timed(self, step: str, fn: Callable, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self.setup_times[step] = time.perf_counter() - t0
+        return out
 
     def _realize_map(self, mc) -> AffineMapSpec:
         s, schedule = self.seq, None
@@ -101,15 +111,10 @@ def run_check(ctx: RunContext, check: CheckConfig, seed: int) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _load(config_path: str, seed: Optional[int], arithmetic: Optional[str]) -> ExperimentConfig:
-    """The config at config_path, with the --seed and --arithmetic values that were given."""
-    cfg = load_config(config_path)
-    overrides = {"seed": seed, "arithmetic": arithmetic}
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-
-
 def run_certify(config_path: str, out_path: Optional[str], seed, arithmetic) -> int:
-    cfg = _load(config_path, seed, arithmetic)
+    t0 = time.perf_counter()
+    cfg = load_config(config_path, seed, arithmetic)
+    load_s = time.perf_counter() - t0
     ctx = RunContext(cfg)
     done: List[Tuple[str, Certificate]] = []
     wall: Dict[str, float] = {}
@@ -133,6 +138,7 @@ def run_certify(config_path: str, out_path: Optional[str], seed, arithmetic) -> 
                 "python": platform.python_version(),
                 "numpy": np.__version__,
             },
+            "setup_times": {"load": load_s, **ctx.setup_times},
             "wall_times": wall,
             "failed": failed_error,
         },
@@ -149,16 +155,16 @@ def run_certify(config_path: str, out_path: Optional[str], seed, arithmetic) -> 
 
 
 def run_orbit(config_path: str, out_path: Optional[str], seed, arithmetic) -> int:
-    cfg = _load(config_path, seed, arithmetic)
+    cfg = load_config(config_path, seed, arithmetic)
     if cfg.orbit is None:
         raise ConfigError("orbit command requires an [orbit] section")
-    ctx = RunContext(cfg)
-    spec = ctx.map_specs[cfg.orbit.map_name]
-    s = ctx.seq
+    s = build_sequence(cfg)
+    mc = cfg.maps[cfg.orbit.map_name]
     w = cfg.orbit.n_window
-    n0 = start_length(spec, s, max(w, 1))
+    n0 = start_length(mc.variant, map_policy(mc.variant, mc.theta, mc.policy), len(s), max(w, 1))
     x = parse_point(cfg.orbit.x, n0, cfg.arithmetic)
     y = parse_point(cfg.orbit.y, n0, cfg.arithmetic)
+    spec = RunContext(cfg, s).map_specs[cfg.orbit.map_name]
     theta = spec.schedule.theta if spec.schedule is not None else None
 
     def span_dist(u, v) -> float:

@@ -187,7 +187,10 @@ def load_vector_csv(path: Path, arithmetic: str) -> List[tuple]:
     return rows
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: Optional[int] = None, arithmetic: Optional[str] = None) -> ExperimentConfig:
+    """The config at ``path``; a ``seed`` or ``arithmetic`` that is given (the
+    command line's) replaces the ``[run]`` value before anything is coerced
+    to the run's arithmetic."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -225,6 +228,8 @@ def load_config(path) -> ExperimentConfig:
         else:
             raise ConfigError(f"unknown section [{section}]")
     run, seq, space = fixed["run"], fixed["sequence"], fixed.get("space")
+    overrides = {"seed": seed, "arithmetic": arithmetic}
+    run.update({k: v for k, v in overrides.items() if v is not None})
     if (seq["builtin"] is None) == (seq["csv"] is None):
         raise ConfigError("[sequence] needs exactly one of builtin / csv")
     if seq["csv"] is not None and space is None:

@@ -182,9 +182,6 @@ class AffineMapSpec:
     def geometric() -> "AffineMapSpec":
         return AffineMapSpec(GEOMETRIC)
 
-    def grows(self) -> bool:
-        return self.variant in (DIAG_SHIFT, RIGHT_SHIFT) and self.policy == GROW
-
 
 def bilateral_targets(n: int) -> List[int]:
     """1-based target slot for each source slot; n must be even."""
@@ -302,15 +299,13 @@ def apply_map_batch(spec: AffineMapSpec, mat: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def start_length(spec: AffineMapSpec, s: BasicSequence, steps: int) -> int:
+def start_length(variant: str, policy: str, m: int, steps: int) -> int:
     """Largest coefficient length that stays evaluable after ``steps``
-    applications against the vectors of s."""
-    m = len(s)
-    if spec.grows():
-        n = m - steps
-    else:
-        n = m
-    if spec.variant == BILATERAL and n % 2 != 0:
+    applications of a ``variant`` map with truncation ``policy`` against a
+    family of m vectors; the schedule plays no part."""
+    grows = variant in (DIAG_SHIFT, RIGHT_SHIFT) and policy == GROW
+    n = m - steps if grows else m
+    if variant == BILATERAL and n % 2 != 0:
         n -= 1
     if n < 1:
         raise ParameterError(
@@ -368,7 +363,7 @@ def bilipschitz_estimate(
     validate_arithmetic(arithmetic)
     if p_max < 1:
         raise ParameterError("p_max must be >= 1")
-    n = start_length(spec, s, p_max)
+    n = start_length(spec.variant, spec.policy, len(s), p_max)
     if arithmetic == RATIONAL:
         _require_exact_tags(s)
     X, Y = _pair_matrices(n, pair_budget, include_equal=False, arithmetic=arithmetic)
@@ -436,7 +431,7 @@ def theta_of_map(
     """
     if n_window < 1:
         raise ParameterError("n_window must be >= 1")
-    n = start_length(spec, s, n_window)
+    n = start_length(spec.variant, spec.policy, len(s), n_window)
     X, Y = _pair_matrices(n, pair_budget, include_equal=True)
     lo = (n_window + 1) // 2
     FY = Y

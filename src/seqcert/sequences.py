@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +36,10 @@ from .sampling import (
     simplex_uniform,
 )
 from .spaces import (
+    PREFIX_NORMS,
     CoordinateVector,
     NormTag,
+    head_norms_batch,
     norm,
     norm_batch,
     summing_basis_norm_batch,
@@ -168,6 +170,27 @@ def tail_remainder(s: BasicSequence, e: SpanElement, n: int) -> SpanElement:
         raise IndexError(f"projection index {n} out of range 0..{len(e)}")
     cs = e.coeffs.entries
     return SpanElement((0,) * n + cs[n:])
+
+
+def prefix_ends(s: BasicSequence) -> Optional[np.ndarray]:
+    """The 1-based index of the last nonzero coordinate of each x_n, when the
+    family is prefix-shaped: every vector's support starts after the previous
+    one's ends.  Then P_n e is the coordinate prefix ``e[:ends[n-1]]`` of
+    e = sum c_i x_i.  None otherwise (``summing_c0`` and its blocks, say)."""
+    nonzero = s.matrix() != 0
+    first = np.argmax(nonzero, axis=1)
+    ends = nonzero.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    return ends if np.all(first[1:] >= ends[:-1]) else None
+
+
+def _head_norms(s: BasicSequence, coeffs: np.ndarray, ends) -> Optional[np.ndarray]:
+    """||P_n e|| of e = sum c_i x_i for every coefficient row c, one column
+    for each n whose end ``prefix_ends(s)[n-1]`` is listed in ``ends`` (all
+    of them, or a run), from one pass over the prefix of e up to ``ends[-1]``.
+    None when s is not prefix-shaped or its norm has no prefix form."""
+    if ends is None or s.ambient.variant not in PREFIX_NORMS:
+        return None
+    return head_norms_batch((coeffs @ s.matrix())[:, : ends[-1]], s.ambient, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +329,18 @@ def basis_constant(s: BasicSequence, budget: SamplingBudget):
             raise DependenceError("all span norms vanished while estimating kappa")
         coeffs, base = coeffs[ok], base[ok]
 
+    ends = prefix_ends(s)
+
     def best_ratio(mat: np.ndarray, norms: np.ndarray) -> Tuple[float, int, int]:
+        heads = _head_norms(s, mat, ends)
         best, best_n, best_i = 1.0, m, 0
         for n in range(1, m + 1):
-            heads = np.zeros_like(mat)
-            heads[:, :n] = mat[:, :n]
-            ratios = s.span_norm_batch(heads) / norms
+            if heads is None:
+                head = np.zeros_like(mat)
+                head[:, :n] = mat[:, :n]
+                ratios = s.span_norm_batch(head) / norms
+            else:
+                ratios = heads[:, n - 1] / norms
             i = int(np.argmax(ratios))
             if ratios[i] > best:
                 best, best_n, best_i = float(ratios[i]), n, i
@@ -450,6 +479,7 @@ def gap_bound_check(
             arithmetic=FLOAT,
             flags=("no-tail-at-M=1",),
         )
+    ends = prefix_ends(s)
     rng = np.random.default_rng(budget.seed)
     per_split = max(1, budget.count // (m - 1))
     min_gap = None
@@ -458,7 +488,9 @@ def gap_bound_check(
     for n in range(1, m):
         heads = np.zeros((per_split, m))
         heads[:, :n] = rng.standard_normal((per_split, n))
-        hnorm = s.span_norm_batch(heads)
+        # a head has trailing zeros: read its norm at its prefix width
+        hnorm = _head_norms(s, heads, None if ends is None else ends[n - 1 : n])
+        hnorm = s.span_norm_batch(heads) if hnorm is None else hnorm[:, 0]
         keep = hnorm > DENOM_GUARD
         heads, hnorm = heads[keep], hnorm[keep]
         if heads.size == 0:

@@ -17,6 +17,12 @@ disjoint contiguous intervals.  Inserting the gap between two chosen blocks
 as an extra block never decreases the sum, so the optimum over arbitrary
 disjoint interval families equals the optimum over contiguous chains; the
 DP may therefore leave indices uncovered on either side or in the middle.
+Its table holds the optimum of every prefix, so ``james_prefix_power_sums``
+returns one column per prefix width and the full-width norm is its last
+column.  ``head_norms_batch`` reads the norms of many prefixes of the same
+rows from one such pass (a running max for sup); sequences use it for the
+head projections P_n of families whose vectors occupy successive
+coordinate ranges.
 
 Scalar entry points accept int/Fraction entries and stay exact wherever the
 norm is piecewise linear (sup, ell_1, lin, and the summing-basis norm); the
@@ -242,29 +248,35 @@ def lin_weights_float(n: int) -> np.ndarray:
     return 1.0 / (1.0 + 8.0 ** (-ks))
 
 
-def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:
-    """Maximal interval-chain power sums (the norm before the 1/p root) for
-    every row of ``mat``.
+def james_prefix_power_sums(mat: np.ndarray, p: float) -> np.ndarray:
+    """Maximal interval-chain power sums of every prefix of every row: a
+    rows x N float array whose column j - 1 belongs to the width-j prefix.
 
-    Runs the same DP as the scalar path.  On integer inputs with integer p
-    every intermediate value is an integer well below 2^53, so the result
-    is exact.
+    One O(N^2) DP: ``best[:, j]`` is the optimum over indices 1..j, a block
+    may start at any i <= j, and index j may also stay uncovered.  On
+    integer inputs with integer p every intermediate value is an integer
+    well below 2^53, so the result is exact.
     """
-    mat = np.asarray(mat, dtype=float)
     rows, n = mat.shape
-    pf = float(p)
-    if n == 0:
-        return np.zeros(rows)
     prefix = np.concatenate([np.zeros((rows, 1)), np.cumsum(mat, axis=1)], axis=1)
     best = np.zeros((rows, n + 1))
     for j in range(1, n + 1):
         cand = best[:, j - 1].copy()
         pj = prefix[:, j]
         for i in range(1, j + 1):
-            v = best[:, i - 1] + np.abs(pj - prefix[:, i - 1]) ** pf
+            v = best[:, i - 1] + np.abs(pj - prefix[:, i - 1]) ** p
             np.maximum(cand, v, out=cand)
         best[:, j] = cand
-    return best[:, n]
+    return best[:, 1:]
+
+
+def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:
+    """Maximal interval-chain power sums (the norm before the 1/p root) for
+    every row of ``mat``: the full-width column of ``james_prefix_power_sums``."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.shape[1] == 0:
+        return np.zeros(mat.shape[0])
+    return james_prefix_power_sums(mat, float(p))[:, -1]
 
 
 def _james_dp_batch(mat: np.ndarray, p: float) -> np.ndarray:
@@ -293,6 +305,31 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
         tails = np.cumsum(np.abs(mat)[:, ::-1], axis=1)[:, ::-1]
         return np.max(tails * lin_weights_float(n), axis=1)
     return _james_dp_batch(mat, float(tag.p))
+
+
+# The norms whose prefixes ``head_norms_batch`` evaluates in one pass.
+PREFIX_NORMS = (SUP, JAMES)
+
+
+def head_norms_batch(mat: np.ndarray, tag: NormTag, ends) -> Optional[np.ndarray]:
+    """Norms of the coordinate prefixes ``row[:end]`` of every float row, for
+    each width in ``ends`` (increasing, 1-based), as a rows x len(ends)
+    array; one pass over the rows serves every width.
+
+    Only sup (a running max) and james (the prefix DP) have a prefix form
+    that is bit-identical to ``norm_batch`` of the zero-padded prefix.  The
+    ell_p sum is pairwise, so its rounding depends on the width, and the
+    lin tails run from the right; for those this returns None and the
+    caller evaluates each prefix on its own.
+    """
+    if tag.variant not in PREFIX_NORMS:
+        return None
+    mat = np.asarray(mat, dtype=float)
+    cols = np.asarray(ends) - 1
+    if tag.variant == SUP:
+        return np.maximum.accumulate(np.abs(mat), axis=1)[:, cols]
+    pf = float(tag.p)
+    return james_prefix_power_sums(mat, pf)[:, cols] ** (1.0 / pf)
 
 
 def _lin_norm_exact_batch(mat: np.ndarray) -> np.ndarray:

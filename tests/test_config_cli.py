@@ -129,8 +129,9 @@ def test_certify_minimal_and_report_schema(tmp_path):
     assert set(cert) == {
         "name", "kind", "constants", "holds", "witness", "mode", "arithmetic", "flags",
     }
-    assert set(report["meta"]) == {"versions", "wall_times", "failed"}
+    assert set(report["meta"]) == {"versions", "setup_times", "wall_times", "failed"}
     assert report["meta"]["failed"] is None
+    assert set(report["meta"]["setup_times"]) == {"load", "sequence", "kappa", "maps"}
 
 
 def test_certify_determinism_bytes(tmp_path):
@@ -421,6 +422,35 @@ seed = 3
         assert lo - 1e-9 <= gap <= hi + 1e-9
 
 
+@pytest.mark.parametrize("x", ["1/2,x", "delta:25", "1/2,1/2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"])
+def test_malformed_orbit_point_exits_2_before_kappa(tmp_path, monkeypatch, x):
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("basis_constant ran for a malformed orbit point")
+
+    monkeypatch.setattr("seqcert.cli.basis_constant", no_kappa)
+    text = f"""
+[sequence]
+builtin = ell1_canonical
+n = 24
+
+[map f]
+variant = diag_shift
+theta = 1/2
+
+[orbit]
+map = f
+x = {x}
+y = delta:2
+n_window = 2
+
+[run]
+seed = 3
+"""
+    out = tmp_path / "orbit.csv"
+    assert main(["orbit", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_orbit_requires_section(tmp_path):
     path = write(tmp_path, MINIMAL)
     assert main(["orbit", "--config", path]) == 2
@@ -547,6 +577,36 @@ def test_malformed_config_exits_2_before_any_work(tmp_path, monkeypatch, extra):
     out = tmp_path / "r.json"
     assert main(["certify", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_arithmetic_override_coerces_block_weights(tmp_path):
+    text = """
+[sequence]
+builtin = c0_canonical
+n = 6
+
+[blocks]
+sets = 1,2 | 3,4 | 5,6
+weights = 1/3,2/3 | 1/3,2/3 | 1/3,2/3
+
+[check wide]
+kind = wide_s
+on = blocks
+samples = 20
+
+[run]
+seed = 3
+arithmetic = float
+"""
+    path = write(tmp_path, text)
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", path, "--out", str(out), "--arithmetic", "rational"]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["arithmetic"] == "rational"
+    assert report["config"]["blocks"]["weights"] == [["1/3", "2/3"]] * 3
+    cert = report["certificates"][0]
+    assert cert["arithmetic"] == "rational"
+    assert cert["constants"]["d_hat"] == "2/9"  # exact blocks: sup norm 2/3, not 0.666...
 
 
 def test_negative_seed_override_exits_2_before_any_work(tmp_path, monkeypatch, capsys):

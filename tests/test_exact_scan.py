@@ -239,7 +239,7 @@ def rational_maps(s):
 def test_bilipschitz_matches_reference(family, map_name):
     """The reference scans p-major: all pairs at p = 1, then at p = 2."""
     spec, p_max = rational_maps(family)[map_name], 2
-    n = start_length(spec, family, p_max)
+    n = start_length(spec.variant, spec.policy, len(family), p_max)
     X, Y = _pair_matrices(n, BUDGET, include_equal=False, arithmetic=RATIONAL)
     pairs = [(tuple(x), tuple(y)) for x, y in zip(X, Y)]
     pairs = [(x, y) for x, y in pairs if family.span_norm([a - b for a, b in zip(x, y)]) != 0]
@@ -283,7 +283,7 @@ def test_residual_matches_reference(tmp_path, variant):
     ctx = RunContext(load_config(str(path)))
     check = ctx.cfg.checks[0]
     spec = ctx.map_specs[check.params["map"]]
-    n = start_length(spec, ctx.seq, 1)
+    n = start_length(spec.variant, spec.policy, len(ctx.seq), 1)
     points = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     points += rational_simplex(n, SamplingBudget(count=30, seed=11))
     ext = Extremes()

@@ -320,12 +320,14 @@ def test_summing_functional_requires_dualizable_ambient():
 
 
 def test_start_length():
-    s = builtin_sequence("ell1_canonical", 10)
-    assert start_length(AffineMapSpec.right_shift(), s, 3) == 7
-    assert start_length(AffineMapSpec.bilateral(), s, 3) == 10
-    assert start_length(AffineMapSpec.geometric(), s, 5) == 10
+    def length(spec, steps):
+        return start_length(spec.variant, spec.policy, 10, steps)
+
+    assert length(AffineMapSpec.right_shift(), 3) == 7
+    assert length(AffineMapSpec.bilateral(), 3) == 10
+    assert length(AffineMapSpec.geometric(), 5) == 10
     with pytest.raises(ParameterError):
-        start_length(AffineMapSpec.right_shift(), s, 10)
+        length(AffineMapSpec.right_shift(), 10)
 
 
 def test_bilipschitz_witness_reproduces_constant():

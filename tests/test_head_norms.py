@@ -1,0 +1,191 @@
+"""Head norms from one prefix pass, against the per-head loop they replace."""
+
+from typing import Tuple
+
+import numpy as np
+import pytest
+
+from seqcert.blocks import ConvexBlockSpec, build_convex_blocks
+from seqcert.sampling import (
+    SamplingBudget,
+    gaussian_sphere,
+    pm_one_patterns,
+    sign_patterns,
+    simplex_uniform,
+)
+from seqcert.sequences import (
+    BUILTIN_NAMES,
+    DENOM_GUARD,
+    PM_ONE_LIMIT,
+    BasicSequence,
+    basis_constant,
+    builtin_sequence,
+    gap_bound_check,
+    prefix_ends,
+)
+from seqcert.spaces import NormTag, head_norms_batch, james_power_sums_batch, norm_batch
+
+
+def pair_blocks(s: BasicSequence) -> BasicSequence:
+    """Blocks {1,2}, {3,4}, ... with weights 1/3, 2/3; an odd last index stays out."""
+    sets = tuple((i, i + 1) for i in range(1, len(s), 2))
+    return build_convex_blocks(s, ConvexBlockSpec(sets, tuple((1 / 3, 2 / 3) for _ in sets)))
+
+
+def per_head_norms(s: BasicSequence, coeffs: np.ndarray) -> np.ndarray:
+    """||P_n e||, n = 1..m, the old way: zero the tail, then span_norm_batch."""
+    cols = []
+    for n in range(1, len(s) + 1):
+        heads = np.zeros_like(coeffs)
+        heads[:, :n] = coeffs[:, :n]
+        cols.append(s.span_norm_batch(heads))
+    return np.stack(cols, axis=1)
+
+
+PREFIX_FAMILIES = [("c0_canonical", 2), ("james_summing", 2), ("james_summing", 3)]
+
+
+@pytest.mark.parametrize("name,p", PREFIX_FAMILIES, ids=["sup", "james2", "james3"])
+@pytest.mark.parametrize(
+    "n,blocks", [(1, False), (5, False), (5, True), (17, False), (17, True), (48, False), (48, True)]
+)
+def test_head_norms_batch_is_bitwise_the_per_head_loop(n, blocks, name, p):
+    s = builtin_sequence(name, n, p=p)
+    if blocks:
+        s = pair_blocks(s)
+    rng = np.random.default_rng(n)
+    m = len(s)
+    for coeffs in (gaussian_sphere(rng, 60, m), simplex_uniform(rng, 60, m)):
+        ends = prefix_ends(s)
+        got = head_norms_batch((coeffs @ s.matrix())[:, : ends[-1]], s.ambient, ends)
+        want = per_head_norms(s, coeffs)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_full_width_power_sums_are_the_last_prefix():
+    rng = np.random.default_rng(0)
+    mat = rng.standard_normal((20, 9))
+    tag = NormTag.james(3)
+    heads = head_norms_batch(mat, tag, np.arange(1, 10))
+    assert heads[:, -1].tobytes() == norm_batch(mat, tag).tobytes()
+    assert james_power_sums_batch(np.zeros((3, 0)), 2).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("tag", [NormTag.ell_p(1), NormTag.ell_p(2), NormTag.lin()])
+def test_head_norms_batch_declines_norms_without_a_prefix_form(tag):
+    assert head_norms_batch(np.ones((2, 4)), tag, [2, 4]) is None
+
+
+def test_prefix_ends():
+    assert prefix_ends(builtin_sequence("ell1_canonical", 5)).tolist() == [1, 2, 3, 4, 5]
+    assert prefix_ends(pair_blocks(builtin_sequence("c0_canonical", 5))).tolist() == [2, 4]
+    gap = BasicSequence([(1, 0, 0, 0), (0, 0, 2, 1)], NormTag.sup())
+    assert prefix_ends(gap).tolist() == [1, 4]
+    for n in (4, 6, 9):
+        summing = builtin_sequence("summing_c0", n)
+        assert prefix_ends(summing) is None
+        assert prefix_ends(pair_blocks(summing)) is None
+    interleaved = BasicSequence([(1, 0, 1, 0), (0, 1, 0, 1)], NormTag.sup())
+    assert prefix_ends(interleaved) is None
+
+
+# ---------------------------------------------------------------------------
+# Oracle: basis_constant and gap_bound_check as they were before the prefix
+# pass, one span_norm_batch per head, without their error paths and with
+# only the values the comparison needs returned.
+# ---------------------------------------------------------------------------
+
+
+def oracle_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Tuple[float, float]:
+    m = len(s)
+    parts = []
+    if m <= PM_ONE_LIMIT:
+        parts.append(pm_one_patterns(m))
+    if m <= budget.exhaustive_limit:
+        parts.append(sign_patterns(m))
+    if budget.count > 0:
+        rng = np.random.default_rng(budget.seed)
+        parts.append(gaussian_sphere(rng, budget.count - budget.count // 2, m))
+        parts.append(simplex_uniform(rng, budget.count // 2, m))
+    coeffs = np.concatenate(parts, axis=0)
+    base = s.span_norm_batch(coeffs)
+    ok = base > DENOM_GUARD
+    coeffs, base = coeffs[ok], base[ok]
+
+    def best_ratio(mat, norms):
+        best, best_n, best_i = 1.0, m, 0
+        for n in range(1, m + 1):
+            heads = np.zeros_like(mat)
+            heads[:, :n] = mat[:, :n]
+            ratios = s.span_norm_batch(heads) / norms
+            i = int(np.argmax(ratios))
+            if ratios[i] > best:
+                best, best_n, best_i = float(ratios[i]), n, i
+        return best, best_n, best_i
+
+    lower, _, idx = best_ratio(coeffs, base)
+    lower = max(lower, 1.0)
+    rng = np.random.default_rng(budget.seed + 1)
+    upper = lower
+    seedvec = coeffs[idx]
+    for sigma in (0.5, 0.2, 0.05, 0.01):
+        trial = seedvec + sigma * rng.standard_normal((64, m))
+        tnorms = s.span_norm_batch(trial)
+        keep = tnorms > DENOM_GUARD
+        if not np.any(keep):
+            continue
+        cand, _, j = best_ratio(trial[keep], tnorms[keep])
+        if cand > upper:
+            upper = cand
+            seedvec = trial[keep][j]
+    return (lower, max(upper, lower))
+
+
+def oracle_gap(s: BasicSequence, budget: SamplingBudget):
+    """(min_gap, head witness, tail witness) of gap_bound_check."""
+    m = len(s)
+    a = float(s.a)
+    rng = np.random.default_rng(budget.seed)
+    per_split = max(1, budget.count // (m - 1))
+    min_gap, wit = None, None
+    for n in range(1, m):
+        heads = np.zeros((per_split, m))
+        heads[:, :n] = rng.standard_normal((per_split, n))
+        hnorm = s.span_norm_batch(heads)
+        keep = hnorm > DENOM_GUARD
+        heads, hnorm = heads[keep], hnorm[keep]
+        if heads.size == 0:
+            continue
+        scale = a * (1.0 + rng.random(len(heads))) / hnorm
+        heads = heads * scale[:, None]
+        tails = np.zeros((len(heads), m))
+        tails[:, n:] = rng.standard_normal((len(heads), m - n))
+        tails *= rng.random((len(heads), 1)) * 2.0
+        gaps = s.span_norm_batch(heads - tails)
+        i = int(np.argmin(gaps))
+        if min_gap is None or gaps[i] < min_gap:
+            min_gap = float(gaps[i])
+            wit = (tuple(float(x) for x in heads[i]), tuple(float(x) for x in tails[i]))
+    return min_gap, wit
+
+
+FAMILIES = [(name, 2) for name in BUILTIN_NAMES] + [("james_summing", 3)]
+
+
+@pytest.mark.parametrize("blocks", [False, True], ids=["sequence", "pair-blocks"])
+@pytest.mark.parametrize("n", [6, 13])
+@pytest.mark.parametrize("name,p", FAMILIES)
+def test_kappa_and_gap_bound_match_the_per_head_oracle(name, p, n, blocks):
+    s = builtin_sequence(name, n, p=p)
+    if blocks:
+        s = pair_blocks(s)
+    for seed in (1, 2, 3):
+        budget = SamplingBudget(count=512, seed=seed)
+        kappa = basis_constant(s, budget)
+        assert repr(kappa) == repr(oracle_basis_constant(s, budget))
+        gap_budget = SamplingBudget(count=300, seed=seed)
+        cert = gap_bound_check(s, kappa, gap_budget)
+        min_gap, (head, tail) = oracle_gap(s, gap_budget)
+        assert repr(cert.constants["min_gap"]) == repr(min_gap)
+        assert (cert.witness["head"], cert.witness["tail"]) == (head, tail)
