@@ -26,14 +26,11 @@ from .spaces import (
 )
 from .sequences import (
     BasicSequence,
-    SpanElement,
     basis_constant,
     builtin_sequence,
     domination_constant,
     equivalence_constants,
     gap_bound_check,
-    head_projection,
-    tail_remainder,
     wide_s_certificate,
 )
 from .fpmaps import (

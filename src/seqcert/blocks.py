@@ -22,8 +22,8 @@ from .certificates import Certificate
 from .errors import BlockSpecError, ParameterError
 from .fpmaps import ConvexCoefficients
 from .sampling import SamplingBudget
-from .sequences import BasicSequence, _eval_rows, _ratio_scan, _scalar, _witness
-from .spaces import norm_batch, summing_basis_norm_batch
+from .sequences import BasicSequence, _eval_rows, _ratio_scan, _witness
+from .spaces import scalar, summing_basis_norm_batch
 
 INEQ_TOL = 1e-9
 
@@ -55,15 +55,10 @@ class ConvexBlockSpec:
             if min(blk) <= prev_max:
                 raise BlockSpecError("blocks must be strictly increasing")
             prev_max = max(blk)
-            if any(w < 0 for w in wts):
-                raise BlockSpecError("weights must be nonnegative")
-            exact = all(not isinstance(w, float) for w in wts)
-            total = sum(wts, 0 if exact else 0.0)
-            if exact:
-                if total != 1:
-                    raise BlockSpecError(f"block weights must sum to 1, got {total}")
-            elif abs(total - 1.0) > 1e-12:
-                raise BlockSpecError(f"block weights must sum to 1, got {total}")
+            try:
+                ConvexCoefficients(wts)
+            except ParameterError as exc:
+                raise BlockSpecError(f"block weights: {exc}") from exc
 
     @property
     def max_index(self) -> int:
@@ -80,13 +75,13 @@ def build_convex_blocks(s: BasicSequence, spec: ConvexBlockSpec) -> BasicSequenc
         raise BlockSpecError(
             f"block index {spec.max_index} exceeds sequence length {len(s)}"
         )
+    rows = s.matrix(exact=True)  # each entry as given, so exact entries stay exact
     vecs = []
     for blk, wts in zip(spec.blocks, spec.weights):
-        acc = [0] * s.ambient_length
+        acc = np.zeros(s.ambient_length, dtype=object)
         for i, w in zip(blk, wts):
             if w:
-                for j, x in enumerate(s.vectors[i - 1].entries):
-                    acc[j] = acc[j] + w * x
+                acc = acc + w * rows[i - 1]
         vecs.append(tuple(acc))
     return BasicSequence(vecs, s.ambient)
 
@@ -100,12 +95,10 @@ def push_convex(spec: ConvexBlockSpec, t, n_base: Optional[int] = None) -> Conve
     n = n_base if n_base is not None else spec.max_index
     if n < spec.max_index:
         raise BlockSpecError("base length shorter than the largest block index")
-    exact = all(not isinstance(x, float) for x in tc.t)
-    acc = [0 if exact else 0.0] * n
-    for tn, blk, wts in zip(tc.t, spec.blocks, spec.weights):
-        for i, w in zip(blk, wts):
-            acc[i - 1] = acc[i - 1] + tn * w
-    return ConvexCoefficients(tuple(acc))
+    weights = np.zeros((len(spec), n), dtype=object)
+    for row, blk, wts in zip(weights, spec.blocks, spec.weights):
+        row[np.array(blk) - 1] = wts
+    return ConvexCoefficients(tuple(np.array(tc.t, dtype=object) @ weights))
 
 
 def wuc_constant(
@@ -155,7 +148,7 @@ def summing_equivalence_check(
     lo = v - c1s * sn
     hi = 2 * c2s * sn - v
     i_lo, i_hi = int(np.argmin(lo)), int(np.argmin(hi))
-    lo_m, hi_m = _scalar(lo[i_lo]), _scalar(hi[i_hi])
+    lo_m, hi_m = scalar(lo[i_lo]), scalar(hi[i_hi])
     holds = lo_m >= -tol and hi_m >= -tol
     return Certificate(
         kind="summing_equivalence",
@@ -171,12 +164,6 @@ def summing_equivalence_check(
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
     )
-
-
-def _shift_norms(s: BasicSequence, coeffs: np.ndarray, p: int) -> np.ndarray:
-    """||sum_i a_i x_{i+p}|| for every row a; exact on object rows."""
-    m = coeffs.shape[1]
-    return norm_batch(coeffs @ s.matrix(coeffs.dtype == object)[p : p + m], s.ambient)
 
 
 def shift_equivalence_constants(
@@ -198,7 +185,7 @@ def shift_equivalence_constants(
     coeffs = _eval_rows(m, budget, arithmetic, s)
     den = s.span_norm_batch(coeffs)
     for p in range(1, p_max + 1):
-        num = _shift_norms(s, coeffs, p)
+        num = s.span_norm_batch(coeffs, p)
         r_min, r_max, row_min, row_max, rej = _ratio_scan(num, den, coeffs)
         rejected += rej
         constants[f"r_min_p{p}"] = r_min
@@ -270,20 +257,20 @@ def lemma79_conclusion_check(
     tol = 0 if exact else INEQ_TOL
     base = s.span_norm_batch(coeffs)
     for p in range(1, p_max + 1):
-        sh = _shift_norms(s, coeffs, p)
+        sh = s.span_norm_batch(coeffs, p)
         c_pr = sh - c_printed * base
         c_sy = sh - c_symmetric * base
         c_us = sh - c_used * base
         hi = c_L * base - sh
         i_us, i_hi = int(np.argmin(c_us)), int(np.argmin(hi))
         if lo_pr is None or c_pr.min() < lo_pr:
-            lo_pr = _scalar(c_pr.min())
+            lo_pr = scalar(c_pr.min())
         if lo_sy is None or c_sy.min() < lo_sy:
-            lo_sy = _scalar(c_sy.min())
+            lo_sy = scalar(c_sy.min())
         if lo_used is None or c_us[i_us] < lo_used:
-            lo_used, wit_lo = _scalar(c_us[i_us]), _witness(coeffs[i_us])
+            lo_used, wit_lo = scalar(c_us[i_us]), _witness(coeffs[i_us])
         if hi_m is None or hi[i_hi] < hi_m:
-            hi_m, wit_hi = _scalar(hi[i_hi]), _witness(coeffs[i_hi])
+            hi_m, wit_hi = scalar(hi[i_hi]), _witness(coeffs[i_hi])
     holds = lo_used >= -tol and hi_m >= -tol
     return Certificate(
         kind="lemma79_conclusion",

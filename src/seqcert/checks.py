@@ -1,12 +1,14 @@
 """The check registry: each ``[check NAME]`` kind is declared once, in ``CHECKS``.
 
 A ``CheckKind`` holds the runner, the parameters and, for kinds that read a
-map, the map variant they need (``None``: any).  ``params`` is a schema that
-``parse_params`` reads, the same kind of schema ``config.SECTIONS`` gives the
-fixed sections.  Parsed values do not depend on the arithmetic mode, so
-runners coerce where it matters.  A runner is ``run(ctx, args, seed)`` with
-the run's ``cli.RunContext``, the parsed parameters and the check's derived
-seed.
+map, the map variant they need (``None``: any) and ``steps``, the number of
+map applications they make as a function of the parsed parameters, which
+``cli.RunContext`` checks against the family's length before any work.
+``params`` is a schema that ``parse_params`` reads, the same kind of schema
+``config.SECTIONS`` gives the fixed sections.  Parsed values do not depend
+on the arithmetic mode, so runners coerce where it matters.  A runner is
+``run(ctx, args, seed)`` with the run's ``cli.RunContext``, the parsed
+parameters and the check's derived seed.
 """
 
 from __future__ import annotations
@@ -23,15 +25,16 @@ from .blocks import (
 from .certificates import Certificate
 from .errors import ConfigError
 from .fpmaps import (
-    DIAG_SHIFT, RIGHT_SHIFT, AlphaSchedule, apply_map_batch, bilipschitz_estimate,
-    make_summing_functional, start_length, theta_lower_bound_rightshift, theta_of_map,
+    DIAG_SHIFT, RIGHT_SHIFT, AlphaSchedule, bilipschitz_estimate, make_summing_functional,
+    residuals_batch, start_length, theta_lower_bound_rightshift, theta_of_map,
 )
 from .perturbation import claim2_chain, perturb_toward_next, psp_equivalence_check
-from .sampling import SamplingBudget, rational_simplex, simplex_uniform
+from .sampling import SamplingBudget, rational_simplex, simplex_samples
 from .sequences import (
-    BUILTIN_NAMES, _scalar, _witness, basis_constant, builtin_sequence, domination_constant,
+    BUILTIN_NAMES, _witness, basis_constant, builtin_sequence, domination_constant,
     equivalence_constants, gap_bound_check, wide_s_certificate,
 )
+from .spaces import scalar
 
 # (parser, default).  The parser is a function of the text, or the tuple of
 # the allowed values.  The default is config text, parsed like user input;
@@ -45,6 +48,7 @@ class CheckKind:
     run: Callable[..., Certificate]
     params: Dict[str, Param]
     variant: Optional[str] = None
+    steps: Optional[Callable[[dict], int]] = None
 
 
 def parse_params(where: str, schema: Mapping[str, Param], params: Mapping[str, str]) -> dict:
@@ -146,14 +150,10 @@ def _residual(ctx, args, seed) -> Certificate:
     if ctx.cfg.arithmetic == RATIONAL:
         T = np.array(np.eye(n, dtype=int).tolist() + rational_simplex(n, budget), dtype=object)
     else:
-        rng = np.random.default_rng(budget.seed)
-        T = np.concatenate([np.eye(n), simplex_uniform(rng, budget.count, n)], axis=0)
-    FT = apply_map_batch(spec, T)
-    Tp = np.zeros(FT.shape, dtype=T.dtype)
-    Tp[:, :n] = T
-    res = s.span_norm_batch(FT - Tp)
+        T = simplex_samples(n, budget)
+    res = residuals_batch(spec, T, s)
     i = int(np.argmin(res))
-    best = _scalar(res[i])
+    best = scalar(res[i])
     return Certificate(
         kind="fixed_point_residual",
         constants={"min_residual": best, "evaluated": len(T)},
@@ -258,19 +258,24 @@ CHECKS: Dict[str, CheckKind] = {
     "claim2_chain": CheckKind(_claim2_chain, MAP, DIAG_SHIFT),
     "psp_equivalence": CheckKind(_psp_equivalence, {**MAP, **SAMPLES}, DIAG_SHIFT),
     "bilipschitz": CheckKind(
-        _bilipschitz, {**MAP, "pairs": (count, "2000"), "p_max": (positive, "1")}
+        _bilipschitz, {**MAP, "pairs": (count, "2000"), "p_max": (positive, "1")},
+        steps=lambda args: args["p_max"],
     ),
-    "fixed_point_residual": CheckKind(_residual, {**MAP, "samples": (count, "1000")}),
+    "fixed_point_residual": CheckKind(
+        _residual, {**MAP, "samples": (count, "1000")}, steps=lambda args: 1
+    ),
     "theta_of_map": CheckKind(
         _theta_of_map,
         {**MAP, "pairs": (count, "200"), "n_window": (positive, "50"),
          "tol": (parse_scalar, "1e-9")},
+        steps=lambda args: args["n_window"],
     ),
     "theta_rightshift_bound": CheckKind(
         _theta_rightshift_bound,
         {**MAP, "eps": (parse_scalar, None), "n_window": (positive, "50"), "phi": (_phi, "ones"),
          "pairs": (count, "0")},
         RIGHT_SHIFT,
+        lambda args: args["n_window"],
     ),
     "wide_s": CheckKind(_wide_s, {**ON, **SAMPLES}),
     "domination": CheckKind(_domination, {**ON, **OTHER, **SAMPLES}),

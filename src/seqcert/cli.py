@@ -33,7 +33,7 @@ from .errors import ConfigError, ParameterError
 from .fpmaps import DIAG_SHIFT, AffineMapSpec, apply_map, make_alpha_schedule, map_policy, start_length
 from .sampling import SamplingBudget
 from .sequences import BasicSequence, basis_constant
-from .spaces import CoordinateVector, norm
+from .spaces import norm, row_array, scalar
 
 KAPPA_SAMPLES = 512
 
@@ -54,8 +54,10 @@ def kappa_interval(s: BasicSequence, seed: int) -> Tuple[Real, Real]:
 class RunContext:
     """Sequence, block sequence, their basis-constant intervals, and realized
     maps for one certify run.  ``seq`` is the configured family when the
-    caller has built it already.  ``setup_times`` holds the wall time of
-    each step, in seconds."""
+    caller has built it already.  A check whose map steps the family is too
+    short for (``fpmaps.start_length``) raises ConfigError before any basis
+    constant is estimated.  ``setup_times`` holds the wall time of each
+    step, in seconds."""
 
     def __init__(self, cfg: ExperimentConfig, seq: Optional[BasicSequence] = None):
         self.cfg = cfg
@@ -65,6 +67,15 @@ class RunContext:
             raise ConfigError(
                 f"rational mode requires a piecewise-linear norm, got {self.seq.ambient.label()}"
             )
+        for check in cfg.checks:  # a family too short for a check's map steps is a config error
+            steps = CHECKS[check.kind].steps
+            if steps is not None:
+                mc = cfg.maps[check.args["map"]]
+                policy = map_policy(mc.variant, mc.theta, mc.policy)
+                try:
+                    start_length(mc.variant, policy, len(self.seq), steps(check.args))
+                except ParameterError as exc:
+                    raise ConfigError(f"[check {check.name}]: {exc}") from exc
         self.kappa = self._timed("kappa", kappa_interval, self.seq, derive_seed(cfg.seed, 0))
         self.blocks_seq: Optional[BasicSequence] = None
         self.kappa_blocks: Optional[Tuple[Real, Real]] = None
@@ -167,11 +178,8 @@ def run_orbit(config_path: str, out_path: Optional[str], seed, arithmetic) -> in
     spec = RunContext(cfg, s).map_specs[cfg.orbit.map_name]
     theta = spec.schedule.theta if spec.schedule is not None else None
 
-    def span_dist(u, v) -> float:
-        width = max(len(u.t), len(v.t))
-        a = CoordinateVector.of(u.t).padded(width).entries
-        b = CoordinateVector.of(v.t).padded(width).entries
-        return s.span_norm(tuple(p - q for p, q in zip(a, b)))
+    def span_dist(u, v) -> Real:
+        return scalar(s.span_distance_batch(row_array([u.t]), row_array([v.t]))[0])
 
     header = ["n", "distance"]
     if theta is not None:
@@ -214,7 +222,7 @@ def _csv_cell(v) -> str:
 def run_norm(tag_text: str, coeffs_text: str, arithmetic: str) -> int:
     tag = parse_cli_tag(tag_text)
     coeffs = parse_coeff_list(coeffs_text, arithmetic)
-    value = norm(CoordinateVector.of(coeffs), tag)
+    value = norm(coeffs, tag)
     if arithmetic == RATIONAL:
         print(value)
     else:

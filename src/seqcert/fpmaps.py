@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .certificates import Certificate
 from .errors import ParameterError, TruncationError
 from .sampling import SamplingBudget, rational_simplex, simplex_uniform
 from .sequences import BasicSequence, _ratio_scan, _require_exact_tags, _witness
-from .spaces import CoordinateVector, as_rows, norm
+from .spaces import ELL_P, SUP, CoordinateVector, NormTag, as_rows, norm, row_array, scalar
 
 DIAG_SHIFT = "diag_shift"
 RIGHT_SHIFT = "right_shift"
@@ -199,49 +199,10 @@ def bilateral_targets(n: int) -> List[int]:
 
 
 def apply_map(spec: AffineMapSpec, t) -> ConvexCoefficients:
-    """One application; exact on exact inputs, mass preserved."""
-    tc = ConvexCoefficients.of(t)
-    ts = tc.t
-    n = len(ts)
-    if n == 0:
-        raise ParameterError("cannot apply a map to the empty coefficient vector")
-    exact = all(not isinstance(x, float) for x in ts)
-    zero: Real = 0 if exact else 0.0
-    if spec.variant == RIGHT_SHIFT:
-        out = [zero] + list(ts)
-    elif spec.variant == DIAG_SHIFT:
-        al = spec.schedule.alphas
-        if len(al) < n:
-            raise ParameterError(
-                f"alpha schedule has {len(al)} entries; need at least {n}"
-            )
-        out = [zero] * (n + 1)
-        out[0] = (1 - al[0]) * ts[0]
-        for k in range(1, n):
-            out[k] = (1 - al[k]) * ts[k] + al[k - 1] * ts[k - 1]
-        out[n] = al[n - 1] * ts[n - 1]
-    elif spec.variant == BILATERAL:
-        targets = bilateral_targets(n)
-        out = [zero] * n
-        for s, tgt in enumerate(targets, start=1):
-            out[tgt - 1] = ts[s - 1]
-        return ConvexCoefficients(tuple(out))
-    else:  # geometric, fold_tail
-        out = [zero] * n
-        half: Real = Fraction(1, 2) if exact else 0.5
-        w = half
-        for j in range(1, n):
-            for k in range(n - j):
-                if k + j < n - 1:
-                    out[k + j] = out[k + j] + w * ts[k]
-            w = w * half
-        total = sum(ts, zero)
-        out[n - 1] = total - sum(out[: n - 1], zero)
-        return ConvexCoefficients(tuple(out))
-    if spec.policy == FOLD_TAIL and len(out) > n:
-        out[n - 1] = out[n - 1] + out[n]
-        out = out[:n]
-    return ConvexCoefficients(tuple(out))
+    """One application: one row of ``apply_map_batch``; exact on exact inputs,
+    mass preserved."""
+    row = apply_map_batch(spec, row_array([ConvexCoefficients.of(t).t]))[0]
+    return ConvexCoefficients(tuple(map(scalar, row)))
 
 
 def iterate(spec: AffineMapSpec, t, p: int) -> ConvexCoefficients:
@@ -400,18 +361,16 @@ def bilipschitz_estimate(
     )
 
 
+def residuals_batch(spec: AffineMapSpec, T: np.ndarray, s: BasicSequence) -> np.ndarray:
+    """||f(t) - t|| through the ambient norm of s for every row t of T, with t
+    zero-padded to the width of f(t); exact on object rows."""
+    return s.span_distance_batch(apply_map_batch(spec, T), as_rows(T))
+
+
 def fixed_point_residual(spec: AffineMapSpec, t, s: BasicSequence) -> Real:
     """||f(t) - t|| through the ambient norm; positive residuals witness the
     absence of a fixed point at this truncation."""
-    tc = ConvexCoefficients.of(t)
-    ft = apply_map(spec, tc)
-    n = max(len(tc), len(ft))
-    if n > len(s):
-        raise ParameterError("sequence too short to evaluate the residual")
-    a = CoordinateVector.of(ft.t).padded(n).entries
-    b = CoordinateVector.of(tc.t).padded(n).entries
-    diff = tuple(x - y for x, y in zip(a, b))
-    return s.span_norm(diff)
+    return scalar(residuals_batch(spec, row_array([ConvexCoefficients.of(t).t]), s)[0])
 
 
 def theta_of_map(
@@ -441,10 +400,7 @@ def theta_of_map(
         FY = apply_map_batch(spec, FY)
         if step < lo:
             continue
-        width = FY.shape[1]
-        Xp = np.zeros((X.shape[0], width))
-        Xp[:, : X.shape[1]] = X
-        dist = s.span_norm_batch(Xp - FY)
+        dist = s.span_distance_batch(X, FY)
         i = int(np.argmin(dist))
         if best is None or dist[i] < best:
             best = float(dist[i])
@@ -484,8 +440,6 @@ class SummingFunctional:
 
 def dual_norm(phi: CoordinateVector, tag) -> Real:
     """Dual-norm value of a coordinate functional, where representable."""
-    from .spaces import ELL_P, SUP, NormTag  # local names
-
     if tag.variant == SUP:
         return norm(phi, NormTag.ell_p(1))
     if tag.variant == ELL_P:
@@ -501,9 +455,7 @@ def make_summing_functional(s: BasicSequence, phi) -> SummingFunctional:
     pv = CoordinateVector.of(phi).padded(s.ambient_length)
     if len(pv) != s.ambient_length:
         raise ParameterError("functional length exceeds the ambient length")
-    gamma = min(
-        sum(p * x for p, x in zip(pv.entries, v.entries)) for v in s.vectors
-    )
+    gamma = min(s.matrix(exact=True) @ np.array(pv.entries, dtype=object))
     nphi = dual_norm(pv, s.ambient)
     if not nphi > 0:
         raise ParameterError("zero functional")

@@ -41,10 +41,9 @@ from .sequences import (
     _kappa_is_certified,
     _ratio_scan,
     _require_exact_tags,
-    _scalar,
     _witness,
 )
-from .spaces import CoordinateVector, norm, norm_batch
+from .spaces import CoordinateVector, norm_batch, row_array, scalar
 
 INEQ_TOL = 1e-9
 
@@ -65,29 +64,23 @@ def perturb_toward_next(s: BasicSequence, alpha: AlphaSchedule) -> PerturbedSequ
     """z_n = (1 - alpha_n) x_n + alpha_n x_{n+1}, a nontrivial convex
     combination of consecutive vectors; needs alpha no longer than M - 1.
     theta uses the basis constant the schedule was budgeted with."""
-    m = len(s)
-    if len(alpha) > m - 1:
-        raise ParameterError(
-            f"schedule of length {len(alpha)} needs at least {len(alpha) + 1} vectors"
-        )
-    zs = []
-    for n, al in enumerate(alpha.alphas):
-        xn = s.vectors[n].entries
-        xn1 = s.vectors[n + 1].entries
-        zs.append(
-            CoordinateVector(tuple((1 - al) * a + al * b for a, b in zip(xn, xn1)))
-        )
-    theta = 2 * alpha.kappa * _relative_gap_sum(s, tuple(zs))
-    return PerturbedSequence(base=s, z_vectors=tuple(zs), theta=theta)
+    k = len(alpha)
+    if k > len(s) - 1:
+        raise ParameterError(f"schedule of length {k} needs at least {k + 1} vectors")
+    rows = s.matrix(exact=True)  # each entry as given, so exact entries stay exact
+    al = np.array(alpha.alphas, dtype=object)[:, None]
+    zs = tuple(CoordinateVector(tuple(z)) for z in (1 - al) * rows[:k] + al * rows[1 : k + 1])
+    theta = 2 * alpha.kappa * _relative_gap_sum(s, zs)
+    return PerturbedSequence(base=s, z_vectors=zs, theta=theta)
 
 
 def _relative_gap_sum(s: BasicSequence, z_vectors) -> Real:
-    total: Real = 0
-    for n, zv in enumerate(z_vectors):
-        xn = s.vectors[n]
-        diff = CoordinateVector(tuple(a - b for a, b in zip(xn.entries, zv.entries)))
-        total = total + norm(diff, s.ambient) / norm(xn, s.ambient)
-    return total
+    """sum_n ||x_n - z_n|| / ||x_n||, added up in n order."""
+    if not z_vectors:
+        return 0
+    zmat = row_array(z_vectors)
+    gaps = norm_batch(s.matrix(zmat.dtype == object)[: len(zmat)] - zmat, s.ambient)
+    return sum((scalar(g) / x for g, x in zip(gaps, s.vector_norms)), 0)
 
 
 def psp_equivalence_check(
@@ -120,14 +113,13 @@ def psp_equivalence_check(
     exact = coeffs.dtype == object
     theta = coerce(theta, arithmetic)
     nx = s.span_norm_batch(coeffs)
-    zmat = np.array([zv.entries if exact else zv.as_floats() for zv in z.z_vectors], dtype=coeffs.dtype)
-    nz = norm_batch(coeffs @ zmat, s.ambient)
+    nz = norm_batch(coeffs @ row_array(z.z_vectors), s.ambient)
     lo = nz - (1 - theta) * nx
     hi = (1 + theta) * nx - nz
     i_lo = int(np.argmin(lo))
     i_hi = int(np.argmin(hi))
-    lo_margin = _scalar(lo[i_lo])
-    hi_margin = _scalar(hi[i_hi])
+    lo_margin = scalar(lo[i_lo])
+    hi_margin = scalar(hi[i_hi])
     r_min, r_max, _, _, _ = _ratio_scan(nz, nx, coeffs)
     tol = 0 if exact else INEQ_TOL
     holds = lo_margin >= -tol and hi_margin >= -tol

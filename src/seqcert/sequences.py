@@ -5,7 +5,7 @@ family x_1..x_M of coordinate vectors evaluated through one ambient norm.
 The ops below estimate the classical constants of such a family at the
 available truncation:
 
-* head projections P_n and the basis-constant interval for sup_n ||P_n||,
+* the basis-constant interval for sup_n ||P_n||,
 * domination and two-sided equivalence constants between two families,
 * the wide-(s) constant (domination of the summing family),
 * the head/tail gap bound ||x - y|| >= a / K.
@@ -40,8 +40,9 @@ from .spaces import (
     CoordinateVector,
     NormTag,
     head_norms_batch,
-    norm,
     norm_batch,
+    row_array,
+    scalar,
     summing_basis_norm_batch,
 )
 
@@ -94,9 +95,9 @@ class BasicSequence:
         )
         self._matrices: Dict[bool, np.ndarray] = {}
         self._check_independent()
-        norms = [norm(v, ambient) for v in vecs]
-        self.a = min(norms)
-        self.b = max(norms)
+        self.vector_norms = tuple(map(scalar, norm_batch(self.matrix(self.exact), ambient)))
+        self.a = min(self.vector_norms)
+        self.b = max(self.vector_norms)
         if not self.a > 0:
             raise DependenceError("sequence is not seminormalized: some ||x_n|| = 0")
 
@@ -125,51 +126,32 @@ class BasicSequence:
             )
         return self._matrices[exact]
 
+    def _span(self, coeff_mat: np.ndarray, shift: int = 0) -> np.ndarray:
+        """The rows sum_i c_i x_{i+shift} of every coefficient row c; exact on
+        object rows."""
+        m = coeff_mat.shape[1]
+        if shift + m > len(self.vectors):
+            raise ParameterError("more coefficients than vectors")
+        return coeff_mat @ self.matrix(coeff_mat.dtype == object)[shift : shift + m]
+
     def span_vector(self, coeffs) -> CoordinateVector:
         """Materialize sum a_i x_i; exact on exact inputs."""
-        cs = CoordinateVector.of(coeffs).entries
-        if len(cs) > len(self.vectors):
-            raise ParameterError("more coefficients than vectors")
-        acc = [0] * self.ambient_length
-        for c, v in zip(cs, self.vectors):
-            if c:
-                for j, x in enumerate(v.entries):
-                    acc[j] = acc[j] + c * x
-        return CoordinateVector(tuple(acc))
+        return CoordinateVector(tuple(map(scalar, self._span(row_array([coeffs]))[0])))
 
     def span_norm(self, coeffs) -> Real:
-        return norm(self.span_vector(coeffs), self.ambient)
+        return scalar(self.span_norm_batch(row_array([coeffs]))[0])
 
-    def span_norm_batch(self, coeff_mat: np.ndarray) -> np.ndarray:
-        """||sum_i c_i x_i|| for every row c; exact on object rows."""
-        m = coeff_mat.shape[1]
-        return norm_batch(coeff_mat @ self.matrix(coeff_mat.dtype == object)[:m], self.ambient)
+    def span_norm_batch(self, coeff_mat: np.ndarray, shift: int = 0) -> np.ndarray:
+        """||sum_i c_i x_{i+shift}|| for every row c; exact on object rows."""
+        return norm_batch(self._span(coeff_mat, shift), self.ambient)
 
-
-class SpanElement:
-    """Coefficients interpreted against a basic sequence (length <= M)."""
-
-    def __init__(self, coeffs):
-        self.coeffs = CoordinateVector.of(coeffs)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
-def head_projection(s: BasicSequence, e: SpanElement, n: int) -> SpanElement:
-    """P_n: keep coefficients 1..n, zero the rest."""
-    if not 0 <= n <= len(e):
-        raise IndexError(f"projection index {n} out of range 0..{len(e)}")
-    cs = e.coeffs.entries
-    return SpanElement(cs[:n] + (0,) * (len(cs) - n))
-
-
-def tail_remainder(s: BasicSequence, e: SpanElement, n: int) -> SpanElement:
-    """R_n = identity - P_n."""
-    if not 0 <= n <= len(e):
-        raise IndexError(f"projection index {n} out of range 0..{len(e)}")
-    cs = e.coeffs.entries
-    return SpanElement((0,) * n + cs[n:])
+    def span_distance_batch(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """||sum_i (u_i - v_i) x_i|| for every pair of rows u, v, the narrower
+        of U and V zero-padded to the wider; exact on object rows."""
+        diff = np.zeros((len(U), max(U.shape[1], V.shape[1])), dtype=np.result_type(U, V))
+        diff[:, : U.shape[1]] = U
+        diff[:, : V.shape[1]] -= V
+        return self.span_norm_batch(diff)
 
 
 def prefix_ends(s: BasicSequence) -> Optional[np.ndarray]:
@@ -256,12 +238,6 @@ def _guard(values: np.ndarray):
     return 0 if values.dtype == object else DENOM_GUARD
 
 
-
-def _scalar(x) -> Real:
-    """One entry of a scan as a plain scalar: float from float rows, exact otherwise."""
-    return float(x) if isinstance(x, np.floating) else x
-
-
 def _ratio_scan(
     num: np.ndarray, den: np.ndarray, coeffs: np.ndarray
 ) -> Tuple[Real, Real, np.ndarray, np.ndarray, int]:
@@ -277,8 +253,8 @@ def _ratio_scan(
     i_min = int(np.argmin(ratios))
     i_max = int(np.argmax(ratios))
     return (
-        _scalar(ratios[i_min]),
-        _scalar(ratios[i_max]),
+        scalar(ratios[i_min]),
+        scalar(ratios[i_max]),
         rows[i_min],
         rows[i_max],
         rejected,
@@ -286,10 +262,8 @@ def _ratio_scan(
 
 
 def _witness(row: np.ndarray) -> Tuple[Real, ...]:
-    """A coefficient row as a tuple: exact rows keep their entries."""
-    if row.dtype == object:
-        return tuple(row)
-    return tuple(float(x) for x in row)
+    """A coefficient row as a tuple of built-in scalars: exact rows keep their entries."""
+    return tuple(map(scalar, row))
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +296,21 @@ def basis_constant(s: BasicSequence, budget: SamplingBudget):
     if not parts:
         raise ParameterError("empty sampling budget for basis_constant")
     coeffs = np.concatenate(parts, axis=0)
-    base = s.span_norm_batch(coeffs)
-    ok = base > DENOM_GUARD
-    if not np.all(ok):
-        if not np.any(ok):
-            raise DependenceError("all span norms vanished while estimating kappa")
-        coeffs, base = coeffs[ok], base[ok]
-
     ends = prefix_ends(s)
 
-    def best_ratio(mat: np.ndarray, norms: np.ndarray) -> Tuple[float, int, int]:
+    def best_ratio(mat: np.ndarray) -> Optional[Tuple[float, np.ndarray]]:
+        """(max ratio, its row) over the rows e of mat with ||e|| > DENOM_GUARD,
+        or None when there are none; ||e|| is the last head norm when the
+        heads come from one prefix pass."""
         heads = _head_norms(s, mat, ends)
-        best, best_n, best_i = 1.0, m, 0
+        norms = s.span_norm_batch(mat) if heads is None else heads[:, -1]
+        ok = norms > DENOM_GUARD
+        if not np.any(ok):
+            return None
+        if not np.all(ok):
+            mat, norms = mat[ok], norms[ok]
+            heads = None if heads is None else heads[ok]
+        best, best_i = 1.0, 0
         for n in range(1, m + 1):
             if heads is None:
                 head = np.zeros_like(mat)
@@ -343,27 +320,34 @@ def basis_constant(s: BasicSequence, budget: SamplingBudget):
                 ratios = heads[:, n - 1] / norms
             i = int(np.argmax(ratios))
             if ratios[i] > best:
-                best, best_n, best_i = float(ratios[i]), n, i
-        return best, best_n, best_i
+                best, best_i = float(ratios[i]), i
+        return best, mat[best_i]
 
-    lower, _, idx = best_ratio(coeffs, base)
+    found = best_ratio(coeffs)
+    if found is None:
+        raise DependenceError("all span norms vanished while estimating kappa")
+    lower, seedvec = found
     lower = max(lower, 1.0)
 
     # heuristic refinement: random perturbations of the best witness
     rng = np.random.default_rng(budget.seed + 1)
     upper = lower
-    seedvec = coeffs[idx]
     for sigma in (0.5, 0.2, 0.05, 0.01):
-        trial = seedvec + sigma * rng.standard_normal((64, m))
-        tnorms = s.span_norm_batch(trial)
-        keep = tnorms > DENOM_GUARD
-        if not np.any(keep):
-            continue
-        cand, _, j = best_ratio(trial[keep], tnorms[keep])
-        if cand > upper:
-            upper = cand
-            seedvec = trial[keep][j]
+        found = best_ratio(seedvec + sigma * rng.standard_normal((64, m)))
+        if found is not None and found[0] > upper:
+            upper, seedvec = found
     return (lower, max(upper, lower))
+
+
+def _family_ratio_scan(
+    xs: BasicSequence, ys: BasicSequence, budget: SamplingBudget, arithmetic: str
+):
+    """``_ratio_scan`` of ||sum a y|| / ||sum a x|| over the evaluated rows a."""
+    validate_arithmetic(arithmetic)
+    if len(xs) != len(ys):
+        raise ParameterError("sequences must have the same number of vectors")
+    coeffs = _eval_rows(len(xs), budget, arithmetic, xs, ys)
+    return _ratio_scan(ys.span_norm_batch(coeffs), xs.span_norm_batch(coeffs), coeffs)
 
 
 def domination_constant(
@@ -374,26 +358,15 @@ def domination_constant(
 ) -> Certificate:
     """L_hat = max ||sum a y|| / ||sum a x||: a certified lower bound on the
     best constant with which (x_n) dominates (y_n)."""
-    validate_arithmetic(arithmetic)
-    if len(xs) != len(ys):
-        raise ParameterError("sequences must have the same number of vectors")
-    m = len(xs)
-    flags: List[str] = []
-    coeffs = _eval_rows(m, budget, arithmetic, xs, ys)
-    nx = xs.span_norm_batch(coeffs)
-    ny = ys.span_norm_batch(coeffs)
-    _, l_hat, _, wit_row, rejected = _ratio_scan(ny, nx, coeffs)
-    if rejected:
-        flags.append(f"dependence-evidence(rejected={rejected})")
-    constants = {"L_hat": l_hat, "rejected_denominators": rejected}
+    _, l_hat, _, wit_row, rejected = _family_ratio_scan(xs, ys, budget, arithmetic)
     return Certificate(
         kind="domination",
-        constants=constants,
+        constants={"L_hat": l_hat, "rejected_denominators": rejected},
         holds=True,
         witness={"argmax": _witness(wit_row)},
-        mode=budget.mode_label(m),
+        mode=budget.mode_label(len(xs)),
         arithmetic=arithmetic,
-        flags=tuple(flags),
+        flags=(f"dependence-evidence(rejected={rejected})",) if rejected else (),
     )
 
 
@@ -404,29 +377,20 @@ def equivalence_constants(
     arithmetic: str = FLOAT,
 ) -> Certificate:
     """Two-sided ratio scan; smallest admissible L is max(r_max, 1/r_min)."""
-    validate_arithmetic(arithmetic)
-    if len(xs) != len(ys):
-        raise ParameterError("sequences must have the same number of vectors")
-    m = len(xs)
-    coeffs = _eval_rows(m, budget, arithmetic, xs, ys)
-    nx = xs.span_norm_batch(coeffs)
-    ny = ys.span_norm_batch(coeffs)
-    r_min, r_max, row_min, row_max, rejected = _ratio_scan(ny, nx, coeffs)
-    smallest = max(r_max, 1 / r_min)
-    flags = (f"dependence-evidence(rejected={rejected})",) if rejected else ()
+    r_min, r_max, row_min, row_max, rejected = _family_ratio_scan(xs, ys, budget, arithmetic)
     return Certificate(
         kind="equivalence",
         constants={
             "r_min": r_min,
             "r_max": r_max,
-            "L_smallest": smallest,
+            "L_smallest": max(r_max, 1 / r_min),
             "rejected_denominators": rejected,
         },
         holds=True,
         witness={"argmin": _witness(row_min), "argmax": _witness(row_max)},
-        mode=budget.mode_label(m),
+        mode=budget.mode_label(len(xs)),
         arithmetic=arithmetic,
-        flags=flags,
+        flags=(f"dependence-evidence(rejected={rejected})",) if rejected else (),
     )
 
 

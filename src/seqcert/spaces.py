@@ -24,12 +24,16 @@ rows from one such pass (a running max for sup); sequences use it for the
 head projections P_n of families whose vectors occupy successive
 coordinate ranges.
 
-Scalar entry points accept int/Fraction entries and stay exact wherever the
-norm is piecewise linear (sup, ell_1, lin, and the summing-basis norm); the
-``james`` power sum is exact for integer p via ``james_power_sum_exact``.
-Batch entry points take a 2-D numpy array of rows.  A float array is
-evaluated in float; an ``object`` array holding int/Fraction entries keeps
-them, so the piecewise-linear batch norms are exact on it.
+Each norm is written once, as a batch kernel over the rows of a 2-D numpy
+array.  A float array is evaluated in float; an ``object`` array holding
+int/Fraction entries keeps them, so the piecewise-linear norms (sup, ell_1,
+lin, and the summing-basis norm) are exact on it.  The scalar entry points
+(``norm``, ``lin_norm``, ``james_summing_norm``, ``summing_basis_norm``)
+evaluate one row of that kernel: ``row_array`` makes a row with no float
+entry an ``object`` row, so exact inputs stay exact, and ``scalar`` returns
+the result as a built-in float, int or Fraction.  The ``james`` power sum
+is exact for integer p via ``james_power_sum_exact``, a separate scalar DP
+kept as an independent check of the batch DP.
 """
 
 from __future__ import annotations
@@ -136,30 +140,12 @@ def lin_weight(k: int) -> Fraction:
 
 def lin_norm(x) -> Real:
     """max over k of lin_weight(k) * sum_{n>=k} |x(n)|; exact on exact inputs."""
-    entries = CoordinateVector.of(x).entries
-    best: Real = 0
-    tail: Real = 0
-    exact = not any(isinstance(e, float) for e in entries)
-    for k in range(len(entries), 0, -1):
-        tail = tail + abs(entries[k - 1])
-        w = lin_weight(k) if exact else 1.0 / (1.0 + 8.0 ** (-k))
-        cand = w * tail
-        if cand > best:
-            best = cand
-    return best
+    return norm(x, NormTag.lin())
 
 
 def summing_basis_norm(a) -> Real:
     """max_{1<=k<=N} |sum_{i=k}^{N} a_i|; the sup-norm of sum a_i (e_1+...+e_i)."""
-    entries = CoordinateVector.of(a).entries
-    best: Real = 0
-    tail: Real = 0
-    for k in range(len(entries), 0, -1):
-        tail = tail + entries[k - 1]
-        cand = abs(tail)
-        if cand > best:
-            best = cand
-    return best
+    return scalar(summing_basis_norm_batch(row_array([a]))[0])
 
 
 def _james_dp_powers(prefix, p):
@@ -198,36 +184,14 @@ def james_power_sum_exact(a, p: int) -> Fraction:
 
 
 def james_summing_norm(a, p: Real) -> float:
-    """Norm of sum a_n u_n against the summing family of the p-jamesification.
-
-    O(N^2) dynamic programming; equals exhaustive enumeration over interval
-    chains (verified property for small N).
-    """
-    if not p > 1:
-        raise ParameterError(f"james norm requires p > 1, got {p}")
-    entries = CoordinateVector.of(a).entries
-    if not entries:
-        return 0.0
-    pf = float(p)
-    prefix = [0.0]
-    for e in entries:
-        prefix.append(prefix[-1] + float(e))
-    return _james_dp_powers(prefix, pf) ** (1.0 / pf)
+    """Norm of sum a_n u_n against the summing family of the p-jamesification:
+    the O(N^2) DP of ``james_prefix_power_sums``."""
+    return norm(a, NormTag.james(p))
 
 
 def norm(v, tag: NormTag) -> Real:
     """Dispatch over the supported norms; zero iff v is the zero vector."""
-    entries = CoordinateVector.of(v).entries
-    if tag.variant == SUP:
-        return max((abs(e) for e in entries), default=0)
-    if tag.variant == ELL_P:
-        if tag.p == 1:
-            return sum((abs(e) for e in entries), 0)
-        s = sum((abs(float(e)) ** float(tag.p) for e in entries), 0.0)
-        return s ** (1.0 / float(tag.p))
-    if tag.variant == LIN:
-        return lin_norm(entries)
-    return james_summing_norm(entries, tag.p)
+    return scalar(norm_batch(row_array([v]), tag)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +205,21 @@ def as_rows(mat) -> np.ndarray:
     anything else becomes float."""
     mat = np.asarray(mat)
     return mat if mat.dtype == object else np.asarray(mat, dtype=float)
+
+
+def row_array(rows) -> np.ndarray:
+    """Coordinate rows as a 2-D array for the batch kernels: an ``object``
+    array when no entry is a float, so int/Fraction entries stay exact
+    (``as_rows`` would read them as float), else a float array."""
+    rows = [CoordinateVector.of(r).entries for r in rows]
+    exact = not any(isinstance(x, float) for r in rows for x in r)
+    return np.array(rows, dtype=object if exact else float)
+
+
+def scalar(x) -> Real:
+    """One entry of a kernel result as a built-in scalar: float from float
+    rows, the exact int/Fraction (or float) otherwise."""
+    return float(x) if isinstance(x, np.floating) else x
 
 
 def lin_weights_float(n: int) -> np.ndarray:
@@ -279,10 +258,6 @@ def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:
     return james_prefix_power_sums(mat, float(p))[:, -1]
 
 
-def _james_dp_batch(mat: np.ndarray, p: float) -> np.ndarray:
-    return james_power_sums_batch(mat, p) ** (1.0 / float(p))
-
-
 def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
     """Vectorized ``norm`` over the rows of ``mat``; exact on object rows of a
     piecewise-linear norm."""
@@ -304,7 +279,7 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
             return _lin_norm_exact_batch(mat)
         tails = np.cumsum(np.abs(mat)[:, ::-1], axis=1)[:, ::-1]
         return np.max(tails * lin_weights_float(n), axis=1)
-    return _james_dp_batch(mat, float(tag.p))
+    return james_power_sums_batch(mat, tag.p) ** (1.0 / float(tag.p))
 
 
 # The norms whose prefixes ``head_norms_batch`` evaluates in one pass.

@@ -547,6 +547,9 @@ seed = 3
         "[check c]\nkind = bilipschitz\nmap = f\npairs = -1",
         "[check c]\nkind = bilipschitz\nmap = f\np_max = 0",
         "[check c]\nkind = theta_of_map\nmap = r\nn_window = 0",
+        "[check c]\nkind = theta_of_map\nmap = r",
+        "[check c]\nkind = theta_rightshift_bound\nmap = r\neps = 1/100",
+        "[check c]\nkind = bilipschitz\nmap = f\np_max = 6",
     ],
     ids=[
         "sample-typo",
@@ -563,6 +566,9 @@ seed = 3
         "negative-pairs",
         "p_max-zero",
         "theta-window-zero",
+        "theta-window-beyond-family",
+        "theta-bound-window-beyond-family",
+        "bilipschitz-steps-beyond-family",
     ],
 )
 def test_malformed_config_exits_2_before_any_work(tmp_path, monkeypatch, extra):
@@ -576,6 +582,32 @@ def test_malformed_config_exits_2_before_any_work(tmp_path, monkeypatch, extra):
     path = write(tmp_path, STRICT_BASE + extra + "\n")
     out = tmp_path / "r.json"
     assert main(["certify", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_residual_on_one_vector_exits_2_before_any_work(tmp_path, monkeypatch):
+    """One right-shift step leaves no start length on a one-vector family."""
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("basis_constant ran for a residual the family cannot support")
+
+    monkeypatch.setattr("seqcert.cli.basis_constant", no_kappa)
+    text = """
+[sequence]
+builtin = ell1_canonical
+n = 1
+
+[map r]
+variant = right_shift
+
+[check res]
+kind = fixed_point_residual
+map = r
+
+[run]
+seed = 3
+"""
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", write(tmp_path, text), "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -189,3 +189,29 @@ def test_kappa_and_gap_bound_match_the_per_head_oracle(name, p, n, blocks):
         min_gap, (head, tail) = oracle_gap(s, gap_budget)
         assert repr(cert.constants["min_gap"]) == repr(min_gap)
         assert (cert.witness["head"], cert.witness["tail"]) == (head, tail)
+
+
+@pytest.mark.parametrize("blocks", [False, True], ids=["sequence", "pair-blocks"])
+@pytest.mark.parametrize(
+    "name,p,full_width_calls",
+    [*((name, p, False) for name, p in PREFIX_FAMILIES), ("ell1_canonical", 2, True), ("summing_c0", 2, True)],
+)
+def test_basis_constant_reads_the_norm_from_the_head_pass(
+    monkeypatch, name, p, full_width_calls, blocks
+):
+    """Where the heads come from one prefix pass, ||e|| is their last column and
+    basis_constant makes no span_norm_batch call; elsewhere it evaluates each
+    head on its own."""
+    s = builtin_sequence(name, 13, p=p)
+    if blocks:
+        s = pair_blocks(s)
+    calls = []
+    original = BasicSequence.span_norm_batch
+
+    def counted(self, coeff_mat):
+        calls.append(len(coeff_mat))
+        return original(self, coeff_mat)
+
+    monkeypatch.setattr(BasicSequence, "span_norm_batch", counted)
+    basis_constant(s, SamplingBudget(count=512, seed=1))
+    assert bool(calls) == full_width_calls

@@ -1,24 +1,19 @@
-"""Basis machinery: projections, constants, certificates, witnesses."""
+"""Basis machinery: constants, certificates, witnesses."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from seqcert.errors import DependenceError, ParameterError
 from seqcert.sampling import SamplingBudget
 from seqcert.sequences import (
     BasicSequence,
-    SpanElement,
     basis_constant,
     builtin_sequence,
     domination_constant,
     equivalence_constants,
     gap_bound_check,
-    head_projection,
-    tail_remainder,
     wide_s_certificate,
 )
 from seqcert.spaces import NormTag, norm, summing_basis_norm
@@ -29,31 +24,6 @@ EXHAUSTIVE = SamplingBudget(count=0, seed=0)
 def unit_vectors(m, length=None):
     length = length or m
     return [tuple(1 if j == i else 0 for j in range(length)) for i in range(m)]
-
-
-def test_head_projection_examples():
-    s = builtin_sequence("ell1_canonical", 3)
-    e = SpanElement((1, 2, 3))
-    assert head_projection(s, e, 2).coeffs.entries == (1, 2, 0)
-    assert head_projection(s, e, 0).coeffs.entries == (0, 0, 0)
-    assert head_projection(s, e, 3).coeffs.entries == (1, 2, 3)
-    with pytest.raises(IndexError):
-        head_projection(s, e, 4)
-
-
-@given(st.lists(st.integers(-5, 5), min_size=1, max_size=6),
-       st.integers(0, 6), st.integers(0, 6))
-def test_projection_composition_and_identity(coeffs, n, m):
-    k = len(coeffs)
-    n, m = min(n, k), min(m, k)
-    s = builtin_sequence("ell1_canonical", k)
-    e = SpanElement(tuple(coeffs))
-    pn_pm = head_projection(s, head_projection(s, e, m), n)
-    assert pn_pm.coeffs.entries == head_projection(s, e, min(n, m)).coeffs.entries
-    head = head_projection(s, e, n)
-    tail = tail_remainder(s, e, n)
-    recomposed = tuple(a + b for a, b in zip(head.coeffs.entries, tail.coeffs.entries))
-    assert recomposed == tuple(coeffs)
 
 
 def brute_force_kappa(s):
