@@ -22,8 +22,17 @@ from .certificates import Certificate
 from .errors import BlockSpecError, ParameterError
 from .fpmaps import ConvexCoefficients
 from .sampling import SamplingBudget
-from .sequences import BasicSequence, _eval_rows, _ratio_scan, _witness
-from .spaces import scalar, summing_basis_norm_batch
+from .sequences import (
+    BasicSequence,
+    _can_reach_min,
+    _combination,
+    _eval_rows,
+    _ratio_scan,
+    _scan_rows,
+    _witness,
+    row_norms,
+)
+from .spaces import NormTag, scalar, summing_basis_norm_batch
 
 INEQ_TOL = 1e-9
 
@@ -111,9 +120,8 @@ def wuc_constant(
     validate_arithmetic(arithmetic)
     m = len(ys)
     coeffs = _eval_rows(m, budget, arithmetic, ys)
-    num = ys.span_norm_batch(coeffs)
-    den = np.max(np.abs(coeffs), axis=1)
-    _, c2_hat, _, row, _ = _ratio_scan(num, den, coeffs)
+    sup = row_norms(NormTag.sup())
+    [(_, c2_hat, _, row, _)] = _ratio_scan(coeffs, [ys.span_norms()], sup, arithmetic)
     return Certificate(
         kind="wuc_constant",
         constants={"c2_hat": c2_hat},
@@ -183,10 +191,9 @@ def shift_equivalence_constants(
     wit = ()
     rejected = 0
     coeffs = _eval_rows(m, budget, arithmetic, s)
-    den = s.span_norm_batch(coeffs)
-    for p in range(1, p_max + 1):
-        num = s.span_norm_batch(coeffs, p)
-        r_min, r_max, row_min, row_max, rej = _ratio_scan(num, den, coeffs)
+    shifted = [s.span_norms(p) for p in range(1, p_max + 1)]
+    scans = _ratio_scan(coeffs, shifted, s.span_norms(), arithmetic)
+    for p, (r_min, r_max, row_min, row_max, rej) in enumerate(scans, start=1):
         rejected += rej
         constants[f"r_min_p{p}"] = r_min
         constants[f"r_max_p{p}"] = r_max
@@ -255,9 +262,17 @@ def lemma79_conclusion_check(
     coeffs = _eval_rows(m, budget, arithmetic, s)
     c_printed, c_symmetric, c_used, c_L = (coerce(c, arithmetic) for c in (printed, symmetric, used, L))
     tol = 0 if exact else INEQ_TOL
-    base = s.span_norm_batch(coeffs)
-    for p in range(1, p_max + 1):
-        sh = s.span_norm_batch(coeffs, p)
+
+    def reach(base, *shs):  # every margin minimum, for every shift
+        lower = [(1, sh, -c, base) for sh in shs for c in (c_printed, c_symmetric, c_used)]
+        upper = [(c_L, base, -1, sh) for sh in shs]
+        return np.logical_or.reduce(
+            [_can_reach_min(*_combination((a, x), (b, y))) for a, x, b, y in lower + upper]
+        )
+
+    shifted = [s.span_norms(p) for p in range(1, p_max + 1)]
+    coeffs, (base, *shs) = _scan_rows(coeffs, (s.span_norms(), *shifted), arithmetic, reach)
+    for sh in shs:
         c_pr = sh - c_printed * base
         c_sy = sh - c_symmetric * base
         c_us = sh - c_used * base

@@ -25,8 +25,9 @@ from .blocks import (
 from .certificates import Certificate
 from .errors import ConfigError
 from .fpmaps import (
-    DIAG_SHIFT, RIGHT_SHIFT, AlphaSchedule, bilipschitz_estimate, make_summing_functional,
-    residuals_batch, start_length, theta_lower_bound_rightshift, theta_of_map,
+    DIAG_SHIFT, RIGHT_SHIFT, AlphaSchedule, SummingFunctional, bilipschitz_estimate,
+    make_summing_functional, residuals_batch, start_length, theta_lower_bound_rightshift,
+    theta_of_map,
 )
 from .perturbation import claim2_chain, perturb_toward_next, psp_equivalence_check
 from .sampling import SamplingBudget, rational_simplex, simplex_samples
@@ -169,13 +170,16 @@ def _theta_of_map(ctx, args, seed) -> Certificate:
     return theta_of_map(spec, ctx.seq, budget, args["n_window"], float(args["tol"]))
 
 
-def _theta_rightshift_bound(ctx, args, seed) -> Certificate:
-    s, phi = ctx.seq, args["phi"]
+def summing_functional(s, phi, arithmetic: str) -> SummingFunctional:
+    """The summing functional of a ``phi`` parameter on s ("ones": all ones);
+    ``cli.RunContext`` builds one per configured phi before any work."""
     if phi == "ones":
-        phi = (1,) * s.ambient_length
-    else:
-        phi = tuple(coerce(v, ctx.cfg.arithmetic) for v in phi)
-    functional = make_summing_functional(s, phi)
+        return make_summing_functional(s, (1,) * s.ambient_length)
+    return make_summing_functional(s, tuple(coerce(v, arithmetic) for v in phi))
+
+
+def _theta_rightshift_bound(ctx, args, seed) -> Certificate:
+    s, functional = ctx.seq, ctx.functionals[args["phi"]]
     bound = theta_lower_bound_rightshift(functional, args["eps"], ctx.kappa[1])
     spec, budget = ctx.map_specs[args["map"]], SamplingBudget(args["pairs"], seed)
     theta_cert = theta_of_map(spec, s, budget, n_window=args["n_window"])

@@ -27,13 +27,16 @@ from . import __version__
 from .arithmetic import FLOAT, RATIONAL, Real, parse_coeff_list
 from .blocks import ConvexBlockSpec, build_convex_blocks
 from .certificates import Certificate
-from .checks import CHECKS, count
+from .checks import CHECKS, count, summing_functional
 from .config import CheckConfig, ExperimentConfig, build_sequence, load_config, parse_cli_tag, parse_point
 from .errors import ConfigError, ParameterError
-from .fpmaps import DIAG_SHIFT, AffineMapSpec, apply_map, make_alpha_schedule, map_policy, start_length
+from .fpmaps import (
+    DIAG_SHIFT, AffineMapSpec, SummingFunctional, apply_map, check_theta_window,
+    make_alpha_schedule, map_policy, start_length,
+)
 from .sampling import SamplingBudget
 from .sequences import BasicSequence, basis_constant
-from .spaces import norm, row_array, scalar
+from .spaces import norm, require_exact, row_array, scalar
 
 KAPPA_SAMPLES = 512
 
@@ -52,30 +55,28 @@ def kappa_interval(s: BasicSequence, seed: int) -> Tuple[Real, Real]:
 
 
 class RunContext:
-    """Sequence, block sequence, their basis-constant intervals, and realized
-    maps for one certify run.  ``seq`` is the configured family when the
-    caller has built it already.  A check whose map steps the family is too
-    short for (``fpmaps.start_length``) raises ConfigError before any basis
-    constant is estimated.  ``setup_times`` holds the wall time of each
-    step, in seconds."""
+    """Sequence, block sequence, their basis-constant intervals, realized
+    maps and summing functionals for one certify run.  ``seq`` is the
+    configured family when the caller has built it already.  What the family
+    rules out raises ConfigError before any basis constant is estimated: a
+    check whose map steps the family is too short for
+    (``fpmaps.start_length``), an orbit window on a right shift too short for
+    it (``fpmaps.check_theta_window``), or a ``phi`` that gives no summing
+    functional (``functionals`` maps each configured phi to its functional).
+    ``setup_times`` holds the wall time of each step, in seconds."""
 
     def __init__(self, cfg: ExperimentConfig, seq: Optional[BasicSequence] = None):
         self.cfg = cfg
         self.setup_times: Dict[str, float] = {}
         self.seq = seq if seq is not None else self._timed("sequence", build_sequence, cfg)
-        if cfg.arithmetic == RATIONAL and not self.seq.ambient.is_polyhedral():
-            raise ConfigError(
-                f"rational mode requires a piecewise-linear norm, got {self.seq.ambient.label()}"
-            )
-        for check in cfg.checks:  # a family too short for a check's map steps is a config error
-            steps = CHECKS[check.kind].steps
-            if steps is not None:
-                mc = cfg.maps[check.args["map"]]
-                policy = map_policy(mc.variant, mc.theta, mc.policy)
-                try:
-                    start_length(mc.variant, policy, len(self.seq), steps(check.args))
-                except ParameterError as exc:
-                    raise ConfigError(f"[check {check.name}]: {exc}") from exc
+        if cfg.arithmetic == RATIONAL:
+            require_exact(self.seq.ambient)
+        self.functionals: Dict[object, SummingFunctional] = {}
+        for check in cfg.checks:
+            try:
+                self._prepare(check.kind, check.args)
+            except ParameterError as exc:
+                raise ConfigError(f"[check {check.name}]: {exc}") from exc
         self.kappa = self._timed("kappa", kappa_interval, self.seq, derive_seed(cfg.seed, 0))
         self.blocks_seq: Optional[BasicSequence] = None
         self.kappa_blocks: Optional[Tuple[Real, Real]] = None
@@ -88,6 +89,19 @@ class RunContext:
         self.map_specs: Dict[str, AffineMapSpec] = self._timed(
             "maps", lambda: {name: self._realize_map(mc) for name, mc in cfg.maps.items()}
         )
+
+    def _prepare(self, kind: str, args: dict) -> None:
+        """Check what the family implies for one check; build its functional."""
+        steps = CHECKS[kind].steps
+        if steps is not None:
+            mc = self.cfg.maps[args["map"]]
+            policy = map_policy(mc.variant, mc.theta, mc.policy)
+            start_length(mc.variant, policy, len(self.seq), steps(args))
+            if "n_window" in args:
+                check_theta_window(mc.variant, len(self.seq), args["n_window"])
+        if "phi" in args:
+            phi = args["phi"]
+            self.functionals[phi] = summing_functional(self.seq, phi, self.cfg.arithmetic)
 
     def _timed(self, step: str, fn: Callable, *args):
         t0 = time.perf_counter()
@@ -221,6 +235,8 @@ def _csv_cell(v) -> str:
 
 def run_norm(tag_text: str, coeffs_text: str, arithmetic: str) -> int:
     tag = parse_cli_tag(tag_text)
+    if arithmetic == RATIONAL:
+        require_exact(tag)
     coeffs = parse_coeff_list(coeffs_text, arithmetic)
     value = norm(coeffs, tag)
     if arithmetic == RATIONAL:

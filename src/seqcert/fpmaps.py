@@ -32,7 +32,7 @@ from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError, TruncationError
 from .sampling import SamplingBudget, rational_simplex, simplex_uniform
-from .sequences import BasicSequence, _ratio_scan, _require_exact_tags, _witness
+from .sequences import BasicSequence, RowNorms, _ratio_scan, _require_exact_tags, _witness
 from .spaces import ELL_P, SUP, CoordinateVector, NormTag, as_rows, norm, row_array, scalar
 
 DIAG_SHIFT = "diag_shift"
@@ -275,6 +275,19 @@ def start_length(variant: str, policy: str, m: int, steps: int) -> int:
     return n
 
 
+def check_theta_window(variant: str, m: int, n_window: int) -> None:
+    """Raise ParameterError when a right-shift orbit window w is too short for
+    a family of m vectors.  The window starts from m - w coefficients, and
+    f^k(e_j) = e_{j+k}; when ceil(w/2) < m - w, some vertex pair (e_i, e_j)
+    has i - j = k inside the tail half-window [ceil(w/2), w], so theta_hat
+    reads 0 for that reason alone."""
+    if variant == RIGHT_SHIFT and (n_window + 1) // 2 < m - n_window:
+        raise ParameterError(
+            f"n_window = {n_window} is too short for a right shift of {m} vectors: "
+            f"need ceil(n_window/2) >= {m} - n_window, or vertex pairs meet inside the window"
+        )
+
+
 def _pair_matrices(n: int, budget: SamplingBudget, include_equal: bool, arithmetic: str = FLOAT):
     """All vertex pairs plus simplex pairs, as two (P, n) arrays.
 
@@ -305,6 +318,15 @@ def _pair_mode(n_vertex_pairs: int, budget: SamplingBudget) -> str:
     return label
 
 
+def _iterate_gaps(norms: RowNorms, spec: AffineMapSpec, X: np.ndarray, Y: np.ndarray, p_max: int):
+    """The norms of f^p(x) - f^p(y) of every pair (x, y), for p = 1..p_max.
+    Each iterate is applied only when the scan reads its norm, so a float
+    scan allocates in the order of a plain loop over p."""
+    for _ in range(p_max):
+        X, Y = apply_map_batch(spec, X), apply_map_batch(spec, Y)
+        yield norms.of_differences(X, Y)
+
+
 def bilipschitz_estimate(
     spec: AffineMapSpec,
     s: BasicSequence,
@@ -328,15 +350,13 @@ def bilipschitz_estimate(
     if arithmetic == RATIONAL:
         _require_exact_tags(s)
     X, Y = _pair_matrices(n, pair_budget, include_equal=False, arithmetic=arithmetic)
-    base = s.span_norm_batch(X - Y)
+    norms = s.span_norms()
     pairs = np.arange(len(X))
+    gaps = _iterate_gaps(norms, spec, X, Y, p_max)
+    scans = _ratio_scan(pairs, gaps, norms.of_differences(X, Y), arithmetic)
     c1 = c2 = None
     p1 = p2 = 1
-    FX, FY = X, Y
-    for p in range(1, p_max + 1):
-        FX = apply_map_batch(spec, FX)
-        FY = apply_map_batch(spec, FY)
-        r_min, r_max, i_min, i_max, _ = _ratio_scan(s.span_norm_batch(FX - FY), base, pairs)
+    for p, (r_min, r_max, i_min, i_max, _) in enumerate(scans, start=1):
         if c1 is None or r_min < c1:
             c1, p1, i1 = r_min, p, i_min
         if c2 is None or r_max > c2:
@@ -452,6 +472,9 @@ def dual_norm(phi: CoordinateVector, tag) -> Real:
 
 
 def make_summing_functional(s: BasicSequence, phi) -> SummingFunctional:
+    """phi, zero-padded to the ambient length, as a summing functional of s;
+    ParameterError when it is longer than the ambient, the ambient norm has
+    no dual here, phi is zero, or gamma = min_n phi(x_n) is not positive."""
     pv = CoordinateVector.of(phi).padded(s.ambient_length)
     if len(pv) != s.ambient_length:
         raise ParameterError("functional length exceeds the ambient length")
@@ -459,6 +482,8 @@ def make_summing_functional(s: BasicSequence, phi) -> SummingFunctional:
     nphi = dual_norm(pv, s.ambient)
     if not nphi > 0:
         raise ParameterError("zero functional")
+    if not gamma > 0:
+        raise ParameterError("functional must have gamma > 0")
     return SummingFunctional(phi=pv, gamma=gamma, norm_phi=nphi, beta=gamma / nphi)
 
 

@@ -37,11 +37,16 @@ from .fpmaps import AlphaSchedule
 from .sampling import SamplingBudget
 from .sequences import (
     BasicSequence,
+    _can_reach_min,
+    _combination,
     _eval_rows,
     _kappa_is_certified,
-    _ratio_scan,
+    _ratio_extremes,
+    _ratio_reach,
     _require_exact_tags,
+    _scan_rows,
     _witness,
+    row_norms,
 )
 from .spaces import CoordinateVector, norm_batch, row_array, scalar
 
@@ -110,18 +115,25 @@ def psp_equivalence_check(
             flags=tuple(flags),
         )
     coeffs = _eval_rows(m, budget, arithmetic, s)
-    exact = coeffs.dtype == object
     theta = coerce(theta, arithmetic)
-    nx = s.span_norm_batch(coeffs)
-    nz = norm_batch(coeffs @ row_array(z.z_vectors), s.ambient)
+
+    def reach(nx, nz):  # both margin minima and both ratio extremes
+        return (
+            _can_reach_min(*_combination((1, nz), (theta - 1, nx)))
+            | _can_reach_min(*_combination((1 + theta, nx), (-1, nz)))
+            | _ratio_reach(nz, nx)
+        )
+
+    zs = row_norms(s.ambient, row_array(z.z_vectors))
+    rows, (nx, nz) = _scan_rows(coeffs, (s.span_norms(), zs), arithmetic, reach)
     lo = nz - (1 - theta) * nx
     hi = (1 + theta) * nx - nz
     i_lo = int(np.argmin(lo))
     i_hi = int(np.argmin(hi))
     lo_margin = scalar(lo[i_lo])
     hi_margin = scalar(hi[i_hi])
-    r_min, r_max, _, _, _ = _ratio_scan(nz, nx, coeffs)
-    tol = 0 if exact else INEQ_TOL
+    r_min, r_max, _, _, _ = _ratio_extremes(nz, nx, rows, arithmetic)
+    tol = 0 if arithmetic == RATIONAL else INEQ_TOL
     holds = lo_margin >= -tol and hi_margin >= -tol
     return Certificate(
         kind="psp_equivalence",
@@ -134,7 +146,7 @@ def psp_equivalence_check(
             "evaluated": len(coeffs),
         },
         holds=bool(holds),
-        witness={"worst_lower": _witness(coeffs[i_lo]), "worst_upper": _witness(coeffs[i_hi])},
+        witness={"worst_lower": _witness(rows[i_lo]), "worst_upper": _witness(rows[i_hi])},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
         flags=tuple(flags),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,9 +41,12 @@ from .spaces import (
     NormTag,
     head_norms_batch,
     norm_batch,
+    norm_enclosure,
+    require_exact,
     row_array,
     scalar,
     summing_basis_norm_batch,
+    summing_basis_norm_enclosure,
 )
 
 DENOM_GUARD = 1e-12
@@ -126,13 +129,16 @@ class BasicSequence:
             )
         return self._matrices[exact]
 
+    def _basis(self, m: int, shift: int, exact: bool) -> np.ndarray:
+        """The vectors x_{1+shift}..x_{m+shift} as rows (see ``matrix``)."""
+        if shift + m > len(self.vectors):
+            raise ParameterError("more coefficients than vectors")
+        return self.matrix(exact)[shift : shift + m]
+
     def _span(self, coeff_mat: np.ndarray, shift: int = 0) -> np.ndarray:
         """The rows sum_i c_i x_{i+shift} of every coefficient row c; exact on
         object rows."""
-        m = coeff_mat.shape[1]
-        if shift + m > len(self.vectors):
-            raise ParameterError("more coefficients than vectors")
-        return coeff_mat @ self.matrix(coeff_mat.dtype == object)[shift : shift + m]
+        return coeff_mat @ self._basis(coeff_mat.shape[1], shift, coeff_mat.dtype == object)
 
     def span_vector(self, coeffs) -> CoordinateVector:
         """Materialize sum a_i x_i; exact on exact inputs."""
@@ -144,6 +150,13 @@ class BasicSequence:
     def span_norm_batch(self, coeff_mat: np.ndarray, shift: int = 0) -> np.ndarray:
         """||sum_i c_i x_{i+shift}|| for every row c; exact on object rows."""
         return norm_batch(self._span(coeff_mat, shift), self.ambient)
+
+    def span_norms(self, shift: int = 0) -> "RowNorms":
+        """``span_norm_batch(c, shift)`` of the coefficient rows c of a scan."""
+        return RowNorms(
+            lambda c: self.span_norm_batch(c, shift),
+            lambda c: norm_enclosure(c, self.ambient, self._basis(c.shape[1], shift, True)),
+        )
 
     def span_distance_batch(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """||sum_i (u_i - v_i) x_i|| for every pair of rows u, v, the narrower
@@ -233,18 +246,149 @@ def _eval_rows(m: int, budget: SamplingBudget, arithmetic: str, *seqs: BasicSequ
 _FRACTION = np.frompyfunc(Fraction, 1, 1)
 
 
-def _guard(values: np.ndarray):
+def _guard(arithmetic: str):
     """What a denominator must exceed: 0 on exact rows, DENOM_GUARD on float rows."""
-    return 0 if values.dtype == object else DENOM_GUARD
+    return 0 if arithmetic == RATIONAL else DENOM_GUARD
+
+
+class RowNorms(NamedTuple):
+    """A norm of each coefficient row of a scan, as two functions of the rows:
+    ``exact`` evaluates it (exactly on object rows), and ``enclosure`` returns
+    the float value and radius of ``spaces.norm_enclosure``, which bracket
+    the exact value."""
+
+    exact: Callable[[np.ndarray], np.ndarray]
+    enclosure: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+    def of_differences(self, U: np.ndarray, V: np.ndarray) -> "RowNorms":
+        """The same norm of the rows u - v, as a function of indices into the
+        paired arrays U and V.  A scan keeps its rows in order, so a
+        full-length index is every pair, and U - V is taken without copying
+        U and V first."""
+
+        def rows(i):
+            return U - V if len(i) == len(U) else U[i] - V[i]
+
+        return RowNorms(lambda i: self.exact(rows(i)), lambda i: self.enclosure(rows(i)))
+
+
+def row_norms(tag: NormTag, basis: Optional[np.ndarray] = None) -> RowNorms:
+    """||c @ basis|| (||c|| without a basis) of the coefficient rows c of a scan."""
+    return RowNorms(
+        lambda c: norm_batch(c if basis is None else c @ basis, tag),
+        lambda c: norm_enclosure(c, tag, basis),
+    )
+
+
+def summing_norms() -> RowNorms:
+    """The summing-basis norm of the coefficient rows of a scan."""
+    return RowNorms(summing_basis_norm_batch, summing_basis_norm_enclosure)
+
+
+# ---------------------------------------------------------------------------
+# The scan: in rational mode, search in float and evaluate exactly only the
+# rows that can reach an extreme.  Every float interval is rounded outward
+# (``_down``/``_up`` move one ulp past a rounded-to-nearest result), so it
+# contains the exact value.
+# ---------------------------------------------------------------------------
+
+
+def _down(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _up(x):
+    return np.nextafter(x, np.inf)
+
+
+def _interval(enclosure: Tuple[np.ndarray, np.ndarray]):
+    """The float interval [lo, hi] of a norm from its (value, radius); lo >= 0."""
+    value, radius = enclosure
+    return np.maximum(_down(value - radius), 0.0), _up(value + radius)
+
+
+def _combination(*terms):
+    """The float interval of sum c*q over the (c, q) terms, for exact scalars c
+    and nonnegative intervals q: c*q lies in [min(c_lo q_lo, c_lo q_hi),
+    max(c_hi q_lo, c_hi q_hi)] when c lies in [c_lo, c_hi] and q >= 0 (a NaN
+    from 0 * inf drops out of fmin/fmax; the other product is then 0)."""
+    lo = hi = 0.0
+    for c, (q_lo, q_hi) in terms:
+        c_lo, c_hi = _down(float(c)), _up(float(c))
+        lo = _down(lo + _down(np.fmin(c_lo * q_lo, c_lo * q_hi)))
+        hi = _up(hi + _up(np.fmax(c_hi * q_lo, c_hi * q_hi)))
+    return lo, hi
+
+
+def _can_reach_min(lo, hi, sure=True) -> np.ndarray:
+    """Rows whose interval [lo, hi] can hold the least value over the rows
+    where ``sure`` holds: lo is at most every such row's hi.  A row attaining
+    the exact minimum (and every row tied with it) passes."""
+    return lo <= np.min(hi, where=sure, initial=np.inf)
+
+
+def _ratio_reach(num, den) -> np.ndarray:
+    """Rows whose ratio num/den, given the intervals of both, can reach the
+    min or the max over the rows whose den is surely positive, plus every
+    row whose den interval touches 0: its den may vanish, so only exact
+    evaluation tells whether it is rejected."""
+    sure = den[0] > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = _down(num[0] / den[1]), _up(num[1] / den[0])
+    return ~sure | _can_reach_min(lo, hi, sure) | _can_reach_min(-hi, -lo, sure)
+
+
+def _scan_rows(coeffs: np.ndarray, norms: Iterable[RowNorms], arithmetic: str, reach: Callable):
+    """The coefficient rows a scan evaluates, and each of ``norms`` on them.
+
+    Float mode evaluates every row in float, each norm as ``norms`` yields
+    it, so a generator can build a norm's operands after the norms before it
+    are evaluated and dropped.  Rational mode first encloses
+    each norm on every row in float, keeps the rows where ``reach`` (given one
+    interval per norm) holds, and evaluates the norms exactly on those rows
+    alone, in their original order.  ``reach`` must pass every row that can
+    attain an extreme the scan reports, ties included; the exact extremes
+    over the kept rows, first occurrence first, are then those of the full
+    exact scan.  When every row can reach, every row is evaluated exactly.
+    """
+    if arithmetic == RATIONAL:
+        norms = list(norms)
+        coeffs = coeffs[reach(*(_interval(q.enclosure(coeffs)) for q in norms))]
+    return coeffs, [q.exact(coeffs) for q in norms]
 
 
 def _ratio_scan(
-    num: np.ndarray, den: np.ndarray, coeffs: np.ndarray
+    coeffs: np.ndarray, nums: Iterable[RowNorms], den: RowNorms, arithmetic: str
+) -> List[Tuple[Real, Real, np.ndarray, np.ndarray, int]]:
+    """``_ratio_extremes`` of num/den over the coefficient rows, for each num
+    in ``nums``.
+
+    In rational mode every row first gets a float interval for num and den:
+    the float kernel's value plus or minus the radius 2 gamma_K || |c| |X| ||_1
+    of ``spaces.norm_enclosure``, an a-priori bound on every rounding the
+    float kernel and the conversion of the exact entries make, so the
+    interval contains the exact norm.  The ratio interval [num_lo / den_hi,
+    num_hi / den_lo] is rounded outward.  Only the rows whose ratio interval
+    can reach the min or the max of some num/den, and the rows whose den
+    interval touches 0, are evaluated exactly (``_scan_rows``); every row
+    left out has a ratio strictly between the extremes and a positive den.
+    So the values, witness rows and rejected counts are those of the full
+    exact scan.  Float mode evaluates every row, as before."""
+
+    def reach(d, *ns):
+        return np.logical_or.reduce([_ratio_reach(n, d) for n in ns])
+
+    rows, (d, *ns) = _scan_rows(coeffs, itertools.chain([den], nums), arithmetic, reach)
+    return [_ratio_extremes(n, d, rows, arithmetic) for n in ns]
+
+
+def _ratio_extremes(
+    num: np.ndarray, den: np.ndarray, coeffs: np.ndarray, arithmetic: str
 ) -> Tuple[Real, Real, np.ndarray, np.ndarray, int]:
     """(min, max, argmin row, argmax row, rejected) of num/den over the rows
     whose denominator passes ``_guard``; ties go to the first row.  Exact
     entries divide as Fractions, since int / int would give a float."""
-    ok = den > _guard(den)
+    ok = den > _guard(arithmetic)
     rejected = int(np.size(den) - np.count_nonzero(ok))
     if not np.any(ok):
         raise DependenceError("all denominators vanished on the evaluated set")
@@ -347,7 +491,8 @@ def _family_ratio_scan(
     if len(xs) != len(ys):
         raise ParameterError("sequences must have the same number of vectors")
     coeffs = _eval_rows(len(xs), budget, arithmetic, xs, ys)
-    return _ratio_scan(ys.span_norm_batch(coeffs), xs.span_norm_batch(coeffs), coeffs)
+    [scan] = _ratio_scan(coeffs, [ys.span_norms()], xs.span_norms(), arithmetic)
+    return scan
 
 
 def domination_constant(
@@ -407,13 +552,11 @@ def wide_s_certificate(
     validate_arithmetic(arithmetic)
     m = len(s)
     coeffs = _eval_rows(m, budget, arithmetic, s)
-    sn = summing_basis_norm_batch(coeffs)
-    nx = s.span_norm_batch(coeffs)
-    d_hat, _, row, _, _ = _ratio_scan(nx, sn, coeffs)
+    [(d_hat, _, row, _, _)] = _ratio_scan(coeffs, [s.span_norms()], summing_norms(), arithmetic)
     return Certificate(
         kind="wide_s",
         constants={"d_hat": d_hat},
-        holds=bool(d_hat > _guard(sn)),
+        holds=bool(d_hat > _guard(arithmetic)),
         witness={"argmin": _witness(row)},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
@@ -492,7 +635,4 @@ def _kappa_is_certified(kappa: Tuple[Real, Real]) -> bool:
 
 def _require_exact_tags(*seqs: BasicSequence):
     for s in seqs:
-        if not s.ambient.is_polyhedral():
-            raise ParameterError(
-                f"rational mode requires a piecewise-linear norm, got {s.ambient.label()}"
-            )
+        require_exact(s.ambient)

@@ -34,6 +34,17 @@ entry an ``object`` row, so exact inputs stay exact, and ``scalar`` returns
 the result as a built-in float, int or Fraction.  The ``james`` power sum
 is exact for integer p via ``james_power_sum_exact``, a separate scalar DP
 kept as an independent check of the batch DP.
+
+Each exact kernel that a certificate scan reads has a float enclosure:
+``norm_enclosure`` (sup, ell_1 and lin, of the rows or of their product
+with a family matrix) and ``summing_basis_norm_enclosure`` evaluate the
+float image of the ``object`` rows and return ``(value, radius)`` with
+|value - exact| <= radius for every row.  The radius is the a-priori bound
+2 * gamma_K * S, where S = || |c| |X| ||_1 is computed from the float images
+and gamma_K = K u / (1 - K u) (N. J. Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2002, section 3.1); ``norm_enclosure`` gives the
+argument.  Rational scans use these intervals to decide which rows can
+reach an extreme, and evaluate only those exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,6 +109,12 @@ class NormTag:
     def is_polyhedral(self) -> bool:
         """True when the norm is piecewise linear, hence exactly evaluable."""
         return self.variant in (SUP, LIN) or (self.variant == ELL_P and self.p == 1)
+
+
+def require_exact(tag: NormTag) -> None:
+    """Raise ParameterError unless rational mode can evaluate the norm exactly."""
+    if not tag.is_polyhedral():
+        raise ParameterError(f"rational mode requires a piecewise-linear norm, got {tag.label()}")
 
 
 @dataclass(frozen=True)
@@ -326,6 +343,81 @@ def summing_basis_norm_batch(mat: np.ndarray) -> np.ndarray:
         return np.zeros(rows, dtype=mat.dtype)
     tails = np.cumsum(mat[:, ::-1], axis=1)[:, ::-1]
     return np.max(np.abs(tails), axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Float enclosures of the exact kernels
+# ---------------------------------------------------------------------------
+
+UNIT_ROUNDOFF = 2.0**-53
+# Rows whose nonzero entries all round to at least TINY in magnitude keep every
+# product in the kernels below normal, where rounding errors are relative.
+TINY = 2.0**-500
+
+
+def _float_image(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The entries of an ``object`` array rounded to float (Python's int and
+    Fraction conversions round to nearest), and per row whether every entry
+    is exactly 0 or rounds to at least TINY in magnitude.  An entry beyond
+    the float range leaves no row enclosed."""
+    try:
+        flt = mat.astype(float)
+    except OverflowError:
+        return np.zeros(mat.shape), np.zeros(len(mat), dtype=bool)
+    small = np.abs(flt) < TINY
+    small[small] = mat[small] != 0
+    return flt, ~small.any(axis=1)
+
+
+def _enclosed(value: np.ndarray, size: np.ndarray, m: int, ok: np.ndarray):
+    """``(value, radius)`` with radius 2 * gamma_K * S, S the row sums of
+    ``size`` and K = m + N + 5 for an N-wide ``size``; a row that is not ``ok``,
+    or whose value or radius is not finite (an overflow), gets value 0 and
+    radius inf."""
+    k = m + size.shape[1] + 5
+    gamma = k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+    radius = 2 * gamma * size.sum(axis=1)
+    bad = ~(ok & np.isfinite(value + radius))
+    radius[bad] = np.inf
+    return np.where(bad, 0.0, value), radius
+
+
+def norm_enclosure(
+    coeffs: np.ndarray, tag: NormTag, basis: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Float value and radius around the exact ``norm_batch(coeffs @ basis,
+    tag)`` (``norm_batch(coeffs, tag)`` without a basis) of every ``object``
+    row c of coeffs, for a piecewise-linear tag: |value - exact| <= radius.
+
+    The value is the float kernel on the float image y^ = fl(c^ X^).  With
+    m coefficients, N coordinates, u = 2^-53 and S = sum_j (|c| |X|)_j:
+    rounding c and X and the m-term products give |y^_j - y_j| <= gamma_{m+2}
+    (|c| |X|)_j in any summation order (Higham, section 3.1).  The sup norm
+    adds no rounding; the ell_1 sum adds gamma_{N-1}; the lin tail cumsum adds
+    gamma_{N-1}, and the weight 1 / (1 + 8^-k) and its product 4 more.  Each
+    error is at most gamma_K S with K = m + N + 5.  The radius doubles
+    gamma_K times the float S, which covers the rounding of S itself and of
+    the radius: those lose far less than half when K u is small.  Rows that
+    pass ``_float_image`` keep every product normal (at least 2^-1000 <= S),
+    so the absolute errors of a subnormal sum are negligible beside that
+    slack.
+    """
+    if not tag.is_polyhedral():
+        raise ParameterError(f"no float enclosure for the {tag.label()} norm")
+    flt, ok = _float_image(coeffs)
+    size = np.abs(flt)
+    if basis is not None:
+        fx, fx_ok = _float_image(basis)
+        flt, size, ok = flt @ fx, size @ np.abs(fx), ok & fx_ok.all()
+    return _enclosed(norm_batch(flt, tag), size, coeffs.shape[1], ok)
+
+
+def summing_basis_norm_enclosure(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Float value and radius around the exact ``summing_basis_norm_batch`` of
+    every ``object`` row: rounding the row and its m-term tail cumsum costs at
+    most gamma_m * ||c||_1, inside the radius of ``norm_enclosure``."""
+    flt, ok = _float_image(coeffs)
+    return _enclosed(summing_basis_norm_batch(flt), np.abs(flt), coeffs.shape[1], ok)
 
 
 def james_enumeration(a, p: Real) -> float:

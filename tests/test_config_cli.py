@@ -218,7 +218,7 @@ variant = right_shift
 kind = theta_rightshift_bound
 map = f0
 eps = 0.9
-n_window = 4
+n_window = 8
 
 [run]
 seed = 3
@@ -550,6 +550,10 @@ seed = 3
         "[check c]\nkind = theta_of_map\nmap = r",
         "[check c]\nkind = theta_rightshift_bound\nmap = r\neps = 1/100",
         "[check c]\nkind = bilipschitz\nmap = f\np_max = 6",
+        "[space]\ntag = lin\n\n[check c]\nkind = theta_rightshift_bound\nmap = r\neps = 1/100\nn_window = 4",
+        "[check c]\nkind = theta_rightshift_bound\nmap = r\neps = 1/100\nn_window = 4\nphi = 1,1,1,1,1,1,1",
+        "[check c]\nkind = theta_rightshift_bound\nmap = r\neps = 1/100\nn_window = 4\nphi = 1,1,1,1,1",
+        "[check c]\nkind = theta_of_map\nmap = r\nn_window = 2",
     ],
     ids=[
         "sample-typo",
@@ -569,6 +573,10 @@ seed = 3
         "theta-window-beyond-family",
         "theta-bound-window-beyond-family",
         "bilipschitz-steps-beyond-family",
+        "theta-bound-without-dual-norm",
+        "theta-bound-phi-beyond-ambient",
+        "theta-bound-gamma-zero",
+        "theta-window-vertex-pairs-meet",
     ],
 )
 def test_malformed_config_exits_2_before_any_work(tmp_path, monkeypatch, extra):
