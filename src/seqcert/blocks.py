@@ -24,17 +24,14 @@ from .fpmaps import ConvexCoefficients
 from .sampling import SamplingBudget
 from .sequences import (
     BasicSequence,
-    _can_reach_min,
-    _combination,
     _eval_rows,
-    _ratio_scan,
-    _scan_rows,
+    _nonnegative,
+    _scan,
     _witness,
     row_norms,
+    summing_norms,
 )
-from .spaces import NormTag, scalar, summing_basis_norm_batch
-
-INEQ_TOL = 1e-9
+from .spaces import NormTag, summing_basis_norm_batch
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,8 @@ def wuc_constant(
     validate_arithmetic(arithmetic)
     m = len(ys)
     coeffs = _eval_rows(m, budget, arithmetic, ys)
-    sup = row_norms(NormTag.sup())
-    [(_, c2_hat, _, row, _)] = _ratio_scan(coeffs, [ys.span_norms()], sup, arithmetic)
+    norms = [row_norms(NormTag.sup()), ys.span_norms()]
+    [(_, c2_hat, _, row, _)] = _scan(coeffs, norms, arithmetic, ratios=[(1, 0)])
     return Certificate(
         kind="wuc_constant",
         constants={"c2_hat": c2_hat},
@@ -147,17 +144,12 @@ def summing_equivalence_check(
     m = len(bs)
     coeffs = _eval_rows(m, budget, arithmetic, bs)
     c1s, c2s = coerce(c1, arithmetic), coerce(c2, arithmetic)
-    tol = 0 if arithmetic == RATIONAL else INEQ_TOL
-    sn = summing_basis_norm_batch(coeffs)
-    keep = sn > 0
-    skipped = int(len(sn) - np.count_nonzero(keep))
-    coeffs, sn = coeffs[keep], sn[keep]
-    v = bs.span_norm_batch(coeffs)
-    lo = v - c1s * sn
-    hi = 2 * c2s * sn - v
-    i_lo, i_hi = int(np.argmin(lo)), int(np.argmin(hi))
-    lo_m, hi_m = scalar(lo[i_lo]), scalar(hi[i_hi])
-    holds = lo_m >= -tol and hi_m >= -tol
+    keep = summing_basis_norm_batch(coeffs) > 0
+    skipped = int(len(keep) - np.count_nonzero(keep))
+    norms = [bs.span_norms(), summing_norms()]  # ||sum a X|| and ||a||_s
+    margins = [((1, 0), (-c1s, 1)), ((2 * c2s, 1), (-1, 0))]
+    (lo_m, row_lo), (hi_m, row_hi) = _scan(coeffs[keep], norms, arithmetic, margins)
+    holds = _nonnegative(lo_m, arithmetic) and _nonnegative(hi_m, arithmetic)
     return Certificate(
         kind="summing_equivalence",
         constants={
@@ -168,7 +160,7 @@ def summing_equivalence_check(
             "skipped_zero_norm": skipped,
         },
         holds=bool(holds),
-        witness={"worst_lower": _witness(coeffs[i_lo]), "worst_upper": _witness(coeffs[i_hi])},
+        witness={"worst_lower": _witness(row_lo), "worst_upper": _witness(row_hi)},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
     )
@@ -191,8 +183,8 @@ def shift_equivalence_constants(
     wit = ()
     rejected = 0
     coeffs = _eval_rows(m, budget, arithmetic, s)
-    shifted = [s.span_norms(p) for p in range(1, p_max + 1)]
-    scans = _ratio_scan(coeffs, shifted, s.span_norms(), arithmetic)
+    norms = [s.span_norms(p) for p in range(p_max + 1)]  # norm p is shifted by p
+    scans = _scan(coeffs, norms, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
     for p, (r_min, r_max, row_min, row_max, rej) in enumerate(scans, start=1):
         rejected += rej
         constants[f"r_min_p{p}"] = r_min
@@ -257,36 +249,20 @@ def lemma79_conclusion_check(
         else ("symmetric(1/(2L))" if lower_c == symmetric else "custom")
     )
     m = len(s) - p_max
-    lo_pr = lo_sy = lo_used = hi_m = None
-    wit_lo = wit_hi = ()
     coeffs = _eval_rows(m, budget, arithmetic, s)
     c_printed, c_symmetric, c_used, c_L = (coerce(c, arithmetic) for c in (printed, symmetric, used, L))
-    tol = 0 if exact else INEQ_TOL
-
-    def reach(base, *shs):  # every margin minimum, for every shift
-        lower = [(1, sh, -c, base) for sh in shs for c in (c_printed, c_symmetric, c_used)]
-        upper = [(c_L, base, -1, sh) for sh in shs]
-        return np.logical_or.reduce(
-            [_can_reach_min(*_combination((a, x), (b, y))) for a, x, b, y in lower + upper]
-        )
-
-    shifted = [s.span_norms(p) for p in range(1, p_max + 1)]
-    coeffs, (base, *shs) = _scan_rows(coeffs, (s.span_norms(), *shifted), arithmetic, reach)
-    for sh in shs:
-        c_pr = sh - c_printed * base
-        c_sy = sh - c_symmetric * base
-        c_us = sh - c_used * base
-        hi = c_L * base - sh
-        i_us, i_hi = int(np.argmin(c_us)), int(np.argmin(hi))
-        if lo_pr is None or c_pr.min() < lo_pr:
-            lo_pr = scalar(c_pr.min())
-        if lo_sy is None or c_sy.min() < lo_sy:
-            lo_sy = scalar(c_sy.min())
-        if lo_used is None or c_us[i_us] < lo_used:
-            lo_used, wit_lo = scalar(c_us[i_us]), _witness(coeffs[i_us])
-        if hi_m is None or hi[i_hi] < hi_m:
-            hi_m, wit_hi = scalar(hi[i_hi]), _witness(coeffs[i_hi])
-    holds = lo_used >= -tol and hi_m >= -tol
+    # norm p is ||sum a x_{i+p}||; each shift has the printed, symmetric and
+    # used lower margins, then the upper one
+    margins = []
+    for p in range(1, p_max + 1):
+        margins += [((1, p), (-c, 0)) for c in (c_printed, c_symmetric, c_used)]
+        margins.append(((c_L, 0), (-1, p)))
+    found = _scan(coeffs, [s.span_norms(p) for p in range(p_max + 1)], arithmetic, margins)
+    # the least of each margin over the shifts; the first shift wins ties
+    (lo_pr, _), (lo_sy, _), (lo_used, row_lo), (hi_m, row_hi) = (
+        min(found[k::4], key=lambda extreme: extreme[0]) for k in range(4)
+    )
+    holds = _nonnegative(lo_used, arithmetic) and _nonnegative(hi_m, arithmetic)
     return Certificate(
         kind="lemma79_conclusion",
         constants={
@@ -299,7 +275,7 @@ def lemma79_conclusion_check(
             "p_max": p_max,
         },
         holds=bool(holds),
-        witness={"worst_lower": wit_lo, "worst_upper": wit_hi},
+        witness={"worst_lower": _witness(row_lo), "worst_upper": _witness(row_hi)},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
         flags=(f"lower-convention={convention}",),

@@ -7,8 +7,6 @@ from typing import Dict, Tuple
 
 from .arithmetic import Real, scalar_to_json
 
-FLOAT_WITNESS_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Certificate:

@@ -26,16 +26,16 @@ from .certificates import Certificate
 from .errors import ConfigError
 from .fpmaps import (
     DIAG_SHIFT, RIGHT_SHIFT, AlphaSchedule, SummingFunctional, bilipschitz_estimate,
-    make_summing_functional, residuals_batch, start_length, theta_lower_bound_rightshift,
-    theta_of_map,
+    apply_map_batch, make_summing_functional, residuals_batch, start_length,
+    theta_lower_bound_rightshift, theta_of_map,
 )
 from .perturbation import claim2_chain, perturb_toward_next, psp_equivalence_check
 from .sampling import SamplingBudget, rational_simplex, simplex_samples
 from .sequences import (
-    BUILTIN_NAMES, _witness, basis_constant, builtin_sequence, domination_constant,
-    equivalence_constants, gap_bound_check, wide_s_certificate,
+    BUILTIN_NAMES, INEQ_TOL, RowNorms, _scan, _witness, basis_constant, builtin_sequence,
+    domination_constant, equivalence_constants, gap_bound_check, padded_difference,
+    wide_s_certificate,
 )
-from .spaces import scalar
 
 # (parser, default).  The parser is a function of the text, or the tuple of
 # the allowed values.  The default is config text, parsed like user input;
@@ -152,14 +152,16 @@ def _residual(ctx, args, seed) -> Certificate:
         T = np.array(np.eye(n, dtype=int).tolist() + rational_simplex(n, budget), dtype=object)
     else:
         T = simplex_samples(n, budget)
-    res = residuals_batch(spec, T, s)
-    i = int(np.argmin(res))
-    best = scalar(res[i])
+    residuals = RowNorms(  # enclosed through the same padded difference f(t) - t
+        lambda t: residuals_batch(spec, t, s),
+        lambda t: s.span_norms().enclosure(padded_difference(apply_map_batch(spec, t), t)),
+    )
+    [(best, row)] = _scan(T, [residuals], ctx.cfg.arithmetic, margins=[((1, 0),)])
     return Certificate(
         kind="fixed_point_residual",
         constants={"min_residual": best, "evaluated": len(T)},
         holds=bool(best > 0),
-        witness={"argmin": _witness(T[i])},
+        witness={"argmin": _witness(row)},
         mode=budget.mode_label(n),
         arithmetic=ctx.cfg.arithmetic,
     )
@@ -184,7 +186,7 @@ def _theta_rightshift_bound(ctx, args, seed) -> Certificate:
     spec, budget = ctx.map_specs[args["map"]], SamplingBudget(args["pairs"], seed)
     theta_cert = theta_of_map(spec, s, budget, n_window=args["n_window"])
     theta_hat = theta_cert.constants["theta_hat"]
-    holds = theta_cert.holds and float(theta_hat) >= float(bound) - 1e-9
+    holds = theta_cert.holds and float(theta_hat) >= float(bound) - INEQ_TOL
     return Certificate(
         kind="theta_rightshift_bound",
         constants={

@@ -35,7 +35,7 @@ from .fpmaps import (
     make_alpha_schedule, map_policy, start_length,
 )
 from .sampling import SamplingBudget
-from .sequences import BasicSequence, basis_constant
+from .sequences import INEQ_TOL, BasicSequence, basis_constant, builtin_sequence
 from .spaces import norm, require_exact, row_array, scalar
 
 KAPPA_SAMPLES = 512
@@ -61,8 +61,9 @@ class RunContext:
     rules out raises ConfigError before any basis constant is estimated: a
     check whose map steps the family is too short for
     (``fpmaps.start_length``), an orbit window on a right shift too short for
-    it (``fpmaps.check_theta_window``), or a ``phi`` that gives no summing
-    functional (``functionals`` maps each configured phi to its functional).
+    it (``fpmaps.check_theta_window``), a ``phi`` that gives no summing
+    functional (``functionals`` maps each configured phi to its functional),
+    or in rational mode an ``other`` family whose norm is not piecewise linear.
     ``setup_times`` holds the wall time of each step, in seconds."""
 
     def __init__(self, cfg: ExperimentConfig, seq: Optional[BasicSequence] = None):
@@ -102,6 +103,8 @@ class RunContext:
         if "phi" in args:
             phi = args["phi"]
             self.functionals[phi] = summing_functional(self.seq, phi, self.cfg.arithmetic)
+        if "other" in args and self.cfg.arithmetic == RATIONAL:
+            require_exact(builtin_sequence(args["other"], 1).ambient)
 
     def _timed(self, step: str, fn: Callable, *args):
         t0 = time.perf_counter()
@@ -213,7 +216,7 @@ def run_orbit(config_path: str, out_path: Optional[str], seed, arithmetic) -> in
             low = (1 - theta) ** step * d0
             high = (1 + theta) ** step * d0
             row += [gap, low, high]
-            if not (float(low) - 1e-9 <= float(gap) <= float(high) + 1e-9):
+            if not (float(low) - INEQ_TOL <= float(gap) <= float(high) + INEQ_TOL):
                 violated = True
         rows.append(row)
     lines = [",".join(header)]

@@ -32,7 +32,7 @@ from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError, TruncationError
 from .sampling import SamplingBudget, rational_simplex, simplex_uniform
-from .sequences import BasicSequence, RowNorms, _ratio_scan, _require_exact_tags, _witness
+from .sequences import BasicSequence, RowNorms, _require_exact_tags, _scan, _witness
 from .spaces import ELL_P, SUP, CoordinateVector, NormTag, as_rows, norm, row_array, scalar
 
 DIAG_SHIFT = "diag_shift"
@@ -319,9 +319,10 @@ def _pair_mode(n_vertex_pairs: int, budget: SamplingBudget) -> str:
 
 
 def _iterate_gaps(norms: RowNorms, spec: AffineMapSpec, X: np.ndarray, Y: np.ndarray, p_max: int):
-    """The norms of f^p(x) - f^p(y) of every pair (x, y), for p = 1..p_max.
+    """The norms of f^p(x) - f^p(y) of every pair (x, y), for p = 0..p_max.
     Each iterate is applied only when the scan reads its norm, so a float
     scan allocates in the order of a plain loop over p."""
+    yield norms.of_differences(X, Y)
     for _ in range(p_max):
         X, Y = apply_map_batch(spec, X), apply_map_batch(spec, Y)
         yield norms.of_differences(X, Y)
@@ -350,17 +351,12 @@ def bilipschitz_estimate(
     if arithmetic == RATIONAL:
         _require_exact_tags(s)
     X, Y = _pair_matrices(n, pair_budget, include_equal=False, arithmetic=arithmetic)
-    norms = s.span_norms()
     pairs = np.arange(len(X))
-    gaps = _iterate_gaps(norms, spec, X, Y, p_max)
-    scans = _ratio_scan(pairs, gaps, norms.of_differences(X, Y), arithmetic)
-    c1 = c2 = None
-    p1 = p2 = 1
-    for p, (r_min, r_max, i_min, i_max, _) in enumerate(scans, start=1):
-        if c1 is None or r_min < c1:
-            c1, p1, i1 = r_min, p, i_min
-        if c2 is None or r_max > c2:
-            c2, p2, i2 = r_max, p, i_max
+    gaps = _iterate_gaps(s.span_norms(), spec, X, Y, p_max)
+    scans = _scan(pairs, gaps, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
+    # the extremes over the iterates; the first p wins ties
+    p1, (c1, _, i1, _, _) = min(enumerate(scans, start=1), key=lambda ps: ps[1][0])
+    p2, (_, c2, _, i2, _) = max(enumerate(scans, start=1), key=lambda ps: ps[1][1])
     constants = {"c1_hat": c1, "c2_hat": c2, "p_max": p_max, "p_at_min": p1, "p_at_max": p2}
     injective = c1 > 0
     if injective:

@@ -37,20 +37,15 @@ from .fpmaps import AlphaSchedule
 from .sampling import SamplingBudget
 from .sequences import (
     BasicSequence,
-    _can_reach_min,
-    _combination,
     _eval_rows,
     _kappa_is_certified,
-    _ratio_extremes,
-    _ratio_reach,
+    _nonnegative,
     _require_exact_tags,
-    _scan_rows,
+    _scan,
     _witness,
     row_norms,
 )
 from .spaces import CoordinateVector, norm_batch, row_array, scalar
-
-INEQ_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,25 +111,13 @@ def psp_equivalence_check(
         )
     coeffs = _eval_rows(m, budget, arithmetic, s)
     theta = coerce(theta, arithmetic)
-
-    def reach(nx, nz):  # both margin minima and both ratio extremes
-        return (
-            _can_reach_min(*_combination((1, nz), (theta - 1, nx)))
-            | _can_reach_min(*_combination((1 + theta, nx), (-1, nz)))
-            | _ratio_reach(nz, nx)
-        )
-
-    zs = row_norms(s.ambient, row_array(z.z_vectors))
-    rows, (nx, nz) = _scan_rows(coeffs, (s.span_norms(), zs), arithmetic, reach)
-    lo = nz - (1 - theta) * nx
-    hi = (1 + theta) * nx - nz
-    i_lo = int(np.argmin(lo))
-    i_hi = int(np.argmin(hi))
-    lo_margin = scalar(lo[i_lo])
-    hi_margin = scalar(hi[i_hi])
-    r_min, r_max, _, _, _ = _ratio_extremes(nz, nx, rows, arithmetic)
-    tol = 0 if arithmetic == RATIONAL else INEQ_TOL
-    holds = lo_margin >= -tol and hi_margin >= -tol
+    # norm 0 is ||sum t x||, norm 1 is ||sum t z||
+    norms = [s.span_norms(), row_norms(s.ambient, row_array(z.z_vectors))]
+    margins = [((1, 1), (theta - 1, 0)), ((1 + theta, 0), (-1, 1))]
+    (lo_margin, row_lo), (hi_margin, row_hi), (r_min, r_max, _, _, _) = _scan(
+        coeffs, norms, arithmetic, margins, ratios=[(1, 0)]
+    )
+    holds = _nonnegative(lo_margin, arithmetic) and _nonnegative(hi_margin, arithmetic)
     return Certificate(
         kind="psp_equivalence",
         constants={
@@ -146,7 +129,7 @@ def psp_equivalence_check(
             "evaluated": len(coeffs),
         },
         holds=bool(holds),
-        witness={"worst_lower": _witness(rows[i_lo]), "worst_upper": _witness(rows[i_hi])},
+        witness={"worst_lower": _witness(row_lo), "worst_upper": _witness(row_hi)},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
         flags=tuple(flags),

@@ -50,6 +50,9 @@ from .spaces import (
 )
 
 DENOM_GUARD = 1e-12
+# How far below 0 a float margin may fall and still show its inequality
+# (``_nonnegative``): rounding error, not a counterexample.
+INEQ_TOL = 1e-9
 
 
 def _exact_rank(rows: List[Tuple[Real, ...]]) -> int:
@@ -159,12 +162,18 @@ class BasicSequence:
         )
 
     def span_distance_batch(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """||sum_i (u_i - v_i) x_i|| for every pair of rows u, v, the narrower
-        of U and V zero-padded to the wider; exact on object rows."""
-        diff = np.zeros((len(U), max(U.shape[1], V.shape[1])), dtype=np.result_type(U, V))
-        diff[:, : U.shape[1]] = U
-        diff[:, : V.shape[1]] -= V
-        return self.span_norm_batch(diff)
+        """||sum_i (u_i - v_i) x_i|| for every pair of rows u, v of
+        ``padded_difference(U, V)``; exact on object rows."""
+        return self.span_norm_batch(padded_difference(U, V))
+
+
+def padded_difference(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The rows u - v of every pair of rows u, v of U and V, the narrower of
+    U and V zero-padded to the wider; exact on object rows."""
+    diff = np.zeros((len(U), max(U.shape[1], V.shape[1])), dtype=np.result_type(U, V))
+    diff[:, : U.shape[1]] = U
+    diff[:, : V.shape[1]] -= V
+    return diff
 
 
 def prefix_ends(s: BasicSequence) -> Optional[np.ndarray]:
@@ -251,6 +260,12 @@ def _guard(arithmetic: str):
     return 0 if arithmetic == RATIONAL else DENOM_GUARD
 
 
+def _nonnegative(margin: Real, arithmetic: str) -> bool:
+    """Whether a margin shows its inequality: margin >= 0 exactly on exact
+    rows, margin >= -INEQ_TOL on float rows."""
+    return margin >= (0 if arithmetic == RATIONAL else -INEQ_TOL)
+
+
 class RowNorms(NamedTuple):
     """A norm of each coefficient row of a scan, as two functions of the rows:
     ``exact`` evaluates it (exactly on object rows), and ``enclosure`` returns
@@ -286,11 +301,15 @@ def summing_norms() -> RowNorms:
 
 
 # ---------------------------------------------------------------------------
-# The scan: in rational mode, search in float and evaluate exactly only the
-# rows that can reach an extreme.  Every float interval is rounded outward
-# (``_down``/``_up`` move one ulp past a rounded-to-nearest result), so it
-# contains the exact value.
+# The scan: a certificate op declares once the margins and ratios it reports
+# as extremes over coefficient rows, and ``_scan`` derives from that one
+# declaration both their values and, in rational mode, the float row filter.
+# A margin is a tuple of (exact coefficient c, norm index i) terms, with the
+# value sum c * q_i on a row; a ratio is (numerator index, denominator index).
 # ---------------------------------------------------------------------------
+
+Margin = Tuple[Tuple[Real, int], ...]
+Ratio = Tuple[int, int]
 
 
 def _down(x):
@@ -338,48 +357,65 @@ def _ratio_reach(num, den) -> np.ndarray:
     return ~sure | _can_reach_min(lo, hi, sure) | _can_reach_min(-hi, -lo, sure)
 
 
-def _scan_rows(coeffs: np.ndarray, norms: Iterable[RowNorms], arithmetic: str, reach: Callable):
-    """The coefficient rows a scan evaluates, and each of ``norms`` on them.
+def _margin_values(margin: Margin, values: Sequence[np.ndarray]) -> np.ndarray:
+    """sum c * values[i] over the (c, i) terms of a margin, added in order.
+    The int coefficients 1 and -1 add or subtract their norm without a
+    product, so a float margin runs the operations of the expression written
+    out: the terms (1, 0), (-c, 1) give q0 - c*q1 bit for bit, since
+    negation is exact."""
+    total = None
+    for c, i in margin:
+        q = values[i]
+        if type(c) is not int or c not in (1, -1):
+            c, q = 1, c * q
+        if total is None:
+            total = q if c == 1 else -q
+        else:
+            total = total + q if c == 1 else total - q
+    return total
 
-    Float mode evaluates every row in float, each norm as ``norms`` yields
-    it, so a generator can build a norm's operands after the norms before it
-    are evaluated and dropped.  Rational mode first encloses
-    each norm on every row in float, keeps the rows where ``reach`` (given one
-    interval per norm) holds, and evaluates the norms exactly on those rows
-    alone, in their original order.  ``reach`` must pass every row that can
-    attain an extreme the scan reports, ties included; the exact extremes
-    over the kept rows, first occurrence first, are then those of the full
-    exact scan.  When every row can reach, every row is evaluated exactly.
-    """
+
+def _scan(
+    coeffs: np.ndarray,
+    norms: Iterable[RowNorms],
+    arithmetic: str,
+    margins: Sequence[Margin] = (),
+    ratios: Sequence[Ratio] = (),
+) -> list:
+    """The extremes of a scan over the coefficient rows, given the norms of
+    each row: for each margin, its least value and the first row attaining
+    it; then for each ratio, ``_ratio_extremes`` of the norms it names.
+
+    Float mode evaluates every row, each norm as ``norms`` yields it, so a
+    generator can build a norm's operands after the norms before it are
+    evaluated.  Rational mode is exact, but evaluates exactly only the rows
+    that can reach an extreme, in order.  Each norm of each row first gets a
+    float interval that holds its exact value: the float kernel's value plus
+    or minus the a-priori rounding bound of ``spaces.norm_enclosure``,
+    rounded outward (``_down``/``_up`` step one ulp past a rounded-to-nearest
+    result).  A margin's interval is the
+    ``_combination`` of its terms and a ratio's is [num_lo / den_hi,
+    num_hi / den_lo], both rounded outward, so each holds the exact value.
+    A row is kept when some margin's interval can hold the least value
+    (``_can_reach_min``), or when for some ratio its den interval touches 0
+    or its ratio interval can hold the min or the max over the rows whose
+    den is surely positive (``_ratio_reach``).  So a row left out has every
+    margin strictly above another row's exact margin, and every den positive
+    and every ratio strictly between the exact extremes over the rows whose
+    den passes ``_guard``: it attains no extreme and is not rejected.  The
+    kept rows stay in order, so the exact values, first witness rows and
+    rejected counts over them are those of the full exact scan."""
     if arithmetic == RATIONAL:
         norms = list(norms)
-        coeffs = coeffs[reach(*(_interval(q.enclosure(coeffs)) for q in norms))]
-    return coeffs, [q.exact(coeffs) for q in norms]
-
-
-def _ratio_scan(
-    coeffs: np.ndarray, nums: Iterable[RowNorms], den: RowNorms, arithmetic: str
-) -> List[Tuple[Real, Real, np.ndarray, np.ndarray, int]]:
-    """``_ratio_extremes`` of num/den over the coefficient rows, for each num
-    in ``nums``.
-
-    In rational mode every row first gets a float interval for num and den:
-    the float kernel's value plus or minus the radius 2 gamma_K || |c| |X| ||_1
-    of ``spaces.norm_enclosure``, an a-priori bound on every rounding the
-    float kernel and the conversion of the exact entries make, so the
-    interval contains the exact norm.  The ratio interval [num_lo / den_hi,
-    num_hi / den_lo] is rounded outward.  Only the rows whose ratio interval
-    can reach the min or the max of some num/den, and the rows whose den
-    interval touches 0, are evaluated exactly (``_scan_rows``); every row
-    left out has a ratio strictly between the extremes and a positive den.
-    So the values, witness rows and rejected counts are those of the full
-    exact scan.  Float mode evaluates every row, as before."""
-
-    def reach(d, *ns):
-        return np.logical_or.reduce([_ratio_reach(n, d) for n in ns])
-
-    rows, (d, *ns) = _scan_rows(coeffs, itertools.chain([den], nums), arithmetic, reach)
-    return [_ratio_extremes(n, d, rows, arithmetic) for n in ns]
+        qs = [_interval(q.enclosure(coeffs)) for q in norms]
+        reach = [_can_reach_min(*_combination(*((c, qs[i]) for c, i in m))) for m in margins]
+        reach += [_ratio_reach(qs[n], qs[d]) for n, d in ratios]
+        coeffs = coeffs[np.logical_or.reduce(reach)]
+    values = [q.exact(coeffs) for q in norms]
+    sums = [_margin_values(m, values) for m in margins]
+    mins = [int(np.argmin(v)) for v in sums]
+    extremes = [(scalar(v[i]), coeffs[i]) for v, i in zip(sums, mins)]
+    return extremes + [_ratio_extremes(values[n], values[d], coeffs, arithmetic) for n, d in ratios]
 
 
 def _ratio_extremes(
@@ -486,12 +522,12 @@ def basis_constant(s: BasicSequence, budget: SamplingBudget):
 def _family_ratio_scan(
     xs: BasicSequence, ys: BasicSequence, budget: SamplingBudget, arithmetic: str
 ):
-    """``_ratio_scan`` of ||sum a y|| / ||sum a x|| over the evaluated rows a."""
+    """``_ratio_extremes`` of ||sum a y|| / ||sum a x|| over the evaluated rows a."""
     validate_arithmetic(arithmetic)
     if len(xs) != len(ys):
         raise ParameterError("sequences must have the same number of vectors")
     coeffs = _eval_rows(len(xs), budget, arithmetic, xs, ys)
-    [scan] = _ratio_scan(coeffs, [ys.span_norms()], xs.span_norms(), arithmetic)
+    [scan] = _scan(coeffs, [xs.span_norms(), ys.span_norms()], arithmetic, ratios=[(1, 0)])
     return scan
 
 
@@ -552,7 +588,8 @@ def wide_s_certificate(
     validate_arithmetic(arithmetic)
     m = len(s)
     coeffs = _eval_rows(m, budget, arithmetic, s)
-    [(d_hat, _, row, _, _)] = _ratio_scan(coeffs, [s.span_norms()], summing_norms(), arithmetic)
+    norms = [summing_norms(), s.span_norms()]
+    [(d_hat, _, row, _, _)] = _scan(coeffs, norms, arithmetic, ratios=[(1, 0)])
     return Certificate(
         kind="wide_s",
         constants={"d_hat": d_hat},
@@ -567,7 +604,7 @@ def gap_bound_check(
     s: BasicSequence,
     kappa: Tuple[Real, Real],
     budget: SamplingBudget = SamplingBudget(),
-    tol: float = 1e-9,
+    tol: float = INEQ_TOL,
 ) -> Certificate:
     """Sampled check of ||x - y|| >= a / K for heads x with ||x|| >= a and
     tails y (float mode), where K is the upper end of ``kappa``, the

@@ -554,6 +554,8 @@ seed = 3
         "[check c]\nkind = theta_rightshift_bound\nmap = r\neps = 1/100\nn_window = 4\nphi = 1,1,1,1,1,1,1",
         "[check c]\nkind = theta_rightshift_bound\nmap = r\neps = 1/100\nn_window = 4\nphi = 1,1,1,1,1",
         "[check c]\nkind = theta_of_map\nmap = r\nn_window = 2",
+        "arithmetic = rational\n\n[check c]\nkind = domination\nother = james_summing",
+        "arithmetic = rational\n\n[check c]\nkind = equivalence\nother = james_summing",
     ],
     ids=[
         "sample-typo",
@@ -577,6 +579,8 @@ seed = 3
         "theta-bound-phi-beyond-ambient",
         "theta-bound-gamma-zero",
         "theta-window-vertex-pairs-meet",
+        "rational-domination-other-not-piecewise-linear",
+        "rational-equivalence-other-not-piecewise-linear",
     ],
 )
 def test_malformed_config_exits_2_before_any_work(tmp_path, monkeypatch, extra):

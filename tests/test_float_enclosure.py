@@ -6,28 +6,35 @@ arithmetic on int rows, ``rational_simplex`` rows and convex block families
 with weights (1/2, 1/2) and (1/3, 2/3), whose entries do not round exactly.
 
 A rational scan evaluates exactly only the rows whose float interval can
-reach an extreme.  Its results must be those of the full exact scan, which
-evaluates every row: the same values, the same first witness row and the
-same count of rejected (zero) denominators, also when many rows tie.
+reach an extreme of a margin or a ratio it declares.  Its results must be
+those of the full exact scan, which evaluates every row: the same values,
+the same first witness row and the same count of rejected (zero)
+denominators, also when many rows tie.  Rational summing_equivalence and
+fixed_point_residual must evaluate fewer than 1% of their rows exactly, and
+no module but ``sequences`` may name the scan's internals.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import seqcert
 from seqcert.arithmetic import RATIONAL
-from seqcert.blocks import ConvexBlockSpec, build_convex_blocks
+from seqcert.blocks import ConvexBlockSpec, build_convex_blocks, summing_equivalence_check
+from seqcert.checks import CHECKS
+from seqcert.cli import RunContext
+from seqcert.config import load_config
+from seqcert.fpmaps import residuals_batch
 from seqcert.sampling import SamplingBudget, rational_simplex
 from seqcert.sequences import (
     RowNorms,
-    _can_reach_min,
-    _combination,
     _ratio_extremes,
-    _ratio_scan,
-    _scan_rows,
+    _scan,
     builtin_sequence,
     row_norms,
     summing_norms,
@@ -138,6 +145,12 @@ def counting(norms: RowNorms, counter: list) -> RowNorms:
     return RowNorms(exact, norms.enclosure)
 
 
+def ratio_scan(coeffs, nums, den):
+    """The num/den ratio of each num in ``nums``, through ``_scan``."""
+    ratios = [(i, 0) for i in range(1, len(nums) + 1)]
+    return _scan(coeffs, [den, *nums], RATIONAL, ratios=ratios)
+
+
 def full_scan(coeffs, nums, den):
     """The scan before filtering: every row evaluated exactly."""
     d = den.exact(coeffs)
@@ -151,7 +164,7 @@ def comparable(scans):
 def filtered_equals_full(coeffs, nums, den):
     """Assert the filtered scan equals the full one; return the rows evaluated exactly."""
     evaluated = []
-    got = _ratio_scan(coeffs, nums, counting(den, evaluated), RATIONAL)
+    got = ratio_scan(coeffs, nums, counting(den, evaluated))
     assert comparable(got) == comparable(full_scan(coeffs, nums, den))
     return evaluated[0]
 
@@ -165,9 +178,9 @@ def test_filtered_ratio_scan_equals_the_full_scan(num_in, den_in, num_tag, den_t
         expected = full_scan(coeffs, [num], den)
     except Exception as exc:  # every denominator vanished: the filtered scan must say so too
         with pytest.raises(type(exc)):
-            _ratio_scan(coeffs, [num], den, RATIONAL)
+            ratio_scan(coeffs, [num], den)
         return
-    assert comparable(_ratio_scan(coeffs, [num], den, RATIONAL)) == comparable(expected)
+    assert comparable(ratio_scan(coeffs, [num], den)) == comparable(expected)
 
 
 def sign_rows(m):
@@ -198,7 +211,7 @@ def test_heavy_ties_keep_every_tied_row():
     sup = row_norms(NormTag.sup())
     evaluated = filtered_equals_full(coeffs, [s.span_norms()], sup)
     assert evaluated == len(coeffs)
-    [(lo, hi, r_lo, r_hi, _)] = _ratio_scan(coeffs, [s.span_norms()], sup, RATIONAL)
+    [(lo, hi, r_lo, r_hi, _)] = ratio_scan(coeffs, [s.span_norms()], sup)
     assert lo == hi == 1 and tuple(r_lo) == tuple(r_hi) == tuple(coeffs[0])
 
 
@@ -219,11 +232,11 @@ def test_zero_denominators_are_all_evaluated_and_rejected():
     coeffs = np.array(rows, dtype=object)
     num = row_norms(NormTag.lin(), FAMILIES["lin_blocks_thirds"].matrix(True)[:2])
     den = row_norms(NormTag.sup())
-    [(_, _, _, _, rejected)] = _ratio_scan(coeffs, [num], den, RATIONAL)
+    [(_, _, _, _, rejected)] = ratio_scan(coeffs, [num], den)
     assert rejected == 2
     assert filtered_equals_full(coeffs, [num], den) >= 4  # both zeros, the tiny row, an extreme
     with pytest.raises(Exception, match="all denominators vanished"):
-        _ratio_scan(coeffs[[0, 4]], [num], den, RATIONAL)
+        ratio_scan(coeffs[[0, 4]], [num], den)
 
 
 CONSTANTS = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)))
@@ -234,13 +247,139 @@ def test_margin_minimum_equals_the_full_scan(inp, tag, a, b):
     """min over rows of a*||c|| + b*||c @ X||, the form of the lemma79 and psp margins."""
     basis, coeffs = inp
     plain, spanned = row_norms(tag), row_norms(tag, basis)
-
-    def reach(p, q):
-        return _can_reach_min(*_combination((a, p), (b, q)))
-
-    rows, (p, q) = _scan_rows(coeffs, (plain, spanned), RATIONAL, reach)
-    margin = a * p + b * q
+    [(margin, row)] = _scan(coeffs, [plain, spanned], RATIONAL, margins=[((a, 0), (b, 1))])
     full = a * plain.exact(coeffs) + b * spanned.exact(coeffs)
-    i, j = int(np.argmin(margin)), int(np.argmin(full))
-    assert margin[i] == full[j]
-    assert tuple(rows[i]) == tuple(coeffs[j])
+    j = int(np.argmin(full))
+    assert margin == full[j]
+    assert tuple(row) == tuple(coeffs[j])
+
+
+INDEX = st.integers(0, 2)
+MARGIN = st.tuples(st.tuples(CONSTANTS, INDEX), st.tuples(CONSTANTS, INDEX))
+
+
+@given(
+    scan_input(),
+    st.sampled_from(TAGS),
+    st.lists(MARGIN, min_size=1, max_size=3),
+    st.lists(st.tuples(INDEX, INDEX), max_size=2),
+)
+def test_scan_equals_the_full_exact_evaluation(inp, tag, margins, ratios):
+    """Margins a*q_i + b*q_j and ratios q_n / q_d over three norms of each row
+    (the tag's norm of c and of c @ X, and the summing-basis norm of c):
+    the same values, types, first witness rows and rejected counts as
+    evaluating every row exactly."""
+    basis, coeffs = inp
+    norms = [row_norms(tag), row_norms(tag, basis), summing_norms()]
+    values = [q.exact(coeffs) for q in norms]
+    expected = []
+    for (a, i), (b, j) in margins:
+        full = a * values[i] + b * values[j]
+        k = int(np.argmin(full))
+        expected.append((full[k], type(full[k]), tuple(coeffs[k])))
+    try:
+        full_ratios = [_ratio_extremes(values[n], values[d], coeffs, RATIONAL) for n, d in ratios]
+    except Exception as exc:  # every denominator of a ratio vanished
+        with pytest.raises(type(exc)):
+            _scan(coeffs, norms, RATIONAL, margins, ratios)
+        return
+    found = _scan(coeffs, norms, RATIONAL, margins, ratios)
+    got = [(value, type(value), tuple(row)) for value, row in found[: len(margins)]]
+    assert got == expected
+    assert comparable(found[len(margins) :]) == comparable(full_ratios)
+
+
+SUMMING_EQUIVALENCE_LIN9 = {
+    "kind": "summing_equivalence",
+    "constants": {
+        "c1": "1/100",
+        "c2": 3,
+        "margin_lower": "791/900",
+        "margin_upper": "-2/1",
+        "skipped_zero_norm": 0,
+    },
+    "holds": False,
+    "witness": {
+        "worst_lower": [-1, 0, 0, 0, 0, 0, 0, 0, 0],
+        "worst_upper": [-1, -1, 1, -1, 1, -1, 1, -1, 1],
+    },
+    "mode": "exhaustive+sampled(count=200,seed=5)",
+    "arithmetic": "rational",
+    "flags": [],
+}
+
+
+def test_rational_summing_equivalence_evaluates_few_rows_exactly(monkeypatch):
+    """The certificate was recorded when every row was evaluated exactly."""
+    evaluated = []
+    norms = counting(summing_norms(), evaluated)
+    monkeypatch.setattr("seqcert.blocks.summing_norms", lambda: norms)
+    s = builtin_sequence("lin_ell1", 9)
+    cert = summing_equivalence_check(s, Fraction(1, 100), 3, SamplingBudget(200, 5), RATIONAL)
+    assert cert.to_json_dict() == SUMMING_EQUIVALENCE_LIN9
+    rows = 3**9 - 1 + 200
+    assert 0 < sum(evaluated) < rows / 100
+
+
+RESIDUAL_CONFIG = """
+[sequence]
+builtin = lin_ell1
+n = 9
+
+[map f]
+variant = diag_shift
+theta = 1/2
+
+[check res]
+kind = fixed_point_residual
+map = f
+samples = 200
+
+[run]
+seed = 1
+arithmetic = rational
+"""
+
+
+def test_rational_residual_evaluates_few_rows_exactly(tmp_path, monkeypatch):
+    """The certificate was recorded when every row was evaluated exactly."""
+    path = tmp_path / "residual.cfg"
+    path.write_text(RESIDUAL_CONFIG)
+    cfg = load_config(str(path))
+    ctx = RunContext(cfg)
+    evaluated = []
+
+    def residuals(spec, T, s):
+        evaluated.append(len(T))
+        return residuals_batch(spec, T, s)
+
+    monkeypatch.setattr("seqcert.checks.residuals_batch", residuals)
+    cert = CHECKS["fixed_point_residual"].run(ctx, cfg.checks[0].args, 5)
+    assert cert.to_json_dict() == {
+        "kind": "fixed_point_residual",
+        "constants": {"evaluated": 208, "min_residual": "14913081/17179870208"},
+        "holds": True,
+        "witness": {"argmin": [0, 0, 0, 0, 0, 0, 0, 1]},
+        "mode": "exhaustive+sampled(count=200,seed=5)",
+        "arithmetic": "rational",
+        "flags": [],
+    }
+    assert 0 < sum(evaluated) < 208 / 100
+
+
+SCAN_INTERNALS = {"_scan_rows", "_combination", "_can_reach_min", "_ratio_reach", "_ratio_extremes"}
+
+
+def test_only_sequences_names_the_scan_internals():
+    """Every margin and ratio is declared through ``_scan``, so no other
+    module builds a filter or an extreme of its own."""
+    offenders = []
+    for path in sorted(Path(seqcert.__file__).parent.glob("*.py")):
+        if path.name == "sequences.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names |= {node.name, node.asname}
+            offenders += [f"{path.name}:{node.lineno}: {name}" for name in names & SCAN_INTERNALS]
+    assert offenders == []
