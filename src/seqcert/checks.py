@@ -100,6 +100,14 @@ def positive(text: str) -> int:
     return value
 
 
+def positive_scalar(text: str):
+    """A scalar > 0."""
+    value = parse_scalar(text)
+    if not value > 0:
+        raise ValueError("must be > 0")
+    return value
+
+
 def _phi(text: str):
     return text if text == "ones" else parse_coeff_list(text, RATIONAL)
 
@@ -278,7 +286,7 @@ CHECKS: Dict[str, CheckKind] = {
     ),
     "theta_rightshift_bound": CheckKind(
         _theta_rightshift_bound,
-        {**MAP, "eps": (parse_scalar, None), "n_window": (positive, "50"), "phi": (_phi, "ones"),
+        {**MAP, "eps": (positive_scalar, None), "n_window": (positive, "50"), "phi": (_phi, "ones"),
          "pairs": (count, "0")},
         RIGHT_SHIFT,
         lambda args: args["n_window"],
@@ -290,14 +298,14 @@ CHECKS: Dict[str, CheckKind] = {
     "wuc_constant": CheckKind(_wuc_constant, {**ON, **SAMPLES}),
     "summing_equivalence": CheckKind(
         _summing_equivalence,
-        {**ON, "c1": (parse_scalar, None), "c2": (parse_scalar, None), **SAMPLES},
+        {**ON, "c1": (positive_scalar, None), "c2": (positive_scalar, None), **SAMPLES},
     ),
     "shift_equivalence": CheckKind(
         _shift_equivalence, {**ON, "p_max": (positive, None), **SAMPLES}
     ),
     "lemma79": CheckKind(
         _lemma79,
-        {**ON, "L": (parse_scalar, None), "lower_c": (_lower_c, "printed"),
+        {**ON, "L": (positive_scalar, None), "lower_c": (_lower_c, "printed"),
          "p_max": (positive, "1"), **SAMPLES},
     ),
 }

@@ -29,10 +29,10 @@ from .blocks import ConvexBlockSpec, build_convex_blocks
 from .certificates import Certificate
 from .checks import CHECKS, count, summing_functional
 from .config import CheckConfig, ExperimentConfig, build_sequence, load_config, parse_cli_tag, parse_point
-from .errors import ConfigError, ParameterError
+from .errors import BlockSpecError, ConfigError, ParameterError
 from .fpmaps import (
-    DIAG_SHIFT, AffineMapSpec, SummingFunctional, apply_map, check_theta_window,
-    make_alpha_schedule, map_policy, start_length,
+    DIAG_SHIFT, AffineMapSpec, ConvexCoefficients, SummingFunctional, check_theta_window,
+    make_alpha_schedule, map_policy, orbit, start_length,
 )
 from .sampling import SamplingBudget
 from .sequences import INEQ_TOL, BasicSequence, basis_constant, builtin_sequence
@@ -58,8 +58,9 @@ class RunContext:
     """Sequence, block sequence, their basis-constant intervals, realized
     maps and summing functionals for one certify run.  ``seq`` is the
     configured family when the caller has built it already.  What the family
-    rules out raises ConfigError before any basis constant is estimated: a
-    check whose map steps the family is too short for
+    rules out raises ConfigError before any basis constant is estimated:
+    blocks that cannot be built, a shift ``p_max`` not below the target's
+    length, a check whose map steps the family is too short for
     (``fpmaps.start_length``), an orbit window on a right shift too short for
     it (``fpmaps.check_theta_window``), a ``phi`` that gives no summing
     functional (``functionals`` maps each configured phi to its functional),
@@ -72,6 +73,13 @@ class RunContext:
         self.seq = seq if seq is not None else self._timed("sequence", build_sequence, cfg)
         if cfg.arithmetic == RATIONAL:
             require_exact(self.seq.ambient)
+        self.blocks_seq: Optional[BasicSequence] = None
+        if cfg.blocks_sets is not None:
+            try:
+                spec = ConvexBlockSpec(blocks=cfg.blocks_sets, weights=cfg.blocks_weights)
+                self.blocks_seq = self._timed("blocks", build_convex_blocks, self.seq, spec)
+            except BlockSpecError as exc:
+                raise ConfigError(f"[blocks]: {exc}") from exc
         self.functionals: Dict[object, SummingFunctional] = {}
         for check in cfg.checks:
             try:
@@ -79,11 +87,8 @@ class RunContext:
             except ParameterError as exc:
                 raise ConfigError(f"[check {check.name}]: {exc}") from exc
         self.kappa = self._timed("kappa", kappa_interval, self.seq, derive_seed(cfg.seed, 0))
-        self.blocks_seq: Optional[BasicSequence] = None
         self.kappa_blocks: Optional[Tuple[Real, Real]] = None
-        if cfg.blocks_sets is not None:
-            spec = ConvexBlockSpec(blocks=cfg.blocks_sets, weights=cfg.blocks_weights)
-            self.blocks_seq = self._timed("blocks", build_convex_blocks, self.seq, spec)
+        if self.blocks_seq is not None:
             self.kappa_blocks = self._timed(
                 "kappa_blocks", kappa_interval, self.blocks_seq, derive_seed(cfg.seed, 1)
             )
@@ -100,6 +105,10 @@ class RunContext:
             start_length(mc.variant, policy, len(self.seq), steps(args))
             if "n_window" in args:
                 check_theta_window(mc.variant, len(self.seq), args["n_window"])
+        if "on" in args and "p_max" in args:  # a shift of the target family
+            m = len(self.target(args["on"]))
+            if not args["p_max"] < m:
+                raise ParameterError(f"p_max must lie in 1..{m - 1}, got {args['p_max']}")
         if "phi" in args:
             phi = args["phi"]
             self.functionals[phi] = summing_functional(self.seq, phi, self.cfg.arithmetic)
@@ -202,14 +211,11 @@ def run_orbit(config_path: str, out_path: Optional[str], seed, arithmetic) -> in
     if theta is not None:
         header += ["iterate_gap", "gap_lower_bound", "gap_upper_bound"]
     rows = []
-    fy = y
-    fx = x
     d0 = span_dist(x, y)
     violated = False
-    for step in range(w + 1):
-        if step > 0:
-            fy = apply_map(spec, fy)
-            fx = apply_map(spec, fx)
+    for step, points in enumerate(orbit(spec, row_array([x.t, y.t]), w)):
+        # every iterate must be a simplex point
+        fx, fy = (ConvexCoefficients(tuple(map(scalar, t))) for t in points)
         row = [step, span_dist(x, fy)]
         if theta is not None:
             gap = span_dist(fx, fy)

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .arithmetic import FLOAT, RATIONAL, Real, coerce, parse_coeff_list, parse_scalar
 from .checks import CHECKS, OPTIONAL, Param, count, parse_args, parse_params
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DependenceError, ParameterError
 from .fpmaps import POLICIES, VARIANTS, map_policy
 from .sequences import BUILTIN_NAMES, BasicSequence, builtin_sequence
 from .spaces import ELL_P, JAMES, NormTag
@@ -288,7 +288,10 @@ def build_sequence(cfg: ExperimentConfig) -> BasicSequence:
             s = BasicSequence([v.entries for v in s.vectors], cfg.space)
         return s
     rows = load_vector_csv(Path(cfg.source_dir) / cfg.csv_path, cfg.arithmetic)
-    return BasicSequence(rows, cfg.space)
+    try:
+        return BasicSequence(rows, cfg.space)
+    except DependenceError as exc:
+        raise ConfigError(f"[sequence] csv = {cfg.csv_path}: {exc}") from exc
 
 
 def parse_point(text: str, n: int, arithmetic: str):

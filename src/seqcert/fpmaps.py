@@ -22,9 +22,10 @@ application and therefore requires ``fold_tail``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError, TruncationError
 from .sampling import SamplingBudget, rational_simplex, simplex_uniform
-from .sequences import BasicSequence, RowNorms, _require_exact_tags, _scan, _witness
+from .sequences import BasicSequence, _require_exact_tags, _scan, _witness
 from .spaces import ELL_P, SUP, CoordinateVector, NormTag, as_rows, norm, row_array, scalar
 
 DIAG_SHIFT = "diag_shift"
@@ -215,6 +216,16 @@ def iterate(spec: AffineMapSpec, t, p: int) -> ConvexCoefficients:
     return cur
 
 
+def orbit(spec: AffineMapSpec, T: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """The iterates T, f(T), ..., f^steps(T) of the rows of T.  Each iterate is
+    applied only when it is read, so a scan over the orbit allocates in the
+    order of a plain loop over the steps."""
+    yield T
+    for _ in range(steps):
+        T = apply_map_batch(spec, T)
+        yield T
+
+
 def apply_map_batch(spec: AffineMapSpec, mat: np.ndarray) -> np.ndarray:
     """Batch version of ``apply_map`` over rows; exact on object rows."""
     mat = as_rows(mat)
@@ -318,16 +329,6 @@ def _pair_mode(n_vertex_pairs: int, budget: SamplingBudget) -> str:
     return label
 
 
-def _iterate_gaps(norms: RowNorms, spec: AffineMapSpec, X: np.ndarray, Y: np.ndarray, p_max: int):
-    """The norms of f^p(x) - f^p(y) of every pair (x, y), for p = 0..p_max.
-    Each iterate is applied only when the scan reads its norm, so a float
-    scan allocates in the order of a plain loop over p."""
-    yield norms.of_differences(X, Y)
-    for _ in range(p_max):
-        X, Y = apply_map_batch(spec, X), apply_map_batch(spec, Y)
-        yield norms.of_differences(X, Y)
-
-
 def bilipschitz_estimate(
     spec: AffineMapSpec,
     s: BasicSequence,
@@ -352,7 +353,10 @@ def bilipschitz_estimate(
         _require_exact_tags(s)
     X, Y = _pair_matrices(n, pair_budget, include_equal=False, arithmetic=arithmetic)
     pairs = np.arange(len(X))
-    gaps = _iterate_gaps(s.span_norms(), spec, X, Y, p_max)
+    norms = s.span_norms()
+    # norm p is ||f^p(x) - f^p(y)|| of the pair (x, y)
+    orbits = zip(orbit(spec, X, p_max), orbit(spec, Y, p_max))
+    gaps = (norms.of_differences(FX, FY) for FX, FY in orbits)
     scans = _scan(pairs, gaps, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
     # the extremes over the iterates; the first p wins ties
     p1, (c1, _, i1, _, _) = min(enumerate(scans, start=1), key=lambda ps: ps[1][0])
@@ -409,19 +413,15 @@ def theta_of_map(
     n = start_length(spec.variant, spec.policy, len(s), n_window)
     X, Y = _pair_matrices(n, pair_budget, include_equal=True)
     lo = (n_window + 1) // 2
-    FY = Y
-    best = None
-    wit = (np.zeros(n), np.zeros(n))
-    for step in range(1, n_window + 1):
-        FY = apply_map_batch(spec, FY)
-        if step < lo:
-            continue
-        dist = s.span_distance_batch(X, FY)
-        i = int(np.argmin(dist))
-        if best is None or dist[i] < best:
-            best = float(dist[i])
-            wit = (X[i], Y[i])
-    holds = best is not None and best > tol
+    norms = s.span_norms()
+    # norm k is ||x - f^(lo+k)(y)|| of the pair (x, y), one margin per window step
+    window = itertools.islice(orbit(spec, Y, n_window), lo, None)
+    dists = (norms.of_differences(X, FY) for FY in window)
+    margins = [((1, k),) for k in range(n_window - lo + 1)]
+    found = _scan(np.arange(len(X)), dists, FLOAT, margins)
+    # the least distance over the window; the first step wins ties
+    best, i = min(found, key=lambda extreme: extreme[0])
+    holds = best > tol
     flags = ["finite-horizon-proxy"]
     if holds:
         flags.append("orbit-separation-evidence")
@@ -430,8 +430,8 @@ def theta_of_map(
         constants={"theta_hat": best, "n_window": n_window, "tol": tol},
         holds=bool(holds),
         witness={
-            "x": tuple(map(float, wit[0])),
-            "y": tuple(map(float, wit[1])),
+            "x": tuple(map(float, X[i])),
+            "y": tuple(map(float, Y[i])),
         },
         mode=_pair_mode(n * n, pair_budget),
         arithmetic=FLOAT,

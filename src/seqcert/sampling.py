@@ -79,9 +79,10 @@ def simplex_uniform(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
     return rng.dirichlet(np.ones(m), size=count)
 
 
-def coefficient_samples(m: int, budget: SamplingBudget) -> np.ndarray:
-    """Pooled evaluation set for scalar-coefficient certificates."""
-    parts = []
+def coefficient_samples(m: int, budget: SamplingBudget, pm_one: bool = False) -> np.ndarray:
+    """Pooled evaluation set for scalar-coefficient certificates; with
+    ``pm_one``, every +-1 pattern comes first."""
+    parts = [pm_one_patterns(m)] if pm_one else []
     if m <= budget.exhaustive_limit:
         parts.append(sign_patterns(m))
     if budget.count > 0:

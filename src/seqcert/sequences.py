@@ -19,22 +19,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .arithmetic import FLOAT, RATIONAL, Real, validate_arithmetic
 from .certificates import Certificate
 from .errors import DependenceError, ParameterError
-from .sampling import (
-    SamplingBudget,
-    coefficient_samples,
-    gaussian_sphere,
-    pm_one_patterns,
-    rational_vectors,
-    sign_patterns,
-    simplex_uniform,
-)
+from .sampling import SamplingBudget, coefficient_samples, rational_vectors
 from .spaces import (
     PREFIX_NORMS,
     CoordinateVector,
@@ -99,7 +91,8 @@ class BasicSequence:
         self.exact = all(
             not isinstance(x, float) for v in vecs for x in v.entries
         )
-        self._matrices: Dict[bool, np.ndarray] = {}
+        self._float_matrix = np.array([v.as_floats() for v in vecs], dtype=float)
+        self._exact_matrix = np.array([v.entries for v in vecs], dtype=object)
         self._check_independent()
         self.vector_norms = tuple(map(scalar, norm_batch(self.matrix(self.exact), ambient)))
         self.a = min(self.vector_norms)
@@ -125,12 +118,7 @@ class BasicSequence:
     def matrix(self, exact: bool = False) -> np.ndarray:
         """The vectors as rows: floats, or with ``exact`` an object array of
         their int/Fraction entries."""
-        if exact not in self._matrices:
-            self._matrices[exact] = np.array(
-                [v.entries if exact else v.as_floats() for v in self.vectors],
-                dtype=object if exact else float,
-            )
-        return self._matrices[exact]
+        return self._exact_matrix if exact else self._float_matrix
 
     def _basis(self, m: int, shift: int, exact: bool) -> np.ndarray:
         """The vectors x_{1+shift}..x_{m+shift} as rows (see ``matrix``)."""
@@ -170,6 +158,8 @@ class BasicSequence:
 def padded_difference(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The rows u - v of every pair of rows u, v of U and V, the narrower of
     U and V zero-padded to the wider; exact on object rows."""
+    if U.shape[1] == V.shape[1]:
+        return U - V
     diff = np.zeros((len(U), max(U.shape[1], V.shape[1])), dtype=np.result_type(U, V))
     diff[:, : U.shape[1]] = U
     diff[:, : V.shape[1]] -= V
@@ -187,14 +177,22 @@ def prefix_ends(s: BasicSequence) -> Optional[np.ndarray]:
     return ends if np.all(first[1:] >= ends[:-1]) else None
 
 
-def _head_norms(s: BasicSequence, coeffs: np.ndarray, ends) -> Optional[np.ndarray]:
-    """||P_n e|| of e = sum c_i x_i for every coefficient row c, one column
-    for each n whose end ``prefix_ends(s)[n-1]`` is listed in ``ends`` (all
-    of them, or a run), from one pass over the prefix of e up to ``ends[-1]``.
-    None when s is not prefix-shaped or its norm has no prefix form."""
-    if ends is None or s.ambient.variant not in PREFIX_NORMS:
-        return None
-    return head_norms_batch((coeffs @ s.matrix())[:, : ends[-1]], s.ambient, ends)
+def _head_norms(s: BasicSequence, coeffs: np.ndarray, heads: Sequence[int]) -> np.ndarray:
+    """||P_n e|| of e = sum c_i x_i for every float coefficient row c, one
+    column for each head size n in ``heads`` (increasing).  When s is
+    prefix-shaped and its norm has a prefix form, every column comes from one
+    pass over the prefix of e up to the last head's end; otherwise each head
+    is the span of c with the coefficients past n set to 0."""
+    ends = prefix_ends(s)
+    if ends is not None and s.ambient.variant in PREFIX_NORMS:
+        ends = ends[np.asarray(heads) - 1]
+        return head_norms_batch((coeffs @ s.matrix())[:, : ends[-1]], s.ambient, ends)
+    out = np.empty((len(coeffs), len(heads)))
+    for j, n in enumerate(heads):
+        head = np.zeros_like(coeffs)
+        head[:, :n] = coeffs[:, :n]
+        out[:, j] = s.span_norm_batch(head)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +274,13 @@ class RowNorms(NamedTuple):
     enclosure: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
     def of_differences(self, U: np.ndarray, V: np.ndarray) -> "RowNorms":
-        """The same norm of the rows u - v, as a function of indices into the
-        paired arrays U and V.  A scan keeps its rows in order, so a
-        full-length index is every pair, and U - V is taken without copying
-        U and V first."""
+        """The same norm of the rows of ``padded_difference(U, V)``, as a
+        function of indices into the paired arrays U and V.  A scan keeps its
+        rows in order, so a full-length index is every pair, and the
+        difference is taken without copying U and V first."""
 
         def rows(i):
-            return U - V if len(i) == len(U) else U[i] - V[i]
+            return padded_difference(U, V) if len(i) == len(U) else padded_difference(U[i], V[i])
 
         return RowNorms(lambda i: self.exact(rows(i)), lambda i: self.enclosure(rows(i)))
 
@@ -464,40 +462,21 @@ def basis_constant(s: BasicSequence, budget: SamplingBudget):
     treat it as an estimate of the same finite-truncation value.
     """
     m = len(s)
-    parts = []
-    if m <= PM_ONE_LIMIT:
-        parts.append(pm_one_patterns(m))
-    if m <= budget.exhaustive_limit:
-        parts.append(sign_patterns(m))
-    if budget.count > 0:
-        rng = np.random.default_rng(budget.seed)
-        parts.append(gaussian_sphere(rng, budget.count - budget.count // 2, m))
-        parts.append(simplex_uniform(rng, budget.count // 2, m))
-    if not parts:
-        raise ParameterError("empty sampling budget for basis_constant")
-    coeffs = np.concatenate(parts, axis=0)
-    ends = prefix_ends(s)
+    coeffs = coefficient_samples(m, budget, pm_one=m <= PM_ONE_LIMIT)
 
     def best_ratio(mat: np.ndarray) -> Optional[Tuple[float, np.ndarray]]:
         """(max ratio, its row) over the rows e of mat with ||e|| > DENOM_GUARD,
-        or None when there are none; ||e|| is the last head norm when the
-        heads come from one prefix pass."""
-        heads = _head_norms(s, mat, ends)
-        norms = s.span_norm_batch(mat) if heads is None else heads[:, -1]
+        or None when there are none; ||e|| is the last head norm."""
+        heads = _head_norms(s, mat, range(1, m + 1))
+        norms = heads[:, -1]
         ok = norms > DENOM_GUARD
         if not np.any(ok):
             return None
         if not np.all(ok):
-            mat, norms = mat[ok], norms[ok]
-            heads = None if heads is None else heads[ok]
+            mat, norms, heads = mat[ok], norms[ok], heads[ok]
         best, best_i = 1.0, 0
         for n in range(1, m + 1):
-            if heads is None:
-                head = np.zeros_like(mat)
-                head[:, :n] = mat[:, :n]
-                ratios = s.span_norm_batch(head) / norms
-            else:
-                ratios = heads[:, n - 1] / norms
+            ratios = heads[:, n - 1] / norms
             i = int(np.argmax(ratios))
             if ratios[i] > best:
                 best, best_i = float(ratios[i]), i
@@ -623,7 +602,6 @@ def gap_bound_check(
             arithmetic=FLOAT,
             flags=("no-tail-at-M=1",),
         )
-    ends = prefix_ends(s)
     rng = np.random.default_rng(budget.seed)
     per_split = max(1, budget.count // (m - 1))
     min_gap = None
@@ -632,9 +610,7 @@ def gap_bound_check(
     for n in range(1, m):
         heads = np.zeros((per_split, m))
         heads[:, :n] = rng.standard_normal((per_split, n))
-        # a head has trailing zeros: read its norm at its prefix width
-        hnorm = _head_norms(s, heads, None if ends is None else ends[n - 1 : n])
-        hnorm = s.span_norm_batch(heads) if hnorm is None else hnorm[:, 0]
+        hnorm = _head_norms(s, heads, [n])[:, 0]  # heads have zeros past n
         keep = hnorm > DENOM_GUARD
         heads, hnorm = heads[keep], hnorm[keep]
         if heads.size == 0:

@@ -556,6 +556,18 @@ seed = 3
         "[check c]\nkind = theta_of_map\nmap = r\nn_window = 2",
         "arithmetic = rational\n\n[check c]\nkind = domination\nother = james_summing",
         "arithmetic = rational\n\n[check c]\nkind = equivalence\nother = james_summing",
+        "[blocks]\nsets = 1,7\nweights = 1/2,1/2",
+        "[blocks]\nsets = 3,4 | 1,2\nweights = 1/2,1/2 | 1/2,1/2",
+        "[blocks]\nsets = 1,2\nweights = 1/2,1/3",
+        "[blocks]\nsets = 1,2\nweights = 1",
+        "[check c]\nkind = shift_equivalence\np_max = 6",
+        "[check c]\nkind = lemma79\nL = 2\np_max = 6",
+        "[blocks]\nsets = 1,2 | 3,4\nweights = 1/2,1/2 | 1/2,1/2\n\n"
+        "[check c]\nkind = shift_equivalence\non = blocks\np_max = 2",
+        "[check c]\nkind = summing_equivalence\nc1 = 0\nc2 = 1",
+        "[check c]\nkind = summing_equivalence\nc1 = 1\nc2 = -1/2",
+        "[check c]\nkind = lemma79\nL = 0",
+        "[check c]\nkind = theta_rightshift_bound\nmap = r\neps = 0\nn_window = 4",
     ],
     ids=[
         "sample-typo",
@@ -581,6 +593,17 @@ seed = 3
         "theta-window-vertex-pairs-meet",
         "rational-domination-other-not-piecewise-linear",
         "rational-equivalence-other-not-piecewise-linear",
+        "block-index-beyond-family",
+        "blocks-not-increasing",
+        "block-weights-not-summing-to-1",
+        "block-weight-count-not-block-size",
+        "shift-p_max-not-below-family-length",
+        "lemma79-p_max-not-below-family-length",
+        "shift-p_max-not-below-block-count",
+        "summing-c1-zero",
+        "summing-c2-negative",
+        "lemma79-L-zero",
+        "theta-bound-eps-zero",
     ],
 )
 def test_malformed_config_exits_2_before_any_work(tmp_path, monkeypatch, extra):
@@ -594,6 +617,42 @@ def test_malformed_config_exits_2_before_any_work(tmp_path, monkeypatch, extra):
     path = write(tmp_path, STRICT_BASE + extra + "\n")
     out = tmp_path / "r.json"
     assert main(["certify", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "orbit"])
+def test_dependent_csv_family_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command):
+    """A CSV family that is not a basic sequence is a config error.  (Not an
+    ``extra`` of the test above: its base already has a [sequence].)"""
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("basis_constant ran for a dependent family")
+
+    monkeypatch.setattr("seqcert.cli.basis_constant", no_kappa)
+    (tmp_path / "family.csv").write_text("1,0,0\n0,1,0\n1,1,0\n")
+    text = """
+[space]
+tag = sup
+
+[sequence]
+csv = family.csv
+
+[map r]
+variant = right_shift
+
+[check ok]
+kind = wide_s
+
+[orbit]
+x = delta:1
+y = delta:2
+n_window = 1
+
+[run]
+seed = 3
+"""
+    out = tmp_path / "r.out"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert "linearly dependent" in capsys.readouterr().err
     assert not out.exists()
 
 

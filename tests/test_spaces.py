@@ -187,3 +187,37 @@ def test_power_sums_batch_matches_exact_on_integers():
     powers = james_power_sums_batch(mat, 2)
     for row, value in zip(mat, powers):
         assert james_power_sum_exact(tuple(int(x) for x in row), 2) == int(value)
+
+
+# every kind of float entry, with zeros and subnormals drawn often
+entry_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1070, -(2.0**-1022)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+exact_entries = st.one_of(
+    st.just(0), st.integers(-5, 5), st.fractions(min_value=-4, max_value=4, max_denominator=50)
+)
+
+
+def matrices(entries):
+    """Lists of 1-6 rows of one width in 1..8."""
+    return st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=6)
+    )
+
+
+@given(matrices(entry_floats))
+def test_summing_basis_norm_vanishes_exactly_on_zero_float_rows(rows):
+    """||a||_s = max_k |sum_{i>=k} a_i| > 0 iff some a_i != 0, in float too: the
+    tail sum at the last nonzero entry is that entry itself (a tail sum that
+    overflows is inf, still > 0)."""
+    mat = np.array(rows, dtype=float)
+    with np.errstate(over="ignore"):
+        positive = summing_basis_norm_batch(mat) > 0
+    np.testing.assert_array_equal(positive, mat.any(axis=1))
+
+
+@given(matrices(exact_entries))
+def test_summing_basis_norm_vanishes_exactly_on_zero_exact_rows(rows):
+    mat = np.array(rows, dtype=object)
+    np.testing.assert_array_equal(summing_basis_norm_batch(mat) > 0, mat.any(axis=1))
