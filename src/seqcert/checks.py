@@ -4,6 +4,11 @@ A ``CheckKind`` holds the runner, the parameters and, for kinds that read a
 map, the map variant they need (``None``: any) and ``steps``, the number of
 map applications they make as a function of the parsed parameters, which
 ``cli.RunContext`` checks against the family's length before any work.
+Kinds that scan coefficient rows from ``sampling.coefficient_samples``
+declare ``width``, the length of those rows as a function of the parsed
+parameters and the target's length.  With ``samples = 0`` the rows are
+only enumerated patterns, which exist up to length ``enumerated``; the
+run context rejects a longer width before any work too.
 ``params`` is a schema that ``parse_params`` reads, the same kind of schema
 ``config.SECTIONS`` gives the fixed sections.  Parsed values do not depend
 on the arithmetic mode, so runners coerce where it matters.  A runner is
@@ -30,9 +35,9 @@ from .fpmaps import (
     theta_lower_bound_rightshift, theta_of_map,
 )
 from .perturbation import claim2_chain, perturb_toward_next, psp_equivalence_check
-from .sampling import SamplingBudget, rational_simplex, simplex_samples
+from .sampling import EXHAUSTIVE_DEFAULT_LIMIT, SamplingBudget, rational_simplex, simplex_samples
 from .sequences import (
-    BUILTIN_NAMES, INEQ_TOL, RowNorms, _scan, _witness, basis_constant, builtin_sequence,
+    BUILTIN_NAMES, INEQ_TOL, PM_ONE_LIMIT, RowNorms, _scan, _witness, basis_constant, builtin_sequence,
     domination_constant, equivalence_constants, gap_bound_check, padded_difference,
     wide_s_certificate,
 )
@@ -50,6 +55,8 @@ class CheckKind:
     params: Dict[str, Param]
     variant: Optional[str] = None
     steps: Optional[Callable[[dict], int]] = None
+    width: Optional[Callable[[dict, int], int]] = None
+    enumerated: int = EXHAUSTIVE_DEFAULT_LIMIT
 
 
 def parse_params(where: str, schema: Mapping[str, Param], params: Mapping[str, str]) -> dict:
@@ -221,13 +228,13 @@ def _wide_s(ctx, args, seed) -> Certificate:
 
 def _domination(ctx, args, seed) -> Certificate:
     target, budget = ctx.target(args["on"]), SamplingBudget(args["samples"], seed)
-    other = builtin_sequence(args["other"], len(target))
+    other = builtin_sequence(args["other"], len(target), p=ctx.cfg.james_p)
     return domination_constant(target, other, budget, arithmetic=ctx.cfg.arithmetic)
 
 
 def _equivalence(ctx, args, seed) -> Certificate:
     target, budget = ctx.target(args["on"]), SamplingBudget(args["samples"], seed)
-    other = builtin_sequence(args["other"], len(target))
+    other = builtin_sequence(args["other"], len(target), p=ctx.cfg.james_p)
     return equivalence_constants(target, other, budget, arithmetic=ctx.cfg.arithmetic)
 
 
@@ -267,10 +274,25 @@ ON: Dict[str, Param] = {"on": (("sequence", "blocks"), "sequence")}
 OTHER: Dict[str, Param] = {"other": (BUILTIN_NAMES, None)}
 SAMPLES: Dict[str, Param] = {"samples": (count, "2000")}
 
+
+def _whole(args: dict, m: int) -> int:
+    """A scan over coefficient rows as long as the target."""
+    return m
+
+
+def _shifted(args: dict, m: int) -> int:
+    """A scan over the coefficients that every shift up to ``p_max`` can move."""
+    return m - args["p_max"]
+
+
 CHECKS: Dict[str, CheckKind] = {
-    "basis_constant": CheckKind(_basis_constant, {**ON, "samples": (count, "1024")}),
+    "basis_constant": CheckKind(
+        _basis_constant, {**ON, "samples": (count, "1024")}, width=_whole, enumerated=PM_ONE_LIMIT
+    ),
     "claim2_chain": CheckKind(_claim2_chain, MAP, DIAG_SHIFT),
-    "psp_equivalence": CheckKind(_psp_equivalence, {**MAP, **SAMPLES}, DIAG_SHIFT),
+    "psp_equivalence": CheckKind(  # rows as long as the schedule, M - 1
+        _psp_equivalence, {**MAP, **SAMPLES}, DIAG_SHIFT, width=lambda args, m: m - 1
+    ),
     "bilipschitz": CheckKind(
         _bilipschitz, {**MAP, "pairs": (count, "2000"), "p_max": (positive, "1")},
         steps=lambda args: args["p_max"],
@@ -291,21 +313,23 @@ CHECKS: Dict[str, CheckKind] = {
         RIGHT_SHIFT,
         lambda args: args["n_window"],
     ),
-    "wide_s": CheckKind(_wide_s, {**ON, **SAMPLES}),
-    "domination": CheckKind(_domination, {**ON, **OTHER, **SAMPLES}),
-    "equivalence": CheckKind(_equivalence, {**ON, **OTHER, **SAMPLES}),
+    "wide_s": CheckKind(_wide_s, {**ON, **SAMPLES}, width=_whole),
+    "domination": CheckKind(_domination, {**ON, **OTHER, **SAMPLES}, width=_whole),
+    "equivalence": CheckKind(_equivalence, {**ON, **OTHER, **SAMPLES}, width=_whole),
     "gap_bound": CheckKind(_gap_bound, {**ON, **SAMPLES}),
-    "wuc_constant": CheckKind(_wuc_constant, {**ON, **SAMPLES}),
+    "wuc_constant": CheckKind(_wuc_constant, {**ON, **SAMPLES}, width=_whole),
     "summing_equivalence": CheckKind(
         _summing_equivalence,
         {**ON, "c1": (positive_scalar, None), "c2": (positive_scalar, None), **SAMPLES},
+        width=_whole,
     ),
     "shift_equivalence": CheckKind(
-        _shift_equivalence, {**ON, "p_max": (positive, None), **SAMPLES}
+        _shift_equivalence, {**ON, "p_max": (positive, None), **SAMPLES}, width=_shifted
     ),
     "lemma79": CheckKind(
         _lemma79,
         {**ON, "L": (positive_scalar, None), "lower_c": (_lower_c, "printed"),
          "p_max": (positive, "1"), **SAMPLES},
+        width=_shifted,
     ),
 }

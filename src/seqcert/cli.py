@@ -60,7 +60,8 @@ class RunContext:
     configured family when the caller has built it already.  What the family
     rules out raises ConfigError before any basis constant is estimated:
     blocks that cannot be built, a shift ``p_max`` not below the target's
-    length, a check whose map steps the family is too short for
+    length, ``samples = 0`` on rows too long to enumerate (``CheckKind.width``),
+    a check whose map steps the family is too short for
     (``fpmaps.start_length``), an orbit window on a right shift too short for
     it (``fpmaps.check_theta_window``), a ``phi`` that gives no summing
     functional (``functionals`` maps each configured phi to its functional),
@@ -98,7 +99,8 @@ class RunContext:
 
     def _prepare(self, kind: str, args: dict) -> None:
         """Check what the family implies for one check; build its functional."""
-        steps = CHECKS[kind].steps
+        spec = CHECKS[kind]
+        steps = spec.steps
         if steps is not None:
             mc = self.cfg.maps[args["map"]]
             policy = map_policy(mc.variant, mc.theta, mc.policy)
@@ -109,6 +111,13 @@ class RunContext:
             m = len(self.target(args["on"]))
             if not args["p_max"] < m:
                 raise ParameterError(f"p_max must lie in 1..{m - 1}, got {args['p_max']}")
+        if spec.width is not None and args["samples"] == 0:
+            width = spec.width(args, len(self.target(args.get("on", "sequence"))))
+            if width > spec.enumerated:
+                raise ParameterError(
+                    f"samples = 0 leaves only enumerated patterns, which exist up to "
+                    f"{spec.enumerated} coefficients; this check scans {width}"
+                )
         if "phi" in args:
             phi = args["phi"]
             self.functionals[phi] = summing_functional(self.seq, phi, self.cfg.arithmetic)

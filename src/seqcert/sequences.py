@@ -587,7 +587,16 @@ def gap_bound_check(
 ) -> Certificate:
     """Sampled check of ||x - y|| >= a / K for heads x with ||x|| >= a and
     tails y (float mode), where K is the upper end of ``kappa``, the
-    basis-constant interval of s."""
+    basis-constant interval of s.
+
+    Each split n draws its heads, keeps those with ||x|| > DENOM_GUARD and
+    then draws their tails, so its draws depend on how many heads it kept.
+    The gaps of all splits go through one norm call; the witness is the
+    first row with the least gap, the one a search split by split keeps.
+    (A split that keeps a single head would on its own be a one-row
+    ``coeffs @ X``, which numpy evaluates as a matrix-vector product that
+    may round differently.)
+    """
     m = len(s)
     kappa_up = float(kappa[1])
     a = float(s.a)
@@ -604,9 +613,7 @@ def gap_bound_check(
         )
     rng = np.random.default_rng(budget.seed)
     per_split = max(1, budget.count // (m - 1))
-    min_gap = None
-    wit_head: Tuple[Real, ...] = ()
-    wit_tail: Tuple[Real, ...] = ()
+    all_heads, all_tails = [], []
     for n in range(1, m):
         heads = np.zeros((per_split, m))
         heads[:, :n] = rng.standard_normal((per_split, n))
@@ -620,12 +627,17 @@ def gap_bound_check(
         tails = np.zeros((len(heads), m))
         tails[:, n:] = rng.standard_normal((len(heads), m - n))
         tails *= rng.random((len(heads), 1)) * 2.0
+        all_heads.append(heads)
+        all_tails.append(tails)
+    min_gap = None
+    wit_head: Tuple[Real, ...] = ()
+    wit_tail: Tuple[Real, ...] = ()
+    if all_heads:
+        heads, tails = np.concatenate(all_heads), np.concatenate(all_tails)
         gaps = s.span_norm_batch(heads - tails)
         i = int(np.argmin(gaps))
-        if min_gap is None or gaps[i] < min_gap:
-            min_gap = float(gaps[i])
-            wit_head = _witness(heads[i])
-            wit_tail = _witness(tails[i])
+        min_gap = float(gaps[i])
+        wit_head, wit_tail = _witness(heads[i]), _witness(tails[i])
     holds = min_gap is not None and min_gap >= bound - tol
     cert_flags = () if _kappa_is_certified(kappa) else ("kappa-upper-heuristic",)
     return Certificate(

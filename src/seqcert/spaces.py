@@ -248,22 +248,34 @@ def james_prefix_power_sums(mat: np.ndarray, p: float) -> np.ndarray:
     """Maximal interval-chain power sums of every prefix of every row: a
     rows x N float array whose column j - 1 belongs to the width-j prefix.
 
-    One O(N^2) DP: ``best[:, j]`` is the optimum over indices 1..j, a block
-    may start at any i <= j, and index j may also stay uncovered.  On
-    integer inputs with integer p every intermediate value is an integer
-    well below 2^53, so the result is exact.
+    One O(N^2) DP: ``best[j]`` is the optimum over indices 1..j, a block may
+    start at any i <= j, and index j may also stay uncovered.  On integer
+    inputs with integer p every intermediate value is an integer well below
+    2^53, so the result is exact.
+
+    The tables ``prefix`` and ``best`` are (N+1) x rows and C-contiguous,
+    so every DP step reads and writes whole contiguous rows, through one
+    reused buffer; the result is the transposed view of ``best[1:]``.  Each
+    entry goes through the same elementwise operations in the same order as
+    in a rows x (N+1) layout, so the bits do not depend on the layout or on
+    how many rows are evaluated together.
     """
     rows, n = mat.shape
-    prefix = np.concatenate([np.zeros((rows, 1)), np.cumsum(mat, axis=1)], axis=1)
-    best = np.zeros((rows, n + 1))
+    prefix = np.zeros((n + 1, rows))
+    np.cumsum(mat.T, axis=0, out=prefix[1:])
+    best = np.zeros((n + 1, rows))
+    v = np.empty(rows)
     for j in range(1, n + 1):
-        cand = best[:, j - 1].copy()
-        pj = prefix[:, j]
-        for i in range(1, j + 1):
-            v = best[:, i - 1] + np.abs(pj - prefix[:, i - 1]) ** p
+        cand = best[j]
+        cand[:] = best[j - 1]
+        pj = prefix[j]
+        for pi, bi in zip(prefix[:j], best[:j]):  # a block starting at i = 1..j
+            np.subtract(pj, pi, out=v)
+            np.abs(v, out=v)
+            v **= p
+            np.add(bi, v, out=v)
             np.maximum(cand, v, out=cand)
-        best[:, j] = cand
-    return best[:, 1:]
+    return best[1:].T
 
 
 def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:

@@ -568,6 +568,11 @@ seed = 3
         "[check c]\nkind = summing_equivalence\nc1 = 1\nc2 = -1/2",
         "[check c]\nkind = lemma79\nL = 0",
         "[check c]\nkind = theta_rightshift_bound\nmap = r\neps = 0\nn_window = 4",
+        (11, "[check c]\nkind = wide_s\nsamples = 0"),
+        (11, "arithmetic = rational\n\n[check c]\nkind = equivalence\nother = c0_canonical\nsamples = 0"),
+        (13, "[check c]\nkind = basis_constant\nsamples = 0"),
+        (12, "[check c]\nkind = psp_equivalence\nmap = f\nsamples = 0"),
+        (13, "[check c]\nkind = lemma79\nL = 2\np_max = 2\nsamples = 0"),
     ],
     ids=[
         "sample-typo",
@@ -604,20 +609,81 @@ seed = 3
         "summing-c2-negative",
         "lemma79-L-zero",
         "theta-bound-eps-zero",
+        "wide_s-samples-0-on-11-vectors",
+        "rational-equivalence-samples-0-on-11-vectors",
+        "basis_constant-samples-0-on-13-vectors",
+        "psp-samples-0-on-11-schedule-steps",
+        "lemma79-samples-0-on-11-shifted-coefficients",
     ],
 )
 def test_malformed_config_exits_2_before_any_work(tmp_path, monkeypatch, extra):
+    """An ``extra`` is config text, or (n, text) for a family of n vectors."""
     def no_kappa(*args, **kwargs):
         raise AssertionError("basis_constant ran for a malformed config")
 
     monkeypatch.setattr("seqcert.cli.basis_constant", no_kappa)
     monkeypatch.setattr("seqcert.checks.basis_constant", no_kappa)
-    load_config(write(tmp_path, STRICT_BASE, "base.cfg"))  # the base alone is valid
+    n, extra = extra if isinstance(extra, tuple) else (6, extra)
+    base = STRICT_BASE.replace("n = 6", f"n = {n}")
+    load_config(write(tmp_path, base, "base.cfg"))  # the base alone is valid
     # the [run] section comes last, so a bare key line lands in it
-    path = write(tmp_path, STRICT_BASE + extra + "\n")
+    path = write(tmp_path, base + extra + "\n")
     out = tmp_path / "r.json"
     assert main(["certify", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n,extra",
+    [
+        (10, "[check c]\nkind = wide_s\nsamples = 0"),
+        (12, "[check c]\nkind = basis_constant\nsamples = 0"),
+        (11, "[check c]\nkind = psp_equivalence\nmap = f\nsamples = 0"),
+        (12, "[check c]\nkind = lemma79\nL = 2\np_max = 2\nsamples = 0"),
+    ],
+    ids=["wide_s-10", "basis_constant-12", "psp-10-steps", "lemma79-10-shifted"],
+)
+def test_zero_samples_run_where_every_row_is_enumerated(tmp_path, n, extra):
+    """The widest scans that ``samples = 0`` still fills with sign patterns
+    pass the load-time check and run to the end."""
+    path = write(tmp_path, STRICT_BASE.replace("n = 6", f"n = {n}") + extra + "\n")
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", path, "--out", str(out)]) in (0, 1)
+    report = json.loads(out.read_text())
+    assert report["meta"]["failed"] is None
+    assert [c["name"] for c in report["certificates"]] == ["ok", "c"]
+
+
+def test_other_family_is_built_with_the_configured_p(tmp_path):
+    """``other = james_summing`` on james_summing with p = 3 is the family
+    itself, so both constants are 1; the echo's ``sequence.p`` is the p of
+    both families."""
+    text = """
+[sequence]
+builtin = james_summing
+n = 6
+p = 3
+
+[check eq]
+kind = equivalence
+other = james_summing
+samples = 200
+
+[check dom]
+kind = domination
+other = james_summing
+samples = 200
+
+[run]
+seed = 1
+"""
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["sequence"]["p"] == 3.0
+    eq, dom = report["certificates"]
+    assert eq["constants"]["L_smallest"] == 1.0
+    assert dom["constants"]["L_hat"] == 1.0
 
 
 @pytest.mark.parametrize("command", ["certify", "orbit"])

@@ -23,7 +23,14 @@ from seqcert.sequences import (
     gap_bound_check,
     prefix_ends,
 )
-from seqcert.spaces import NormTag, head_norms_batch, james_power_sums_batch, norm_batch
+from seqcert.spaces import (
+    NormTag,
+    head_norms_batch,
+    james_power_sum_exact,
+    james_power_sums_batch,
+    james_prefix_power_sums,
+    norm_batch,
+)
 
 
 def pair_blocks(s: BasicSequence) -> BasicSequence:
@@ -70,6 +77,44 @@ def test_full_width_power_sums_are_the_last_prefix():
     heads = head_norms_batch(mat, tag, np.arange(1, 10))
     assert heads[:, -1].tobytes() == norm_batch(mat, tag).tobytes()
     assert james_power_sums_batch(np.zeros((3, 0)), 2).tolist() == [0.0, 0.0, 0.0]
+
+
+def row_major_prefix_power_sums(mat: np.ndarray, p: float) -> np.ndarray:
+    """The james prefix DP on rows x (N+1) tables, reading strided columns:
+    the layout ``james_prefix_power_sums`` replaced, kept as its oracle."""
+    rows, n = mat.shape
+    prefix = np.concatenate([np.zeros((rows, 1)), np.cumsum(mat, axis=1)], axis=1)
+    best = np.zeros((rows, n + 1))
+    for j in range(1, n + 1):
+        cand = best[:, j - 1].copy()
+        pj = prefix[:, j]
+        for i in range(1, j + 1):
+            v = best[:, i - 1] + np.abs(pj - prefix[:, i - 1]) ** p
+            np.maximum(cand, v, out=cand)
+        best[:, j] = cand
+    return best[:, 1:]
+
+
+@pytest.mark.parametrize("rows", [1, 42, 2000])
+@pytest.mark.parametrize("n", [1, 2, 17, 48, 64])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_prefix_dp_is_bitwise_the_row_major_dp(p, n, rows):
+    rng = np.random.default_rng(rows * 100 + n)
+    # entries over 24 binary orders of magnitude, so the sums round
+    mat = rng.standard_normal((rows, n)) * 2.0 ** rng.integers(-12, 12, (rows, n))
+    got = james_prefix_power_sums(mat, p)
+    want = row_major_prefix_power_sums(mat, p)
+    assert got.shape == want.shape == (rows, n)
+    assert repr(got.tolist()) == repr(want.tolist())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_prefix_dp_full_width_is_the_exact_power_sum_on_integer_rows(p):
+    rng = np.random.default_rng(p)
+    mat = rng.integers(-9, 10, (42, 17))
+    full = james_prefix_power_sums(mat.astype(float), float(p))[:, -1]
+    exact = [james_power_sum_exact(tuple(map(int, row)), p) for row in mat]
+    assert full.tolist() == [float(v) for v in exact]
 
 
 @pytest.mark.parametrize("tag", [NormTag.ell_p(1), NormTag.ell_p(2), NormTag.lin()])
@@ -189,6 +234,49 @@ def test_kappa_and_gap_bound_match_the_per_head_oracle(name, p, n, blocks):
         min_gap, (head, tail) = oracle_gap(s, gap_budget)
         assert repr(cert.constants["min_gap"]) == repr(min_gap)
         assert (cert.witness["head"], cert.witness["tail"]) == (head, tail)
+
+
+def dense_family(n: int, tag: NormTag) -> BasicSequence:
+    """n Gaussian vectors in R^n: a family with no prefix shape, so every
+    head and every gap goes through the ``coeffs @ X`` product."""
+    return BasicSequence(np.random.default_rng(n).standard_normal((n, n)).tolist(), tag)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda: builtin_sequence("james_summing", 48),
+        lambda: dense_family(12, NormTag.ell_p(2)),
+        lambda: dense_family(12, NormTag.sup()),
+    ],
+    ids=["james48", "dense12-ell2", "dense12-sup"],
+)
+def test_stacked_gap_bound_matches_the_per_split_oracle_at_scale(family):
+    """The gap rows of all splits go through one norm call; at the james48
+    workload's budget and on a dense float family the witness and min_gap
+    are still those of one call per split."""
+    s = family()
+    for seed in (1, 2, 3):
+        budget = SamplingBudget(count=2000, seed=seed)
+        cert = gap_bound_check(s, (1.0, 1.0), budget)
+        min_gap, (head, tail) = oracle_gap(s, budget)
+        assert repr(cert.constants["min_gap"]) == repr(min_gap)
+        assert (cert.witness["head"], cert.witness["tail"]) == (head, tail)
+
+
+@pytest.mark.parametrize("n", [12, 48])
+def test_span_norm_batch_of_a_stack_is_the_concatenation_of_its_chunks(n):
+    """Stacking rows changes the row count of the ``coeffs @ X`` product but
+    not the bits of any row, for chunks of two rows or more.  (numpy
+    evaluates a one-row product as a matrix-vector product, which may round
+    differently.)"""
+    rng = np.random.default_rng(n + 1)
+    chunks = [rng.standard_normal((rows, n)) for rows in (2, 3, 7, 42, 42, 300, 2000)]
+    for tag in (NormTag.ell_p(2), NormTag.sup(), NormTag.james(2)):
+        s = dense_family(n, tag)
+        stacked = s.span_norm_batch(np.concatenate(chunks))
+        parts = np.concatenate([s.span_norm_batch(c) for c in chunks])
+        assert stacked.tobytes() == parts.tobytes()
 
 
 @pytest.mark.parametrize("blocks", [False, True], ids=["sequence", "pair-blocks"])
