@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .arithmetic import FLOAT, RATIONAL, Real, parse_coeff_list
+from .arithmetic import FLOAT, RATIONAL, Real, parse_coeff_list, scalar_to_json
 from .blocks import ConvexBlockSpec, build_convex_blocks
 from .certificates import Certificate
 from .checks import CHECKS, count, summing_functional
@@ -35,7 +35,7 @@ from .fpmaps import (
     make_alpha_schedule, map_policy, orbit, start_length,
 )
 from .sampling import SamplingBudget
-from .sequences import INEQ_TOL, BasicSequence, basis_constant, builtin_sequence
+from .sequences import INEQ_TOL, BasicSequence, basis_constant, builtin_sequence, proved_monotone
 from .spaces import norm, require_exact, row_array, scalar
 
 KAPPA_SAMPLES = 512
@@ -46,12 +46,19 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=[seed, index]).generate_state(1)[0])
 
 
-def kappa_interval(s: BasicSequence, seed: int) -> Tuple[Real, Real]:
-    """The run's basis-constant interval for s.  Exact families get Fraction
-    endpoints (the float-to-Fraction conversion loses nothing), so rational
-    theta and claim2 values computed from it stay exact."""
-    lo, up = basis_constant(s, SamplingBudget(count=KAPPA_SAMPLES, seed=seed))
-    return (Fraction(lo), Fraction(up)) if s.exact else (lo, up)
+def kappa_interval(s: BasicSequence, seed: int) -> Tuple[Tuple[Real, Real], dict]:
+    """The run's basis-constant interval for s, and its ``meta.kappa`` entry:
+    the endpoints as certificates write them, and their ``source``,
+    ``proved-monotone`` (``proved_monotone``) or the sampling mode in a
+    certificate's words.  Exact families get Fraction endpoints (the
+    float-to-Fraction conversion loses nothing), so rational theta and
+    claim2 values computed from it stay exact."""
+    budget = SamplingBudget(count=KAPPA_SAMPLES, seed=seed)
+    lo, up = basis_constant(s, budget)
+    kappa = (Fraction(lo), Fraction(up)) if s.exact else (lo, up)
+    source = "proved-monotone" if proved_monotone(s) else budget.mode_label(len(s))
+    lower, upper = map(scalar_to_json, kappa)
+    return kappa, {"lower": lower, "upper": upper, "source": source}
 
 
 class RunContext:
@@ -66,7 +73,9 @@ class RunContext:
     it (``fpmaps.check_theta_window``), a ``phi`` that gives no summing
     functional (``functionals`` maps each configured phi to its functional),
     or in rational mode an ``other`` family whose norm is not piecewise linear.
-    ``setup_times`` holds the wall time of each step, in seconds."""
+    ``setup_times`` holds the wall time of each step, in seconds, and
+    ``kappa_report`` the ``meta.kappa`` entries of the sequence and the blocks
+    (None without blocks)."""
 
     def __init__(self, cfg: ExperimentConfig, seq: Optional[BasicSequence] = None):
         self.cfg = cfg
@@ -87,10 +96,11 @@ class RunContext:
                 self._prepare(check.kind, check.args)
             except ParameterError as exc:
                 raise ConfigError(f"[check {check.name}]: {exc}") from exc
-        self.kappa = self._timed("kappa", kappa_interval, self.seq, derive_seed(cfg.seed, 0))
+        self.kappa, report = self._timed("kappa", kappa_interval, self.seq, derive_seed(cfg.seed, 0))
+        self.kappa_report: Dict[str, Optional[dict]] = {"sequence": report, "blocks": None}
         self.kappa_blocks: Optional[Tuple[Real, Real]] = None
         if self.blocks_seq is not None:
-            self.kappa_blocks = self._timed(
+            self.kappa_blocks, self.kappa_report["blocks"] = self._timed(
                 "kappa_blocks", kappa_interval, self.blocks_seq, derive_seed(cfg.seed, 1)
             )
         self.map_specs: Dict[str, AffineMapSpec] = self._timed(
@@ -185,6 +195,7 @@ def run_certify(config_path: str, out_path: Optional[str], seed, arithmetic) -> 
                 "numpy": np.__version__,
             },
             "setup_times": {"load": load_s, **ctx.setup_times},
+            "kappa": ctx.kappa_report,
             "wall_times": wall,
             "failed": failed_error,
         },

@@ -28,6 +28,7 @@ from .certificates import Certificate
 from .errors import DependenceError, ParameterError
 from .sampling import SamplingBudget, coefficient_samples, rational_vectors
 from .spaces import (
+    MONOTONE_NORMS,
     PREFIX_NORMS,
     CoordinateVector,
     NormTag,
@@ -175,6 +176,36 @@ def prefix_ends(s: BasicSequence) -> Optional[np.ndarray]:
     first = np.argmax(nonzero, axis=1)
     ends = nonzero.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
     return ends if np.all(first[1:] >= ends[:-1]) else None
+
+
+def proved_monotone(s: BasicSequence) -> bool:
+    """Whether sup_n ||P_n|| = 1 is proved for s: s is prefix-shaped
+    (``prefix_ends``) and its norm is one of ``MONOTONE_NORMS``.  This is the
+    monotone-basis case of Albiac & Kalton, *Topics in Banach Space Theory*
+    (GTM 233), ch. 1.  ||P_M|| = 1 as P_M is the identity, so the claim is
+    ||P_n e|| <= ||e|| for every e = sum c_i x_i and every n.
+
+    Exact.  P_n e is the coordinate prefix of e up to the end of x_n, padded
+    with zeros.  Sup, ell_p and lin are solid: |x| <= |y| coordinatewise
+    gives ||x|| <= ||y||.  For james, cutting an interval chain of P_n e at
+    the prefix's end leaves every block sum unchanged (past the end P_n e is
+    0) and gives a chain of e, so the supremum over chains of P_n e is at
+    most that over chains of e.
+
+    Float.  Each column of a prefix-shaped matrix has one nonzero entry, so
+    every entry of ``c @ X`` is one rounded product plus exact zeros, in any
+    summation order: a head row equals the full row on the prefix and is 0
+    after it.  For sup and james, ``_head_norms`` reads every head, ||e||
+    included, from one pass over the full row: the running max, or the
+    james DP and its 1/p root, never decreases with the width.  For ell_p
+    and lin each head row has the full row's width, and its kernel (|x|^p
+    summed pairwise, or the right-to-left tail sums weighted and maximized)
+    is monotone in every |entry| under round-to-nearest.  So no sampled
+    ratio ||P_n e|| / ||e|| exceeds 1.0, and ``_sampled_basis_constant`` can
+    only return (1.0, 1.0); ``tests/test_head_norms.py`` checks that on
+    random families.
+    """
+    return s.ambient.variant in MONOTONE_NORMS and prefix_ends(s) is not None
 
 
 def _head_norms(s: BasicSequence, coeffs: np.ndarray, heads: Sequence[int]) -> np.ndarray:
@@ -455,6 +486,18 @@ PM_ONE_LIMIT = 12
 def basis_constant(s: BasicSequence, budget: SamplingBudget):
     """Interval (lower, upper) around sup_n ||P_n|| at this truncation.
 
+    Where ``proved_monotone(s)`` holds, the interval is the proved point
+    (1.0, 1.0), the value ``_sampled_basis_constant`` would return, and
+    nothing is drawn or evaluated.  Other families are sampled.
+    """
+    if proved_monotone(s):
+        return (1.0, 1.0)
+    return _sampled_basis_constant(s, budget)
+
+
+def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget):
+    """``basis_constant`` from samples.
+
     ``lower`` is certified: the max ratio ||P_n e|| / ||e|| over every
     evaluated e (all +-1 patterns up to M = 12, all {-1,0,1} patterns up to
     the budget's exhaustive limit) and every n.  ``upper`` comes from
@@ -652,8 +695,9 @@ def gap_bound_check(
 
 
 def _kappa_is_certified(kappa: Tuple[Real, Real]) -> bool:
-    """The interval is a point only when refinement found nothing above the
-    certified lower bound; polyhedral exhaustive cases land here."""
+    """The interval is a point: kappa = 1 proved (``proved_monotone``), or a
+    sampled interval whose refinement found nothing above the certified
+    lower bound."""
     lo, up = kappa
     return float(up) - float(lo) <= 1e-12
 

@@ -313,6 +313,9 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
 
 # The norms whose prefixes ``head_norms_batch`` evaluates in one pass.
 PREFIX_NORMS = (SUP, JAMES)
+# The norms under which a prefix-shaped family has basis constant exactly 1
+# (``sequences.proved_monotone`` gives the proof).
+MONOTONE_NORMS = (SUP, ELL_P, LIN, JAMES)
 
 
 def head_norms_batch(mat: np.ndarray, tag: NormTag, ends) -> Optional[np.ndarray]:

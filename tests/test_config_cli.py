@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import seqcert.sequences
 from seqcert.checks import CHECKS
-from seqcert.cli import main
+from seqcert.cli import RunContext, main
 from seqcert.config import load_config, parse_cli_tag, parse_coeff_list
 from seqcert.errors import ConfigError
 from seqcert.fpmaps import RIGHT_SHIFT
@@ -129,9 +131,25 @@ def test_certify_minimal_and_report_schema(tmp_path):
     assert set(cert) == {
         "name", "kind", "constants", "holds", "witness", "mode", "arithmetic", "flags",
     }
-    assert set(report["meta"]) == {"versions", "setup_times", "wall_times", "failed"}
+    assert set(report["meta"]) == {"versions", "setup_times", "kappa", "wall_times", "failed"}
     assert report["meta"]["failed"] is None
     assert set(report["meta"]["setup_times"]) == {"load", "sequence", "kappa", "maps"}
+    assert report["meta"]["kappa"] == {
+        "sequence": {"lower": "1/1", "upper": "1/1", "source": "proved-monotone"},
+        "blocks": None,
+    }
+
+
+def test_meta_kappa_names_a_sampled_source(tmp_path):
+    """summing_c0 is not prefix-shaped: its kappa is sampled, and meta says how."""
+    text = MINIMAL.replace("builtin = ell1_canonical\nn = 12", "builtin = summing_c0\nn = 13")
+    out = tmp_path / "report.json"
+    assert main(["certify", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    kappa = json.loads(out.read_text())["meta"]["kappa"]
+    assert kappa["blocks"] is None
+    seq = kappa["sequence"]
+    assert seq["source"].startswith("sampled(count=512,seed=")
+    assert 1.9 < Fraction(seq["lower"]) <= Fraction(seq["upper"]) <= 2  # exact family: "p/q"
 
 
 def test_certify_determinism_bytes(tmp_path):
@@ -875,6 +893,32 @@ REQUIRED_VALUES = {"eps": "1/100", "other": "c0_canonical", "c1": "1/4", "c2": "
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: str(p.relative_to(REPO)))
 def test_bundled_configs_load(path):
     assert load_config(path).checks
+
+
+@pytest.mark.parametrize(
+    "path",
+    [THEOREM41, *sorted((REPO / "bench" / "workloads" / "smoke").glob("*.cfg"))],
+    ids=lambda p: str(p.relative_to(REPO)),
+)
+def test_set_up_draws_no_kappa_rows_on_bundled_families(monkeypatch, path):
+    """Every bundled family is prefix-shaped under a monotone norm, so the
+    run's kappa is the proved (1, 1) and set-up samples nothing."""
+    rows = []
+    original = seqcert.sequences.coefficient_samples
+
+    def counted(m, budget, **kw):
+        out = original(m, budget, **kw)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr("seqcert.sequences.coefficient_samples", counted)
+    ctx = RunContext(load_config(path))
+    assert rows == []
+    reports = [ctx.kappa_report["sequence"]]
+    if ctx.blocks_seq is not None:
+        reports.append(ctx.kappa_report["blocks"])
+    assert {r["source"] for r in reports} == {"proved-monotone"}
+    assert float(ctx.kappa[0]) == float(ctx.kappa[1]) == 1.0
 
 
 @pytest.mark.parametrize("kind", sorted(CHECKS))

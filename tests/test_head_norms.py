@@ -4,7 +4,10 @@ from typing import Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import seqcert.sequences
 from seqcert.blocks import ConvexBlockSpec, build_convex_blocks
 from seqcert.sampling import (
     SamplingBudget,
@@ -18,10 +21,12 @@ from seqcert.sequences import (
     DENOM_GUARD,
     PM_ONE_LIMIT,
     BasicSequence,
+    _sampled_basis_constant,
     basis_constant,
     builtin_sequence,
     gap_bound_check,
     prefix_ends,
+    proved_monotone,
 )
 from seqcert.spaces import (
     NormTag,
@@ -282,15 +287,22 @@ def test_span_norm_batch_of_a_stack_is_the_concatenation_of_its_chunks(n):
 @pytest.mark.parametrize("blocks", [False, True], ids=["sequence", "pair-blocks"])
 @pytest.mark.parametrize(
     "name,p,full_width_calls",
-    [*((name, p, False) for name, p in PREFIX_FAMILIES), ("ell1_canonical", 2, True), ("summing_c0", 2, True)],
+    [
+        *((name, p, False) for name, p in PREFIX_FAMILIES),
+        ("ell1_canonical", 2, True),
+        ("dense_ell2", 2, True),
+        ("summing_c0", 2, True),
+        ("ell1_canonical", 2, None),
+    ],
 )
 def test_basis_constant_reads_the_norm_from_the_head_pass(
     monkeypatch, name, p, full_width_calls, blocks
 ):
     """Where the heads come from one prefix pass, ||e|| is their last column and
-    basis_constant makes no span_norm_batch call; elsewhere it evaluates each
-    head on its own."""
-    s = builtin_sequence(name, 13, p=p)
+    the sampled estimate makes no span_norm_batch call; elsewhere it evaluates
+    each head on its own.  Where kappa is proved (``full_width_calls`` None),
+    basis_constant draws and evaluates nothing at all."""
+    s = dense_family(13, NormTag.ell_p(2)) if name == "dense_ell2" else builtin_sequence(name, 13, p=p)
     if blocks:
         s = pair_blocks(s)
     calls = []
@@ -301,5 +313,74 @@ def test_basis_constant_reads_the_norm_from_the_head_pass(
         return original(self, coeff_mat)
 
     monkeypatch.setattr(BasicSequence, "span_norm_batch", counted)
-    basis_constant(s, SamplingBudget(count=512, seed=1))
-    assert bool(calls) == full_width_calls
+    budget = SamplingBudget(count=512, seed=1)
+    if full_width_calls is None:
+        draws = []
+        monkeypatch.setattr("seqcert.sequences.coefficient_samples", lambda *a, **k: draws.append(a))
+        assert basis_constant(s, budget) == (1.0, 1.0)
+        assert calls == [] and draws == []
+    else:
+        _sampled_basis_constant(s, budget)
+        assert bool(calls) == full_width_calls
+
+
+# ---------------------------------------------------------------------------
+# The proved kappa = 1 (``proved_monotone``) against the sampled estimate.
+# ---------------------------------------------------------------------------
+
+MONOTONE_TAGS = [
+    NormTag.sup(),
+    NormTag.lin(),
+    *(NormTag.ell_p(p) for p in (1, 1.5, 2, 3)),
+    *(NormTag.james(p) for p in (1.5, 2, 3)),
+]
+
+
+@st.composite
+def prefix_family(draw):
+    """3-15 vectors on successive blocks of 1-3 coordinates, with entries
+    +-10^e for e in [-3, 3], under one of ``MONOTONE_TAGS``."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=3, max_size=15))
+    tag = draw(st.sampled_from(MONOTONE_TAGS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = np.zeros((len(widths), sum(widths)))
+    for i, (start, w) in enumerate(zip(np.cumsum([0, *widths[:-1]]), widths)):
+        mat[i, start : start + w] = rng.choice([-1.0, 1.0], w) * 10.0 ** rng.uniform(-3, 3, w)
+    return BasicSequence(mat.tolist(), tag)
+
+
+@given(prefix_family(), st.integers(0, 2**31 - 1))
+def test_sampled_kappa_of_a_prefix_family_is_the_proved_one(s, seed):
+    """Every sampled ratio ||P_n e|| / ||e|| of a prefix-shaped family stays
+    at most 1.0 in float, so the proof returns the sampled answer's bits."""
+    assert proved_monotone(s)
+    budget = SamplingBudget(count=512, seed=seed)
+    assert _sampled_basis_constant(s, budget) == (1.0, 1.0)
+    assert basis_constant(s, budget) == (1.0, 1.0)
+
+
+# basis_constant(s, SamplingBudget(count=512, seed=1)) recorded before the
+# proof existed, for summing_c0 at n = 13 and its pair blocks.
+RECORDED_SAMPLED_KAPPA = {
+    False: (1.9973733173191068, 1.9986960468933441),
+    True: (2.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("blocks", [False, True], ids=["sequence", "pair-blocks"])
+def test_families_without_the_proof_still_sample(monkeypatch, blocks):
+    s = builtin_sequence("summing_c0", 13)
+    if blocks:
+        s = pair_blocks(s)
+    assert not proved_monotone(s)
+    draws = []
+    original = seqcert.sequences.coefficient_samples
+
+    def counted(m, budget, **kw):
+        draws.append(m)
+        return original(m, budget, **kw)
+
+    monkeypatch.setattr("seqcert.sequences.coefficient_samples", counted)
+    kappa = basis_constant(s, SamplingBudget(count=512, seed=1))
+    assert repr(kappa) == repr(RECORDED_SAMPLED_KAPPA[blocks])
+    assert draws == [len(s)]
