@@ -26,6 +26,7 @@ from .spaces import (
 )
 from .sequences import (
     BasicSequence,
+    Kappa,
     basis_constant,
     builtin_sequence,
     domination_constant,

@@ -35,7 +35,7 @@ from .fpmaps import (
     theta_lower_bound_rightshift, theta_of_map,
 )
 from .perturbation import claim2_chain, perturb_toward_next, psp_equivalence_check
-from .sampling import EXHAUSTIVE_DEFAULT_LIMIT, SamplingBudget, rational_simplex, simplex_samples
+from .sampling import EXHAUSTIVE_LIMIT, SamplingBudget, rational_simplex, simplex_samples
 from .sequences import (
     BUILTIN_NAMES, INEQ_TOL, PM_ONE_LIMIT, RowNorms, _scan, _witness, basis_constant, builtin_sequence,
     domination_constant, equivalence_constants, gap_bound_check, padded_difference,
@@ -56,7 +56,7 @@ class CheckKind:
     variant: Optional[str] = None
     steps: Optional[Callable[[dict], int]] = None
     width: Optional[Callable[[dict, int], int]] = None
-    enumerated: int = EXHAUSTIVE_DEFAULT_LIMIT
+    enumerated: int = EXHAUSTIVE_LIMIT
 
 
 def parse_params(where: str, schema: Mapping[str, Param], params: Mapping[str, str]) -> dict:
@@ -130,27 +130,26 @@ def _schedule(ctx, args) -> AlphaSchedule:
 
 
 def _basis_constant(ctx, args, seed) -> Certificate:
-    target, budget = ctx.target(args["on"]), SamplingBudget(args["samples"], seed)
-    lo, up = basis_constant(target, budget)
+    kappa = basis_constant(ctx.target(args["on"]), SamplingBudget(args["samples"], seed))
     return Certificate(
         kind="basis_constant",
-        constants={"lower": lo, "upper": up},
+        constants={"lower": kappa.lower, "upper": kappa.upper},
         holds=True,
         witness={},
-        mode=budget.mode_label(len(target)),
+        mode=kappa.source,
         arithmetic=FLOAT,
-        flags=("upper-heuristic",) if up > lo else (),
+        flags=kappa.flags,
     )
 
 
 def _claim2_chain(ctx, args, seed) -> Certificate:
-    return claim2_chain(ctx.seq, _schedule(ctx, args), ctx.kappa, arithmetic=ctx.cfg.arithmetic)
+    return claim2_chain(ctx.seq, _schedule(ctx, args), ctx.kappa["sequence"], ctx.cfg.arithmetic)
 
 
 def _psp_equivalence(ctx, args, seed) -> Certificate:
-    z = perturb_toward_next(ctx.seq, _schedule(ctx, args))
+    z, kappa = perturb_toward_next(ctx.seq, _schedule(ctx, args)), ctx.kappa["sequence"]
     budget = SamplingBudget(args["samples"], seed)
-    return psp_equivalence_check(ctx.seq, z, z.theta, ctx.kappa, budget, arithmetic=ctx.cfg.arithmetic)
+    return psp_equivalence_check(ctx.seq, z, z.theta, kappa, budget, arithmetic=ctx.cfg.arithmetic)
 
 
 def _bilipschitz(ctx, args, seed) -> Certificate:
@@ -196,8 +195,8 @@ def summing_functional(s, phi, arithmetic: str) -> SummingFunctional:
 
 
 def _theta_rightshift_bound(ctx, args, seed) -> Certificate:
-    s, functional = ctx.seq, ctx.functionals[args["phi"]]
-    bound = theta_lower_bound_rightshift(functional, args["eps"], ctx.kappa[1])
+    s, functional, kappa = ctx.seq, ctx.functionals[args["phi"]], ctx.kappa["sequence"]
+    bound = theta_lower_bound_rightshift(functional, args["eps"], kappa.upper)
     spec, budget = ctx.map_specs[args["map"]], SamplingBudget(args["pairs"], seed)
     theta_cert = theta_of_map(spec, s, budget, n_window=args["n_window"])
     theta_hat = theta_cert.constants["theta_hat"]
@@ -217,7 +216,7 @@ def _theta_rightshift_bound(ctx, args, seed) -> Certificate:
         witness=theta_cert.witness,
         mode=theta_cert.mode,
         arithmetic=FLOAT,
-        flags=theta_cert.flags,
+        flags=theta_cert.flags + kappa.flags,
     )
 
 
@@ -240,7 +239,7 @@ def _equivalence(ctx, args, seed) -> Certificate:
 
 def _gap_bound(ctx, args, seed) -> Certificate:
     budget = SamplingBudget(args["samples"], seed)
-    return gap_bound_check(ctx.target(args["on"]), ctx.kappa_for(args["on"]), budget)
+    return gap_bound_check(ctx.target(args["on"]), ctx.kappa[args["on"]], budget)
 
 
 def _wuc_constant(ctx, args, seed) -> Certificate:

@@ -35,7 +35,7 @@ from .fpmaps import (
     make_alpha_schedule, map_policy, orbit, start_length,
 )
 from .sampling import SamplingBudget
-from .sequences import INEQ_TOL, BasicSequence, basis_constant, builtin_sequence, proved_monotone
+from .sequences import INEQ_TOL, BasicSequence, Kappa, basis_constant, builtin_sequence
 from .spaces import norm, require_exact, row_array, scalar
 
 KAPPA_SAMPLES = 512
@@ -46,19 +46,10 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=[seed, index]).generate_state(1)[0])
 
 
-def kappa_interval(s: BasicSequence, seed: int) -> Tuple[Tuple[Real, Real], dict]:
-    """The run's basis-constant interval for s, and its ``meta.kappa`` entry:
-    the endpoints as certificates write them, and their ``source``,
-    ``proved-monotone`` (``proved_monotone``) or the sampling mode in a
-    certificate's words.  Exact families get Fraction endpoints (the
-    float-to-Fraction conversion loses nothing), so rational theta and
-    claim2 values computed from it stay exact."""
-    budget = SamplingBudget(count=KAPPA_SAMPLES, seed=seed)
-    lo, up = basis_constant(s, budget)
-    kappa = (Fraction(lo), Fraction(up)) if s.exact else (lo, up)
-    source = "proved-monotone" if proved_monotone(s) else budget.mode_label(len(s))
-    lower, upper = map(scalar_to_json, kappa)
-    return kappa, {"lower": lower, "upper": upper, "source": source}
+def kappa_json(kappa: Kappa) -> dict:
+    """A ``meta.kappa`` entry: the endpoints as certificates write them, and the source."""
+    lower, upper = map(scalar_to_json, kappa[:2])
+    return {"lower": lower, "upper": upper, "source": kappa.source}
 
 
 class RunContext:
@@ -74,8 +65,8 @@ class RunContext:
     functional (``functionals`` maps each configured phi to its functional),
     or in rational mode an ``other`` family whose norm is not piecewise linear.
     ``setup_times`` holds the wall time of each step, in seconds, and
-    ``kappa_report`` the ``meta.kappa`` entries of the sequence and the blocks
-    (None without blocks)."""
+    ``kappa`` the basis-constant interval of each target, keyed by its ``on``
+    value ("blocks" only with blocks)."""
 
     def __init__(self, cfg: ExperimentConfig, seq: Optional[BasicSequence] = None):
         self.cfg = cfg
@@ -96,13 +87,9 @@ class RunContext:
                 self._prepare(check.kind, check.args)
             except ParameterError as exc:
                 raise ConfigError(f"[check {check.name}]: {exc}") from exc
-        self.kappa, report = self._timed("kappa", kappa_interval, self.seq, derive_seed(cfg.seed, 0))
-        self.kappa_report: Dict[str, Optional[dict]] = {"sequence": report, "blocks": None}
-        self.kappa_blocks: Optional[Tuple[Real, Real]] = None
+        self.kappa: Dict[str, Kappa] = {"sequence": self._kappa("kappa", self.seq, 0)}
         if self.blocks_seq is not None:
-            self.kappa_blocks, self.kappa_report["blocks"] = self._timed(
-                "kappa_blocks", kappa_interval, self.blocks_seq, derive_seed(cfg.seed, 1)
-            )
+            self.kappa["blocks"] = self._kappa("kappa_blocks", self.blocks_seq, 1)
         self.map_specs: Dict[str, AffineMapSpec] = self._timed(
             "maps", lambda: {name: self._realize_map(mc) for name, mc in cfg.maps.items()}
         )
@@ -140,12 +127,23 @@ class RunContext:
         self.setup_times[step] = time.perf_counter() - t0
         return out
 
+    def _kappa(self, step: str, s: BasicSequence, index: int) -> Kappa:
+        """The run's basis-constant interval for s, timed as ``step``.  Exact
+        families get Fraction endpoints (the float-to-Fraction conversion
+        loses nothing), so rational theta and claim2 values computed from it
+        stay exact."""
+        budget = SamplingBudget(count=KAPPA_SAMPLES, seed=derive_seed(self.cfg.seed, index))
+        kappa = self._timed(step, basis_constant, s, budget)
+        if s.exact:
+            return kappa._replace(lower=Fraction(kappa.lower), upper=Fraction(kappa.upper))
+        return kappa
+
     def _realize_map(self, mc) -> AffineMapSpec:
-        s, schedule = self.seq, None
+        s, schedule, kappa = self.seq, None, self.kappa["sequence"]
         try:
             if mc.variant == DIAG_SHIFT:
                 schedule = make_alpha_schedule(
-                    mc.theta, s.a, s.b, self.kappa[1], len(s), arithmetic=self.cfg.arithmetic
+                    mc.theta, s.a, s.b, kappa.upper, len(s), arithmetic=self.cfg.arithmetic
                 )
             return AffineMapSpec(mc.variant, schedule, mc.policy)
         except ParameterError as exc:
@@ -153,9 +151,6 @@ class RunContext:
 
     def target(self, on: str) -> BasicSequence:
         return self.blocks_seq if on == "blocks" else self.seq
-
-    def kappa_for(self, on: str) -> Tuple[Real, Real]:
-        return self.kappa_blocks if on == "blocks" else self.kappa
 
 
 def run_check(ctx: RunContext, check: CheckConfig, seed: int) -> Certificate:
@@ -195,7 +190,7 @@ def run_certify(config_path: str, out_path: Optional[str], seed, arithmetic) -> 
                 "numpy": np.__version__,
             },
             "setup_times": {"load": load_s, **ctx.setup_times},
-            "kappa": ctx.kappa_report,
+            "kappa": {"blocks": None, **{on: kappa_json(k) for on, k in ctx.kappa.items()}},
             "wall_times": wall,
             "failed": failed_error,
         },

@@ -17,9 +17,9 @@ bound chain used to budget the diagonal-shift schedule:
                                    =  (4 b K / a) sum alpha_n
                                   <=  theta  <  1,
 
-each link separately.  The conservative end of the basis-constant interval
-is used throughout; when that end is itself heuristic the resulting
-certificates are flagged, not silently trusted.
+each link separately.  The upper end of the basis-constant interval is
+used throughout, and a certificate computed from a kappa whose source is
+not proved carries ``Kappa.flags`` instead of being trusted silently.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from .fpmaps import AlphaSchedule
 from .sampling import SamplingBudget
 from .sequences import (
     BasicSequence,
+    Kappa,
     _eval_rows,
-    _kappa_is_certified,
     _nonnegative,
     _require_exact_tags,
     _scan,
@@ -87,7 +87,7 @@ def psp_equivalence_check(
     s: BasicSequence,
     z: PerturbedSequence,
     theta: Real,
-    kappa: Tuple[Real, Real],
+    kappa: Kappa,
     budget: SamplingBudget = SamplingBudget(),
     arithmetic: str = FLOAT,
 ) -> Certificate:
@@ -98,7 +98,6 @@ def psp_equivalence_check(
     if not theta < 1:
         raise ParameterError(f"perturbation sum must be < 1, got {theta}")
     m = len(z)
-    flags = [] if _kappa_is_certified(kappa) else ["kappa-upper-heuristic"]
     if m == 0:
         return Certificate(
             kind="psp_equivalence",
@@ -107,7 +106,7 @@ def psp_equivalence_check(
             witness={},
             mode="vacuous",
             arithmetic=arithmetic,
-            flags=tuple(flags),
+            flags=kappa.flags,
         )
     coeffs = _eval_rows(m, budget, arithmetic, s)
     theta = coerce(theta, arithmetic)
@@ -132,21 +131,21 @@ def psp_equivalence_check(
         witness={"worst_lower": _witness(row_lo), "worst_upper": _witness(row_hi)},
         mode=budget.mode_label(m),
         arithmetic=arithmetic,
-        flags=tuple(flags),
+        flags=kappa.flags,
     )
 
 
 def claim2_chain(
     s: BasicSequence,
     alpha: AlphaSchedule,
-    kappa: Tuple[Real, Real],
+    kappa: Kappa,
     arithmetic: str = FLOAT,
 ) -> Certificate:
     """Verify each link of the schedule-budget chain, with the upper end of
     the basis-constant interval ``kappa``, and record all four quantities:
     perturbation sum, 2b-bounded sum, schedule budget, theta."""
     validate_arithmetic(arithmetic)
-    kap = coerce(kappa[1], arithmetic)
+    kap = coerce(kappa.upper, arithmetic)
     a, b = s.a, s.b
     if arithmetic == RATIONAL:
         _require_exact_tags(s)
@@ -164,7 +163,6 @@ def claim2_chain(
         q3 <= theta + tol,
         theta < 1,
     )
-    flags = [] if _kappa_is_certified(kappa) else ["kappa-upper-heuristic"]
     return Certificate(
         kind="claim2_chain",
         constants={
@@ -178,5 +176,5 @@ def claim2_chain(
         witness={},
         mode="analytic",
         arithmetic=arithmetic,
-        flags=tuple(flags),
+        flags=kappa.flags,
     )

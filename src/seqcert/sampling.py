@@ -21,35 +21,33 @@ import numpy as np
 
 from .errors import ParameterError
 
-EXHAUSTIVE_DEFAULT_LIMIT = 10
+EXHAUSTIVE_LIMIT = 10  # the largest m whose {-1,0,1}^m sign patterns are enumerated
 
 
 @dataclass(frozen=True)
 class SamplingBudget:
     """How much evaluation a certificate op may spend.
 
-    count:            number of random vectors (split between the Gaussian
-                      and simplex families); 0 disables random sampling.
-    seed:             RNG seed; mandatory for reproducibility.
-    exhaustive_limit: largest m for which sign patterns are enumerated.
+    count: number of random vectors (split between the Gaussian and simplex
+           families); 0 disables random sampling.
+    seed:  RNG seed; mandatory for reproducibility.
     """
 
     count: int = 2000
     seed: int = 0
-    exhaustive_limit: int = EXHAUSTIVE_DEFAULT_LIMIT
 
     def __post_init__(self):
         if self.count < 0:
             raise ParameterError("sampling count must be >= 0")
 
-    def mode_label(self, m: int) -> str:
-        exhaustive = m <= self.exhaustive_limit
-        sampled = self.count > 0
-        if exhaustive and sampled:
-            return f"exhaustive+sampled(count={self.count},seed={self.seed})"
-        if exhaustive:
-            return "exhaustive"
-        return f"sampled(count={self.count},seed={self.seed})"
+    def mode_label(self, m: int, pm_one: bool = False) -> str:
+        """The evaluated set in a certificate's words; ``pm_one`` names the +-1
+        patterns of ``coefficient_samples(..., pm_one=True)`` past the exhaustive limit."""
+        sampled = f"sampled(count={self.count},seed={self.seed})"
+        enumerated = "exhaustive" if m <= EXHAUSTIVE_LIMIT else "pm-one" if pm_one else None
+        if enumerated is None:
+            return sampled
+        return f"{enumerated}+{sampled}" if self.count > 0 else enumerated
 
 
 def sign_patterns(m: int) -> np.ndarray:
@@ -83,7 +81,7 @@ def coefficient_samples(m: int, budget: SamplingBudget, pm_one: bool = False) ->
     """Pooled evaluation set for scalar-coefficient certificates; with
     ``pm_one``, every +-1 pattern comes first."""
     parts = [pm_one_patterns(m)] if pm_one else []
-    if m <= budget.exhaustive_limit:
+    if m <= EXHAUSTIVE_LIMIT:
         parts.append(sign_patterns(m))
     if budget.count > 0:
         rng = np.random.default_rng(budget.seed)
@@ -104,11 +102,11 @@ def simplex_samples(m: int, budget: SamplingBudget) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def rational_vectors(m: int, budget: SamplingBudget, lo: int = -3, hi: int = 3):
-    """Deterministic small-integer coefficient vectors for RATIONAL mode."""
+def rational_vectors(m: int, budget: SamplingBudget):
+    """Deterministic integer coefficient vectors in [-3, 3]^m for RATIONAL mode."""
     rng = np.random.default_rng(budget.seed)
     out = []
-    draws = rng.integers(lo, hi + 1, size=(budget.count, m)) if budget.count else []
+    draws = rng.integers(-3, 4, size=(budget.count, m)) if budget.count else []
     for row in draws:
         if not np.any(row):
             row = row.copy()
@@ -117,12 +115,12 @@ def rational_vectors(m: int, budget: SamplingBudget, lo: int = -3, hi: int = 3):
     return out
 
 
-def rational_simplex(m: int, budget: SamplingBudget, denom_max: int = 64):
-    """Deterministic rational points of the simplex, mass exactly 1."""
+def rational_simplex(m: int, budget: SamplingBudget):
+    """Deterministic rational simplex points: integer weights in [0, 64] over their sum."""
     rng = np.random.default_rng(budget.seed)
     out = []
     for _ in range(budget.count):
-        ks = rng.integers(0, denom_max + 1, size=m)
+        ks = rng.integers(0, 65, size=m)
         total = int(ks.sum())
         if total == 0:
             ks[0] = 1

@@ -26,7 +26,7 @@ import numpy as np
 from .arithmetic import FLOAT, RATIONAL, Real, validate_arithmetic
 from .certificates import Certificate
 from .errors import DependenceError, ParameterError
-from .sampling import SamplingBudget, coefficient_samples, rational_vectors
+from .sampling import EXHAUSTIVE_LIMIT, SamplingBudget, coefficient_samples, rational_vectors
 from .spaces import (
     MONOTONE_NORMS,
     PREFIX_NORMS,
@@ -64,8 +64,8 @@ def _exact_rank(rows: List[Tuple[Real, ...]]) -> int:
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         pv = mat[rank][col]
         for r in range(rank + 1, len(mat)):
-            f = mat[r][col] / pv
-            if f:
+            if mat[r][col]:
+                f = mat[r][col] / pv
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
         if rank == len(mat):
@@ -261,7 +261,7 @@ def _rational_eval_set(m: int, budget: SamplingBudget) -> np.ndarray:
     """Exact evaluation rows: every {-1,0,1} pattern up to the exhaustive
     limit, then ``rational_vectors``, as an object array of ints."""
     vecs: List[Tuple[Real, ...]] = []
-    if m <= budget.exhaustive_limit:
+    if m <= EXHAUSTIVE_LIMIT:
         vecs.extend(
             p for p in itertools.product((-1, 0, 1), repeat=m) if any(p)
         )
@@ -481,31 +481,48 @@ def _witness(row: np.ndarray) -> Tuple[Real, ...]:
 
 
 PM_ONE_LIMIT = 12
+PROVED_MONOTONE = "proved-monotone"
 
 
-def basis_constant(s: BasicSequence, budget: SamplingBudget):
-    """Interval (lower, upper) around sup_n ||P_n|| at this truncation.
+class Kappa(NamedTuple):
+    """A basis-constant interval (lower, upper) around sup_n ||P_n|| and its
+    ``source``: ``proved-monotone``, or the sampling mode that estimated it.
+    Only a proved upper end bounds sup_n ||P_n|| from above, so every
+    certificate computed from a sampled one carries ``flags``."""
+
+    lower: Real
+    upper: Real
+    source: str
+
+    @property
+    def flags(self) -> Tuple[str, ...]:
+        return () if self.source == PROVED_MONOTONE else ("kappa-upper-heuristic",)
+
+
+def basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
+    """The basis-constant interval of s at this truncation.
 
     Where ``proved_monotone(s)`` holds, the interval is the proved point
     (1.0, 1.0), the value ``_sampled_basis_constant`` would return, and
     nothing is drawn or evaluated.  Other families are sampled.
     """
     if proved_monotone(s):
-        return (1.0, 1.0)
+        return Kappa(1.0, 1.0, PROVED_MONOTONE)
     return _sampled_basis_constant(s, budget)
 
 
-def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget):
-    """``basis_constant`` from samples.
+def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
+    """``basis_constant`` from samples, with the rows it evaluates as source.
 
     ``lower`` is certified: the max ratio ||P_n e|| / ||e|| over every
     evaluated e (all +-1 patterns up to M = 12, all {-1,0,1} patterns up to
-    the budget's exhaustive limit) and every n.  ``upper`` comes from
+    ``EXHAUSTIVE_LIMIT``) and every n.  ``upper`` comes from
     local-search refinement around the best witness and is NOT certified;
     treat it as an estimate of the same finite-truncation value.
     """
     m = len(s)
-    coeffs = coefficient_samples(m, budget, pm_one=m <= PM_ONE_LIMIT)
+    pm_one = m <= PM_ONE_LIMIT
+    coeffs = coefficient_samples(m, budget, pm_one=pm_one)
 
     def best_ratio(mat: np.ndarray) -> Optional[Tuple[float, np.ndarray]]:
         """(max ratio, its row) over the rows e of mat with ||e|| > DENOM_GUARD,
@@ -538,7 +555,7 @@ def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget):
         found = best_ratio(seedvec + sigma * rng.standard_normal((64, m)))
         if found is not None and found[0] > upper:
             upper, seedvec = found
-    return (lower, max(upper, lower))
+    return Kappa(lower, max(upper, lower), budget.mode_label(m, pm_one))
 
 
 def _family_ratio_scan(
@@ -624,9 +641,8 @@ def wide_s_certificate(
 
 def gap_bound_check(
     s: BasicSequence,
-    kappa: Tuple[Real, Real],
+    kappa: Kappa,
     budget: SamplingBudget = SamplingBudget(),
-    tol: float = INEQ_TOL,
 ) -> Certificate:
     """Sampled check of ||x - y|| >= a / K for heads x with ||x|| >= a and
     tails y (float mode), where K is the upper end of ``kappa``, the
@@ -641,7 +657,7 @@ def gap_bound_check(
     may round differently.)
     """
     m = len(s)
-    kappa_up = float(kappa[1])
+    kappa_up = float(kappa.upper)
     a = float(s.a)
     bound = a / kappa_up
     if m == 1:
@@ -681,8 +697,7 @@ def gap_bound_check(
         i = int(np.argmin(gaps))
         min_gap = float(gaps[i])
         wit_head, wit_tail = _witness(heads[i]), _witness(tails[i])
-    holds = min_gap is not None and min_gap >= bound - tol
-    cert_flags = () if _kappa_is_certified(kappa) else ("kappa-upper-heuristic",)
+    holds = min_gap is not None and min_gap >= bound - INEQ_TOL
     return Certificate(
         kind="gap_bound",
         constants={"bound": bound, "min_gap": min_gap, "kappa_upper": kappa_up},
@@ -690,16 +705,8 @@ def gap_bound_check(
         witness={"head": wit_head, "tail": wit_tail},
         mode=f"sampled(count={budget.count},seed={budget.seed})",
         arithmetic=FLOAT,
-        flags=cert_flags,
+        flags=kappa.flags,
     )
-
-
-def _kappa_is_certified(kappa: Tuple[Real, Real]) -> bool:
-    """The interval is a point: kappa = 1 proved (``proved_monotone``), or a
-    sampled interval whose refinement found nothing above the certified
-    lower bound."""
-    lo, up = kappa
-    return float(up) - float(lo) <= 1e-12
 
 
 def _require_exact_tags(*seqs: BasicSequence):

@@ -152,6 +152,94 @@ def test_meta_kappa_names_a_sampled_source(tmp_path):
     assert 1.9 < Fraction(seq["lower"]) <= Fraction(seq["upper"]) <= 2  # exact family: "p/q"
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_kappa_source_names_the_pm_one_patterns(tmp_path, n):
+    """At 11 and 12 vectors the sampled kappa also evaluates all 2^n +-1
+    patterns; meta.kappa and a basis_constant check's mode name them, with
+    or without random samples."""
+    text = MINIMAL.replace("builtin = ell1_canonical\nn = 12", f"builtin = summing_c0\nn = {n}")
+    out = tmp_path / "report.json"
+    main(["certify", "--config", write(tmp_path, text.replace("samples = 64", "samples = 0")), "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert report["meta"]["kappa"]["sequence"]["source"].startswith("pm-one+sampled(count=512,seed=")
+    [cert] = report["certificates"]
+    assert (cert["mode"], cert["flags"]) == ("pm-one", ["kappa-upper-heuristic"])
+
+
+SWEEP = """
+[sequence]
+builtin = {name}
+n = {n}
+
+[map f]
+variant = diag_shift
+theta = 1/2
+
+[map r]
+variant = right_shift
+
+[check claim2]
+kind = claim2_chain
+map = f
+
+[check psp]
+kind = psp_equivalence
+map = f
+samples = 50
+
+[check gap]
+kind = gap_bound
+samples = 50
+{extra}
+[run]
+seed = 1
+"""
+
+SWEEP_THETA = """
+[check theta]
+kind = theta_rightshift_bound
+map = r
+eps = 1/100
+n_window = {window}
+"""
+
+SWEEP_BLOCKS = """
+[blocks]
+sets = 1,2 | 3,4 | 5,6
+weights = 1/3,2/3 | 1/3,2/3 | 1/3,2/3
+
+[check gap_blocks]
+kind = gap_bound
+on = blocks
+samples = 50
+"""
+
+KAPPA_CONSUMERS = ("claim2_chain", "psp_equivalence", "gap_bound", "theta_rightshift_bound")
+
+
+@pytest.mark.parametrize("blocks", [False, True], ids=["sequence", "pair-blocks"])
+@pytest.mark.parametrize("n", [6, 13])
+@pytest.mark.parametrize("name", ["ell1_canonical", "c0_canonical", "summing_c0", "lin_ell1"])
+def test_kappa_flag_follows_the_source_in_meta(tmp_path, name, n, blocks):
+    """Every certificate computed from kappa carries kappa-upper-heuristic
+    exactly when meta.kappa says its target's kappa was not proved.  (lin has
+    no dual norm, so no theta_rightshift_bound there.)"""
+    extra = "" if name == "lin_ell1" else SWEEP_THETA.format(window=n - 2)
+    extra += SWEEP_BLOCKS if blocks else ""
+    out = tmp_path / "report.json"
+    main(["certify", "--config", write(tmp_path, SWEEP.format(name=name, n=n, extra=extra)), "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert report["meta"]["failed"] is None
+    kappa = report["meta"]["kappa"]
+    certs = [c for c in report["certificates"] if c["kind"] in KAPPA_CONSUMERS]
+    assert len(certs) == 3 + (name != "lin_ell1") + blocks
+    for cert in certs:
+        on = "blocks" if cert["name"] == "gap_blocks" else "sequence"
+        sampled = kappa[on]["source"] != "proved-monotone"
+        assert ("kappa-upper-heuristic" in cert["flags"]) == sampled, (cert["name"], kappa[on])
+        assert sampled == (name == "summing_c0")
+
+
 def test_certify_determinism_bytes(tmp_path):
     path = write(tmp_path, MINIMAL)
     blocks = []
@@ -914,11 +1002,9 @@ def test_set_up_draws_no_kappa_rows_on_bundled_families(monkeypatch, path):
     monkeypatch.setattr("seqcert.sequences.coefficient_samples", counted)
     ctx = RunContext(load_config(path))
     assert rows == []
-    reports = [ctx.kappa_report["sequence"]]
-    if ctx.blocks_seq is not None:
-        reports.append(ctx.kappa_report["blocks"])
-    assert {r["source"] for r in reports} == {"proved-monotone"}
-    assert float(ctx.kappa[0]) == float(ctx.kappa[1]) == 1.0
+    assert set(ctx.kappa) == ({"sequence"} if ctx.blocks_seq is None else {"sequence", "blocks"})
+    assert {k.source for k in ctx.kappa.values()} == {"proved-monotone"}
+    assert all(float(k.lower) == float(k.upper) == 1.0 for k in ctx.kappa.values())
 
 
 @pytest.mark.parametrize("kind", sorted(CHECKS))

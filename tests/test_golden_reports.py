@@ -1,4 +1,5 @@
-"""Pinned certificate bytes for a rational suite covering every rational-capable check kind.
+"""Pinned certificate bytes for a rational suite covering every rational-capable check kind,
+and for the three smoke benchmark workloads.
 
 The sha256 values below are those of the certificates block that ``seqcert
 certify`` writes for ``SUITE``; a change to any exact constant, witness, flag
@@ -9,10 +10,13 @@ object arrays replaced, so they also pin that replacement.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from seqcert.cli import main
+
+SMOKE = Path(__file__).resolve().parent.parent / "bench" / "workloads" / "smoke"
 
 SUITE = """
 [sequence]
@@ -122,3 +126,29 @@ def test_rational_suite_certificates_are_pinned(tmp_path, seed):
     assert all(c["arithmetic"] == "rational" for c in report["certificates"])
     block = json.dumps(report["certificates"], indent=2, sort_keys=True).encode()
     assert hashlib.sha256(block).hexdigest() == PINNED[seed]
+
+
+# The certificates block of each smoke workload, serialised as
+# ``bench/verify.certificates_bytes`` does.  Every family there has a proved
+# kappa, so no kappa flag or source change may move these bytes.
+SMOKE_PINNED = {
+    ("theorem41", 1): "4cbb735135ada0fa150ec813ae6dfb2f3444ad7508368d059e1771739b4fb2ef",
+    ("theorem41", 2): "96a69a5cb8bb190c5389989f5cad5bda30f688507644bbd14b24a6f33263d742",
+    ("theorem41", 3): "0674c77a9b0144e6f63b6449d667ae02939fa0c816d83f37456a0b471038c549",
+    ("james48", 1): "760cadda354410bbc655e608e552a164cb89686bb5a2972b4bbeac65f331e651",
+    ("james48", 2): "3b27905adbe15622cfb7b22d1884146e7bc8fbb9e519239593b203da4bcf976d",
+    ("james48", 3): "c818e72f6b63a58bcbc0c6da244bf5933a3078ffe620c3c10aa3c4c43be41fdc",
+    ("rational_lin9", 1): "cd6ab06baa9c949c92f50ec9dcde0908f89435180bcb15eb96048d04643fe134",
+    ("rational_lin9", 2): "199cf008300bc59df61e5b81a03932e0f3cf7ee4222a018a2579ef1a9958a39a",
+    ("rational_lin9", 3): "d66a1190bbe8dd924a937bdcb23c2d5b4c867cf3764a72a064c62c0e560599b5",
+}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(SMOKE_PINNED))
+def test_smoke_workload_certificates_are_pinned(tmp_path, workload, seed):
+    out = tmp_path / "report.json"
+    config = str(SMOKE / f"{workload}.cfg")
+    assert main(["certify", "--config", config, "--seed", str(seed), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    block = json.dumps(report["certificates"], indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(block).hexdigest() == SMOKE_PINNED[workload, seed]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import seqcert.sequences
 from seqcert.blocks import ConvexBlockSpec, build_convex_blocks
 from seqcert.sampling import (
+    EXHAUSTIVE_LIMIT,
     SamplingBudget,
     gaussian_sphere,
     pm_one_patterns,
@@ -20,7 +21,9 @@ from seqcert.sequences import (
     BUILTIN_NAMES,
     DENOM_GUARD,
     PM_ONE_LIMIT,
+    PROVED_MONOTONE,
     BasicSequence,
+    Kappa,
     _sampled_basis_constant,
     basis_constant,
     builtin_sequence,
@@ -152,7 +155,7 @@ def oracle_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Tuple[flo
     parts = []
     if m <= PM_ONE_LIMIT:
         parts.append(pm_one_patterns(m))
-    if m <= budget.exhaustive_limit:
+    if m <= EXHAUSTIVE_LIMIT:
         parts.append(sign_patterns(m))
     if budget.count > 0:
         rng = np.random.default_rng(budget.seed)
@@ -233,7 +236,7 @@ def test_kappa_and_gap_bound_match_the_per_head_oracle(name, p, n, blocks):
     for seed in (1, 2, 3):
         budget = SamplingBudget(count=512, seed=seed)
         kappa = basis_constant(s, budget)
-        assert repr(kappa) == repr(oracle_basis_constant(s, budget))
+        assert repr(kappa[:2]) == repr(oracle_basis_constant(s, budget))
         gap_budget = SamplingBudget(count=300, seed=seed)
         cert = gap_bound_check(s, kappa, gap_budget)
         min_gap, (head, tail) = oracle_gap(s, gap_budget)
@@ -263,7 +266,7 @@ def test_stacked_gap_bound_matches_the_per_split_oracle_at_scale(family):
     s = family()
     for seed in (1, 2, 3):
         budget = SamplingBudget(count=2000, seed=seed)
-        cert = gap_bound_check(s, (1.0, 1.0), budget)
+        cert = gap_bound_check(s, Kappa(1.0, 1.0, PROVED_MONOTONE), budget)
         min_gap, (head, tail) = oracle_gap(s, budget)
         assert repr(cert.constants["min_gap"]) == repr(min_gap)
         assert (cert.witness["head"], cert.witness["tail"]) == (head, tail)
@@ -317,7 +320,7 @@ def test_basis_constant_reads_the_norm_from_the_head_pass(
     if full_width_calls is None:
         draws = []
         monkeypatch.setattr("seqcert.sequences.coefficient_samples", lambda *a, **k: draws.append(a))
-        assert basis_constant(s, budget) == (1.0, 1.0)
+        assert basis_constant(s, budget) == Kappa(1.0, 1.0, PROVED_MONOTONE)
         assert calls == [] and draws == []
     else:
         _sampled_basis_constant(s, budget)
@@ -355,8 +358,8 @@ def test_sampled_kappa_of_a_prefix_family_is_the_proved_one(s, seed):
     at most 1.0 in float, so the proof returns the sampled answer's bits."""
     assert proved_monotone(s)
     budget = SamplingBudget(count=512, seed=seed)
-    assert _sampled_basis_constant(s, budget) == (1.0, 1.0)
-    assert basis_constant(s, budget) == (1.0, 1.0)
+    assert _sampled_basis_constant(s, budget)[:2] == (1.0, 1.0)
+    assert basis_constant(s, budget) == Kappa(1.0, 1.0, PROVED_MONOTONE)
 
 
 # basis_constant(s, SamplingBudget(count=512, seed=1)) recorded before the
@@ -382,5 +385,7 @@ def test_families_without_the_proof_still_sample(monkeypatch, blocks):
 
     monkeypatch.setattr("seqcert.sequences.coefficient_samples", counted)
     kappa = basis_constant(s, SamplingBudget(count=512, seed=1))
-    assert repr(kappa) == repr(RECORDED_SAMPLED_KAPPA[blocks])
+    assert repr(kappa[:2]) == repr(RECORDED_SAMPLED_KAPPA[blocks])
+    enumerated = "exhaustive+" if blocks else ""  # 6 blocks, 13 vectors
+    assert kappa.source == f"{enumerated}sampled(count=512,seed=1)"
     assert draws == [len(s)]

@@ -16,7 +16,9 @@ from seqcert.perturbation import (
     psp_equivalence_check,
 )
 from seqcert.sampling import SamplingBudget
-from seqcert.sequences import BasicSequence, basis_constant, builtin_sequence, gap_bound_check
+from seqcert.sequences import (
+    PROVED_MONOTONE, BasicSequence, Kappa, basis_constant, builtin_sequence, gap_bound_check,
+)
 from seqcert.spaces import NormTag
 
 R = Fraction
@@ -214,16 +216,21 @@ def test_theta_monotone_under_scaling(m, num):
 
 @pytest.mark.parametrize(
     "kap, bound, flags",
-    [((1, 1), 1.0, ()), ((1, 2), 0.5, ("kappa-upper-heuristic",))],
+    [
+        (Kappa(1, 1, PROVED_MONOTONE), 1.0, ()),
+        (Kappa(1, 2, "sampled(count=512,seed=1)"), 0.5, ("kappa-upper-heuristic",)),
+        (Kappa(2, 2, "exhaustive"), 0.5, ("kappa-upper-heuristic",)),
+    ],
 )
 def test_kappa_is_an_explicit_input(kap, bound, flags):
-    """The interval passed in, not one cached on the sequence, sets the
-    gap bound and the kappa-upper-heuristic flag."""
+    """The record passed in, not one cached on the sequence, sets the gap
+    bound and the kappa-upper-heuristic flag: its source, not its width,
+    decides the flag, so a sampled point interval is flagged too."""
     s = ell1(6)
     gap = gap_bound_check(s, kap, SamplingBudget(count=200, seed=1))
     assert gap.constants["bound"] == bound
     assert gap.flags == flags
-    sch = make_alpha_schedule(R(1, 2), 1, 1, kap[1], 5, arithmetic="rational")
+    sch = make_alpha_schedule(R(1, 2), 1, 1, kap.upper, 5, arithmetic="rational")
     chain = claim2_chain(s, sch, kap, arithmetic="rational")
     assert chain.holds
     assert chain.flags == flags
@@ -236,7 +243,7 @@ def test_kappa_is_an_explicit_input(kap, bound, flags):
 def test_claim2_chain_rational_int_norms_stay_exact():
     s = ell1(8)  # integer norms: a = b = 1
     sch = make_alpha_schedule(R(1, 2), 1, 1, 1, 7, arithmetic="rational")
-    cert = claim2_chain(s, sch, (1, 1), arithmetic="rational")
+    cert = claim2_chain(s, sch, Kappa(1, 1, PROVED_MONOTONE), arithmetic="rational")
     assert cert.holds
     bounded = cert.constants["bounded_sum"]
     assert isinstance(bounded, Fraction)

@@ -8,7 +8,9 @@ import pytest
 from seqcert.errors import DependenceError, ParameterError
 from seqcert.sampling import SamplingBudget
 from seqcert.sequences import (
+    PROVED_MONOTONE,
     BasicSequence,
+    Kappa,
     basis_constant,
     builtin_sequence,
     domination_constant,
@@ -45,14 +47,13 @@ def brute_force_kappa(s):
 def test_basis_constant_canonical():
     for name in ("ell1_canonical", "c0_canonical"):
         s = builtin_sequence(name, 6)
-        lo, up = basis_constant(s, EXHAUSTIVE)
-        assert lo == 1.0
-        assert up == 1.0
+        assert basis_constant(s, EXHAUSTIVE) == Kappa(1.0, 1.0, PROVED_MONOTONE)
 
 
 def test_basis_constant_summing_matches_oracle():
     s = builtin_sequence("summing_c0", 6)
-    lo, up = basis_constant(s, EXHAUSTIVE)
+    lo, up, source = basis_constant(s, EXHAUSTIVE)
+    assert source == "exhaustive"
     oracle = brute_force_kappa(s)
     assert lo == pytest.approx(oracle, abs=1e-12)
     assert up >= lo
@@ -62,7 +63,7 @@ def test_basis_constant_summing_matches_oracle():
 
 def test_kappa_at_least_one():
     s = BasicSequence([(3, 0), (0, 5)], NormTag.ell_p(1))
-    lo, up = basis_constant(s, SamplingBudget(count=100, seed=1))
+    lo, up, _ = basis_constant(s, SamplingBudget(count=100, seed=1))
     assert 1.0 <= lo <= up
 
 
@@ -171,17 +172,18 @@ def test_gap_bound_ell1():
 
 def test_gap_bound_single_vector_vacuous():
     s = BasicSequence([(1, 0)], NormTag.ell_p(1))
-    cert = gap_bound_check(s, (1, 1), SamplingBudget(count=10, seed=0))
+    cert = gap_bound_check(s, Kappa(1, 1, PROVED_MONOTONE), SamplingBudget(count=10, seed=0))
     assert cert.holds
     assert cert.mode == "vacuous"
 
 
 def test_gap_bound_summing_with_oracle_kappa():
     s = builtin_sequence("summing_c0", 6)
-    kappa = basis_constant(s, EXHAUSTIVE)  # certified 2.0 for this family
+    kappa = basis_constant(s, EXHAUSTIVE)  # lower end certified 2.0, upper sampled
     cert = gap_bound_check(s, kappa, SamplingBudget(count=2000, seed=5))
     assert cert.holds
     assert cert.constants["bound"] == pytest.approx(0.5)
+    assert cert.flags == ("kappa-upper-heuristic",)
 
 
 def test_dependent_vectors_rejected():
