@@ -19,10 +19,12 @@ disjoint interval families equals the optimum over contiguous chains; the
 DP may therefore leave indices uncovered on either side or in the middle.
 Its table holds the optimum of every prefix, so ``james_prefix_power_sums``
 returns one column per prefix width and the full-width norm is its last
-column.  ``head_norms_batch`` reads the norms of many prefixes of the same
-rows from one such pass (a running max for sup); sequences use it for the
-head projections P_n of families whose vectors occupy successive
-coordinate ranges.
+column.  The DP takes one vector step per prefix width over every
+interval start at once, on blocks of rows small enough for its tables to
+stay in L2; a max is exact, so no bit depends on the blocks.  ``head_norms_batch``
+reads the norms of many prefixes of the same rows from one such pass (a
+running max for sup); sequences use it for the head projections P_n of
+families whose vectors occupy successive coordinate ranges.
 
 Each norm is written once, as a batch kernel over the rows of a 2-D numpy
 array.  A float array is evaluated in float; an ``object`` array holding
@@ -244,6 +246,12 @@ def lin_weights_float(n: int) -> np.ndarray:
     return 1.0 / (1.0 + 8.0 ** (-ks))
 
 
+# The james DP runs on blocks of max(1, JAMES_BLOCK_CELLS // N) rows, so each
+# of its three (N+1) x rows tables holds about 2^15 floats (256 KB) and stays
+# in L2.
+JAMES_BLOCK_CELLS = 1 << 15
+
+
 def james_prefix_power_sums(mat: np.ndarray, p: float) -> np.ndarray:
     """Maximal interval-chain power sums of every prefix of every row: a
     rows x N float array whose column j - 1 belongs to the width-j prefix.
@@ -253,29 +261,36 @@ def james_prefix_power_sums(mat: np.ndarray, p: float) -> np.ndarray:
     inputs with integer p every intermediate value is an integer well below
     2^53, so the result is exact.
 
-    The tables ``prefix`` and ``best`` are (N+1) x rows and C-contiguous,
-    so every DP step reads and writes whole contiguous rows, through one
-    reused buffer; the result is the transposed view of ``best[1:]``.  Each
-    entry goes through the same elementwise operations in the same order as
-    in a rows x (N+1) layout, so the bits do not depend on the layout or on
-    how many rows are evaluated together.
+    The rows go through in blocks of ``JAMES_BLOCK_CELLS // N``.  A block's
+    tables ``prefix`` and ``best`` are (N+1) x rows and C-contiguous, and
+    each width j is one vector step over every start i = 1..j at once: the
+    j x rows candidates best[i-1] + |prefix[j] - prefix[i-1]|^p fill the
+    top of one reused buffer, and best[j] is the larger of best[j-1] and
+    their column max.  Each entry goes through the same elementwise
+    operations as in the one-start-at-a-time DP on rows x (N+1) tables, and
+    a max is exact whatever order it takes its operands in, so the bits do
+    not depend on the layout, on the block boundaries or on how many rows
+    are evaluated together.
     """
     rows, n = mat.shape
-    prefix = np.zeros((n + 1, rows))
-    np.cumsum(mat.T, axis=0, out=prefix[1:])
-    best = np.zeros((n + 1, rows))
-    v = np.empty(rows)
-    for j in range(1, n + 1):
-        cand = best[j]
-        cand[:] = best[j - 1]
-        pj = prefix[j]
-        for pi, bi in zip(prefix[:j], best[:j]):  # a block starting at i = 1..j
-            np.subtract(pj, pi, out=v)
+    out = np.empty((rows, n))
+    block = max(1, JAMES_BLOCK_CELLS // max(n, 1))
+    for start in range(0, rows, block):
+        chunk = mat[start : start + block]
+        prefix = np.zeros((n + 1, len(chunk)))
+        np.cumsum(chunk.T, axis=0, out=prefix[1:])
+        best = np.zeros((n + 1, len(chunk)))
+        buf = np.empty((n, len(chunk)))
+        for j in range(1, n + 1):
+            v = buf[:j]  # a last interval starting at i = 1..j
+            np.subtract(prefix[j], prefix[:j], out=v)
             np.abs(v, out=v)
             v **= p
-            np.add(bi, v, out=v)
-            np.maximum(cand, v, out=cand)
-    return best[1:].T
+            np.add(best[:j], v, out=v)
+            v.max(axis=0, out=best[j])
+            np.maximum(best[j], best[j - 1], out=best[j])
+        out[start : start + len(chunk)] = best[1:].T
+    return out
 
 
 def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:

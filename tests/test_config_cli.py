@@ -1,6 +1,7 @@
 """Config grammar, CLI subcommands, exit codes, report determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -570,6 +571,28 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert float(proc.stdout) == 6.0
+
+
+def test_run_theorem41_script_summarizes_the_certify_report(tmp_path):
+    """``scripts/run_theorem41.py`` prints one line per certificate of the
+    report that ``seqcert certify`` writes for the bundled suite."""
+    out = tmp_path / "script.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_theorem41.py"), "--seed", "1", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    certs = json.loads(out.read_text())["certificates"]
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == f"report: {out}"
+    assert [line.split()[0] for line in lines[:-1]] == [c["name"] for c in certs]
+    direct = tmp_path / "direct.json"
+    assert main(["certify", "--config", str(THEOREM41), "--seed", "1", "--out", str(direct)]) == 0
+    assert json.loads(direct.read_text())["certificates"] == certs
 
 
 KAPPA_ORDER = """

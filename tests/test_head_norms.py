@@ -1,5 +1,6 @@
 """Head norms from one prefix pass, against the per-head loop they replace."""
 
+import tracemalloc
 from typing import Tuple
 
 import numpy as np
@@ -32,6 +33,7 @@ from seqcert.sequences import (
     proved_monotone,
 )
 from seqcert.spaces import (
+    JAMES_BLOCK_CELLS,
     NormTag,
     head_norms_batch,
     james_power_sum_exact,
@@ -103,10 +105,26 @@ def row_major_prefix_power_sums(mat: np.ndarray, p: float) -> np.ndarray:
     return best[:, 1:]
 
 
-@pytest.mark.parametrize("rows", [1, 42, 2000])
+# Row counts as functions of the DP's block size b: fixed counts, one below,
+# at and one above a block, and a ragged count over three blocks.
+ROW_COUNTS = {
+    "1": lambda b: 1,
+    "42": lambda b: 42,
+    "2000": lambda b: 2000,
+    "block-1": lambda b: b - 1,
+    "block": lambda b: b,
+    "block+1": lambda b: b + 1,
+    "ragged": lambda b: 2 * b + b // 3 + 1,
+}
+
+
+@pytest.mark.parametrize("count", ROW_COUNTS.values(), ids=ROW_COUNTS.keys())
 @pytest.mark.parametrize("n", [1, 2, 17, 48, 64])
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_prefix_dp_is_bitwise_the_row_major_dp(p, n, rows):
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+def test_prefix_dp_is_bitwise_the_row_major_dp(p, n, count):
+    """The blocked, one-step-per-width DP gives every row the bits of the
+    one-start-at-a-time DP, whatever the row count and block boundaries."""
+    rows = count(JAMES_BLOCK_CELLS // n)
     rng = np.random.default_rng(rows * 100 + n)
     # entries over 24 binary orders of magnitude, so the sums round
     mat = rng.standard_normal((rows, n)) * 2.0 ** rng.integers(-12, 12, (rows, n))
@@ -114,6 +132,26 @@ def test_prefix_dp_is_bitwise_the_row_major_dp(p, n, rows):
     want = row_major_prefix_power_sums(mat, p)
     assert got.shape == want.shape == (rows, n)
     assert repr(got.tolist()) == repr(want.tolist())
+
+
+@pytest.mark.parametrize("rows,n", [(5, 0), (0, 7), (0, 0)])
+def test_prefix_dp_of_an_empty_side_is_empty(rows, n):
+    got = james_prefix_power_sums(np.zeros((rows, n)), 2.0)
+    assert got.shape == (rows, n)
+
+
+def test_prefix_dp_memory_stays_near_its_output():
+    """The row blocks keep the DP's working tables near 2^15 cells each, so
+    the traced peak is the rows x N result plus well under 2 MB (one
+    (N+1) x rows table of the whole input would add 7.5 MB here)."""
+    mat = np.random.default_rng(0).standard_normal((20_000, 48))
+    tracemalloc.start()
+    try:
+        out = james_prefix_power_sums(mat, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2 * 2**20
 
 
 @pytest.mark.parametrize("p", [2, 3])
