@@ -29,10 +29,8 @@ from .errors import DependenceError, ParameterError
 from .sampling import EXHAUSTIVE_LIMIT, SamplingBudget, coefficient_samples, rational_vectors
 from .spaces import (
     MONOTONE_NORMS,
-    PREFIX_NORMS,
     CoordinateVector,
     NormTag,
-    head_norms_batch,
     norm_batch,
     norm_enclosure,
     require_exact,
@@ -195,35 +193,19 @@ def proved_monotone(s: BasicSequence) -> bool:
     Float.  Each column of a prefix-shaped matrix has one nonzero entry, so
     every entry of ``c @ X`` is one rounded product plus exact zeros, in any
     summation order: a head row equals the full row on the prefix and is 0
-    after it.  For sup and james, ``_head_norms`` reads every head, ||e||
-    included, from one pass over the full row: the running max, or the
-    james DP and its 1/p root, never decreases with the width.  For ell_p
-    and lin each head row has the full row's width, and its kernel (|x|^p
-    summed pairwise, or the right-to-left tail sums weighted and maximized)
-    is monotone in every |entry| under round-to-nearest.  So no sampled
-    ratio ||P_n e|| / ||e|| exceeds 1.0, and ``_sampled_basis_constant`` can
-    only return (1.0, 1.0); ``tests/test_head_norms.py`` checks that on
-    random families.
+    after it.  ``_sampled_basis_constant`` evaluates the heads one at a
+    time, each as a row of the full width.  For sup, ell_p and lin the
+    kernel (the max of |x|, |x|^p summed pairwise, or the right-to-left tail
+    sums weighted and maximized) is monotone in every |entry| under
+    round-to-nearest.  For james the DP stops at or before the prefix's end
+    (past a row's last nonzero its optimum repeats bit for bit), and up to
+    that end a head row's prefix sums and optima are the full row's; the
+    full row's optimum, and its 1/p root, never decrease with the width.
+    So no sampled ratio ||P_n e|| / ||e|| exceeds 1.0, and
+    ``_sampled_basis_constant`` can only return (1.0, 1.0);
+    ``tests/test_head_norms.py`` checks that on random families.
     """
     return s.ambient.variant in MONOTONE_NORMS and prefix_ends(s) is not None
-
-
-def _head_norms(s: BasicSequence, coeffs: np.ndarray, heads: Sequence[int]) -> np.ndarray:
-    """||P_n e|| of e = sum c_i x_i for every float coefficient row c, one
-    column for each head size n in ``heads`` (increasing).  When s is
-    prefix-shaped and its norm has a prefix form, every column comes from one
-    pass over the prefix of e up to the last head's end; otherwise each head
-    is the span of c with the coefficients past n set to 0."""
-    ends = prefix_ends(s)
-    if ends is not None and s.ambient.variant in PREFIX_NORMS:
-        ends = ends[np.asarray(heads) - 1]
-        return head_norms_batch((coeffs @ s.matrix())[:, : ends[-1]], s.ambient, ends)
-    out = np.empty((len(coeffs), len(heads)))
-    for j, n in enumerate(heads):
-        head = np.zeros_like(coeffs)
-        head[:, :n] = coeffs[:, :n]
-        out[:, j] = s.span_norm_batch(head)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +509,11 @@ def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
     def best_ratio(mat: np.ndarray) -> Optional[Tuple[float, np.ndarray]]:
         """(max ratio, its row) over the rows e of mat with ||e|| > DENOM_GUARD,
         or None when there are none; ||e|| is the last head norm."""
-        heads = _head_norms(s, mat, range(1, m + 1))
+        heads = np.empty((len(mat), m))
+        for n in range(1, m + 1):
+            head = np.zeros_like(mat)
+            head[:, :n] = mat[:, :n]
+            heads[:, n - 1] = s.span_norm_batch(head)
         norms = heads[:, -1]
         ok = norms > DENOM_GUARD
         if not np.any(ok):
@@ -648,8 +634,9 @@ def gap_bound_check(
     tails y (float mode), where K is the upper end of ``kappa``, the
     basis-constant interval of s.
 
-    Each split n draws its heads, keeps those with ||x|| > DENOM_GUARD and
-    then draws their tails, so its draws depend on how many heads it kept.
+    Each split n draws its heads, evaluates their norms with one
+    ``span_norm_batch`` call, keeps those with ||x|| > DENOM_GUARD and then
+    draws their tails, so its draws depend on how many heads it kept.
     The gaps of all splits go through one norm call; the witness is the
     first row with the least gap, the one a search split by split keeps.
     (A split that keeps a single head would on its own be a one-row
@@ -676,7 +663,7 @@ def gap_bound_check(
     for n in range(1, m):
         heads = np.zeros((per_split, m))
         heads[:, :n] = rng.standard_normal((per_split, n))
-        hnorm = _head_norms(s, heads, [n])[:, 0]  # heads have zeros past n
+        hnorm = s.span_norm_batch(heads)
         keep = hnorm > DENOM_GUARD
         heads, hnorm = heads[keep], hnorm[keep]
         if heads.size == 0:

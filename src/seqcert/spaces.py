@@ -17,14 +17,11 @@ disjoint contiguous intervals.  Inserting the gap between two chosen blocks
 as an extra block never decreases the sum, so the optimum over arbitrary
 disjoint interval families equals the optimum over contiguous chains; the
 DP may therefore leave indices uncovered on either side or in the middle.
-Its table holds the optimum of every prefix, so ``james_prefix_power_sums``
-returns one column per prefix width and the full-width norm is its last
-column.  The DP takes one vector step per prefix width over every
-interval start at once, on blocks of rows small enough for its tables to
-stay in L2; a max is exact, so no bit depends on the blocks.  ``head_norms_batch``
-reads the norms of many prefixes of the same rows from one such pass (a
-running max for sup); sequences use it for the head projections P_n of
-families whose vectors occupy successive coordinate ranges.
+``james_power_sums_batch`` is that one DP.  It takes one vector step per
+prefix width over every interval start at once, on blocks of rows small
+enough for its tables to stay in L2, and stops each block at its last
+nonzero column, past which the optimum repeats bit for bit; a max is exact,
+so no bit depends on the blocks.
 
 Each norm is written once, as a batch kernel over the rows of a 2-D numpy
 array.  A float array is evaluated in float; an ``object`` array holding
@@ -204,7 +201,7 @@ def james_power_sum_exact(a, p: int) -> Fraction:
 
 def james_summing_norm(a, p: Real) -> float:
     """Norm of sum a_n u_n against the summing family of the p-jamesification:
-    the O(N^2) DP of ``james_prefix_power_sums``."""
+    the O(N^2) DP of ``james_power_sums_batch``."""
     return norm(a, NormTag.james(p))
 
 
@@ -247,22 +244,22 @@ def lin_weights_float(n: int) -> np.ndarray:
 
 
 # The james DP runs on blocks of max(1, JAMES_BLOCK_CELLS // N) rows, so each
-# of its three (N+1) x rows tables holds about 2^15 floats (256 KB) and stays
-# in L2.
+# of its three tables, at most (N+1) x rows, holds about 2^15 floats (256 KB)
+# and stays in L2.
 JAMES_BLOCK_CELLS = 1 << 15
 
 
-def james_prefix_power_sums(mat: np.ndarray, p: float) -> np.ndarray:
-    """Maximal interval-chain power sums of every prefix of every row: a
-    rows x N float array whose column j - 1 belongs to the width-j prefix.
+def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:
+    """Maximal interval-chain power sums (the norm before the 1/p root) of
+    every row of ``mat``, as one float per row.
 
     One O(N^2) DP: ``best[j]`` is the optimum over indices 1..j, a block may
-    start at any i <= j, and index j may also stay uncovered.  On integer
-    inputs with integer p every intermediate value is an integer well below
-    2^53, so the result is exact.
+    start at any i <= j, and index j may also stay uncovered; the result is
+    ``best[N]``.  On integer inputs with integer p every intermediate value
+    is an integer well below 2^53, so the result is exact.
 
     The rows go through in blocks of ``JAMES_BLOCK_CELLS // N``.  A block's
-    tables ``prefix`` and ``best`` are (N+1) x rows and C-contiguous, and
+    tables ``prefix`` and ``best`` are (w+1) x rows and C-contiguous, and
     each width j is one vector step over every start i = 1..j at once: the
     j x rows candidates best[i-1] + |prefix[j] - prefix[i-1]|^p fill the
     top of one reused buffer, and best[j] is the larger of best[j-1] and
@@ -271,17 +268,29 @@ def james_prefix_power_sums(mat: np.ndarray, p: float) -> np.ndarray:
     a max is exact whatever order it takes its operands in, so the bits do
     not depend on the layout, on the block boundaries or on how many rows
     are evaluated together.
+
+    A block stops at w, its last column with a nonzero entry (an all-zero
+    block at w = 0, with power sum 0.0).  Past w every prefix sum repeats
+    exactly: adding +-0.0 leaves a value unchanged, or changes only the sign
+    of a zero, and ``abs`` drops that sign.  So every candidate of a width
+    j > w is a candidate of width w or a best[i-1] plus 0.0, and best[j] ==
+    best[j-1] bit for bit.  (This needs finite prefix sums: an infinite one
+    would give inf - inf = nan past w, which the stop does not reproduce.)
     """
+    mat = np.asarray(mat, dtype=float)
     rows, n = mat.shape
-    out = np.empty((rows, n))
+    p = float(p)
+    out = np.zeros(rows)
     block = max(1, JAMES_BLOCK_CELLS // max(n, 1))
     for start in range(0, rows, block):
         chunk = mat[start : start + block]
-        prefix = np.zeros((n + 1, len(chunk)))
-        np.cumsum(chunk.T, axis=0, out=prefix[1:])
-        best = np.zeros((n + 1, len(chunk)))
-        buf = np.empty((n, len(chunk)))
-        for j in range(1, n + 1):
+        nonzero = np.flatnonzero(chunk.any(axis=0))
+        w = int(nonzero[-1]) + 1 if len(nonzero) else 0
+        prefix = np.zeros((w + 1, len(chunk)))
+        np.cumsum(chunk[:, :w].T, axis=0, out=prefix[1:])
+        best = np.zeros((w + 1, len(chunk)))
+        buf = np.empty((w, len(chunk)))
+        for j in range(1, w + 1):
             v = buf[:j]  # a last interval starting at i = 1..j
             np.subtract(prefix[j], prefix[:j], out=v)
             np.abs(v, out=v)
@@ -289,17 +298,8 @@ def james_prefix_power_sums(mat: np.ndarray, p: float) -> np.ndarray:
             np.add(best[:j], v, out=v)
             v.max(axis=0, out=best[j])
             np.maximum(best[j], best[j - 1], out=best[j])
-        out[start : start + len(chunk)] = best[1:].T
+        out[start : start + len(chunk)] = best[w]
     return out
-
-
-def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:
-    """Maximal interval-chain power sums (the norm before the 1/p root) for
-    every row of ``mat``: the full-width column of ``james_prefix_power_sums``."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape[1] == 0:
-        return np.zeros(mat.shape[0])
-    return james_prefix_power_sums(mat, float(p))[:, -1]
 
 
 def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
@@ -326,32 +326,9 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
     return james_power_sums_batch(mat, tag.p) ** (1.0 / float(tag.p))
 
 
-# The norms whose prefixes ``head_norms_batch`` evaluates in one pass.
-PREFIX_NORMS = (SUP, JAMES)
 # The norms under which a prefix-shaped family has basis constant exactly 1
 # (``sequences.proved_monotone`` gives the proof).
 MONOTONE_NORMS = (SUP, ELL_P, LIN, JAMES)
-
-
-def head_norms_batch(mat: np.ndarray, tag: NormTag, ends) -> Optional[np.ndarray]:
-    """Norms of the coordinate prefixes ``row[:end]`` of every float row, for
-    each width in ``ends`` (increasing, 1-based), as a rows x len(ends)
-    array; one pass over the rows serves every width.
-
-    Only sup (a running max) and james (the prefix DP) have a prefix form
-    that is bit-identical to ``norm_batch`` of the zero-padded prefix.  The
-    ell_p sum is pairwise, so its rounding depends on the width, and the
-    lin tails run from the right; for those this returns None and the
-    caller evaluates each prefix on its own.
-    """
-    if tag.variant not in PREFIX_NORMS:
-        return None
-    mat = np.asarray(mat, dtype=float)
-    cols = np.asarray(ends) - 1
-    if tag.variant == SUP:
-        return np.maximum.accumulate(np.abs(mat), axis=1)[:, cols]
-    pf = float(tag.p)
-    return james_prefix_power_sums(mat, pf)[:, cols] ** (1.0 / pf)
 
 
 def _lin_norm_exact_batch(mat: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Head norms from one prefix pass, against the per-head loop they replace."""
+"""The james DP against a row-major oracle, and kappa and the gap bound
+against the per-head loop they were written from."""
 
 import tracemalloc
 from typing import Tuple
@@ -35,11 +36,8 @@ from seqcert.sequences import (
 from seqcert.spaces import (
     JAMES_BLOCK_CELLS,
     NormTag,
-    head_norms_batch,
     james_power_sum_exact,
     james_power_sums_batch,
-    james_prefix_power_sums,
-    norm_batch,
 )
 
 
@@ -49,49 +47,13 @@ def pair_blocks(s: BasicSequence) -> BasicSequence:
     return build_convex_blocks(s, ConvexBlockSpec(sets, tuple((1 / 3, 2 / 3) for _ in sets)))
 
 
-def per_head_norms(s: BasicSequence, coeffs: np.ndarray) -> np.ndarray:
-    """||P_n e||, n = 1..m, the old way: zero the tail, then span_norm_batch."""
-    cols = []
-    for n in range(1, len(s) + 1):
-        heads = np.zeros_like(coeffs)
-        heads[:, :n] = coeffs[:, :n]
-        cols.append(s.span_norm_batch(heads))
-    return np.stack(cols, axis=1)
-
-
 PREFIX_FAMILIES = [("c0_canonical", 2), ("james_summing", 2), ("james_summing", 3)]
 
 
-@pytest.mark.parametrize("name,p", PREFIX_FAMILIES, ids=["sup", "james2", "james3"])
-@pytest.mark.parametrize(
-    "n,blocks", [(1, False), (5, False), (5, True), (17, False), (17, True), (48, False), (48, True)]
-)
-def test_head_norms_batch_is_bitwise_the_per_head_loop(n, blocks, name, p):
-    s = builtin_sequence(name, n, p=p)
-    if blocks:
-        s = pair_blocks(s)
-    rng = np.random.default_rng(n)
-    m = len(s)
-    for coeffs in (gaussian_sphere(rng, 60, m), simplex_uniform(rng, 60, m)):
-        ends = prefix_ends(s)
-        got = head_norms_batch((coeffs @ s.matrix())[:, : ends[-1]], s.ambient, ends)
-        want = per_head_norms(s, coeffs)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
-def test_full_width_power_sums_are_the_last_prefix():
-    rng = np.random.default_rng(0)
-    mat = rng.standard_normal((20, 9))
-    tag = NormTag.james(3)
-    heads = head_norms_batch(mat, tag, np.arange(1, 10))
-    assert heads[:, -1].tobytes() == norm_batch(mat, tag).tobytes()
-    assert james_power_sums_batch(np.zeros((3, 0)), 2).tolist() == [0.0, 0.0, 0.0]
-
-
 def row_major_prefix_power_sums(mat: np.ndarray, p: float) -> np.ndarray:
-    """The james prefix DP on rows x (N+1) tables, reading strided columns:
-    the layout ``james_prefix_power_sums`` replaced, kept as its oracle."""
+    """The james DP on rows x (N+1) tables, one start at a time and through
+    every width: column j - 1 is the optimum of the width-j prefix.  Kept
+    as the oracle of ``james_power_sums_batch``, which is its last column."""
     rows, n = mat.shape
     prefix = np.concatenate([np.zeros((rows, 1)), np.cumsum(mat, axis=1)], axis=1)
     best = np.zeros((rows, n + 1))
@@ -103,6 +65,45 @@ def row_major_prefix_power_sums(mat: np.ndarray, p: float) -> np.ndarray:
             np.maximum(cand, v, out=cand)
         best[:, j] = cand
     return best[:, 1:]
+
+
+def spread_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """Gaussian entries over 24 binary orders of magnitude, so the sums round."""
+    return rng.standard_normal((rows, n)) * 2.0 ** rng.integers(-12, 12, (rows, n))
+
+
+def assert_last_column_of_the_oracle(mat: np.ndarray, p: float):
+    got = james_power_sums_batch(mat, p)
+    want = row_major_prefix_power_sums(mat, p)[:, -1]
+    assert got.shape == want.shape == (len(mat),)
+    wrong = [i for i, (g, w) in enumerate(zip(got.tolist(), want.tolist())) if repr(g) != repr(w)]
+    assert not wrong, f"{len(wrong)} rows differ from the oracle, first {wrong[:5]}"
+
+
+def test_full_width_power_sums_are_the_last_prefix():
+    """Each row block stops at its last nonzero column, and the optimum it
+    returns is still the oracle's full-width one, bit for bit.  The rows
+    end in -0.0 tails from different widths, within one block and across
+    blocks: block 0 stops short of N, block 1 is all zeros (+-0.0), block 2
+    reaches column N through one row, and the ragged block 3 draws its
+    widths from 0 to N."""
+    for n in (1, 2, 17, 48, 64):
+        b = JAMES_BLOCK_CELLS // n
+        rng = np.random.default_rng(n)
+        mat = spread_rows(rng, 3 * b + b // 3 + 1, n)
+        widths = np.concatenate(
+            [
+                rng.integers(0, max(n // 2, 1), b),
+                np.zeros(b, dtype=int),
+                rng.integers(0, n, b),
+                rng.integers(0, n + 1, len(mat) - 3 * b),
+            ]
+        )
+        widths[2 * b + b // 2] = n
+        mat[np.arange(n) >= widths[:, None]] = -0.0
+        mat[b : b + b // 2] = 0.0
+        for p in (1.5, 2.0, 3.0):
+            assert_last_column_of_the_oracle(mat, p)
 
 
 # Row counts as functions of the DP's block size b: fixed counts, one below,
@@ -125,47 +126,36 @@ def test_prefix_dp_is_bitwise_the_row_major_dp(p, n, count):
     """The blocked, one-step-per-width DP gives every row the bits of the
     one-start-at-a-time DP, whatever the row count and block boundaries."""
     rows = count(JAMES_BLOCK_CELLS // n)
-    rng = np.random.default_rng(rows * 100 + n)
-    # entries over 24 binary orders of magnitude, so the sums round
-    mat = rng.standard_normal((rows, n)) * 2.0 ** rng.integers(-12, 12, (rows, n))
-    got = james_prefix_power_sums(mat, p)
-    want = row_major_prefix_power_sums(mat, p)
-    assert got.shape == want.shape == (rows, n)
-    assert repr(got.tolist()) == repr(want.tolist())
+    assert_last_column_of_the_oracle(spread_rows(np.random.default_rng(rows * 100 + n), rows, n), p)
 
 
 @pytest.mark.parametrize("rows,n", [(5, 0), (0, 7), (0, 0)])
 def test_prefix_dp_of_an_empty_side_is_empty(rows, n):
-    got = james_prefix_power_sums(np.zeros((rows, n)), 2.0)
-    assert got.shape == (rows, n)
+    assert james_power_sums_batch(np.zeros((rows, n)), 2.0).tolist() == [0.0] * rows
 
 
 def test_prefix_dp_memory_stays_near_its_output():
-    """The row blocks keep the DP's working tables near 2^15 cells each, so
-    the traced peak is the rows x N result plus well under 2 MB (one
-    (N+1) x rows table of the whole input would add 7.5 MB here)."""
+    """The row blocks keep the DP's working tables near 2^15 cells each and
+    the result is one float per row, so the traced peak of a 20 000 x 48 call
+    stays under 2 MB (a rows x N table of every prefix width alone would
+    take 7.3 MB here)."""
     mat = np.random.default_rng(0).standard_normal((20_000, 48))
     tracemalloc.start()
     try:
-        out = james_prefix_power_sums(mat, 2.0)
+        james_power_sums_batch(mat, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= out.nbytes + 2 * 2**20
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_prefix_dp_full_width_is_the_exact_power_sum_on_integer_rows(p):
     rng = np.random.default_rng(p)
     mat = rng.integers(-9, 10, (42, 17))
-    full = james_prefix_power_sums(mat.astype(float), float(p))[:, -1]
+    full = james_power_sums_batch(mat.astype(float), float(p))
     exact = [james_power_sum_exact(tuple(map(int, row)), p) for row in mat]
     assert full.tolist() == [float(v) for v in exact]
-
-
-@pytest.mark.parametrize("tag", [NormTag.ell_p(1), NormTag.ell_p(2), NormTag.lin()])
-def test_head_norms_batch_declines_norms_without_a_prefix_form(tag):
-    assert head_norms_batch(np.ones((2, 4)), tag, [2, 4]) is None
 
 
 def test_prefix_ends():
@@ -327,42 +317,30 @@ def test_span_norm_batch_of_a_stack_is_the_concatenation_of_its_chunks(n):
 
 @pytest.mark.parametrize("blocks", [False, True], ids=["sequence", "pair-blocks"])
 @pytest.mark.parametrize(
-    "name,p,full_width_calls",
-    [
-        *((name, p, False) for name, p in PREFIX_FAMILIES),
-        ("ell1_canonical", 2, True),
-        ("dense_ell2", 2, True),
-        ("summing_c0", 2, True),
-        ("ell1_canonical", 2, None),
-    ],
+    "name,p", [*PREFIX_FAMILIES, ("ell1_canonical", 2), ("dense_ell2", 2), ("summing_c0", 2)]
 )
-def test_basis_constant_reads_the_norm_from_the_head_pass(
-    monkeypatch, name, p, full_width_calls, blocks
-):
-    """Where the heads come from one prefix pass, ||e|| is their last column and
-    the sampled estimate makes no span_norm_batch call; elsewhere it evaluates
-    each head on its own.  Where kappa is proved (``full_width_calls`` None),
-    basis_constant draws and evaluates nothing at all."""
+def test_basis_constant_evaluates_only_a_sampled_kappa(monkeypatch, name, p, blocks):
+    """A sampled kappa draws its rows and evaluates their heads; a proved
+    kappa draws and evaluates nothing."""
     s = dense_family(13, NormTag.ell_p(2)) if name == "dense_ell2" else builtin_sequence(name, 13, p=p)
     if blocks:
         s = pair_blocks(s)
-    calls = []
-    original = BasicSequence.span_norm_batch
+    calls, draws = [], []
+    norms, samples = BasicSequence.span_norm_batch, seqcert.sequences.coefficient_samples
 
-    def counted(self, coeff_mat):
+    def counted_norms(self, coeff_mat):
         calls.append(len(coeff_mat))
-        return original(self, coeff_mat)
+        return norms(self, coeff_mat)
 
-    monkeypatch.setattr(BasicSequence, "span_norm_batch", counted)
-    budget = SamplingBudget(count=512, seed=1)
-    if full_width_calls is None:
-        draws = []
-        monkeypatch.setattr("seqcert.sequences.coefficient_samples", lambda *a, **k: draws.append(a))
-        assert basis_constant(s, budget) == Kappa(1.0, 1.0, PROVED_MONOTONE)
-        assert calls == [] and draws == []
-    else:
-        _sampled_basis_constant(s, budget)
-        assert bool(calls) == full_width_calls
+    def counted_samples(m, budget, **kw):
+        draws.append(m)
+        return samples(m, budget, **kw)
+
+    monkeypatch.setattr(BasicSequence, "span_norm_batch", counted_norms)
+    monkeypatch.setattr("seqcert.sequences.coefficient_samples", counted_samples)
+    sampled = basis_constant(s, SamplingBudget(count=512, seed=1)).source != PROVED_MONOTONE
+    assert sampled == (name in ("dense_ell2", "summing_c0"))
+    assert bool(calls) == bool(draws) == sampled
 
 
 # ---------------------------------------------------------------------------

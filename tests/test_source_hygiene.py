@@ -1,10 +1,13 @@
-"""Every name a ``seqcert`` module imports is used in that module.
+"""Every name a ``seqcert`` module imports is used in that module, and every
+module-level private name is read somewhere in the package.
 
-The package ``__init__`` is exempt: its imports are the public re-exports.
+The package ``__init__`` is exempt from the first rule: its imports are the
+public re-exports.
 """
 
 import ast
 from pathlib import Path
+from typing import Optional, Tuple
 
 import pytest
 
@@ -58,3 +61,71 @@ def test_the_checker_sees_an_unused_import():
     )
     imported, used = imported_names(tree), used_names(tree)
     assert {name for name in imported if name not in used} == {"os", "List"}
+
+
+def private_definitions(tree: ast.Module) -> dict:
+    """Each module-level private name (``_x``, not a dunder) a module defines,
+    with the (first, last) lines of its definition."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = (node.lineno, node.end_lineno)
+    return names
+
+
+def read_names(tree: ast.Module, skip: Optional[Tuple[int, int]] = None) -> set:
+    """Every name read in the module, as a variable, an attribute or an
+    import from a sibling module, outside the (first, last) lines ``skip``."""
+    read = set()
+    for node in ast.walk(tree):
+        if skip and skip[0] <= getattr(node, "lineno", 0) <= skip[1]:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def unread_private_names(sources: dict) -> dict:
+    """{module: [name, ...]} for every module-level private name that no
+    module of ``sources`` ({module: source text}) reads outside its own
+    definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = {module: read_names(tree) for module, tree in trees.items()}
+    unread = {}
+    for module, tree in trees.items():
+        others = set().union(*(r for m, r in reads.items() if m != module))
+        for name, span in private_definitions(tree).items():
+            if name not in others | read_names(tree, span):
+                unread.setdefault(module, []).append(name)
+    return unread
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    unread = unread_private_names(sources)
+    assert not unread, f"module-level private names nothing in src/seqcert reads: {unread}"
+
+
+def test_the_checker_sees_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n_unused = 4\n\n"
+            "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n\n"
+            "def _helper():\n    return _LIMIT\n\n"
+            "class _Imported:\n    pass\n"
+        ),
+        "b.py": "from .a import _Imported\nimport a\n\nx = a._helper()\n",
+    }
+    assert unread_private_names(sources) == {"a.py": ["_unused", "_recursive"]}
