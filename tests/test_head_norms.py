@@ -317,11 +317,19 @@ def test_span_norm_batch_of_a_stack_is_the_concatenation_of_its_chunks(n):
 
 @pytest.mark.parametrize("blocks", [False, True], ids=["sequence", "pair-blocks"])
 @pytest.mark.parametrize(
-    "name,p", [*PREFIX_FAMILIES, ("ell1_canonical", 2), ("dense_ell2", 2), ("summing_c0", 2)]
+    "name,p,forced",
+    [
+        *((name, p, False) for name, p in PREFIX_FAMILIES),
+        ("ell1_canonical", 2, False),
+        ("ell1_canonical", 2, True),
+        ("dense_ell2", 2, False),
+        ("summing_c0", 2, False),
+    ],
 )
-def test_basis_constant_evaluates_only_a_sampled_kappa(monkeypatch, name, p, blocks):
+def test_basis_constant_evaluates_only_a_sampled_kappa(monkeypatch, name, p, forced, blocks):
     """A sampled kappa draws its rows and evaluates their heads; a proved
-    kappa draws and evaluates nothing."""
+    kappa draws and evaluates nothing.  ``forced`` samples a family whose
+    kappa is proved, through ``_sampled_basis_constant``."""
     s = dense_family(13, NormTag.ell_p(2)) if name == "dense_ell2" else builtin_sequence(name, 13, p=p)
     if blocks:
         s = pair_blocks(s)
@@ -338,8 +346,9 @@ def test_basis_constant_evaluates_only_a_sampled_kappa(monkeypatch, name, p, blo
 
     monkeypatch.setattr(BasicSequence, "span_norm_batch", counted_norms)
     monkeypatch.setattr("seqcert.sequences.coefficient_samples", counted_samples)
-    sampled = basis_constant(s, SamplingBudget(count=512, seed=1)).source != PROVED_MONOTONE
-    assert sampled == (name in ("dense_ell2", "summing_c0"))
+    estimate = _sampled_basis_constant if forced else basis_constant
+    sampled = estimate(s, SamplingBudget(count=512, seed=1)).source != PROVED_MONOTONE
+    assert sampled == (forced or name in ("dense_ell2", "summing_c0"))
     assert bool(calls) == bool(draws) == sampled
 
 
