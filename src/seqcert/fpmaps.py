@@ -338,12 +338,15 @@ def bilipschitz_estimate(
 ) -> Certificate:
     """Empirical two-sided iterate constants.
 
-    c1_hat = min and c2_hat = max over sampled pairs (t, t') and p = 1..p_max
-    of ||f^p t - f^p t'|| / ||t - t'|| evaluated through the ambient norm of
-    s; L_hat = c2_hat / c1_hat.  The iterate count attaining each extreme is
-    recorded so the witness pair re-evaluates to the reported constant.
-    When some iterate identifies two evaluated points, c1_hat = 0: the
-    certificate fails with a flag and has no L_hat.
+    c1_p{p} = min and c2_p{p} = max over the evaluated pairs (t, t') of
+    ||f^p t - f^p t'|| / ||t - t'|| through the ambient norm of s, for each
+    p = 1..p_max: how these grow with p is what tells a uniformly
+    bi-Lipschitz map from one that is only bi-Lipschitz at each p.
+    c1_hat and c2_hat are their extremes over p, and L_hat = c2_hat /
+    c1_hat.  The iterate count attaining each extreme is recorded so the
+    witness pair re-evaluates to the reported constant.  When some iterate
+    identifies two evaluated points, c1_hat = 0: the certificate fails with
+    a flag and has no L_hat.
     """
     validate_arithmetic(arithmetic)
     if p_max < 1:
@@ -362,6 +365,8 @@ def bilipschitz_estimate(
     p1, (c1, _, i1, _, _) = min(enumerate(scans, start=1), key=lambda ps: ps[1][0])
     p2, (_, c2, _, i2, _) = max(enumerate(scans, start=1), key=lambda ps: ps[1][1])
     constants = {"c1_hat": c1, "c2_hat": c2, "p_max": p_max, "p_at_min": p1, "p_at_max": p2}
+    for p, (c1_p, c2_p, *_) in enumerate(scans, start=1):
+        constants[f"c1_p{p}"], constants[f"c2_p{p}"] = c1_p, c2_p
     injective = c1 > 0
     if injective:
         constants["L_hat"] = c2 / c1

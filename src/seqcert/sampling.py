@@ -13,7 +13,6 @@ a pure function of (seed, count).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,20 +49,29 @@ class SamplingBudget:
         return f"{enumerated}+{sampled}" if self.count > 0 else enumerated
 
 
-def sign_patterns(m: int) -> np.ndarray:
-    """All vectors in {-1,0,1}^m except zero, as a (3^m - 1, m) float array."""
+def _product(values: tuple, m: int) -> np.ndarray:
+    """Every row of values^m as an int array, in ``itertools.product`` order:
+    the last coordinate varies fastest."""
+    digits = np.indices((len(values),) * m).reshape(m, -1).T
+    return np.array(values)[digits]
+
+
+def sign_patterns(m: int, exact: bool = False) -> np.ndarray:
+    """All vectors in {-1,0,1}^m except zero, as a (3^m - 1, m) float array,
+    or with ``exact`` an object array of Python ints."""
     if m == 0:
         return np.zeros((0, 0))
-    pats = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=m)))
-    keep = np.any(pats != 0.0, axis=1)
-    return pats[keep]
+    pats = _product((-1, 0, 1), m)
+    # the zero row is the middle one: every digit is the middle value
+    pats = np.delete(pats, len(pats) // 2, axis=0)
+    return pats.astype(object if exact else float)
 
 
 def pm_one_patterns(m: int) -> np.ndarray:
     """All vectors in {-1,+1}^m, as a (2^m, m) float array."""
     if m == 0:
         return np.zeros((0, 0))
-    return np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+    return _product((-1, 1), m).astype(float)
 
 
 def gaussian_sphere(rng: np.random.Generator, count: int, m: int) -> np.ndarray:

@@ -17,18 +17,22 @@ coefficient space are only ever refined heuristically and carry a flag.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import FLOAT, RATIONAL, Real, validate_arithmetic
+from .arithmetic import FLOAT, RATIONAL, Real, is_finite, validate_arithmetic
 from .certificates import Certificate
 from .errors import DependenceError, ParameterError
-from .sampling import EXHAUSTIVE_LIMIT, SamplingBudget, coefficient_samples, rational_vectors
+from .sampling import (
+    EXHAUSTIVE_LIMIT,
+    SamplingBudget,
+    coefficient_samples,
+    rational_vectors,
+    sign_patterns,
+)
 from .spaces import (
-    MONOTONE_NORMS,
     CoordinateVector,
     NormTag,
     norm_batch,
@@ -93,7 +97,10 @@ class BasicSequence:
         self._float_matrix = np.array([v.as_floats() for v in vecs], dtype=float)
         self._exact_matrix = np.array([v.entries for v in vecs], dtype=object)
         self._check_independent()
-        self.vector_norms = tuple(map(scalar, norm_batch(self.matrix(self.exact), ambient)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            self.vector_norms = tuple(map(scalar, norm_batch(self.matrix(self.exact), ambient)))
+        if not all(map(is_finite, self.vector_norms)):
+            raise DependenceError("sequence is not seminormalized: some ||x_n|| is not finite")
         self.a = min(self.vector_norms)
         self.b = max(self.vector_norms)
         if not self.a > 0:
@@ -127,8 +134,14 @@ class BasicSequence:
 
     def _span(self, coeff_mat: np.ndarray, shift: int = 0) -> np.ndarray:
         """The rows sum_i c_i x_{i+shift} of every coefficient row c; exact on
-        object rows."""
-        return coeff_mat @ self._basis(coeff_mat.shape[1], shift, coeff_mat.dtype == object)
+        object rows.  numpy evaluates a one-row float ``c @ X`` as a
+        matrix-vector product, which can round differently from the same row
+        inside a batch, so one row goes in stacked with a zero row: a row's
+        bits do not depend on how many rows are evaluated with it."""
+        basis = self._basis(coeff_mat.shape[1], shift, coeff_mat.dtype == object)
+        if len(coeff_mat) == 1 and coeff_mat.dtype != object:
+            return (np.concatenate([coeff_mat, np.zeros_like(coeff_mat)]) @ basis)[:1]
+        return coeff_mat @ basis
 
     def span_vector(self, coeffs) -> CoordinateVector:
         """Materialize sum a_i x_i; exact on exact inputs."""
@@ -165,23 +178,24 @@ def padded_difference(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return diff
 
 
-def prefix_ends(s: BasicSequence) -> Optional[np.ndarray]:
-    """The 1-based index of the last nonzero coordinate of each x_n, when the
-    family is prefix-shaped: every vector's support starts after the previous
-    one's ends.  Then P_n e is the coordinate prefix ``e[:ends[n-1]]`` of
-    e = sum c_i x_i.  None otherwise (``summing_c0`` and its blocks, say)."""
+def prefix_ends(s: BasicSequence) -> bool:
+    """Whether the family is prefix-shaped: every vector's support starts
+    after the previous one's ends.  Then P_n e is the coordinate prefix of
+    e = sum c_i x_i up to the last nonzero coordinate of x_n.  False for
+    ``summing_c0`` and its blocks, say."""
     nonzero = s.matrix() != 0
     first = np.argmax(nonzero, axis=1)
     ends = nonzero.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
-    return ends if np.all(first[1:] >= ends[:-1]) else None
+    return bool(np.all(first[1:] >= ends[:-1]))
 
 
 def proved_monotone(s: BasicSequence) -> bool:
-    """Whether sup_n ||P_n|| = 1 is proved for s: s is prefix-shaped
-    (``prefix_ends``) and its norm is one of ``MONOTONE_NORMS``.  This is the
-    monotone-basis case of Albiac & Kalton, *Topics in Banach Space Theory*
-    (GTM 233), ch. 1.  ||P_M|| = 1 as P_M is the identity, so the claim is
-    ||P_n e|| <= ||e|| for every e = sum c_i x_i and every n.
+    """Whether sup_n ||P_n|| = 1 is proved for s: exactly when s is
+    prefix-shaped (``prefix_ends``), as the proof below covers every norm
+    tag.  This is the monotone-basis case of Albiac & Kalton, *Topics in
+    Banach Space Theory* (GTM 233), ch. 1.  ||P_M|| = 1 as P_M is the
+    identity, so the claim is ||P_n e|| <= ||e|| for every e = sum c_i x_i
+    and every n.
 
     Exact.  P_n e is the coordinate prefix of e up to the end of x_n, padded
     with zeros.  Sup, ell_p and lin are solid: |x| <= |y| coordinatewise
@@ -205,7 +219,7 @@ def proved_monotone(s: BasicSequence) -> bool:
     ``_sampled_basis_constant`` can only return (1.0, 1.0);
     ``tests/test_head_norms.py`` checks that on random families.
     """
-    return s.ambient.variant in MONOTONE_NORMS and prefix_ends(s) is not None
+    return prefix_ends(s)
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +256,12 @@ def builtin_sequence(name: str, n: int, p: Real = 2) -> BasicSequence:
 def _rational_eval_set(m: int, budget: SamplingBudget) -> np.ndarray:
     """Exact evaluation rows: every {-1,0,1} pattern up to the exhaustive
     limit, then ``rational_vectors``, as an object array of ints."""
-    vecs: List[Tuple[Real, ...]] = []
-    if m <= EXHAUSTIVE_LIMIT:
-        vecs.extend(
-            p for p in itertools.product((-1, 0, 1), repeat=m) if any(p)
-        )
+    parts = [sign_patterns(m, exact=True)] if m <= EXHAUSTIVE_LIMIT else []
     if budget.count:
-        vecs.extend(rational_vectors(m, budget))
-    if not vecs:
+        parts.append(np.array(rational_vectors(m, budget), dtype=object))
+    if not parts:
         raise ParameterError("empty sampling budget")
-    return np.array(vecs, dtype=object)
+    return np.concatenate(parts, axis=0)
 
 
 def _eval_rows(m: int, budget: SamplingBudget, arithmetic: str, *seqs: BasicSequence) -> np.ndarray:
@@ -639,9 +649,6 @@ def gap_bound_check(
     draws their tails, so its draws depend on how many heads it kept.
     The gaps of all splits go through one norm call; the witness is the
     first row with the least gap, the one a search split by split keeps.
-    (A split that keeps a single head would on its own be a one-row
-    ``coeffs @ X``, which numpy evaluates as a matrix-vector product that
-    may round differently.)
     """
     m = len(s)
     kappa_up = float(kappa.upper)

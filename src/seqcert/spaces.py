@@ -326,11 +326,6 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
     return james_power_sums_batch(mat, tag.p) ** (1.0 / float(tag.p))
 
 
-# The norms under which a prefix-shaped family has basis constant exactly 1
-# (``sequences.proved_monotone`` gives the proof).
-MONOTONE_NORMS = (SUP, ELL_P, LIN, JAMES)
-
-
 def _lin_norm_exact_batch(mat: np.ndarray) -> np.ndarray:
     """``lin_norm`` of every exact row, one column at a time: the running max
     over exact tails never materializes a rows x N array of Fractions."""

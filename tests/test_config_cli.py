@@ -851,6 +851,39 @@ seed = 3
     assert not out.exists()
 
 
+def test_overflowing_csv_family_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    """A family whose float norms overflow is not seminormalized: it is
+    rejected at load, not certified with d_hat = inf or divided by mid-run."""
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("basis_constant ran for a family with infinite norms")
+
+    monkeypatch.setattr("seqcert.cli.basis_constant", no_kappa)
+    rows = (",".join("1e200" if j == i else "0" for j in range(4)) for i in range(4))
+    (tmp_path / "family.csv").write_text("\n".join(rows) + "\n")
+    text = """
+[space]
+tag = ell_p
+p = 2
+
+[sequence]
+csv = family.csv
+
+[check wide]
+kind = wide_s
+
+[check eq]
+kind = equivalence
+other = ell1_canonical
+
+[run]
+seed = 1
+"""
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_residual_on_one_vector_exits_2_before_any_work(tmp_path, monkeypatch):
     """One right-shift step leaves no start length on a one-vector family."""
     def no_kappa(*args, **kwargs):

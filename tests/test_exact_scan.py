@@ -237,25 +237,29 @@ def rational_maps(s):
 
 @pytest.mark.parametrize("map_name", ["diag_shift", "right_shift", "bilateral"])
 def test_bilipschitz_matches_reference(family, map_name):
-    """The reference scans p-major: all pairs at p = 1, then at p = 2."""
+    """The reference scans each p on its own: its min and max over all
+    pairs; the extremes over p then go to the first p attaining them."""
     spec, p_max = rational_maps(family)[map_name], 2
     n = start_length(spec.variant, spec.policy, len(family), p_max)
     X, Y = _pair_matrices(n, BUDGET, include_equal=False, arithmetic=RATIONAL)
     pairs = [(tuple(x), tuple(y)) for x, y in zip(X, Y)]
     pairs = [(x, y) for x, y in pairs if family.span_norm([a - b for a, b in zip(x, y)]) != 0]
-    c1 = c2 = None
-    for p in range(1, p_max + 1):
+    per_p = {p: Extremes() for p in range(1, p_max + 1)}
+    for p, extremes in per_p.items():
         for x, y in pairs:
             fx, fy = x, y
             for _ in range(p):
                 fx, fy = apply_map(spec, fx).t, apply_map(spec, fy).t
             base = family.span_norm([a - b for a, b in zip(x, y)])
             r = Fraction(family.span_norm([a - b for a, b in zip(fx, fy)])) / base
-            if c1 is None or r < c1:
-                c1, p1, w1 = r, p, (x, y)
-            if c2 is None or r > c2:
-                c2, p2, w2 = r, p, (x, y)
+            extremes.add(r, (x, y))
+    p1 = min(per_p, key=lambda p: per_p[p].lo)
+    p2 = max(per_p, key=lambda p: per_p[p].hi)
+    c1, c2 = per_p[p1].lo, per_p[p2].hi
     cert = bilipschitz_estimate(spec, family, BUDGET, p_max, RATIONAL)
+    per_p_constants = {}
+    for p, e in per_p.items():
+        per_p_constants[f"c1_p{p}"], per_p_constants[f"c2_p{p}"] = e.lo, e.hi
     assert cert.constants == {
         "c1_hat": c1,
         "c2_hat": c2,
@@ -263,7 +267,9 @@ def test_bilipschitz_matches_reference(family, map_name):
         "p_max": p_max,
         "p_at_min": p1,
         "p_at_max": p2,
+        **per_p_constants,
     }
+    w1, w2 = per_p[p1].arg_lo, per_p[p2].arg_hi
     assert cert.witness == {
         "pair_min_x": w1[0],
         "pair_min_y": w1[1],

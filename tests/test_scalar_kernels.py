@@ -104,9 +104,30 @@ def test_span_norm_and_span_vector_are_rows_of_the_batch_product(name):
         mat = batch_row(row)
         assert same(s.span_norm(row), s.span_norm_batch(mat)[0])
         vec = s.span_vector(row).entries
-        product = (mat @ s.matrix(mat.dtype == object)[: len(row)])[0]
+        # the row inside a batch: a one-row float ``mat @ X`` is a
+        # matrix-vector product, which may round differently
+        batch = np.concatenate([mat, np.ones_like(mat)])
+        product = (batch @ s.matrix(mat.dtype == object)[: len(row)])[0]
         assert all(same(v, p) for v, p in zip(vec, product))
         assert len(vec) == s.ambient_length
+
+
+@pytest.mark.parametrize("n", [5, 16, 64])
+@pytest.mark.parametrize("family", ["summing_c0", "gaussian"])
+def test_one_row_span_is_its_batch_row(family, n):
+    """A one-row float span has the bits of the same row inside a batch, on
+    families whose vectors overlap, so a product's entries are sums."""
+    rng = np.random.default_rng(n)
+    if family == "summing_c0":
+        s = builtin_sequence("summing_c0", n)
+    else:
+        s = BasicSequence([tuple(map(float, v)) for v in rng.standard_normal((n, n))], NormTag.ell_p(2))
+    rows = rng.standard_normal((300, n))
+    batch = rows @ s.matrix()
+    norms = s.span_norm_batch(rows)
+    for row, vec, value in zip(rows, batch, norms):
+        assert repr(s.span_vector(tuple(row)).entries) == repr(tuple(map(float, vec)))
+        assert repr(s.span_norm(tuple(row))) == repr(float(value))
 
 
 def map_specs(n: int, exact: bool):

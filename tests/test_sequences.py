@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqcert.errors import DependenceError, ParameterError
-from seqcert.sampling import SamplingBudget
+from seqcert.sampling import SamplingBudget, pm_one_patterns, sign_patterns
 from seqcert.sequences import (
     PROVED_MONOTONE,
     BasicSequence,
@@ -193,6 +193,29 @@ def test_dependent_vectors_rejected():
         BasicSequence(unit_vectors(3, length=2), NormTag.ell_p(1))
     with pytest.raises(DependenceError):
         BasicSequence([(0, 0)], NormTag.ell_p(1))
+
+
+def test_non_finite_vector_norm_rejected():
+    """||x_n|| overflows to inf in float: the family is not seminormalized."""
+    huge = [tuple(1e200 if j == i else 0.0 for j in range(4)) for i in range(4)]
+    with pytest.raises(DependenceError, match="not finite"):
+        BasicSequence(huge, NormTag.ell_p(2))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_sign_patterns_follow_product_order(m):
+    """One integer grid gives the float and the exact patterns, row for row
+    those of ``itertools.product``: float bits, and Python ints when exact."""
+    nonzero = [p for p in itertools.product((-1, 0, 1), repeat=m) if any(p)]
+    floats = sign_patterns(m)
+    assert floats.dtype == float
+    assert floats.tobytes() == np.array(nonzero, dtype=float).tobytes()
+    exact = sign_patterns(m, exact=True)
+    assert exact.dtype == object
+    assert [tuple(row) for row in exact] == nonzero
+    assert all(type(v) is int for v in exact.ravel())
+    pm_one = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+    assert pm_one_patterns(m).tobytes() == pm_one.tobytes()
 
 
 def test_float_dependence_detected():

@@ -1,17 +1,20 @@
-"""Every name a ``seqcert`` module imports is used in that module, and every
-module-level private name is read somewhere in the package.
+"""Every name a ``seqcert`` module imports is used in that module, every
+module-level private name is read somewhere in the package, and every
+script, config and workload path the README names exists.
 
 The package ``__init__`` is exempt from the first rule: its imports are the
 public re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 from typing import Optional, Tuple
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "seqcert"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "seqcert"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -129,3 +132,18 @@ def test_the_checker_sees_an_unread_private_name():
         "b.py": "from .a import _Imported\nimport a\n\nx = a._helper()\n",
     }
     assert unread_private_names(sources) == {"a.py": ["_unused", "_recursive"]}
+
+
+def named_paths(text: str) -> set:
+    """Every ``scripts/``, ``configs/`` or ``bench/workloads/`` path in text."""
+    return set(re.findall(r"(?<![\w/])(?:scripts|configs|bench/workloads)/[\w./-]*\w", text))
+
+
+def test_every_path_the_readme_names_exists():
+    missing = sorted(p for p in named_paths((ROOT / "README.md").read_text()) if not (ROOT / p).exists())
+    assert not missing, f"README.md names paths that do not exist: {missing}"
+
+
+def test_the_checker_sees_a_named_path():
+    text = "Run `python scripts/a.py`, see configs/b.cfg. Not src/configs/c.cfg or bench/workloads/."
+    assert named_paths(text) == {"scripts/a.py", "configs/b.cfg"}
