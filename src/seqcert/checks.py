@@ -31,15 +31,14 @@ from .certificates import Certificate
 from .errors import ConfigError
 from .fpmaps import (
     DIAG_SHIFT, RIGHT_SHIFT, AlphaSchedule, SummingFunctional, bilipschitz_estimate,
-    apply_map_batch, make_summing_functional, residuals_batch, start_length,
+    apply_map_batch, make_summing_functional, start_length,
     theta_lower_bound_rightshift, theta_of_map,
 )
 from .perturbation import claim2_chain, perturb_toward_next, psp_equivalence_check
-from .sampling import EXHAUSTIVE_LIMIT, SamplingBudget, rational_simplex, simplex_samples
+from .sampling import EXHAUSTIVE_LIMIT, SamplingBudget, simplex_samples
 from .sequences import (
-    BUILTIN_NAMES, INEQ_TOL, PM_ONE_LIMIT, RowNorms, _scan, _witness, basis_constant, builtin_sequence,
-    domination_constant, equivalence_constants, gap_bound_check, padded_difference,
-    wide_s_certificate,
+    BUILTIN_NAMES, INEQ_TOL, PM_ONE_LIMIT, _scan, _witness, basis_constant, builtin_sequence,
+    domination_constant, equivalence_constants, gap_bound_check, wide_s_certificate,
 )
 
 # (parser, default).  The parser is a function of the text, or the tuple of
@@ -162,20 +161,14 @@ def _residual(ctx, args, seed) -> Certificate:
     s = ctx.seq
     n = start_length(spec.variant, spec.policy, len(s), 1)
     budget = SamplingBudget(args["samples"], seed)
-    if ctx.cfg.arithmetic == RATIONAL:
-        T = np.array(np.eye(n, dtype=int).tolist() + rational_simplex(n, budget), dtype=object)
-    else:
-        T = simplex_samples(n, budget)
-    residuals = RowNorms(  # enclosed through the same padded difference f(t) - t
-        lambda t: residuals_batch(spec, t, s),
-        lambda t: s.span_norms().enclosure(padded_difference(apply_map_batch(spec, t), t)),
-    )
-    [(best, row)] = _scan(T, [residuals], ctx.cfg.arithmetic, margins=[((1, 0),)])
+    T = simplex_samples(n, budget, exact=ctx.cfg.arithmetic == RATIONAL)
+    residuals = s.span_norms().of_differences(apply_map_batch(spec, T), T)
+    [(best, i)] = _scan(np.arange(len(T)), [residuals], ctx.cfg.arithmetic, margins=[((1, 0),)])
     return Certificate(
         kind="fixed_point_residual",
         constants={"min_residual": best, "evaluated": len(T)},
         holds=bool(best > 0),
-        witness={"argmin": _witness(row)},
+        witness={"argmin": _witness(T[i])},
         mode=budget.mode_label(n),
         arithmetic=ctx.cfg.arithmetic,
     )

@@ -32,7 +32,7 @@ import numpy as np
 from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError, TruncationError
-from .sampling import SamplingBudget, rational_simplex, simplex_uniform
+from .sampling import SamplingBudget, simplex_points
 from .sequences import BasicSequence, _require_exact_tags, _scan, _witness
 from .spaces import ELL_P, SUP, CoordinateVector, NormTag, as_rows, norm, row_array, scalar
 
@@ -300,26 +300,18 @@ def check_theta_window(variant: str, m: int, n_window: int) -> None:
 
 
 def _pair_matrices(n: int, budget: SamplingBudget, include_equal: bool, arithmetic: str = FLOAT):
-    """All vertex pairs plus simplex pairs, as two (P, n) arrays.
-
-    Float pairs draw ``budget.count`` uniform points per side; rational pairs
-    split ``rational_simplex`` points into halves and are object arrays.
-    """
+    """All vertex pairs plus simplex pairs, as two (P, n) arrays: one set of
+    ``simplex_points`` split into halves, object arrays in rational mode."""
     pairs = [(i, j) for i in range(n) for j in range(n) if include_equal or i != j]
     exact = arithmetic == RATIONAL
     eye = np.eye(n, dtype=object if exact else float)
-    X = [eye[[i for i, _ in pairs]]]
-    Y = [eye[[j for _, j in pairs]]]
-    if budget.count > 0 and exact:
-        pts = np.array(rational_simplex(n, budget), dtype=object)
-        half = len(pts) // 2
-        X.append(pts[:half])
-        Y.append(pts[half : 2 * half])
-    elif budget.count > 0:
-        rng = np.random.default_rng(budget.seed)
-        X.append(simplex_uniform(rng, budget.count, n))
-        Y.append(simplex_uniform(rng, budget.count, n))
-    return np.concatenate(X, axis=0), np.concatenate(Y, axis=0)
+    # rational mode draws budget.count points, so it pairs budget.count // 2
+    # (the open pairs/2 defect); float draws budget.count pairs
+    k = budget.count // 2 if exact else budget.count
+    pts = simplex_points(n, SamplingBudget(2 * k, budget.seed), exact)
+    X = np.concatenate([eye[[i for i, _ in pairs]], pts[:k]], axis=0)
+    Y = np.concatenate([eye[[j for _, j in pairs]], pts[k:]], axis=0)
+    return X, Y
 
 
 def _pair_mode(n_vertex_pairs: int, budget: SamplingBudget) -> str:

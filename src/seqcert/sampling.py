@@ -7,6 +7,11 @@ Three families are pooled, mirroring how extreme ratios arise:
 * Gaussian directions normalized to the Euclidean sphere, for smooth norms,
 * uniform points of the probability simplex, for convex-coefficient checks.
 
+Every evaluation set of both arithmetic modes is drawn here: with ``exact``
+(rational mode) the random families are ``rational_vectors`` and
+``rational_simplex``, and the rows are ``object`` arrays of ints and
+Fractions.
+
 All randomness flows through ``numpy.random.default_rng(seed)``; results are
 a pure function of (seed, count).
 """
@@ -85,13 +90,19 @@ def simplex_uniform(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
     return rng.dirichlet(np.ones(m), size=count)
 
 
-def coefficient_samples(m: int, budget: SamplingBudget, pm_one: bool = False) -> np.ndarray:
+def coefficient_samples(
+    m: int, budget: SamplingBudget, pm_one: bool = False, exact: bool = False
+) -> np.ndarray:
     """Pooled evaluation set for scalar-coefficient certificates; with
-    ``pm_one``, every +-1 pattern comes first."""
+    ``pm_one``, every +-1 pattern comes first.  With ``exact`` (rational
+    mode) the rows are the sign patterns and then ``rational_vectors``, as an
+    object array of Python ints."""
     parts = [pm_one_patterns(m)] if pm_one else []
     if m <= EXHAUSTIVE_LIMIT:
-        parts.append(sign_patterns(m))
-    if budget.count > 0:
+        parts.append(sign_patterns(m, exact))
+    if budget.count > 0 and exact:
+        parts.append(np.array(rational_vectors(m, budget), dtype=object))
+    elif budget.count > 0:
         rng = np.random.default_rng(budget.seed)
         n_gauss = budget.count - budget.count // 2
         parts.append(gaussian_sphere(rng, n_gauss, m))
@@ -101,13 +112,20 @@ def coefficient_samples(m: int, budget: SamplingBudget, pm_one: bool = False) ->
     return np.concatenate(parts, axis=0)
 
 
-def simplex_samples(m: int, budget: SamplingBudget) -> np.ndarray:
-    """Convex-coefficient evaluation set: all vertices plus simplex points."""
-    parts = [np.eye(m)]
-    if budget.count > 0:
-        rng = np.random.default_rng(budget.seed)
-        parts.append(simplex_uniform(rng, budget.count, m))
-    return np.concatenate(parts, axis=0)
+def simplex_points(m: int, budget: SamplingBudget, exact: bool) -> np.ndarray:
+    """``budget.count`` points of the probability simplex as rows: Dirichlet
+    draws, or with ``exact`` the ``rational_simplex`` points as an object
+    array of Fractions."""
+    if exact:
+        return np.array(rational_simplex(m, budget), dtype=object).reshape(budget.count, m)
+    return simplex_uniform(np.random.default_rng(budget.seed), budget.count, m)
+
+
+def simplex_samples(m: int, budget: SamplingBudget, exact: bool = False) -> np.ndarray:
+    """Convex-coefficient evaluation set: all vertices, then ``simplex_points``;
+    with ``exact`` the vertices are Python ints."""
+    vertices = np.eye(m, dtype=object if exact else float)
+    return np.concatenate([vertices, simplex_points(m, budget, exact)], axis=0)
 
 
 def rational_vectors(m: int, budget: SamplingBudget):

@@ -25,13 +25,7 @@ import numpy as np
 from .arithmetic import FLOAT, RATIONAL, Real, is_finite, validate_arithmetic
 from .certificates import Certificate
 from .errors import DependenceError, ParameterError
-from .sampling import (
-    EXHAUSTIVE_LIMIT,
-    SamplingBudget,
-    coefficient_samples,
-    rational_vectors,
-    sign_patterns,
-)
+from .sampling import SamplingBudget, coefficient_samples
 from .spaces import (
     CoordinateVector,
     NormTag,
@@ -178,24 +172,14 @@ def padded_difference(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return diff
 
 
-def prefix_ends(s: BasicSequence) -> bool:
-    """Whether the family is prefix-shaped: every vector's support starts
-    after the previous one's ends.  Then P_n e is the coordinate prefix of
-    e = sum c_i x_i up to the last nonzero coordinate of x_n.  False for
-    ``summing_c0`` and its blocks, say."""
-    nonzero = s.matrix() != 0
-    first = np.argmax(nonzero, axis=1)
-    ends = nonzero.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
-    return bool(np.all(first[1:] >= ends[:-1]))
-
-
 def proved_monotone(s: BasicSequence) -> bool:
     """Whether sup_n ||P_n|| = 1 is proved for s: exactly when s is
-    prefix-shaped (``prefix_ends``), as the proof below covers every norm
-    tag.  This is the monotone-basis case of Albiac & Kalton, *Topics in
-    Banach Space Theory* (GTM 233), ch. 1.  ||P_M|| = 1 as P_M is the
-    identity, so the claim is ||P_n e|| <= ||e|| for every e = sum c_i x_i
-    and every n.
+    prefix-shaped, every vector's support starting after the previous one's
+    ends (false for ``summing_c0`` and its blocks, say), as the proof below
+    covers every norm tag.  This is the monotone-basis case of Albiac &
+    Kalton, *Topics in Banach Space Theory* (GTM 233), ch. 1.  ||P_M|| = 1
+    as P_M is the identity, so the claim is ||P_n e|| <= ||e|| for every
+    e = sum c_i x_i and every n.
 
     Exact.  P_n e is the coordinate prefix of e up to the end of x_n, padded
     with zeros.  Sup, ell_p and lin are solid: |x| <= |y| coordinatewise
@@ -219,7 +203,10 @@ def proved_monotone(s: BasicSequence) -> bool:
     ``_sampled_basis_constant`` can only return (1.0, 1.0);
     ``tests/test_head_norms.py`` checks that on random families.
     """
-    return prefix_ends(s)
+    nonzero = s.matrix() != 0
+    first = np.argmax(nonzero, axis=1)
+    ends = nonzero.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    return bool(np.all(first[1:] >= ends[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +240,12 @@ def builtin_sequence(name: str, n: int, p: Real = 2) -> BasicSequence:
 # ---------------------------------------------------------------------------
 
 
-def _rational_eval_set(m: int, budget: SamplingBudget) -> np.ndarray:
-    """Exact evaluation rows: every {-1,0,1} pattern up to the exhaustive
-    limit, then ``rational_vectors``, as an object array of ints."""
-    parts = [sign_patterns(m, exact=True)] if m <= EXHAUSTIVE_LIMIT else []
-    if budget.count:
-        parts.append(np.array(rational_vectors(m, budget), dtype=object))
-    if not parts:
-        raise ParameterError("empty sampling budget")
-    return np.concatenate(parts, axis=0)
-
-
 def _eval_rows(m: int, budget: SamplingBudget, arithmetic: str, *seqs: BasicSequence) -> np.ndarray:
-    """Coefficient rows of one scan: exact ``_rational_eval_set`` rows in
-    rational mode (which needs piecewise-linear norms), float samples otherwise."""
+    """Coefficient rows of one scan, exact in rational mode (which needs
+    piecewise-linear norms)."""
     if arithmetic == RATIONAL:
         _require_exact_tags(*seqs)
-        return _rational_eval_set(m, budget)
-    return coefficient_samples(m, budget)
+    return coefficient_samples(m, budget, exact=arithmetic == RATIONAL)
 
 
 _FRACTION = np.frompyfunc(Fraction, 1, 1)

@@ -48,7 +48,6 @@ reach an extreme, and evaluate only those exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -274,8 +273,11 @@ def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:
     exactly: adding +-0.0 leaves a value unchanged, or changes only the sign
     of a zero, and ``abs`` drops that sign.  So every candidate of a width
     j > w is a candidate of width w or a best[i-1] plus 0.0, and best[j] ==
-    best[j-1] bit for bit.  (This needs finite prefix sums: an infinite one
-    would give inf - inf = nan past w, which the stop does not reproduce.)
+    best[j-1] bit for bit.
+
+    A row with an infinite prefix sum gets inf, the correctly rounded
+    result: the block that ends at that prefix already overflows.  The DP
+    would give inf - inf = nan for it instead.
     """
     mat = np.asarray(mat, dtype=float)
     rows, n = mat.shape
@@ -298,7 +300,7 @@ def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:
             np.add(best[:j], v, out=v)
             v.max(axis=0, out=best[j])
             np.maximum(best[j], best[j - 1], out=best[j])
-        out[start : start + len(chunk)] = best[w]
+        out[start : start + len(chunk)] = np.where(np.isinf(prefix).any(axis=0), np.inf, best[w])
     return out
 
 
@@ -420,29 +422,3 @@ def summing_basis_norm_enclosure(coeffs: np.ndarray) -> Tuple[np.ndarray, np.nda
     most gamma_m * ||c||_1, inside the radius of ``norm_enclosure``."""
     flt, ok = _float_image(coeffs)
     return _enclosed(summing_basis_norm_batch(flt), np.abs(flt), coeffs.shape[1], ok)
-
-
-def james_enumeration(a, p: Real) -> float:
-    """Exhaustive interval-chain evaluation of the james norm (small N only).
-
-    Kept separate from the DP so each can check the other; do not call for
-    N much above 12.
-    """
-    entries = [float(e) for e in CoordinateVector.of(a).entries]
-    n = len(entries)
-    if n == 0:
-        return 0.0
-    prefix = [0.0]
-    for e in entries:
-        prefix.append(prefix[-1] + e)
-    pf = float(p)
-    best = 0.0
-    cuts = range(1, n + 2)
-    for size in range(2, n + 2):
-        for chain in itertools.combinations(cuts, size):
-            s = 0.0
-            for k in range(len(chain) - 1):
-                s += abs(prefix[chain[k + 1] - 1] - prefix[chain[k] - 1]) ** pf
-            if s > best:
-                best = s
-    return best ** (1.0 / pf)

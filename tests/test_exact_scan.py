@@ -31,9 +31,8 @@ from seqcert.fpmaps import (
     start_length,
 )
 from seqcert.perturbation import perturb_toward_next, psp_equivalence_check
-from seqcert.sampling import SamplingBudget, rational_simplex
+from seqcert.sampling import SamplingBudget, coefficient_samples, rational_simplex
 from seqcert.sequences import (
-    _rational_eval_set,
     basis_constant,
     builtin_sequence,
     domination_constant,
@@ -63,7 +62,7 @@ FAMILIES = {
 
 
 def eval_rows(m):
-    return [tuple(row) for row in _rational_eval_set(m, BUDGET)]
+    return [tuple(row) for row in coefficient_samples(m, BUDGET, exact=True)]
 
 
 class Extremes:

@@ -29,9 +29,9 @@ from seqcert.blocks import ConvexBlockSpec, build_convex_blocks, summing_equival
 from seqcert.checks import CHECKS
 from seqcert.cli import RunContext
 from seqcert.config import load_config
-from seqcert.fpmaps import residuals_batch
 from seqcert.sampling import SamplingBudget, rational_simplex
 from seqcert.sequences import (
+    BasicSequence,
     RowNorms,
     _ratio_extremes,
     _scan,
@@ -348,12 +348,13 @@ def test_rational_residual_evaluates_few_rows_exactly(tmp_path, monkeypatch):
     cfg = load_config(str(path))
     ctx = RunContext(cfg)
     evaluated = []
+    span_norm_batch = BasicSequence.span_norm_batch
 
-    def residuals(spec, T, s):
-        evaluated.append(len(T))
-        return residuals_batch(spec, T, s)
+    def counted(self, coeff_mat, shift=0):
+        evaluated.append(len(coeff_mat))
+        return span_norm_batch(self, coeff_mat, shift)
 
-    monkeypatch.setattr("seqcert.checks.residuals_batch", residuals)
+    monkeypatch.setattr(BasicSequence, "span_norm_batch", counted)
     cert = CHECKS["fixed_point_residual"].run(ctx, cfg.checks[0].args, 5)
     assert cert.to_json_dict() == {
         "kind": "fixed_point_residual",

@@ -30,7 +30,6 @@ from seqcert.sequences import (
     basis_constant,
     builtin_sequence,
     gap_bound_check,
-    prefix_ends,
     proved_monotone,
 )
 from seqcert.spaces import (
@@ -159,16 +158,16 @@ def test_prefix_dp_full_width_is_the_exact_power_sum_on_integer_rows(p):
 
 
 def test_prefix_ends():
-    assert prefix_ends(builtin_sequence("ell1_canonical", 5)) is True
-    assert prefix_ends(pair_blocks(builtin_sequence("c0_canonical", 5))) is True
+    assert proved_monotone(builtin_sequence("ell1_canonical", 5)) is True
+    assert proved_monotone(pair_blocks(builtin_sequence("c0_canonical", 5))) is True
     gap = BasicSequence([(1, 0, 0, 0), (0, 0, 2, 1)], NormTag.sup())
-    assert prefix_ends(gap) is True
+    assert proved_monotone(gap) is True
     for n in (4, 6, 9):
         summing = builtin_sequence("summing_c0", n)
-        assert prefix_ends(summing) is False
-        assert prefix_ends(pair_blocks(summing)) is False
+        assert proved_monotone(summing) is False
+        assert proved_monotone(pair_blocks(summing)) is False
     interleaved = BasicSequence([(1, 0, 1, 0), (0, 1, 0, 1)], NormTag.sup())
-    assert prefix_ends(interleaved) is False
+    assert proved_monotone(interleaved) is False
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,21 @@ def test_one_row_span_is_its_batch_row(family, n):
         assert repr(s.span_norm(tuple(row))) == repr(float(value))
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_span_is_the_fixed_order_sum_on_summing_c0(n):
+    """The float span on a family whose vectors overlap equals sum_i c_i x_i
+    added in ascending i, each product rounded before its add, bit for bit.
+    A BLAS that fuses or reorders the matrix product fails here instead of
+    moving certificate bytes unnoticed."""
+    s = builtin_sequence("summing_c0", n)
+    rows = np.random.default_rng(n).standard_normal((3000, n))
+    basis = s.matrix()
+    total = rows[:, :1] * basis[0]
+    for i in range(1, n):
+        total = total + rows[:, i : i + 1] * basis[i]
+    assert s._span(rows).tobytes() == total.tobytes()
+
+
 def map_specs(n: int, exact: bool):
     schedule = make_alpha_schedule(Fraction(1, 2), 1, 1, 1, n, "rational" if exact else "float")
     return {

@@ -13,7 +13,6 @@ from seqcert.errors import ParameterError
 from seqcert.spaces import (
     CoordinateVector,
     NormTag,
-    james_enumeration,
     james_power_sum_exact,
     james_power_sums_batch,
     james_summing_norm,
@@ -27,6 +26,28 @@ from seqcert.spaces import (
 # grid floats keep norm arithmetic exact enough for tight tolerances
 grid_floats = st.integers(-64, 64).map(lambda k: k / 16.0)
 small_vectors = st.lists(grid_floats, min_size=0, max_size=8)
+
+def james_enumeration(a, p) -> float:
+    """Exhaustive interval-chain evaluation of the james norm (small N only),
+    the oracle the DP is checked against."""
+    n = len(a)
+    if n == 0:
+        return 0.0
+    prefix = [0.0]
+    for e in a:
+        prefix.append(prefix[-1] + float(e))
+    pf = float(p)
+    best = 0.0
+    cuts = range(1, n + 2)
+    for size in range(2, n + 2):
+        for chain in itertools.combinations(cuts, size):
+            s = 0.0
+            for k in range(len(chain) - 1):
+                s += abs(prefix[chain[k + 1] - 1] - prefix[chain[k] - 1]) ** pf
+            if s > best:
+                best = s
+    return best ** (1.0 / pf)
+
 
 TAGS = [NormTag.sup(), NormTag.ell_p(1), NormTag.ell_p(2), NormTag.lin(), NormTag.james(2)]
 
@@ -187,6 +208,20 @@ def test_power_sums_batch_matches_exact_on_integers():
     powers = james_power_sums_batch(mat, 2)
     for row, value in zip(mat, powers):
         assert james_power_sum_exact(tuple(int(x) for x in row), 2) == int(value)
+
+
+@pytest.mark.parametrize("row", [[1e308, 1e308, 1.0], [1e308, 1e308], [1e308, 1e308, 0.0]])
+def test_james_overflowing_prefix_sum_gives_inf(row):
+    """The block up to an overflowing prefix sum overflows, so the norm is
+    inf, not the nan of inf - inf inside the DP; finite rows evaluated with
+    it keep their bits."""
+    finite = [[1.0, -2.5, 3.0], [0.1, 0.2, 0.0]]
+    tag = NormTag.james(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert norm_batch(np.array([row]), tag)[0] == np.inf
+        mixed = norm_batch(np.array(finite[:1] + [row + [0.0] * (3 - len(row))] + finite[1:]), tag)
+    assert mixed[1] == np.inf
+    assert mixed[[0, 2]].tobytes() == norm_batch(np.array(finite), tag).tobytes()
 
 
 # every kind of float entry, with zeros and subnormals drawn often
