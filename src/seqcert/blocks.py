@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def shift_equivalence_constants(
         rejected += rej
         constants[f"r_min_p{p}"] = r_min
         constants[f"r_max_p{p}"] = r_max
-        cand = max(r_max, 1 / r_min)
+        cand = max(r_max, 1 / r_min if r_min > 0 else np.inf)
         if l_hat is None or cand > l_hat:
             l_hat = cand
             wit = _witness(row_max if cand == r_max else row_min)
@@ -221,7 +221,7 @@ def perturbation_budget_79(A: Real, kappa: Real, L: Real) -> Real:
 def lemma79_conclusion_check(
     s: BasicSequence,
     L: Real,
-    lower_c: Optional[Real] = None,
+    lower_c: Union[None, str, Real] = None,
     p_max: int = 1,
     budget: SamplingBudget = SamplingBudget(),
     arithmetic: str = FLOAT,
@@ -231,8 +231,8 @@ def lemma79_conclusion_check(
 
     Two conventions exist for the lower constant, L/2 (the printed form)
     and 1/(2L) (the symmetric-equivalence form); margins for both are
-    always recorded, and ``holds`` refers to the one selected by lower_c
-    (default: L/2).
+    always recorded, and ``holds`` refers to the one lower_c selects:
+    ``"printed"`` or ``None`` (L/2), ``"symmetric"`` (1/(2L)) or a scalar.
     """
     validate_arithmetic(arithmetic)
     if not L > 0:
@@ -242,11 +242,9 @@ def lemma79_conclusion_check(
     exact = arithmetic == RATIONAL
     printed = Fraction(L) / 2 if exact else float(L) / 2.0
     symmetric = 1 / (2 * Fraction(L)) if exact else 1.0 / (2.0 * float(L))
-    used = lower_c if lower_c is not None else printed
+    used = {None: printed, "printed": printed, "symmetric": symmetric}.get(lower_c, lower_c)
     convention = (
-        "printed(L/2)"
-        if lower_c is None or lower_c == printed
-        else ("symmetric(1/(2L))" if lower_c == symmetric else "custom")
+        "printed(L/2)" if used == printed else "symmetric(1/(2L))" if used == symmetric else "custom"
     )
     m = len(s) - p_max
     coeffs = _eval_rows(m, budget, arithmetic, s)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from .arithmetic import Real, scalar_to_json
+from .arithmetic import Real, is_finite, scalar_to_json
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,9 @@ class Certificate:
     the extreme values, keyed by role.  A stored witness re-evaluates to its
     reported constant (within 1e-9 in float mode, exactly in rational mode).
     Lower bounds obtained from evaluated points are certified; any
-    heuristic upper bound is named in ``flags``.
+    heuristic upper bound is named in ``flags``.  A constant that is an inf
+    or a nan (an overflow, say) certifies nothing: the certificate then
+    fails, with the flag ``non-finite-constant``.
     """
 
     kind: str
@@ -27,6 +29,11 @@ class Certificate:
     mode: str
     arithmetic: str
     flags: Tuple[str, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if not all(map(is_finite, self.constants.values())):
+            object.__setattr__(self, "holds", False)
+            object.__setattr__(self, "flags", (*self.flags, "non-finite-constant"))
 
     def to_json_dict(self) -> dict:
         return {

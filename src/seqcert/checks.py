@@ -252,13 +252,10 @@ def _shift_equivalence(ctx, args, seed) -> Certificate:
 
 
 def _lemma79(ctx, args, seed) -> Certificate:
-    L, lower_c = args["L"], args["lower_c"]
-    if lower_c == "printed":
-        lower_c = None
-    elif lower_c == "symmetric":
-        lower_c = 1 / (2 * L) if ctx.cfg.arithmetic == RATIONAL else 1.0 / (2.0 * float(L))
     target, budget = ctx.target(args["on"]), SamplingBudget(args["samples"], seed)
-    return lemma79_conclusion_check(target, L, lower_c, args["p_max"], budget, ctx.cfg.arithmetic)
+    return lemma79_conclusion_check(
+        target, args["L"], args["lower_c"], args["p_max"], budget, ctx.cfg.arithmetic
+    )
 
 
 MAP: Dict[str, Param] = {"map": (str, None)}

@@ -35,7 +35,7 @@ from .fpmaps import (
     make_alpha_schedule, map_policy, orbit, start_length,
 )
 from .sampling import SamplingBudget
-from .sequences import INEQ_TOL, BasicSequence, Kappa, basis_constant, builtin_sequence
+from .sequences import INEQ_TOL, BasicSequence, Kappa, basis_constant, builtin_sequence, padded_difference
 from .spaces import norm, require_exact, row_array, scalar
 
 KAPPA_SAMPLES = 512
@@ -220,7 +220,7 @@ def run_orbit(config_path: str, out_path: Optional[str], seed, arithmetic) -> in
     theta = spec.schedule.theta if spec.schedule is not None else None
 
     def span_dist(u, v) -> Real:
-        return scalar(s.span_distance_batch(row_array([u.t]), row_array([v.t]))[0])
+        return scalar(s.span_norm_batch(padded_difference(row_array([u.t]), row_array([v.t])))[0])
 
     header = ["n", "distance"]
     if theta is not None:

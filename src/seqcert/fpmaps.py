@@ -33,7 +33,7 @@ from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError, TruncationError
 from .sampling import SamplingBudget, simplex_points
-from .sequences import BasicSequence, _require_exact_tags, _scan, _witness
+from .sequences import BasicSequence, _require_exact_tags, _scan, _witness, padded_difference
 from .spaces import ELL_P, SUP, CoordinateVector, NormTag, as_rows, norm, row_array, scalar
 
 DIAG_SHIFT = "diag_shift"
@@ -378,16 +378,12 @@ def bilipschitz_estimate(
     )
 
 
-def residuals_batch(spec: AffineMapSpec, T: np.ndarray, s: BasicSequence) -> np.ndarray:
-    """||f(t) - t|| through the ambient norm of s for every row t of T, with t
-    zero-padded to the width of f(t); exact on object rows."""
-    return s.span_distance_batch(apply_map_batch(spec, T), as_rows(T))
-
-
 def fixed_point_residual(spec: AffineMapSpec, t, s: BasicSequence) -> Real:
-    """||f(t) - t|| through the ambient norm; positive residuals witness the
-    absence of a fixed point at this truncation."""
-    return scalar(residuals_batch(spec, row_array([ConvexCoefficients.of(t).t]), s)[0])
+    """||f(t) - t|| through the ambient norm, t zero-padded to the width of
+    f(t); positive residuals witness the absence of a fixed point at this
+    truncation."""
+    T = row_array([ConvexCoefficients.of(t).t])
+    return scalar(s.span_norm_batch(padded_difference(apply_map_batch(spec, T), T))[0])
 
 
 def theta_of_map(

@@ -50,9 +50,8 @@ from .spaces import CoordinateVector, norm_batch, row_array, scalar
 
 @dataclass(frozen=True)
 class PerturbedSequence:
-    """A base family together with its coordinatewise perturbation."""
+    """The coordinatewise perturbation of a base family."""
 
-    base: BasicSequence
     z_vectors: Tuple[CoordinateVector, ...]
     theta: Real
 
@@ -71,7 +70,7 @@ def perturb_toward_next(s: BasicSequence, alpha: AlphaSchedule) -> PerturbedSequ
     al = np.array(alpha.alphas, dtype=object)[:, None]
     zs = tuple(CoordinateVector(tuple(z)) for z in (1 - al) * rows[:k] + al * rows[1 : k + 1])
     theta = 2 * alpha.kappa * _relative_gap_sum(s, zs)
-    return PerturbedSequence(base=s, z_vectors=zs, theta=theta)
+    return PerturbedSequence(z_vectors=zs, theta=theta)
 
 
 def _relative_gap_sum(s: BasicSequence, z_vectors) -> Real:

@@ -155,11 +155,6 @@ class BasicSequence:
             lambda c: norm_enclosure(c, self.ambient, self._basis(c.shape[1], shift, True)),
         )
 
-    def span_distance_batch(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """||sum_i (u_i - v_i) x_i|| for every pair of rows u, v of
-        ``padded_difference(U, V)``; exact on object rows."""
-        return self.span_norm_batch(padded_difference(U, V))
-
 
 def padded_difference(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The rows u - v of every pair of rows u, v of U and V, the narrower of
@@ -574,7 +569,7 @@ def equivalence_constants(
         constants={
             "r_min": r_min,
             "r_max": r_max,
-            "L_smallest": max(r_max, 1 / r_min),
+            "L_smallest": max(r_max, 1 / r_min if r_min > 0 else np.inf),
             "rejected_denominators": rejected,
         },
         holds=True,

@@ -321,22 +321,14 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
             return np.sum(np.abs(mat), axis=1)
         return np.sum(np.abs(mat) ** p, axis=1) ** (1.0 / p)
     if tag.variant == LIN:
+        # exact weights on object rows; initial=0 keeps an all-zero exact row's norm the int 0
         if mat.dtype == object:
-            return _lin_norm_exact_batch(mat)
+            weights = np.array([lin_weight(k) for k in range(1, n + 1)], dtype=object)
+        else:
+            weights = lin_weights_float(n)
         tails = np.cumsum(np.abs(mat)[:, ::-1], axis=1)[:, ::-1]
-        return np.max(tails * lin_weights_float(n), axis=1)
+        return np.max(tails * weights, axis=1, initial=0)
     return james_power_sums_batch(mat, tag.p) ** (1.0 / float(tag.p))
-
-
-def _lin_norm_exact_batch(mat: np.ndarray) -> np.ndarray:
-    """``lin_norm`` of every exact row, one column at a time: the running max
-    over exact tails never materializes a rows x N array of Fractions."""
-    best = np.zeros(mat.shape[0], dtype=object)
-    tail = np.zeros(mat.shape[0], dtype=object)
-    for k in range(mat.shape[1], 0, -1):
-        tail = tail + np.abs(mat[:, k - 1])
-        best = np.maximum(best, lin_weight(k) * tail)
-    return best
 
 
 def summing_basis_norm_batch(mat: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqcert.arithmetic import FLOAT, RATIONAL
 from seqcert.blocks import (
     ConvexBlockSpec,
     build_convex_blocks,
@@ -194,6 +195,13 @@ def test_lemma79_geometric_conventions():
     )
     assert "lower-convention=symmetric(1/(2L))" in sym.flags
     assert sym.holds
+    # the names select the same certificate as their values, in both modes
+    budget = SamplingBudget(count=100, seed=4)
+    for arithmetic, symmetric in ((FLOAT, 0.25), (RATIONAL, R(1, 4))):
+        by_name = [lemma79_conclusion_check(geo, 2, c, 1, budget, arithmetic) for c in ("printed", "symmetric")]
+        by_value = [lemma79_conclusion_check(geo, 2, c, 1, budget, arithmetic) for c in (None, symmetric)]
+        assert by_name == by_value
+        assert "lower-convention=symmetric(1/(2L))" in by_name[1].flags
 
 
 def test_blocked_convex_coefficients_norm_one_summing():

@@ -1,15 +1,18 @@
 """Config grammar, CLI subcommands, exit codes, report determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqcert.sequences
+from seqcert.certificates import Certificate
 from seqcert.checks import CHECKS
 from seqcert.cli import RunContext, main
 from seqcert.config import load_config, parse_cli_tag, parse_coeff_list
@@ -310,6 +313,71 @@ arithmetic = rational
     assert main(["certify", "--config", path, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["certificates"][0]["arithmetic"] == "rational"
+
+
+OVERFLOW = """
+[space]
+tag = ell_p
+p = 2
+
+[sequence]
+csv = big.csv
+
+[check wuc]
+kind = wuc_constant
+samples = 50
+
+[check shift]
+kind = shift_equivalence
+p_max = 1
+samples = 50
+
+[check eq]
+kind = equivalence
+other = ell1_canonical
+samples = 50
+
+[check wide]
+kind = wide_s
+samples = 50
+
+[run]
+seed = 1
+"""
+
+
+def test_overflowing_spans_fail_their_certificates(tmp_path):
+    """Every vector norm of this family is 1e154, so it loads, but the spans
+    of most coefficient rows overflow.  A certificate whose constant is inf
+    or nan fails with a flag, and the run goes on; wide_s stays finite."""
+    (tmp_path / "big.csv").write_text("1e154,0,0,0\n0,1e154,0,0\n0,0,1e154,0\n0,0,0,1e154\n")
+    out = tmp_path / "r.json"
+    with np.errstate(all="ignore"):
+        code = main(["certify", "--config", write(tmp_path, OVERFLOW), "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["meta"]["failed"] is None
+    certs = {c["name"]: c for c in report["certificates"]}
+    assert certs["wuc"]["constants"]["c2_hat"] == float("inf")
+    assert math.isnan(certs["shift"]["constants"]["L_hat"])
+    assert certs["eq"]["constants"]["r_min"] == 0.0
+    assert certs["eq"]["constants"]["L_smallest"] == float("inf")
+    for name in ("wuc", "shift", "eq"):
+        assert certs[name]["holds"] is False and certs[name]["flags"] == ["non-finite-constant"], name
+    wide = certs["wide"]
+    assert wide["holds"] is True and wide["flags"] == []
+    assert 1e153 < wide["constants"]["d_hat"] < 1e154
+
+
+def test_a_non_finite_constant_fails_the_certificate():
+    def cert(value, flags=("a",)):
+        return Certificate("k", {"x": 1, "y": value}, True, {}, "m", "float", flags)
+
+    for value in (float("inf"), float("-inf"), float("nan"), np.float64("inf")):
+        assert not cert(value).holds
+        assert cert(value).flags == ("a", "non-finite-constant")
+    for value in (None, 1.5, Fraction(1, 3), 10**400):
+        assert cert(value).holds and cert(value).flags == ("a",)
 
 
 def test_certify_runtime_failure_writes_partial_report(tmp_path):

@@ -171,10 +171,11 @@ def test_shift_equivalence_matches_reference(family, p_max):
     assert cert.witness == {"extreme": wit}
 
 
-@pytest.mark.parametrize("lower_c", [None, Fraction(1, 4)])
+@pytest.mark.parametrize("lower_c", [None, Fraction(1, 4), "printed", "symmetric"])
 def test_lemma79_matches_reference(family, lower_c):
     L, p_max = Fraction(2), 2
-    used = Fraction(1) if lower_c is None else lower_c
+    # the printed L/2 and the symmetric 1/(2L), by name
+    used = {None: Fraction(1), "printed": Fraction(1), "symmetric": Fraction(1, 4)}.get(lower_c, lower_c)
     printed, symmetric = Extremes(), Extremes()
     lower, upper = Extremes(), Extremes()
     for p in range(1, p_max + 1):

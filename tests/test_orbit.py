@@ -17,7 +17,7 @@ from seqcert.fpmaps import (
     theta_of_map,
 )
 from seqcert.sampling import SamplingBudget
-from seqcert.sequences import builtin_sequence
+from seqcert.sequences import builtin_sequence, padded_difference
 
 SCHEDULE = make_alpha_schedule(0.5, 1, 1, 1, 12)
 
@@ -46,7 +46,7 @@ def theta_loop(spec, s, budget, n_window, tol=1e-9):
         FY = apply_map_batch(spec, FY)
         if step < lo:
             continue
-        dist = s.span_distance_batch(X, FY)
+        dist = s.span_norm_batch(padded_difference(X, FY))
         i = int(np.argmin(dist))
         if best is None or dist[i] < best:
             best = float(dist[i])

@@ -70,7 +70,7 @@ def test_psp_theta_formula():
 
 def test_psp_theta_zero_for_unperturbed():
     s = ell1(4)
-    z = PerturbedSequence(base=s, z_vectors=s.vectors[:3], theta=0)
+    z = PerturbedSequence(z_vectors=s.vectors[:3], theta=0)
     assert _relative_gap_sum(s, z.z_vectors) == 0
 
 
@@ -102,7 +102,7 @@ def test_psp_equivalence_rational_exhaustive():
 
 def test_psp_equivalence_identity_ratios():
     s = ell1(5)
-    z = PerturbedSequence(base=s, z_vectors=s.vectors[:4], theta=0)
+    z = PerturbedSequence(z_vectors=s.vectors[:4], theta=0)
     cert = psp_equivalence_check(s, z, R(1, 4), kappa(s), EXHAUSTIVE, arithmetic="rational")
     assert cert.holds
     assert cert.constants["ratio_min"] == 1
@@ -147,7 +147,7 @@ def test_psp_theta_dominates_lower_kappa_form():
 
 def test_psp_equivalence_rejects_large_theta():
     s = ell1(4)
-    z = PerturbedSequence(base=s, z_vectors=s.vectors[:3], theta=0)
+    z = PerturbedSequence(z_vectors=s.vectors[:3], theta=0)
     with pytest.raises(ParameterError):
         psp_equivalence_check(s, z, R(3, 2), kappa(s), EXHAUSTIVE, arithmetic="rational")
 

@@ -28,9 +28,8 @@ from seqcert.fpmaps import (
     fixed_point_residual,
     iterate,
     make_alpha_schedule,
-    residuals_batch,
 )
-from seqcert.sequences import BasicSequence, builtin_sequence
+from seqcert.sequences import BasicSequence, builtin_sequence, padded_difference
 from seqcert.spaces import (
     NormTag,
     _james_dp_powers,
@@ -176,7 +175,9 @@ def test_apply_map_and_residual_are_rows_of_the_batch_kernels(n):
             assert len(got) == len(want) and all(same(g, w) for g, w in zip(got, want)), name
             assert all(not isinstance(g, float) for g in got) if exact else all(type(g) is float for g in got)
             for fam in (s, s_james):
-                assert same(fixed_point_residual(spec, t, fam), residuals_batch(spec, batch_row(t), fam)[0])
+                row = batch_row(t)
+                want = fam.span_norm_batch(padded_difference(apply_map_batch(spec, row), row))[0]
+                assert same(fixed_point_residual(spec, t, fam), want)
 
 
 def test_exact_right_shift_keeps_int_entries():

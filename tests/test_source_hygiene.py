@@ -1,12 +1,15 @@
 """Every name a ``seqcert`` module imports is used in that module, every
-module-level private name is read somewhere in the package, and every
-script, config and workload path the README names exists.
+module-level private name is read somewhere in the package, every script,
+config and workload path the README names exists, and so does every batch
+kernel and float enclosure it names.
 
 The package ``__init__`` is exempt from the first rule: its imports are the
 public re-exports.
 """
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 from typing import Optional, Tuple
@@ -147,3 +150,33 @@ def test_every_path_the_readme_names_exists():
 def test_the_checker_sees_a_named_path():
     text = "Run `python scripts/a.py`, see configs/b.cfg. Not src/configs/c.cfg or bench/workloads/."
     assert named_paths(text) == {"scripts/a.py", "configs/b.cfg"}
+
+
+def kernel_names(text: str) -> set:
+    """The last part of every backticked identifier in text, dotted or not,
+    that ends in ``_batch`` or ``_enclosure``."""
+    return {m.rpartition(".")[2] for m in re.findall(r"`([\w.]+(?:_batch|_enclosure))`", text)}
+
+
+def package_names() -> set:
+    """Every attribute of a ``seqcert`` module, and of each class one defines."""
+    names = set()
+    for path in MODULES:
+        module = importlib.import_module(f"seqcert.{path.stem}")
+        names |= set(vars(module))
+        names |= {n for obj in vars(module).values() if inspect.isclass(obj) for n in dir(obj)}
+    return names
+
+
+def test_every_kernel_the_readme_names_exists():
+    missing = sorted(kernel_names((ROOT / "README.md").read_text()) - package_names())
+    assert not missing, f"README.md names kernels that no seqcert module defines: {missing}"
+
+
+def test_the_checker_sees_a_kernel_name():
+    text = (
+        "Kernels `norm_batch`, `spaces.norm_enclosure` and `BasicSequence.span_norm_batch`;"
+        " not `batch_size`, `norm` or span_distance_batch unquoted, but `gone_batch` and `old.span_batch`."
+    )
+    assert kernel_names(text) == {"norm_batch", "norm_enclosure", "span_norm_batch", "span_batch", "gone_batch"}
+    assert kernel_names(text) - package_names() == {"span_batch", "gone_batch"}

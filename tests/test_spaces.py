@@ -17,6 +17,7 @@ from seqcert.spaces import (
     james_power_sums_batch,
     james_summing_norm,
     lin_norm,
+    lin_weight,
     norm,
     norm_batch,
     summing_basis_norm,
@@ -83,6 +84,21 @@ def test_lin_norm_examples_exact():
     assert lin_norm((0, 1, 0)) == Fraction(64, 65)
     assert lin_norm((0, 0, 0)) == 0
     assert lin_norm(()) == 0
+
+
+def test_lin_kernel_on_exact_rows():
+    """The one lin kernel on object rows: an all-zero row gives the int 0,
+    which a report writes as 0 (Fraction(0) would be "0/1"), and every other
+    row the Fraction max_k lin_weight(k) * sum_{n>=k} |x_n|."""
+    rows = [(0, 0, 0, 0), (1, -2, 3, 0), (0, 0, 0, 5), (Fraction(1, 3), 0, Fraction(-5, 7), Fraction(2, 9))]
+    got = norm_batch(np.array(rows, dtype=object), NormTag.lin())
+    assert type(got[0]) is int and got[0] == 0
+    assert type(lin_norm((0, 0))) is int
+    for row, value in zip(rows[1:], got[1:]):
+        best = 0
+        for k in range(1, len(row) + 1):
+            best = max(best, lin_weight(k) * sum(abs(x) for x in row[k - 1 :]))
+        assert type(value) is Fraction and value == best
 
 
 def test_james_examples():
