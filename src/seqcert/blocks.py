@@ -153,8 +153,8 @@ def summing_equivalence_check(
     return Certificate(
         kind="summing_equivalence",
         constants={
-            "c1": c1,
-            "c2": c2,
+            "c1": c1s,
+            "c2": c2s,
             "margin_lower": lo_m,
             "margin_upper": hi_m,
             "skipped_zero_norm": skipped,
@@ -264,8 +264,8 @@ def lemma79_conclusion_check(
     return Certificate(
         kind="lemma79_conclusion",
         constants={
-            "L": L,
-            "lower_c": used,
+            "L": c_L,
+            "lower_c": c_used,
             "margin_lower": lo_used,
             "margin_lower_printed": lo_pr,
             "margin_lower_symmetric": lo_sy,

@@ -35,7 +35,6 @@ from .spaces import (
     row_array,
     scalar,
     summing_basis_norm_batch,
-    summing_basis_norm_enclosure,
 )
 
 DENOM_GUARD = 1e-12
@@ -287,8 +286,13 @@ def row_norms(tag: NormTag, basis: Optional[np.ndarray] = None) -> RowNorms:
 
 
 def summing_norms() -> RowNorms:
-    """The summing-basis norm of the coefficient rows of a scan."""
-    return RowNorms(summing_basis_norm_batch, summing_basis_norm_enclosure)
+    """The summing-basis norm of the coefficient rows c of a scan, enclosed as
+    the sup norm of c @ U, whose rows are u_i = e_1 + ... + e_i; float scans
+    read the tail sums of ``summing_basis_norm_batch``, not c @ U's bits."""
+    return RowNorms(
+        summing_basis_norm_batch,
+        lambda c: norm_enclosure(c, NormTag.sup(), np.tril(np.ones((c.shape[1],) * 2, dtype=object))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,26 +491,17 @@ def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
     coeffs = coefficient_samples(m, budget, pm_one=pm_one)
 
     def best_ratio(mat: np.ndarray) -> Optional[Tuple[float, np.ndarray]]:
-        """(max ratio, its row) over the rows e of mat with ||e|| > DENOM_GUARD,
-        or None when there are none; ||e|| is the last head norm."""
-        heads = np.empty((len(mat), m))
-        for n in range(1, m + 1):
-            head = np.zeros_like(mat)
-            head[:, :n] = mat[:, :n]
-            heads[:, n - 1] = s.span_norm_batch(head)
-        norms = heads[:, -1]
-        ok = norms > DENOM_GUARD
-        if not np.any(ok):
+        """(max ratio, its row) over the rows e of mat that pass ``_guard``, or
+        None if none does: the first maximum of 1.0 on the first such row (the
+        argmin of 0 / ||e||) and the ``_ratio_extremes`` max of each full-width
+        head ||P_n e|| (see ``proved_monotone``) against ||e||, the last head."""
+        heads = [s.span_norm_batch(np.where(np.arange(m) < n, mat, 0.0)) for n in range(1, m + 1)]
+        try:
+            first = _ratio_extremes(np.zeros(len(mat)), heads[-1], mat, FLOAT)[2]
+        except DependenceError:
             return None
-        if not np.all(ok):
-            mat, norms, heads = mat[ok], norms[ok], heads[ok]
-        best, best_i = 1.0, 0
-        for n in range(1, m + 1):
-            ratios = heads[:, n - 1] / norms
-            i = int(np.argmax(ratios))
-            if ratios[i] > best:
-                best, best_i = float(ratios[i]), i
-        return best, mat[best_i]
+        maxima = [_ratio_extremes(head, heads[-1], mat, FLOAT)[1::2] for head in heads]
+        return max([(1.0, first)] + maxima, key=lambda found: found[0])
 
     found = best_ratio(coeffs)
     if found is None:

@@ -34,11 +34,13 @@ the result as a built-in float, int or Fraction.  The ``james`` power sum
 is exact for integer p via ``james_power_sum_exact``, a separate scalar DP
 kept as an independent check of the batch DP.
 
-Each exact kernel that a certificate scan reads has a float enclosure:
+Each exact kernel that a certificate scan reads has a float enclosure,
 ``norm_enclosure`` (sup, ell_1 and lin, of the rows or of their product
-with a family matrix) and ``summing_basis_norm_enclosure`` evaluate the
-float image of the ``object`` rows and return ``(value, radius)`` with
-|value - exact| <= radius for every row.  The radius is the a-priori bound
+with a family matrix): it evaluates the float image of the ``object`` rows
+and returns ``(value, radius)`` with |value - exact| <= radius for every
+row.  The summing-basis norm is the sup norm of c @ U, U the
+lower-triangular ones matrix whose rows are the u_i, so its enclosure is
+the sup enclosure of c @ U.  The radius is the a-priori bound
 2 * gamma_K * S, where S = || |c| |X| ||_1 is computed from the float images
 and gamma_K = K u / (1 - K u) (N. J. Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2002, section 3.1); ``norm_enclosure`` gives the
@@ -365,19 +367,6 @@ def _float_image(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return flt, ~small.any(axis=1)
 
 
-def _enclosed(value: np.ndarray, size: np.ndarray, m: int, ok: np.ndarray):
-    """``(value, radius)`` with radius 2 * gamma_K * S, S the row sums of
-    ``size`` and K = m + N + 5 for an N-wide ``size``; a row that is not ``ok``,
-    or whose value or radius is not finite (an overflow), gets value 0 and
-    radius inf."""
-    k = m + size.shape[1] + 5
-    gamma = k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
-    radius = 2 * gamma * size.sum(axis=1)
-    bad = ~(ok & np.isfinite(value + radius))
-    radius[bad] = np.inf
-    return np.where(bad, 0.0, value), radius
-
-
 def norm_enclosure(
     coeffs: np.ndarray, tag: NormTag, basis: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -396,7 +385,8 @@ def norm_enclosure(
     the radius: those lose far less than half when K u is small.  Rows that
     pass ``_float_image`` keep every product normal (at least 2^-1000 <= S),
     so the absolute errors of a subnormal sum are negligible beside that
-    slack.
+    slack.  A row that does not pass, or whose value or radius is not finite
+    (an overflow), gets value 0 and radius inf.
     """
     if not tag.is_polyhedral():
         raise ParameterError(f"no float enclosure for the {tag.label()} norm")
@@ -405,12 +395,10 @@ def norm_enclosure(
     if basis is not None:
         fx, fx_ok = _float_image(basis)
         flt, size, ok = flt @ fx, size @ np.abs(fx), ok & fx_ok.all()
-    return _enclosed(norm_batch(flt, tag), size, coeffs.shape[1], ok)
-
-
-def summing_basis_norm_enclosure(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Float value and radius around the exact ``summing_basis_norm_batch`` of
-    every ``object`` row: rounding the row and its m-term tail cumsum costs at
-    most gamma_m * ||c||_1, inside the radius of ``norm_enclosure``."""
-    flt, ok = _float_image(coeffs)
-    return _enclosed(summing_basis_norm_batch(flt), np.abs(flt), coeffs.shape[1], ok)
+    value = norm_batch(flt, tag)
+    k = coeffs.shape[1] + size.shape[1] + 5
+    gamma = k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+    radius = 2 * gamma * size.sum(axis=1)
+    bad = ~(ok & np.isfinite(value + radius))
+    radius[bad] = np.inf
+    return np.where(bad, 0.0, value), radius

@@ -204,6 +204,29 @@ def test_lemma79_geometric_conventions():
         assert "lower-convention=symmetric(1/(2L))" in by_name[1].flags
 
 
+@pytest.mark.parametrize("arithmetic", [FLOAT, RATIONAL])
+def test_input_constants_are_reported_in_the_arithmetic_mode(arithmetic):
+    # a config parses every constant as a Fraction; a float certificate
+    # reports the floats its verdict used, a rational one the exact "p/q"
+    s, budget = builtin_sequence("summing_c0", 6), SamplingBudget(count=50, seed=1)
+    reported = {}
+    for lower_c in (R(1, 4), "printed", "symmetric"):
+        cert = lemma79_conclusion_check(s, R(2), lower_c, 1, budget, arithmetic).to_json_dict()
+        reported[lower_c] = (cert["constants"]["L"], cert["constants"]["lower_c"])
+    cert = summing_equivalence_check(s, R(1, 4), R(3), budget, arithmetic).to_json_dict()
+    reported["c1, c2"] = (cert["constants"]["c1"], cert["constants"]["c2"])
+    if arithmetic == FLOAT:
+        assert reported == {
+            R(1, 4): (2.0, 0.25), "printed": (2.0, 1.0), "symmetric": (2.0, 0.25), "c1, c2": (0.25, 3.0)
+        }
+        assert all(type(x) is float for pair in reported.values() for x in pair)
+    else:
+        assert reported == {
+            R(1, 4): ("2/1", "1/4"), "printed": ("2/1", "1/1"), "symmetric": ("2/1", "1/4"),
+            "c1, c2": ("1/4", "3/1"),
+        }
+
+
 def test_blocked_convex_coefficients_norm_one_summing():
     # convex blocks of the summing family keep unit span norm on the simplex
     s = builtin_sequence("summing_c0", 6)

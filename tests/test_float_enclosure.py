@@ -1,9 +1,11 @@
 """Float enclosures of the exact kernels, and the rational scans built on them.
 
-``spaces.norm_enclosure`` and ``summing_basis_norm_enclosure`` must contain
-the exact value: |float - exact| <= radius, checked here in ``Fraction``
-arithmetic on int rows, ``rational_simplex`` rows and convex block families
-with weights (1/2, 1/2) and (1/3, 2/3), whose entries do not round exactly.
+``spaces.norm_enclosure``, and the enclosure of the summing-basis norm that
+``sequences.summing_norms`` builds from it (the sup norm of c @ U), must
+contain the exact value: |float - exact| <= radius, checked here in
+``Fraction`` arithmetic on int rows, ``rational_simplex`` rows and convex
+block families with weights (1/2, 1/2) and (1/3, 2/3), whose entries do not
+round exactly.
 
 A rational scan evaluates exactly only the rows whose float interval can
 reach an extreme of a margin or a ratio it declares.  Its results must be
@@ -44,7 +46,6 @@ from seqcert.spaces import (
     norm_batch,
     norm_enclosure,
     summing_basis_norm_batch,
-    summing_basis_norm_enclosure,
 )
 
 TAGS = [NormTag.sup(), NormTag.ell_p(1), NormTag.lin()]
@@ -110,7 +111,7 @@ def test_norm_enclosure_contains_the_exact_norm(inp, tag):
 @given(scan_input())
 def test_summing_basis_enclosure_contains_the_exact_norm(inp):
     _, coeffs = inp
-    assert_encloses(*summing_basis_norm_enclosure(coeffs), summing_basis_norm_batch(coeffs))
+    assert_encloses(*summing_norms().enclosure(coeffs), summing_basis_norm_batch(coeffs))
 
 
 @pytest.mark.parametrize(
@@ -125,7 +126,7 @@ def test_rows_outside_the_rounding_model_are_not_enclosed(row):
     coeffs = np.array([row, (1, 2)], dtype=object)
     for value, radius in (
         norm_enclosure(coeffs, NormTag.lin(), FAMILIES["lin_blocks_thirds"].matrix(True)[:2]),
-        summing_basis_norm_enclosure(coeffs),
+        summing_norms().enclosure(coeffs),
     ):
         assert radius[0] == np.inf
         assert np.isfinite(value).all()

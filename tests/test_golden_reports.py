@@ -133,14 +133,16 @@ def test_rational_suite_certificates_are_pinned(tmp_path, seed):
 # The certificates block of each smoke workload, serialised as
 # ``bench/verify.certificates_bytes`` does.  Every family there has a proved
 # kappa, so no kappa flag or source change may move these bytes.  Re-recorded
-# for the per-iterate bilipschitz constants, as ``PINNED`` was.
+# for the per-iterate bilipschitz constants, as ``PINNED`` was, and james48's
+# again when float lemma79 began to print its ``L`` and ``lower_c`` as the
+# floats its verdict uses ("L": 2.0, not "2/1"); nothing else moved.
 SMOKE_PINNED = {
     ("theorem41", 1): "fe9b993c2bf13704e2bd58c1571b32b84e402a1af0490b716a60b24dc321e1d6",
     ("theorem41", 2): "eb5a251b32ce417f74bee0fb6deeb18e62e8fab955e4d22227ce117c45afcc20",
     ("theorem41", 3): "54fe1ede5a8fb0af8765d33b6d3faea59adbd9cf2a3e8038b3173de35c8e0430",
-    ("james48", 1): "ac2a3287e562873f074e36924481f9d05937854dd5aa7b3ddd88a12e744f8252",
-    ("james48", 2): "267745d4e7a46decfd7757c0b87a5616d82ee4851e1d7ebe8a3e636b657e3acc",
-    ("james48", 3): "cdc4026fe05aaa86b17daa54637ffdd68c1551f9cafee8eb8faa398fd843c46d",
+    ("james48", 1): "15d02ccf6ade4a9f2a4e51ede9771d217fac65788f3f0525d4ace8cdb1f3cfaa",
+    ("james48", 2): "492433241896155cc770ce0042b20f9c83e03e77cea03db73c4adec55bcd210c",
+    ("james48", 3): "2ed881ce04b17fd678292bc6639030d052468ca9bb4c6857d65270b26d9a7b44",
     ("rational_lin9", 1): "b792abd81ab8657508879445310bd19ed3c4daee20017b9c5589a160a4328465",
     ("rational_lin9", 2): "d70457473d1cdb0dd592e83abaa519a38c8774842c99c15dfb865f8f0c69ff40",
     ("rational_lin9", 3): "9026d2880b7085de647112565704580c6a025ac137b45bcfb8ba67570ec4dfff",
@@ -155,3 +157,69 @@ def test_smoke_workload_certificates_are_pinned(tmp_path, workload, seed):
     report = json.loads(out.read_text())
     block = json.dumps(report["certificates"], indent=2, sort_keys=True).encode()
     assert hashlib.sha256(block).hexdigest() == SMOKE_PINNED[workload, seed]
+
+
+# A family whose kappa is sampled: ``summing_c0`` is not prefix-shaped, so
+# ``basis_constant`` draws rows, and its value reaches ``gap_bound`` and
+# ``claim2_chain`` through the run context.  These bytes pin the sampled
+# kappa's ratio scan (its lower end and the local-search upper end).
+SAMPLED_KAPPA_SUITE = """
+[sequence]
+builtin = summing_c0
+n = {n}
+
+[map f]
+variant = diag_shift
+theta = 1/2
+
+[blocks]
+sets = 1,2 | 3,4 | 5,6 | 7,8
+weights = 1/2,1/2 | 1/2,1/2 | 1/2,1/2 | 1/2,1/2
+
+[check kappa]
+kind = basis_constant
+samples = 256
+
+[check kappa_blocks]
+kind = basis_constant
+on = blocks
+samples = 256
+
+[check gap]
+kind = gap_bound
+samples = 200
+
+[check gap_blocks]
+kind = gap_bound
+on = blocks
+samples = 200
+
+[check claim2]
+kind = claim2_chain
+map = f
+
+[run]
+seed = 1
+arithmetic = float
+"""
+
+SAMPLED_KAPPA_PINNED = {
+    (8, 1): "311537743fbebdca7538919ab44a865b736df6df7eda87a6315730f0ca9f783f",
+    (8, 2): "eaf16981c42ba7f74638580a46a236b78d04ae208ff95e852e4095977d2bb686",
+    (13, 1): "0ec7e883560665cab5b53276f2b675d65dad2977cc698ec2374e5f6eee1c589d",
+    (13, 2): "7edf1bda5a584214df7c8c89b5ce35d74fd521cdaded445798ab9fb273383b1d",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(SAMPLED_KAPPA_PINNED))
+def test_sampled_kappa_certificates_are_pinned(tmp_path, n, seed):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(SAMPLED_KAPPA_SUITE.format(n=n))
+    out = tmp_path / "report.json"
+    assert main(["certify", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["meta"]["failed"] is None
+    kappas = [c for c in report["certificates"] if c["kind"] == "basis_constant"]
+    assert len(kappas) == 2 and all(c["mode"] != "proved-monotone" for c in kappas)
+    block = json.dumps(report["certificates"], indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(block).hexdigest() == SAMPLED_KAPPA_PINNED[n, seed]

@@ -1,10 +1,12 @@
 """Every name a ``seqcert`` module imports is used in that module, every
-module-level private name is read somewhere in the package, every script,
-config and workload path the README names exists, and so does every batch
-kernel and float enclosure it names.
+module-level private name is read somewhere in the package, every batch
+kernel and float enclosure (a function ``*_batch`` or ``*_enclosure``) is
+read by a module of the package, every script, config and workload path the
+README names exists, and so does every batch kernel and float enclosure it
+names.
 
-The package ``__init__`` is exempt from the first rule: its imports are the
-public re-exports.
+The package ``__init__`` is exempt from the first rule, and its reads do not
+count for the kernel rule: its imports are the public re-exports.
 """
 
 import ast
@@ -12,7 +14,7 @@ import importlib
 import inspect
 import re
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import pytest
 
@@ -69,9 +71,10 @@ def test_the_checker_sees_an_unused_import():
     assert {name for name in imported if name not in used} == {"os", "List"}
 
 
-def private_definitions(tree: ast.Module) -> dict:
-    """Each module-level private name (``_x``, not a dunder) a module defines,
-    with the (first, last) lines of its definition."""
+def definitions(tree: ast.Module, wanted: Callable[[ast.stmt, str], bool]) -> dict:
+    """Each name a module binds at module level by a def, a class or an
+    assignment and that ``wanted(node, name)`` accepts, with the (first,
+    last) lines of its definition."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -82,9 +85,19 @@ def private_definitions(tree: ast.Module) -> dict:
         else:
             continue
         for name in bound:
-            if name.startswith("_") and not name.startswith("__"):
+            if wanted(node, name):
                 names[name] = (node.lineno, node.end_lineno)
     return names
+
+
+def is_private(node: ast.stmt, name: str) -> bool:
+    """A private name (``_x``, not a dunder)."""
+    return name.startswith("_") and not name.startswith("__")
+
+
+def is_kernel(node: ast.stmt, name: str) -> bool:
+    """A function named ``*_batch`` or ``*_enclosure``."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and name.endswith(("_batch", "_enclosure"))
 
 
 def read_names(tree: ast.Module, skip: Optional[Tuple[int, int]] = None) -> set:
@@ -103,16 +116,16 @@ def read_names(tree: ast.Module, skip: Optional[Tuple[int, int]] = None) -> set:
     return read
 
 
-def unread_private_names(sources: dict) -> dict:
-    """{module: [name, ...]} for every module-level private name that no
-    module of ``sources`` ({module: source text}) reads outside its own
-    definition."""
+def unread_names(sources: dict, wanted: Callable[[ast.stmt, str], bool]) -> dict:
+    """{module: [name, ...]} for every module-level name that ``wanted``
+    accepts and that no module of ``sources`` ({module: source text}) reads
+    outside its own definition."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     reads = {module: read_names(tree) for module, tree in trees.items()}
     unread = {}
     for module, tree in trees.items():
         others = set().union(*(r for m, r in reads.items() if m != module))
-        for name, span in private_definitions(tree).items():
+        for name, span in definitions(tree, wanted).items():
             if name not in others | read_names(tree, span):
                 unread.setdefault(module, []).append(name)
     return unread
@@ -120,7 +133,7 @@ def unread_private_names(sources: dict) -> dict:
 
 def test_every_private_name_is_read():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    unread = unread_private_names(sources)
+    unread = unread_names(sources, is_private)
     assert not unread, f"module-level private names nothing in src/seqcert reads: {unread}"
 
 
@@ -134,7 +147,27 @@ def test_the_checker_sees_an_unread_private_name():
         ),
         "b.py": "from .a import _Imported\nimport a\n\nx = a._helper()\n",
     }
-    assert unread_private_names(sources) == {"a.py": ["_unused", "_recursive"]}
+    assert unread_names(sources, is_private) == {"a.py": ["_unused", "_recursive"]}
+
+
+def test_every_kernel_is_read():
+    # the re-exports of __init__ do not count as reads
+    sources = {p.name: p.read_text() for p in MODULES}
+    unread = unread_names(sources, is_kernel)
+    assert not unread, f"batch kernels and enclosures nothing in src/seqcert reads: {unread}"
+
+
+def test_the_checker_sees_an_unread_kernel():
+    sources = {
+        "a.py": (
+            "norm_batch_size = 3\n\n"
+            "def norm_batch(m):\n    return m\n\n"
+            "def old_enclosure(m):\n    return old_enclosure(m)\n\n"
+            "def span_batch(m):\n    return m\n"
+        ),
+        "b.py": "from .a import norm_batch\n\nx = norm_batch(1)\n",
+    }
+    assert unread_names(sources, is_kernel) == {"a.py": ["old_enclosure", "span_batch"]}
 
 
 def named_paths(text: str) -> set:
