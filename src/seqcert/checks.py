@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 from .arithmetic import FLOAT, RATIONAL, coerce, parse_coeff_list, parse_scalar
 from .blocks import (
     lemma79_conclusion_check, shift_equivalence_constants, summing_equivalence_check, wuc_constant,
@@ -31,8 +29,8 @@ from .certificates import Certificate
 from .errors import ConfigError
 from .fpmaps import (
     DIAG_SHIFT, RIGHT_SHIFT, AlphaSchedule, SummingFunctional, bilipschitz_estimate,
-    apply_map_batch, make_summing_functional, start_length,
-    theta_lower_bound_rightshift, theta_of_map,
+    make_summing_functional, residual_norms, start_length, theta_lower_bound_rightshift,
+    theta_of_map,
 )
 from .perturbation import claim2_chain, perturb_toward_next, psp_equivalence_check
 from .sampling import EXHAUSTIVE_LIMIT, SamplingBudget, simplex_samples
@@ -157,18 +155,16 @@ def _bilipschitz(ctx, args, seed) -> Certificate:
 
 
 def _residual(ctx, args, seed) -> Certificate:
-    spec = ctx.map_specs[args["map"]]
-    s = ctx.seq
-    n = start_length(spec.variant, spec.policy, len(s), 1)
+    spec, exact = ctx.map_specs[args["map"]], ctx.cfg.arithmetic == RATIONAL
+    n = start_length(spec.variant, spec.policy, len(ctx.seq), 1)
     budget = SamplingBudget(args["samples"], seed)
-    T = simplex_samples(n, budget, exact=ctx.cfg.arithmetic == RATIONAL)
-    residuals = s.span_norms().of_differences(apply_map_batch(spec, T), T)
-    [(best, i)] = _scan(np.arange(len(T)), [residuals], ctx.cfg.arithmetic, margins=[((1, 0),)])
+    T = simplex_samples(n, budget, exact=exact)
+    [(best, row)] = _scan(T, [residual_norms(spec, ctx.seq, n, exact)], ctx.cfg.arithmetic, [((1, 0),)])
     return Certificate(
         kind="fixed_point_residual",
         constants={"min_residual": best, "evaluated": len(T)},
         holds=bool(best > 0),
-        witness={"argmin": _witness(T[i])},
+        witness={"argmin": _witness(row)},
         mode=budget.mode_label(n),
         arithmetic=ctx.cfg.arithmetic,
     )

@@ -18,6 +18,7 @@ import platform
 import sys
 import time
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -32,10 +33,10 @@ from .config import CheckConfig, ExperimentConfig, build_sequence, load_config, 
 from .errors import BlockSpecError, ConfigError, ParameterError
 from .fpmaps import (
     DIAG_SHIFT, AffineMapSpec, ConvexCoefficients, SummingFunctional, check_theta_window,
-    make_alpha_schedule, map_policy, orbit, start_length,
+    make_alpha_schedule, map_policy, orbit, start_length, theta_lower_bound_rightshift,
 )
 from .sampling import SamplingBudget
-from .sequences import INEQ_TOL, BasicSequence, Kappa, basis_constant, builtin_sequence, padded_difference
+from .sequences import INEQ_TOL, BasicSequence, Kappa, basis_constant, builtin_sequence
 from .spaces import norm, require_exact, row_array, scalar
 
 KAPPA_SAMPLES = 512
@@ -63,7 +64,8 @@ class RunContext:
     (``fpmaps.start_length``), an orbit window on a right shift too short for
     it (``fpmaps.check_theta_window``), a ``phi`` that gives no summing
     functional (``functionals`` maps each configured phi to its functional),
-    or in rational mode an ``other`` family whose norm is not piecewise linear.
+    or in rational mode an ``other`` family whose norm is not piecewise linear;
+    right after them, before any check runs, an ``eps`` past its limit too.
     ``setup_times`` holds the wall time of each step, in seconds, and
     ``kappa`` the basis-constant interval of each target, keyed by its ``on``
     value ("blocks" only with blocks)."""
@@ -82,17 +84,27 @@ class RunContext:
             except BlockSpecError as exc:
                 raise ConfigError(f"[blocks]: {exc}") from exc
         self.functionals: Dict[object, SummingFunctional] = {}
-        for check in cfg.checks:
-            try:
-                self._prepare(check.kind, check.args)
-            except ParameterError as exc:
-                raise ConfigError(f"[check {check.name}]: {exc}") from exc
+        self._each_check(self._prepare)
         self.kappa: Dict[str, Kappa] = {"sequence": self._kappa("kappa", self.seq, 0)}
         if self.blocks_seq is not None:
             self.kappa["blocks"] = self._kappa("kappa_blocks", self.blocks_seq, 1)
+        self._each_check(self._check_eps)  # its limit beta / (1 + 2 kappa) needs kappa
         self.map_specs: Dict[str, AffineMapSpec] = self._timed(
             "maps", lambda: {name: self._realize_map(mc) for name, mc in cfg.maps.items()}
         )
+
+    def _each_check(self, check_args: Callable[[str, dict], None]) -> None:
+        """``check_args(kind, args)`` on every check; a ParameterError names the check."""
+        for check in self.cfg.checks:
+            try:
+                check_args(check.kind, check.args)
+            except ParameterError as exc:
+                raise ConfigError(f"[check {check.name}]: {exc}") from exc
+
+    def _check_eps(self, kind: str, args: dict) -> None:
+        if "eps" in args:
+            functional = self.functionals[args["phi"]]
+            theta_lower_bound_rightshift(functional, args["eps"], self.kappa["sequence"].upper)
 
     def _prepare(self, kind: str, args: dict) -> None:
         """Check what the family implies for one check; build its functional."""
@@ -219,8 +231,8 @@ def run_orbit(config_path: str, out_path: Optional[str], seed, arithmetic) -> in
     spec = RunContext(cfg, s).map_specs[cfg.orbit.map_name]
     theta = spec.schedule.theta if spec.schedule is not None else None
 
-    def span_dist(u, v) -> Real:
-        return scalar(s.span_norm_batch(padded_difference(row_array([u.t]), row_array([v.t])))[0])
+    def span_dist(u, v) -> Real:  # the shorter point zero-padded
+        return s.span_norm(tuple(a - b for a, b in zip_longest(u.t, v.t, fillvalue=0)))
 
     header = ["n", "distance"]
     if theta is not None:

@@ -18,11 +18,14 @@ Truncation policy ``grow`` appends one coordinate per application so no
 mass leaks; ``fold_tail`` keeps the length fixed and folds the overflow
 onto the last coordinate.  ``geometric`` has infinite support per
 application and therefore requires ``fold_tail``.
+
+Every variant is linear on coefficient rows, f^p(t) = t f^p(I), so the map
+checks apply the map only to the identity: they scan their coefficient rows
+over the pushed families B_p = f^p(I) X of ``pushed_families``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional
@@ -33,7 +36,7 @@ from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError, TruncationError
 from .sampling import SamplingBudget, simplex_points
-from .sequences import BasicSequence, _require_exact_tags, _scan, _witness, padded_difference
+from .sequences import BasicSequence, RowNorms, _require_exact_tags, _scan, _witness, row_norms
 from .spaces import ELL_P, SUP, CoordinateVector, NormTag, as_rows, norm, row_array, scalar
 
 DIAG_SHIFT = "diag_shift"
@@ -217,9 +220,8 @@ def iterate(spec: AffineMapSpec, t, p: int) -> ConvexCoefficients:
 
 
 def orbit(spec: AffineMapSpec, T: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """The iterates T, f(T), ..., f^steps(T) of the rows of T.  Each iterate is
-    applied only when it is read, so a scan over the orbit allocates in the
-    order of a plain loop over the steps."""
+    """The iterates T, f(T), ..., f^steps(T) of the rows of T, each applied
+    only when it is read."""
     yield T
     for _ in range(steps):
         T = apply_map_batch(spec, T)
@@ -314,11 +316,13 @@ def _pair_matrices(n: int, budget: SamplingBudget, include_equal: bool, arithmet
     return X, Y
 
 
-def _pair_mode(n_vertex_pairs: int, budget: SamplingBudget) -> str:
-    label = f"vertex-pairs({n_vertex_pairs})"
-    if budget.count > 0:
-        label += f"+sampled(count={budget.count},seed={budget.seed})"
-    return label
+def pushed_families(spec: AffineMapSpec, s: BasicSequence, n: int, steps: int, exact: bool) -> list:
+    """B_p = f^p(I) X, p = 0..steps: the ``orbit`` of the n x n identity (of
+    ``object`` ints with ``exact``: exact on an exact schedule), each iterate
+    spanned once over the vectors X of s.  The span of t over B_p is the point
+    with coefficients f^p(t), so a map distance is a span over pushed families."""
+    eye = np.eye(n, dtype=object if exact else float)
+    return [s._span(M) for M in orbit(spec, eye, steps)]
 
 
 def bilipschitz_estimate(
@@ -346,16 +350,14 @@ def bilipschitz_estimate(
     n = start_length(spec.variant, spec.policy, len(s), p_max)
     if arithmetic == RATIONAL:
         _require_exact_tags(s)
-    X, Y = _pair_matrices(n, pair_budget, include_equal=False, arithmetic=arithmetic)
-    pairs = np.arange(len(X))
-    norms = s.span_norms()
-    # norm p is ||f^p(x) - f^p(y)|| of the pair (x, y)
-    orbits = zip(orbit(spec, X, p_max), orbit(spec, Y, p_max))
-    gaps = (norms.of_differences(FX, FY) for FX, FY in orbits)
+    pairs = np.hstack(_pair_matrices(n, pair_budget, include_equal=False, arithmetic=arithmetic))
+    # norm p is ||f^p(x) - f^p(y)||, the span of the pair row [x | y] over [B_p; -B_p]
+    families = pushed_families(spec, s, n, p_max, arithmetic == RATIONAL)
+    gaps = [row_norms(s.ambient, np.concatenate([B, -B])) for B in families]
     scans = _scan(pairs, gaps, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
     # the extremes over the iterates; the first p wins ties
-    p1, (c1, _, i1, _, _) = min(enumerate(scans, start=1), key=lambda ps: ps[1][0])
-    p2, (_, c2, _, i2, _) = max(enumerate(scans, start=1), key=lambda ps: ps[1][1])
+    p1, (c1, _, row1, _, _) = min(enumerate(scans, start=1), key=lambda ps: ps[1][0])
+    p2, (_, c2, _, row2, _) = max(enumerate(scans, start=1), key=lambda ps: ps[1][1])
     constants = {"c1_hat": c1, "c2_hat": c2, "p_max": p_max, "p_at_min": p1, "p_at_max": p2}
     for p, (c1_p, c2_p, *_) in enumerate(scans, start=1):
         constants[f"c1_p{p}"], constants[f"c2_p{p}"] = c1_p, c2_p
@@ -366,24 +368,28 @@ def bilipschitz_estimate(
         kind="bilipschitz",
         constants=constants,
         holds=bool(injective),
-        witness={
-            "pair_min_x": _witness(X[i1]),
-            "pair_min_y": _witness(Y[i1]),
-            "pair_max_x": _witness(X[i2]),
-            "pair_max_y": _witness(Y[i2]),
+        witness={  # the halves of the winning pair rows
+            "pair_min_x": _witness(row1[:n]), "pair_min_y": _witness(row1[n:]),
+            "pair_max_x": _witness(row2[:n]), "pair_max_y": _witness(row2[n:]),
         },
-        mode=_pair_mode(n * (n - 1), pair_budget),
+        mode=pair_budget.label(f"vertex-pairs({n * (n - 1)})"),
         arithmetic=arithmetic,
         flags=() if injective else ("not-injective-at-truncation",),
     )
 
 
+def residual_norms(spec: AffineMapSpec, s: BasicSequence, n: int, exact: bool) -> RowNorms:
+    """||f(t) - t|| of the coefficient rows t of length n of a scan: the span
+    of t over B_1 - B_0 (see ``pushed_families``)."""
+    B0, B1 = pushed_families(spec, s, n, 1, exact)
+    return row_norms(s.ambient, B1 - B0)
+
+
 def fixed_point_residual(spec: AffineMapSpec, t, s: BasicSequence) -> Real:
-    """||f(t) - t|| through the ambient norm, t zero-padded to the width of
-    f(t); positive residuals witness the absence of a fixed point at this
-    truncation."""
+    """||f(t) - t||, one row of ``residual_norms``; a positive residual
+    witnesses that f has no fixed point at this truncation."""
     T = row_array([ConvexCoefficients.of(t).t])
-    return scalar(s.span_norm_batch(padded_difference(apply_map_batch(spec, T), T))[0])
+    return scalar(residual_norms(spec, s, T.shape[1], T.dtype == object).exact(T)[0])
 
 
 def theta_of_map(
@@ -404,16 +410,16 @@ def theta_of_map(
     if n_window < 1:
         raise ParameterError("n_window must be >= 1")
     n = start_length(spec.variant, spec.policy, len(s), n_window)
-    X, Y = _pair_matrices(n, pair_budget, include_equal=True)
+    pairs = np.hstack(_pair_matrices(n, pair_budget, include_equal=True))
     lo = (n_window + 1) // 2
-    norms = s.span_norms()
-    # norm k is ||x - f^(lo+k)(y)|| of the pair (x, y), one margin per window step
-    window = itertools.islice(orbit(spec, Y, n_window), lo, None)
-    dists = (norms.of_differences(X, FY) for FY in window)
+    # norm k is ||x - f^(lo+k)(y)||, the span of the pair row [x | y] over
+    # [B_0; -B_(lo+k)], one margin per window step
+    B = pushed_families(spec, s, n, n_window, exact=False)
+    dists = [row_norms(s.ambient, np.concatenate([B[0], -Bk])) for Bk in B[lo:]]
     margins = [((1, k),) for k in range(n_window - lo + 1)]
-    found = _scan(np.arange(len(X)), dists, FLOAT, margins)
+    found = _scan(pairs, dists, FLOAT, margins)
     # the least distance over the window; the first step wins ties
-    best, i = min(found, key=lambda extreme: extreme[0])
+    best, row = min(found, key=lambda extreme: extreme[0])
     holds = best > tol
     flags = ["finite-horizon-proxy"]
     if holds:
@@ -422,11 +428,8 @@ def theta_of_map(
         kind="theta_of_map",
         constants={"theta_hat": best, "n_window": n_window, "tol": tol},
         holds=bool(holds),
-        witness={
-            "x": tuple(map(float, X[i])),
-            "y": tuple(map(float, Y[i])),
-        },
-        mode=_pair_mode(n * n, pair_budget),
+        witness={"x": tuple(map(float, row[:n])), "y": tuple(map(float, row[n:]))},
+        mode=pair_budget.label(f"vertex-pairs({n * n})"),
         arithmetic=FLOAT,
         flags=tuple(flags),
     )
@@ -483,8 +486,6 @@ def theta_lower_bound_rightshift(f: SummingFunctional, eps: Real, kappa: Real) -
     Compare against theta_of_map's estimate: theta_hat >= bound - 1e-9 is
     the recorded check.
     """
-    if not f.gamma > 0:
-        raise ParameterError("functional must have gamma > 0")
     limit = f.beta / (1 + 2 * kappa)
     if not 0 < eps < limit:
         raise ParameterError(f"eps must lie in (0, {limit}), got {eps}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -44,14 +45,18 @@ class SamplingBudget:
         if self.count < 0:
             raise ParameterError("sampling count must be >= 0")
 
-    def mode_label(self, m: int, pm_one: bool = False) -> str:
-        """The evaluated set in a certificate's words; ``pm_one`` names the +-1
-        patterns of ``coefficient_samples(..., pm_one=True)`` past the exhaustive limit."""
+    def label(self, enumerated: Optional[str] = None) -> str:
+        """An evaluated set in a certificate's words: the ``enumerated`` rows
+        (None: there are none), then the random rows this budget draws."""
         sampled = f"sampled(count={self.count},seed={self.seed})"
-        enumerated = "exhaustive" if m <= EXHAUSTIVE_LIMIT else "pm-one" if pm_one else None
         if enumerated is None:
             return sampled
         return f"{enumerated}+{sampled}" if self.count > 0 else enumerated
+
+    def mode_label(self, m: int, pm_one: bool = False) -> str:
+        """The ``label`` of ``coefficient_samples(m, ...)``; ``pm_one`` names its
+        +-1 patterns past the exhaustive limit."""
+        return self.label("exhaustive" if m <= EXHAUSTIVE_LIMIT else "pm-one" if pm_one else None)
 
 
 def _product(values: tuple, m: int) -> np.ndarray:

@@ -18,7 +18,7 @@ coefficient space are only ever refined heuristically and carry a flag.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,15 +126,8 @@ class BasicSequence:
         return self.matrix(exact)[shift : shift + m]
 
     def _span(self, coeff_mat: np.ndarray, shift: int = 0) -> np.ndarray:
-        """The rows sum_i c_i x_{i+shift} of every coefficient row c; exact on
-        object rows.  numpy evaluates a one-row float ``c @ X`` as a
-        matrix-vector product, which can round differently from the same row
-        inside a batch, so one row goes in stacked with a zero row: a row's
-        bits do not depend on how many rows are evaluated with it."""
-        basis = self._basis(coeff_mat.shape[1], shift, coeff_mat.dtype == object)
-        if len(coeff_mat) == 1 and coeff_mat.dtype != object:
-            return (np.concatenate([coeff_mat, np.zeros_like(coeff_mat)]) @ basis)[:1]
-        return coeff_mat @ basis
+        """The rows sum_i c_i x_{i+shift} of every coefficient row c (``_span_rows``)."""
+        return _span_rows(coeff_mat, self._basis(coeff_mat.shape[1], shift, coeff_mat.dtype == object))
 
     def span_vector(self, coeffs) -> CoordinateVector:
         """Materialize sum a_i x_i; exact on exact inputs."""
@@ -155,15 +148,15 @@ class BasicSequence:
         )
 
 
-def padded_difference(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The rows u - v of every pair of rows u, v of U and V, the narrower of
-    U and V zero-padded to the wider; exact on object rows."""
-    if U.shape[1] == V.shape[1]:
-        return U - V
-    diff = np.zeros((len(U), max(U.shape[1], V.shape[1])), dtype=np.result_type(U, V))
-    diff[:, : U.shape[1]] = U
-    diff[:, : V.shape[1]] -= V
-    return diff
+def _span_rows(coeff_mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The rows c @ basis of every coefficient row c; exact on object rows.
+    numpy evaluates a one-row float ``c @ X`` as a matrix-vector product,
+    which can round differently from the same row inside a batch, so one row
+    goes in stacked with a zero row: a row's bits do not depend on how many
+    rows are evaluated with it."""
+    if len(coeff_mat) == 1 and coeff_mat.dtype != object:
+        return (np.concatenate([coeff_mat, np.zeros_like(coeff_mat)]) @ basis)[:1]
+    return coeff_mat @ basis
 
 
 def proved_monotone(s: BasicSequence) -> bool:
@@ -265,22 +258,11 @@ class RowNorms(NamedTuple):
     exact: Callable[[np.ndarray], np.ndarray]
     enclosure: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
-    def of_differences(self, U: np.ndarray, V: np.ndarray) -> "RowNorms":
-        """The same norm of the rows of ``padded_difference(U, V)``, as a
-        function of indices into the paired arrays U and V.  A scan keeps its
-        rows in order, so a full-length index is every pair, and the
-        difference is taken without copying U and V first."""
-
-        def rows(i):
-            return padded_difference(U, V) if len(i) == len(U) else padded_difference(U[i], V[i])
-
-        return RowNorms(lambda i: self.exact(rows(i)), lambda i: self.enclosure(rows(i)))
-
 
 def row_norms(tag: NormTag, basis: Optional[np.ndarray] = None) -> RowNorms:
     """||c @ basis|| (||c|| without a basis) of the coefficient rows c of a scan."""
     return RowNorms(
-        lambda c: norm_batch(c if basis is None else c @ basis, tag),
+        lambda c: norm_batch(c if basis is None else _span_rows(c, basis), tag),
         lambda c: norm_enclosure(c, tag, basis),
     )
 
@@ -372,7 +354,7 @@ def _margin_values(margin: Margin, values: Sequence[np.ndarray]) -> np.ndarray:
 
 def _scan(
     coeffs: np.ndarray,
-    norms: Iterable[RowNorms],
+    norms: Sequence[RowNorms],
     arithmetic: str,
     margins: Sequence[Margin] = (),
     ratios: Sequence[Ratio] = (),
@@ -381,14 +363,12 @@ def _scan(
     each row: for each margin, its least value and the first row attaining
     it; then for each ratio, ``_ratio_extremes`` of the norms it names.
 
-    Float mode evaluates every row, each norm as ``norms`` yields it, so a
-    generator can build a norm's operands after the norms before it are
-    evaluated.  Rational mode is exact, but evaluates exactly only the rows
-    that can reach an extreme, in order.  Each norm of each row first gets a
-    float interval that holds its exact value: the float kernel's value plus
-    or minus the a-priori rounding bound of ``spaces.norm_enclosure``,
-    rounded outward (``_down``/``_up`` step one ulp past a rounded-to-nearest
-    result).  A margin's interval is the
+    Float mode evaluates every row.  Rational mode is exact, but evaluates
+    exactly only the rows that can reach an extreme, in order.  Each norm of
+    each row first gets a float interval that holds its exact value: the
+    float kernel's value plus or minus the a-priori rounding bound of
+    ``spaces.norm_enclosure``, rounded outward (``_down``/``_up`` step one
+    ulp past a rounded-to-nearest result).  A margin's interval is the
     ``_combination`` of its terms and a ratio's is [num_lo / den_hi,
     num_hi / den_lo], both rounded outward, so each holds the exact value.
     A row is kept when some margin's interval can hold the least value
@@ -401,7 +381,6 @@ def _scan(
     kept rows stay in order, so the exact values, first witness rows and
     rejected counts over them are those of the full exact scan."""
     if arithmetic == RATIONAL:
-        norms = list(norms)
         qs = [_interval(q.enclosure(coeffs)) for q in norms]
         reach = [_can_reach_min(*_combination(*((c, qs[i]) for c, i in m))) for m in margins]
         reach += [_ratio_reach(qs[n], qs[d]) for n, d in ratios]
@@ -418,12 +397,17 @@ def _ratio_extremes(
 ) -> Tuple[Real, Real, np.ndarray, np.ndarray, int]:
     """(min, max, argmin row, argmax row, rejected) of num/den over the rows
     whose denominator passes ``_guard``; ties go to the first row.  Exact
-    entries divide as Fractions, since int / int would give a float."""
+    entries divide as Fractions, since int / int would give a float.  A nan
+    ratio (inf / inf) is an extreme, on the first row, only if all are nan."""
     ok = den > _guard(arithmetic)
     rejected = int(np.size(den) - np.count_nonzero(ok))
     if not np.any(ok):
         raise DependenceError("all denominators vanished on the evaluated set")
-    ratios = _FRACTION(num[ok]) / den[ok] if num.dtype == object else num[ok] / den[ok]
+    with np.errstate(invalid="ignore"):
+        ratios = _FRACTION(num[ok]) / den[ok] if num.dtype == object else num[ok] / den[ok]
+    real = ratios == ratios  # false only at nan
+    if np.any(real) and not np.all(real):
+        ok[ok], ratios = real, ratios[real]
     rows = coeffs[ok]
     i_min = int(np.argmin(ratios))
     i_max = int(np.argmax(ratios))
@@ -662,7 +646,7 @@ def gap_bound_check(
         constants={"bound": bound, "min_gap": min_gap, "kappa_upper": kappa_up},
         holds=bool(holds),
         witness={"head": wit_head, "tail": wit_tail},
-        mode=f"sampled(count={budget.count},seed={budget.seed})",
+        mode=budget.label(),
         arithmetic=FLOAT,
         flags=kappa.flags,
     )

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +17,10 @@ from seqcert.certificates import Certificate
 from seqcert.checks import CHECKS
 from seqcert.cli import RunContext, main
 from seqcert.config import load_config, parse_cli_tag, parse_coeff_list
-from seqcert.errors import ConfigError
+from seqcert.errors import ConfigError, ParameterError
 from seqcert.fpmaps import RIGHT_SHIFT
+from seqcert.sequences import BasicSequence, builtin_sequence
+from seqcert.spaces import NormTag, summing_basis_norm_batch
 
 REPO = Path(__file__).resolve().parent.parent
 THEOREM41 = REPO / "configs" / "theorem41.cfg"
@@ -349,24 +352,48 @@ seed = 1
 def test_overflowing_spans_fail_their_certificates(tmp_path):
     """Every vector norm of this family is 1e154, so it loads, but the spans
     of most coefficient rows overflow.  A certificate whose constant is inf
-    or nan fails with a flag, and the run goes on; wide_s stays finite."""
+    or nan fails with a flag, and the run goes on; wide_s stays finite.  A
+    row whose shift ratio is inf / inf has no ratio, so it is neither an
+    extreme nor a witness: shift_equivalence reads the rows whose spans stay
+    finite, and no division warns.  Every witness re-evaluates to its
+    constant."""
     (tmp_path / "big.csv").write_text("1e154,0,0,0\n0,1e154,0,0\n0,0,1e154,0\n0,0,0,1e154\n")
     out = tmp_path / "r.json"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["certify", "--config", write(tmp_path, OVERFLOW), "--out", str(out)])
+    assert not [w for w in caught if "divide" in str(w.message)]
     assert code == 1
     report = json.loads(out.read_text())
     assert report["meta"]["failed"] is None
     certs = {c["name"]: c for c in report["certificates"]}
     assert certs["wuc"]["constants"]["c2_hat"] == float("inf")
-    assert math.isnan(certs["shift"]["constants"]["L_hat"])
     assert certs["eq"]["constants"]["r_min"] == 0.0
     assert certs["eq"]["constants"]["L_smallest"] == float("inf")
-    for name in ("wuc", "shift", "eq"):
+    for name in ("wuc", "eq"):
         assert certs[name]["holds"] is False and certs[name]["flags"] == ["non-finite-constant"], name
+    shift = certs["shift"]
+    assert shift["holds"] is True and shift["flags"] == []
+    assert shift["constants"]["r_min_p1"] == shift["constants"]["r_max_p1"] == shift["constants"]["L_hat"] == 1.0
     wide = certs["wide"]
     assert wide["holds"] is True and wide["flags"] == []
     assert 1e153 < wide["constants"]["d_hat"] < 1e154
+
+    s = BasicSequence(np.diag([1e154] * 4), NormTag.ell_p(2))
+    ell1 = builtin_sequence("ell1_canonical", 4)
+
+    def reevaluate(name, key, num, den):
+        a = np.array([certs[name]["witness"][key]])
+        with np.errstate(over="ignore"):
+            return float(num(a)[0] / den(a)[0])
+
+    assert reevaluate("wuc", "argmax", s.span_norm_batch, lambda a: np.max(np.abs(a), axis=1)) == float("inf")
+    assert reevaluate("shift", "extreme", lambda a: s.span_norm_batch(a, 1), s.span_norm_batch) == 1.0
+    for key, const in (("argmin", "r_min"), ("argmax", "r_max")):
+        value = reevaluate("eq", key, ell1.span_norm_batch, s.span_norm_batch)
+        assert value == certs["eq"]["constants"][const]
+    d_hat = reevaluate("wide", "argmin", s.span_norm_batch, summing_basis_norm_batch)
+    assert d_hat == certs["wide"]["constants"]["d_hat"]
 
 
 def test_a_non_finite_constant_fails_the_certificate():
@@ -380,7 +407,9 @@ def test_a_non_finite_constant_fails_the_certificate():
         assert cert(value).holds and cert(value).flags == ("a",)
 
 
-def test_certify_runtime_failure_writes_partial_report(tmp_path):
+def test_certify_runtime_failure_writes_partial_report(tmp_path, monkeypatch):
+    """A check that raises while the checks run stops the run with exit 1; the
+    report keeps the certificates of the checks before it and names the error."""
     text = """
 [sequence]
 builtin = ell1_canonical
@@ -389,21 +418,65 @@ n = 12
 [map f0]
 variant = right_shift
 
+[check wide]
+kind = wide_s
+samples = 20
+
 [check bad]
-kind = theta_rightshift_bound
+kind = theta_of_map
 map = f0
-eps = 0.9
 n_window = 8
 
 [run]
 seed = 3
 """
+
+    def fails(*args, **kwargs):
+        raise ParameterError("theta failed mid-run")
+
+    monkeypatch.setattr("seqcert.checks.theta_of_map", fails)
     path = write(tmp_path, text)
     out = tmp_path / "r.json"
     assert main(["certify", "--config", path, "--out", str(out)]) == 1
     report = json.loads(out.read_text())
-    assert report["meta"]["failed"] is not None
-    assert "eps" in report["meta"]["failed"]
+    assert [c["name"] for c in report["certificates"]] == ["wide"]
+    assert report["meta"]["failed"] == "ParameterError: theta failed mid-run"
+
+
+def test_theta_bound_eps_beyond_its_limit_exits_2_before_any_check(tmp_path, monkeypatch, capsys):
+    """eps < beta / (1 + 2 kappa) needs kappa, so it is checked right after
+    kappa, before any check runs: here beta = 1 and kappa = 1, so the limit
+    is 1/3."""
+    text = """
+[sequence]
+builtin = ell1_canonical
+n = 16
+
+[map r]
+variant = right_shift
+
+[check wide]
+kind = wide_s
+samples = 20
+
+[check bound]
+kind = theta_rightshift_bound
+map = r
+eps = 1/2
+n_window = 12
+
+[run]
+seed = 1
+"""
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran for a malformed config")
+
+    monkeypatch.setattr("seqcert.cli.run_check", no_check)
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert "[check bound]: eps must lie in (0, 0.3333333333333333), got 1/2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_certify_rational_mode_end_to_end(tmp_path):

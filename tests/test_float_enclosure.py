@@ -33,7 +33,6 @@ from seqcert.cli import RunContext
 from seqcert.config import load_config
 from seqcert.sampling import SamplingBudget, rational_simplex
 from seqcert.sequences import (
-    BasicSequence,
     RowNorms,
     _ratio_extremes,
     _scan,
@@ -349,13 +348,13 @@ def test_rational_residual_evaluates_few_rows_exactly(tmp_path, monkeypatch):
     cfg = load_config(str(path))
     ctx = RunContext(cfg)
     evaluated = []
-    span_norm_batch = BasicSequence.span_norm_batch
+    norm_batch = seqcert.sequences.norm_batch
 
-    def counted(self, coeff_mat, shift=0):
-        evaluated.append(len(coeff_mat))
-        return span_norm_batch(self, coeff_mat, shift)
+    def counted(mat, tag):  # the exact side of the check's ``row_norms``
+        evaluated.append(len(mat))
+        return norm_batch(mat, tag)
 
-    monkeypatch.setattr(BasicSequence, "span_norm_batch", counted)
+    monkeypatch.setattr(seqcert.sequences, "norm_batch", counted)
     cert = CHECKS["fixed_point_residual"].run(ctx, cfg.checks[0].args, 5)
     assert cert.to_json_dict() == {
         "kind": "fixed_point_residual",

@@ -28,8 +28,9 @@ from seqcert.fpmaps import (
     fixed_point_residual,
     iterate,
     make_alpha_schedule,
+    residual_norms,
 )
-from seqcert.sequences import BasicSequence, builtin_sequence, padded_difference
+from seqcert.sequences import BasicSequence, builtin_sequence
 from seqcert.spaces import (
     NormTag,
     _james_dp_powers,
@@ -174,9 +175,10 @@ def test_apply_map_and_residual_are_rows_of_the_batch_kernels(n):
             want = apply_map_batch(spec, batch_row(t))[0]
             assert len(got) == len(want) and all(same(g, w) for g, w in zip(got, want)), name
             assert all(not isinstance(g, float) for g in got) if exact else all(type(g) is float for g in got)
+            # the residual check's kernel, on a batch of two rows
+            rows = np.concatenate([batch_row(t), batch_row(t[::-1])])
             for fam in (s, s_james):
-                row = batch_row(t)
-                want = fam.span_norm_batch(padded_difference(apply_map_batch(spec, row), row))[0]
+                want = residual_norms(spec, fam, n, exact).exact(rows)[0]
                 assert same(fixed_point_residual(spec, t, fam), want)
 
 

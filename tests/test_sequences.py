@@ -1,16 +1,20 @@
 """Basis machinery: constants, certificates, witnesses."""
 
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
 
+from seqcert.arithmetic import FLOAT
 from seqcert.errors import DependenceError, ParameterError
 from seqcert.sampling import SamplingBudget, pm_one_patterns, sign_patterns
 from seqcert.sequences import (
     PROVED_MONOTONE,
     BasicSequence,
     Kappa,
+    _ratio_extremes,
     basis_constant,
     builtin_sequence,
     domination_constant,
@@ -237,3 +241,21 @@ def test_builtin_validation():
         builtin_sequence("nope", 4)
     with pytest.raises(ParameterError):
         builtin_sequence("ell1_canonical", 0)
+
+
+def test_a_nan_ratio_is_never_an_extreme():
+    """inf / inf (spans that overflow) has no ratio: it is neither an extreme
+    nor a witness, and it does not warn.  Only when every ratio is nan are
+    both extremes nan, on the first row."""
+    rows = np.arange(8.0).reshape(4, 2)
+    inf = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi, row_lo, row_hi, rejected = _ratio_extremes(
+            np.array([inf, 2.0, inf, 3.0]), np.array([inf, 1.0, 1.0, 2.0]), rows, FLOAT
+        )
+        assert (lo, hi, rejected) == (1.5, inf, 0)
+        assert row_lo.tolist() == rows[3].tolist() and row_hi.tolist() == rows[2].tolist()
+        lo, hi, row_lo, row_hi, _ = _ratio_extremes(np.array([inf, inf]), np.array([inf, inf]), rows[:2], FLOAT)
+    assert math.isnan(lo) and math.isnan(hi)
+    assert row_lo.tolist() == row_hi.tolist() == rows[0].tolist()
