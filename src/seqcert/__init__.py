@@ -19,7 +19,6 @@ from .spaces import (
     james_power_sum_exact,
     james_power_sums_batch,
     james_summing_norm,
-    lin_norm,
     norm,
     norm_batch,
     summing_basis_norm,
@@ -42,7 +41,6 @@ from .fpmaps import (
     apply_map,
     bilipschitz_estimate,
     fixed_point_residual,
-    iterate,
     make_alpha_schedule,
     make_summing_functional,
     theta_lower_bound_rightshift,

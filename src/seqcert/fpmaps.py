@@ -209,16 +209,6 @@ def apply_map(spec: AffineMapSpec, t) -> ConvexCoefficients:
     return ConvexCoefficients(tuple(map(scalar, row)))
 
 
-def iterate(spec: AffineMapSpec, t, p: int) -> ConvexCoefficients:
-    """p-fold composition; p = 0 is the identity."""
-    if p < 0:
-        raise ParameterError("iteration count must be >= 0")
-    cur = ConvexCoefficients.of(t)
-    for _ in range(p):
-        cur = apply_map(spec, cur)
-    return cur
-
-
 def orbit(spec: AffineMapSpec, T: np.ndarray, steps: int) -> Iterator[np.ndarray]:
     """The iterates T, f(T), ..., f^steps(T) of the rows of T, each applied
     only when it is read."""
@@ -301,19 +291,23 @@ def check_theta_window(variant: str, m: int, n_window: int) -> None:
         )
 
 
-def _pair_matrices(n: int, budget: SamplingBudget, include_equal: bool, arithmetic: str = FLOAT):
-    """All vertex pairs plus simplex pairs, as two (P, n) arrays: one set of
-    ``simplex_points`` split into halves, object arrays in rational mode."""
-    pairs = [(i, j) for i in range(n) for j in range(n) if include_equal or i != j]
+def _pair_rows(n: int, budget: SamplingBudget, include_equal: bool, arithmetic: str = FLOAT) -> np.ndarray:
+    """All vertex pairs, then simplex pairs, as the (P, 2n) pair rows [x | y],
+    filled in one array: the simplex pairs take their x from the first half
+    of one ``simplex_points`` draw and their y from the second; an ``object``
+    array in rational mode."""
+    # the vertex pairs (e_i, e_j) in row-major order, i != j unless include_equal
+    i, j = np.nonzero(~np.eye(n, dtype=bool) | include_equal)
     exact = arithmetic == RATIONAL
-    eye = np.eye(n, dtype=object if exact else float)
     # rational mode draws budget.count points, so it pairs budget.count // 2
     # (the open pairs/2 defect); float draws budget.count pairs
     k = budget.count // 2 if exact else budget.count
     pts = simplex_points(n, SamplingBudget(2 * k, budget.seed), exact)
-    X = np.concatenate([eye[[i for i, _ in pairs]], pts[:k]], axis=0)
-    Y = np.concatenate([eye[[j for _, j in pairs]], pts[k:]], axis=0)
-    return X, Y
+    rows = np.zeros((len(i) + k, 2 * n), dtype=object if exact else float)
+    rows[np.arange(len(i)), i] = 1
+    rows[np.arange(len(i)), n + j] = 1
+    rows[len(i) :, :n], rows[len(i) :, n:] = pts[:k], pts[k:]
+    return rows
 
 
 def pushed_families(spec: AffineMapSpec, s: BasicSequence, n: int, steps: int, exact: bool) -> list:
@@ -350,7 +344,7 @@ def bilipschitz_estimate(
     n = start_length(spec.variant, spec.policy, len(s), p_max)
     if arithmetic == RATIONAL:
         _require_exact_tags(s)
-    pairs = np.hstack(_pair_matrices(n, pair_budget, include_equal=False, arithmetic=arithmetic))
+    pairs = _pair_rows(n, pair_budget, include_equal=False, arithmetic=arithmetic)
     # norm p is ||f^p(x) - f^p(y)||, the span of the pair row [x | y] over [B_p; -B_p]
     families = pushed_families(spec, s, n, p_max, arithmetic == RATIONAL)
     gaps = [row_norms(s.ambient, np.concatenate([B, -B])) for B in families]
@@ -410,7 +404,7 @@ def theta_of_map(
     if n_window < 1:
         raise ParameterError("n_window must be >= 1")
     n = start_length(spec.variant, spec.policy, len(s), n_window)
-    pairs = np.hstack(_pair_matrices(n, pair_budget, include_equal=True))
+    pairs = _pair_rows(n, pair_budget, include_equal=True)
     lo = (n_window + 1) // 2
     # norm k is ||x - f^(lo+k)(y)||, the span of the pair row [x | y] over
     # [B_0; -B_(lo+k)], one margin per window step

@@ -29,6 +29,7 @@ from .sampling import SamplingBudget, coefficient_samples
 from .spaces import (
     CoordinateVector,
     NormTag,
+    blockwise,
     norm_batch,
     norm_enclosure,
     require_exact,
@@ -145,6 +146,7 @@ class BasicSequence:
         return RowNorms(
             lambda c: self.span_norm_batch(c, shift),
             lambda c: norm_enclosure(c, self.ambient, self._basis(c.shape[1], shift, True)),
+            self.ambient_length,
         )
 
 
@@ -253,10 +255,13 @@ class RowNorms(NamedTuple):
     """A norm of each coefficient row of a scan, as two functions of the rows:
     ``exact`` evaluates it (exactly on object rows), and ``enclosure`` returns
     the float value and radius of ``spaces.norm_enclosure``, which bracket
-    the exact value."""
+    the exact value.  ``width`` is the width of the rows the kernel fills:
+    that of the matrix the coefficient rows are spanned over, or None for a
+    kernel on the coefficient rows themselves."""
 
     exact: Callable[[np.ndarray], np.ndarray]
     enclosure: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    width: Optional[int] = None
 
 
 def row_norms(tag: NormTag, basis: Optional[np.ndarray] = None) -> RowNorms:
@@ -264,6 +269,7 @@ def row_norms(tag: NormTag, basis: Optional[np.ndarray] = None) -> RowNorms:
     return RowNorms(
         lambda c: norm_batch(c if basis is None else _span_rows(c, basis), tag),
         lambda c: norm_enclosure(c, tag, basis),
+        None if basis is None else basis.shape[1],
     )
 
 
@@ -379,13 +385,23 @@ def _scan(
     and every ratio strictly between the exact extremes over the rows whose
     den passes ``_guard``: it attains no extreme and is not rejected.  The
     kept rows stay in order, so the exact values, first witness rows and
-    rejected counts over them are those of the full exact scan."""
+    rejected counts over them are those of the full exact scan.
+
+    The float passes over every row (float mode's values, rational mode's
+    enclosures) go through ``spaces.blockwise``, in blocks sized by the
+    widest rows the norms' kernels fill (``RowNorms.width``; a block of
+    coefficient rows is a view).  So no span of every row is built, and a
+    james span's block is one block of its DP.  Rational mode's exact pass
+    over the kept rows is one call."""
+    width = max(q.width or coeffs.shape[1] for q in norms)
     if arithmetic == RATIONAL:
-        qs = [_interval(q.enclosure(coeffs)) for q in norms]
+        qs = [_interval(q) for q in blockwise([q.enclosure for q in norms], coeffs, width)]
         reach = [_can_reach_min(*_combination(*((c, qs[i]) for c, i in m))) for m in margins]
         reach += [_ratio_reach(qs[n], qs[d]) for n, d in ratios]
         coeffs = coeffs[np.logical_or.reduce(reach)]
-    values = [q.exact(coeffs) for q in norms]
+        values = [q.exact(coeffs) for q in norms]
+    else:
+        values = blockwise([q.exact for q in norms], coeffs, width)
     sums = [_margin_values(m, values) for m in margins]
     mins = [int(np.argmin(v)) for v in sums]
     extremes = [(scalar(v[i]), coeffs[i]) for v, i in zip(sums, mins)]
@@ -408,14 +424,14 @@ def _ratio_extremes(
     real = ratios == ratios  # false only at nan
     if np.any(real) and not np.all(real):
         ok[ok], ratios = real, ratios[real]
-    rows = coeffs[ok]
+    kept = np.flatnonzero(ok)  # a witness row is picked by index, not from a copy of the kept rows
     i_min = int(np.argmin(ratios))
     i_max = int(np.argmax(ratios))
     return (
         scalar(ratios[i_min]),
         scalar(ratios[i_max]),
-        rows[i_min],
-        rows[i_max],
+        coeffs[kept[i_min]],
+        coeffs[kept[i_max]],
         rejected,
     )
 

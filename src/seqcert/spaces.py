@@ -27,7 +27,7 @@ Each norm is written once, as a batch kernel over the rows of a 2-D numpy
 array.  A float array is evaluated in float; an ``object`` array holding
 int/Fraction entries keeps them, so the piecewise-linear norms (sup, ell_1,
 lin, and the summing-basis norm) are exact on it.  The scalar entry points
-(``norm``, ``lin_norm``, ``james_summing_norm``, ``summing_basis_norm``)
+(``norm``, ``james_summing_norm``, ``summing_basis_norm``)
 evaluate one row of that kernel: ``row_array`` makes a row with no float
 entry an ``object`` row, so exact inputs stay exact, and ``scalar`` returns
 the result as a built-in float, int or Fraction.  The ``james`` power sum
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,11 +155,6 @@ def lin_weight(k: int) -> Fraction:
     return Fraction(8**k, 1 + 8**k)
 
 
-def lin_norm(x) -> Real:
-    """max over k of lin_weight(k) * sum_{n>=k} |x(n)|; exact on exact inputs."""
-    return norm(x, NormTag.lin())
-
-
 def summing_basis_norm(a) -> Real:
     """max_{1<=k<=N} |sum_{i=k}^{N} a_i|; the sup-norm of sum a_i (e_1+...+e_i)."""
     return scalar(summing_basis_norm_batch(row_array([a]))[0])
@@ -244,10 +239,26 @@ def lin_weights_float(n: int) -> np.ndarray:
     return 1.0 / (1.0 + 8.0 ** (-ks))
 
 
-# The james DP runs on blocks of max(1, JAMES_BLOCK_CELLS // N) rows, so each
-# of its three tables, at most (N+1) x rows, holds about 2^15 floats (256 KB)
-# and stays in L2.
-JAMES_BLOCK_CELLS = 1 << 15
+# Full-row float passes take their rows in ``blockwise`` blocks of
+# max(1, BLOCK_CELLS // N) rows, N the width of the widest rows they fill, so
+# each table or temporary they fill holds about 2^15 floats (256 KB) and
+# stays in L2: the james DP's three (N+1) x rows tables, and each span and
+# kernel temporary of a float scan (``sequences._scan``).
+BLOCK_CELLS = 1 << 15
+
+
+def blockwise(fns: Sequence[Callable], mat: np.ndarray, width: int) -> list:
+    """[fn(mat) for fn in fns] for functions with one result per row (an
+    array, or a tuple of arrays such as an enclosure's (value, radius)),
+    evaluated on blocks of max(1, BLOCK_CELLS // width) rows and joined along
+    the rows, ``width`` being that of the widest rows the functions fill.  No
+    table or temporary the size of mat is built.  The kernels are
+    row-independent (``sequences._span_rows`` rounds a one-row block like its
+    batch row), so no bit depends on the blocks."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    parts = [[fn(mat[i : i + step]) for fn in fns] for i in range(0, max(len(mat), 1), step)]
+    # axis=-1 joins 1-D results, and each (value, radius) as a 2 x rows array
+    return [np.concatenate(col, axis=-1) for col in zip(*parts)]
 
 
 def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:
@@ -259,7 +270,7 @@ def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:
     ``best[N]``.  On integer inputs with integer p every intermediate value
     is an integer well below 2^53, so the result is exact.
 
-    The rows go through in blocks of ``JAMES_BLOCK_CELLS // N``.  A block's
+    The rows go through in ``blockwise`` blocks.  A block's
     tables ``prefix`` and ``best`` are (w+1) x rows and C-contiguous, and
     each width j is one vector step over every start i = 1..j at once: the
     j x rows candidates best[i-1] + |prefix[j] - prefix[i-1]|^p fill the
@@ -282,28 +293,27 @@ def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:
     would give inf - inf = nan for it instead.
     """
     mat = np.asarray(mat, dtype=float)
-    rows, n = mat.shape
-    p = float(p)
-    out = np.zeros(rows)
-    block = max(1, JAMES_BLOCK_CELLS // max(n, 1))
-    for start in range(0, rows, block):
-        chunk = mat[start : start + block]
-        nonzero = np.flatnonzero(chunk.any(axis=0))
-        w = int(nonzero[-1]) + 1 if len(nonzero) else 0
-        prefix = np.zeros((w + 1, len(chunk)))
-        np.cumsum(chunk[:, :w].T, axis=0, out=prefix[1:])
-        best = np.zeros((w + 1, len(chunk)))
-        buf = np.empty((w, len(chunk)))
-        for j in range(1, w + 1):
-            v = buf[:j]  # a last interval starting at i = 1..j
-            np.subtract(prefix[j], prefix[:j], out=v)
-            np.abs(v, out=v)
-            v **= p
-            np.add(best[:j], v, out=v)
-            v.max(axis=0, out=best[j])
-            np.maximum(best[j], best[j - 1], out=best[j])
-        out[start : start + len(chunk)] = np.where(np.isinf(prefix).any(axis=0), np.inf, best[w])
-    return out
+    [sums] = blockwise([lambda block: _james_block(block, float(p))], mat, mat.shape[1])
+    return sums
+
+
+def _james_block(chunk: np.ndarray, p: float) -> np.ndarray:
+    """``james_power_sums_batch`` of one block of rows."""
+    nonzero = np.flatnonzero(chunk.any(axis=0))
+    w = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    prefix = np.zeros((w + 1, len(chunk)))
+    np.cumsum(chunk[:, :w].T, axis=0, out=prefix[1:])
+    best = np.zeros((w + 1, len(chunk)))
+    buf = np.empty((w, len(chunk)))
+    for j in range(1, w + 1):
+        v = buf[:j]  # a last interval starting at i = 1..j
+        np.subtract(prefix[j], prefix[:j], out=v)
+        np.abs(v, out=v)
+        v **= p
+        np.add(best[:j], v, out=v)
+        v.max(axis=0, out=best[j])
+        np.maximum(best[j], best[j - 1], out=best[j])
+    return np.where(np.isinf(prefix).any(axis=0), np.inf, best[w])
 
 
 def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
@@ -317,18 +327,22 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
         return np.zeros(rows, dtype=mat.dtype)
     if tag.variant == SUP:
         return np.max(np.abs(mat), axis=1)
+    # an ell_p or lin sum past the float range is inf, the correctly rounded
+    # result (a certificate fails a non-finite constant), so it does not warn
     if tag.variant == ELL_P:
         p = float(tag.p)
-        if p == 1.0:
-            return np.sum(np.abs(mat), axis=1)
-        return np.sum(np.abs(mat) ** p, axis=1) ** (1.0 / p)
+        with np.errstate(over="ignore"):
+            if p == 1.0:
+                return np.sum(np.abs(mat), axis=1)
+            return np.sum(np.abs(mat) ** p, axis=1) ** (1.0 / p)
     if tag.variant == LIN:
         # exact weights on object rows; initial=0 keeps an all-zero exact row's norm the int 0
         if mat.dtype == object:
             weights = np.array([lin_weight(k) for k in range(1, n + 1)], dtype=object)
         else:
             weights = lin_weights_float(n)
-        tails = np.cumsum(np.abs(mat)[:, ::-1], axis=1)[:, ::-1]
+        with np.errstate(over="ignore"):
+            tails = np.cumsum(np.abs(mat)[:, ::-1], axis=1)[:, ::-1]
         return np.max(tails * weights, axis=1, initial=0)
     return james_power_sums_batch(mat, tag.p) ** (1.0 / float(tag.p))
 

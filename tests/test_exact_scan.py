@@ -23,7 +23,7 @@ from seqcert.cli import RunContext, run_check
 from seqcert.config import load_config
 from seqcert.fpmaps import (
     AffineMapSpec,
-    _pair_matrices,
+    _pair_rows,
     apply_map,
     bilipschitz_estimate,
     fixed_point_residual,
@@ -241,7 +241,8 @@ def test_bilipschitz_matches_reference(family, map_name):
     pairs; the extremes over p then go to the first p attaining them."""
     spec, p_max = rational_maps(family)[map_name], 2
     n = start_length(spec.variant, spec.policy, len(family), p_max)
-    X, Y = _pair_matrices(n, BUDGET, include_equal=False, arithmetic=RATIONAL)
+    rows = _pair_rows(n, BUDGET, include_equal=False, arithmetic=RATIONAL)
+    X, Y = rows[:, :n], rows[:, n:]
     pairs = [(tuple(x), tuple(y)) for x, y in zip(X, Y)]
     pairs = [(x, y) for x, y in pairs if family.span_norm([a - b for a, b in zip(x, y)]) != 0]
     per_p = {p: Extremes() for p in range(1, p_max + 1)}

@@ -17,7 +17,6 @@ from seqcert.fpmaps import (
     bilateral_targets,
     bilipschitz_estimate,
     fixed_point_residual,
-    iterate,
     make_alpha_schedule,
     make_summing_functional,
     map_policy,
@@ -33,6 +32,15 @@ R = Fraction
 simplex_rationals = st.lists(st.integers(0, 8), min_size=2, max_size=8).filter(
     lambda l: sum(l) > 0
 ).map(lambda l: tuple(R(k, sum(l)) for k in l))
+
+
+def iterate(spec, t, p):
+    """The p-fold composition of ``apply_map`` (p = 0 is the identity), the
+    oracle the pushed families of the map checks are compared against."""
+    cur = ConvexCoefficients.of(t)
+    for _ in range(p):
+        cur = apply_map(spec, cur)
+    return cur
 
 
 def rational_schedule(n, theta=R(1, 2)):

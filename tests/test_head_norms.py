@@ -33,7 +33,7 @@ from seqcert.sequences import (
     proved_monotone,
 )
 from seqcert.spaces import (
-    JAMES_BLOCK_CELLS,
+    BLOCK_CELLS,
     NormTag,
     james_power_sum_exact,
     james_power_sums_batch,
@@ -87,7 +87,7 @@ def test_full_width_power_sums_are_the_last_prefix():
     reaches column N through one row, and the ragged block 3 draws its
     widths from 0 to N."""
     for n in (1, 2, 17, 48, 64):
-        b = JAMES_BLOCK_CELLS // n
+        b = BLOCK_CELLS // n
         rng = np.random.default_rng(n)
         mat = spread_rows(rng, 3 * b + b // 3 + 1, n)
         widths = np.concatenate(
@@ -124,7 +124,7 @@ ROW_COUNTS = {
 def test_prefix_dp_is_bitwise_the_row_major_dp(p, n, count):
     """The blocked, one-step-per-width DP gives every row the bits of the
     one-start-at-a-time DP, whatever the row count and block boundaries."""
-    rows = count(JAMES_BLOCK_CELLS // n)
+    rows = count(BLOCK_CELLS // n)
     assert_last_column_of_the_oracle(spread_rows(np.random.default_rng(rows * 100 + n), rows, n), p)
 
 

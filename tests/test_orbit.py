@@ -14,9 +14,9 @@ from seqcert.config import load_config
 from seqcert.errors import ParameterError
 from seqcert.fpmaps import (
     AffineMapSpec,
-    _pair_matrices,
+    _pair_rows,
+    apply_map,
     apply_map_batch,
-    iterate,
     make_alpha_schedule,
     orbit,
     start_length,
@@ -52,7 +52,8 @@ def theta_loop(spec, s, budget, n_window, tol=1e-9):
     step's iterate replaces the best only when strictly smaller, so the first
     step and the first pair win ties."""
     n = start_length(spec.variant, spec.policy, len(s), n_window)
-    X, Y = _pair_matrices(n, budget, include_equal=True)
+    rows = _pair_rows(n, budget, include_equal=True)
+    X, Y = rows[:, :n], rows[:, n:]
     lo = (n_window + 1) // 2
     FY = Y
     best = None
@@ -192,9 +193,9 @@ def test_orbit_yields_each_iterate_when_read():
 def test_orbit_rows_are_the_iterates(spec_name):
     spec = SPECS[spec_name]
     points = [(0.25, 0.25, 0.5, 0.0), (0.1, 0.2, 0.3, 0.4)]
-    for p, F in enumerate(orbit(spec, np.array(points), 5)):
-        for row, t in zip(F, points):
-            assert tuple(map(float, row)) == iterate(spec, t, p).t
+    for F in orbit(spec, np.array(points), 5):
+        assert [tuple(map(float, row)) for row in F] == points
+        points = [apply_map(spec, t).t for t in points]
 
 
 ORBIT_CONFIG = """
@@ -236,4 +237,4 @@ def test_orbit_csv_checks_every_iterate_is_a_simplex_point(tmp_path, monkeypatch
 def test_iterate_checks_every_iterate_is_a_simplex_point(monkeypatch):
     monkeypatch.setattr("seqcert.fpmaps.apply_map_batch", lambda spec, mat: 0.5 * mat)
     with pytest.raises(ParameterError):
-        iterate(AffineMapSpec.right_shift(), (0.5, 0.5), 1)
+        apply_map(AffineMapSpec.right_shift(), (0.5, 0.5))

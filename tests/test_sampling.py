@@ -21,7 +21,7 @@ import pytest
 import seqcert
 from seqcert.arithmetic import FLOAT, RATIONAL
 from seqcert.errors import ParameterError
-from seqcert.fpmaps import ConvexCoefficients, _pair_matrices
+from seqcert.fpmaps import ConvexCoefficients, _pair_rows
 from seqcert.sampling import (
     SamplingBudget,
     coefficient_samples,
@@ -92,7 +92,8 @@ def test_float_simplex_samples_are_vertices_then_dirichlet_draws():
 @pytest.mark.parametrize("count", [1, 7, 100])
 def test_float_pairs_split_one_draw_into_two_sequential_draws(n, count):
     """Dirichlet draws of 2c rows are two draws of c rows, bit for bit."""
-    X, Y = _pair_matrices(n, SamplingBudget(count, 9), include_equal=False, arithmetic=FLOAT)
+    rows = _pair_rows(n, SamplingBudget(count, 9), include_equal=False, arithmetic=FLOAT)
+    X, Y = rows[:, :n], rows[:, n:]
     rng = np.random.default_rng(9)
     first, second = simplex_uniform(rng, count, n), simplex_uniform(rng, count, n)
     vertex_pairs = n * (n - 1)
@@ -103,7 +104,8 @@ def test_float_pairs_split_one_draw_into_two_sequential_draws(n, count):
 @pytest.mark.parametrize("count", [0, 1, 7, 40])
 def test_rational_pairs_are_halves_of_the_rational_simplex_points(count):
     n = 4
-    X, Y = _pair_matrices(n, SamplingBudget(count, 9), include_equal=True, arithmetic=RATIONAL)
+    rows = _pair_rows(n, SamplingBudget(count, 9), include_equal=True, arithmetic=RATIONAL)
+    X, Y = rows[:, :n], rows[:, n:]
     points = [list(t) for t in rational_simplex(n, SamplingBudget(count, 9))]
     half = count // 2
     assert X[n * n :].tolist() == points[:half]

@@ -26,7 +26,6 @@ from seqcert.fpmaps import (
     apply_map_batch,
     bilateral_targets,
     fixed_point_residual,
-    iterate,
     make_alpha_schedule,
     residual_norms,
 )
@@ -35,7 +34,6 @@ from seqcert.spaces import (
     NormTag,
     _james_dp_powers,
     james_summing_norm,
-    lin_norm,
     norm,
     norm_batch,
     summing_basis_norm,
@@ -88,7 +86,6 @@ def test_norm_is_row_zero_of_norm_batch(name):
 
 def test_named_norms_are_rows_of_norm_batch():
     for row in FLOAT_ROWS + EXACT_ROWS:
-        assert same(lin_norm(row), norm_batch(batch_row(row), NormTag.lin())[0])
         assert same(james_summing_norm(row, 3), norm_batch(batch_row(row), NormTag.james(3))[0])
         sb = summing_basis_norm(row)
         assert same(sb, summing_basis_norm_batch(batch_row(row))[0])
@@ -186,7 +183,7 @@ def test_exact_right_shift_keeps_int_entries():
     got = apply_map(AffineMapSpec.right_shift(), (1, 0, 0)).t
     assert got == (0, 1, 0, 0)
     assert all(type(x) is int for x in got)
-    assert iterate(AffineMapSpec.right_shift(), (1, 0, 0), 2).t == (0, 0, 1, 0, 0)
+    assert apply_map(AffineMapSpec.right_shift(), got).t == (0, 0, 1, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from seqcert.spaces import (
     james_power_sum_exact,
     james_power_sums_batch,
     james_summing_norm,
-    lin_norm,
     lin_weight,
     norm,
     norm_batch,
@@ -27,6 +26,13 @@ from seqcert.spaces import (
 # grid floats keep norm arithmetic exact enough for tight tolerances
 grid_floats = st.integers(-64, 64).map(lambda k: k / 16.0)
 small_vectors = st.lists(grid_floats, min_size=0, max_size=8)
+
+
+def lin_norm(x):
+    """The lin norm of one coordinate row: max over k of lin_weight(k) *
+    sum_{n>=k} |x(n)|, one row of the batch kernel; exact on exact rows."""
+    return norm(x, NormTag.lin())
+
 
 def james_enumeration(a, p) -> float:
     """Exhaustive interval-chain evaluation of the james norm (small N only),
