@@ -56,8 +56,6 @@ from .blocks import (
     ConvexBlockSpec,
     build_convex_blocks,
     lemma79_conclusion_check,
-    perturbation_budget_79,
-    push_convex,
     shift_equivalence_constants,
     summing_equivalence_check,
     wuc_constant,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -90,21 +90,6 @@ def build_convex_blocks(s: BasicSequence, spec: ConvexBlockSpec) -> BasicSequenc
                 acc = acc + w * rows[i - 1]
         vecs.append(tuple(acc))
     return BasicSequence(vecs, s.ambient)
-
-
-def push_convex(spec: ConvexBlockSpec, t, n_base: Optional[int] = None) -> ConvexCoefficients:
-    """Push simplex coefficients over the blocks down to base coefficients;
-    nonnegativity and total mass are preserved (exactly on exact inputs)."""
-    tc = ConvexCoefficients.of(t)
-    if len(tc) != len(spec):
-        raise BlockSpecError(f"need {len(spec)} coefficients, got {len(tc)}")
-    n = n_base if n_base is not None else spec.max_index
-    if n < spec.max_index:
-        raise BlockSpecError("base length shorter than the largest block index")
-    weights = np.zeros((len(spec), n), dtype=object)
-    for row, blk, wts in zip(weights, spec.blocks, spec.weights):
-        row[np.array(blk) - 1] = wts
-    return ConvexCoefficients(tuple(np.array(tc.t, dtype=object) @ weights))
 
 
 def wuc_constant(
@@ -204,18 +189,6 @@ def shift_equivalence_constants(
         arithmetic=arithmetic,
         flags=(f"dependence-evidence(rejected={rejected})",) if rejected else (),
     )
-
-
-def perturbation_budget_79(A: Real, kappa: Real, L: Real) -> Real:
-    """min(A / (4 K (1+L)), A L / (4 K (2+L))): the summed-gap allowance
-    under which the shifted-family conclusion below is to be exercised."""
-    if not (A > 0 and L > 0):
-        raise ParameterError("A and L must be positive")
-    if kappa < 1:
-        raise ParameterError("kappa must be >= 1")
-    if all(not isinstance(v, float) for v in (A, kappa, L)):
-        A, kappa, L = Fraction(A), Fraction(kappa), Fraction(L)
-    return min(A / (4 * kappa * (1 + L)), A * L / (4 * kappa * (2 + L)))
 
 
 def lemma79_conclusion_check(

@@ -8,7 +8,7 @@ available truncation:
 * the basis-constant interval for sup_n ||P_n||,
 * domination and two-sided equivalence constants between two families,
 * the wide-(s) constant (domination of the summing family),
-* the head/tail gap bound ||x - y|| >= a / K.
+* the head/tail gap bound ||x - y|| >= a / K, derived from K.
 
 Constants obtained by maximizing or minimizing over the evaluated
 coefficient set are certified one-sided bounds; suprema over the infinite
@@ -600,69 +600,24 @@ def wide_s_certificate(
     )
 
 
-def gap_bound_check(
-    s: BasicSequence,
-    kappa: Kappa,
-    budget: SamplingBudget = SamplingBudget(),
-) -> Certificate:
-    """Sampled check of ||x - y|| >= a / K for heads x with ||x|| >= a and
-    tails y (float mode), where K is the upper end of ``kappa``, the
-    basis-constant interval of s.
+def gap_bound_check(s: BasicSequence, kappa: Kappa) -> Certificate:
+    """||x - y|| >= a / K for every head x with ||x|| >= a and every tail y,
+    where K is the upper end of ``kappa``, the basis-constant interval of s.
 
-    Each split n draws its heads, evaluates their norms with one
-    ``span_norm_batch`` call, keeps those with ||x|| > DENOM_GUARD and then
-    draws their tails, so its draws depend on how many heads it kept.
-    The gaps of all splits go through one norm call; the witness is the
-    first row with the least gap, the one a search split by split keeps.
+    Analytic, by Grunblum's criterion (Albiac & Kalton, GTM 233, ch. 1): a
+    head x = P_n e and a tail y = x - e give ||x|| = ||P_n (x - y)|| <=
+    kappa ||x - y||, so ||x - y|| >= ||x|| / K >= a / K whenever K bounds
+    kappa, and every head/tail pair arises so.  Nothing is drawn or
+    evaluated.  A sampled kappa does not prove K >= kappa, so the
+    certificate carries its flags, as ``claim2_chain`` does.
     """
-    m = len(s)
     kappa_up = float(kappa.upper)
-    a = float(s.a)
-    bound = a / kappa_up
-    if m == 1:
-        return Certificate(
-            kind="gap_bound",
-            constants={"bound": bound, "samples": 0},
-            holds=True,
-            witness={},
-            mode="vacuous",
-            arithmetic=FLOAT,
-            flags=("no-tail-at-M=1",),
-        )
-    rng = np.random.default_rng(budget.seed)
-    per_split = max(1, budget.count // (m - 1))
-    all_heads, all_tails = [], []
-    for n in range(1, m):
-        heads = np.zeros((per_split, m))
-        heads[:, :n] = rng.standard_normal((per_split, n))
-        hnorm = s.span_norm_batch(heads)
-        keep = hnorm > DENOM_GUARD
-        heads, hnorm = heads[keep], hnorm[keep]
-        if heads.size == 0:
-            continue
-        scale = a * (1.0 + rng.random(len(heads))) / hnorm
-        heads = heads * scale[:, None]
-        tails = np.zeros((len(heads), m))
-        tails[:, n:] = rng.standard_normal((len(heads), m - n))
-        tails *= rng.random((len(heads), 1)) * 2.0
-        all_heads.append(heads)
-        all_tails.append(tails)
-    min_gap = None
-    wit_head: Tuple[Real, ...] = ()
-    wit_tail: Tuple[Real, ...] = ()
-    if all_heads:
-        heads, tails = np.concatenate(all_heads), np.concatenate(all_tails)
-        gaps = s.span_norm_batch(heads - tails)
-        i = int(np.argmin(gaps))
-        min_gap = float(gaps[i])
-        wit_head, wit_tail = _witness(heads[i]), _witness(tails[i])
-    holds = min_gap is not None and min_gap >= bound - INEQ_TOL
     return Certificate(
         kind="gap_bound",
-        constants={"bound": bound, "min_gap": min_gap, "kappa_upper": kappa_up},
-        holds=bool(holds),
-        witness={"head": wit_head, "tail": wit_tail},
-        mode=budget.label(),
+        constants={"bound": float(s.a) / kappa_up, "kappa_upper": kappa_up},
+        holds=True,
+        witness={},
+        mode="analytic",
         arithmetic=FLOAT,
         flags=kappa.flags,
     )

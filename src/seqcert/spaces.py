@@ -302,17 +302,20 @@ def _james_block(chunk: np.ndarray, p: float) -> np.ndarray:
     nonzero = np.flatnonzero(chunk.any(axis=0))
     w = int(nonzero[-1]) + 1 if len(nonzero) else 0
     prefix = np.zeros((w + 1, len(chunk)))
-    np.cumsum(chunk[:, :w].T, axis=0, out=prefix[1:])
     best = np.zeros((w + 1, len(chunk)))
     buf = np.empty((w, len(chunk)))
-    for j in range(1, w + 1):
-        v = buf[:j]  # a last interval starting at i = 1..j
-        np.subtract(prefix[j], prefix[:j], out=v)
-        np.abs(v, out=v)
-        v **= p
-        np.add(best[:j], v, out=v)
-        v.max(axis=0, out=best[j])
-        np.maximum(best[j], best[j - 1], out=best[j])
+    # a sum past the float range is inf, the correctly rounded result, and
+    # the nan of inf - inf is replaced below, so neither warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(chunk[:, :w].T, axis=0, out=prefix[1:])
+        for j in range(1, w + 1):
+            v = buf[:j]  # a last interval starting at i = 1..j
+            np.subtract(prefix[j], prefix[:j], out=v)
+            np.abs(v, out=v)
+            v **= p
+            np.add(best[:j], v, out=v)
+            v.max(axis=0, out=best[j])
+            np.maximum(best[j], best[j - 1], out=best[j])
     return np.where(np.isinf(prefix).any(axis=0), np.inf, best[w])
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,13 +12,12 @@ from seqcert.blocks import (
     ConvexBlockSpec,
     build_convex_blocks,
     lemma79_conclusion_check,
-    perturbation_budget_79,
-    push_convex,
     shift_equivalence_constants,
     summing_equivalence_check,
     wuc_constant,
 )
 from seqcert.errors import BlockSpecError, ParameterError
+from seqcert.fpmaps import ConvexCoefficients
 from seqcert.sampling import SamplingBudget
 from seqcert.sequences import BasicSequence, builtin_sequence
 from seqcert.spaces import NormTag
@@ -66,6 +66,15 @@ def test_build_rejects_out_of_range():
     spec = ConvexBlockSpec(blocks=((2, 4),), weights=(half,))
     with pytest.raises(BlockSpecError):
         build_convex_blocks(s, spec)
+
+
+def push_convex(spec: ConvexBlockSpec, t) -> ConvexCoefficients:
+    """Push simplex coefficients over the blocks down to base coefficients;
+    nonnegativity and total mass are preserved (exactly on exact inputs)."""
+    weights = np.zeros((len(spec), spec.max_index), dtype=object)
+    for row, blk, wts in zip(weights, spec.blocks, spec.weights):
+        row[np.array(blk) - 1] = wts
+    return ConvexCoefficients(tuple(np.array(ConvexCoefficients.of(t).t, dtype=object) @ weights))
 
 
 @given(st.lists(st.integers(0, 9), min_size=2, max_size=4).filter(lambda l: sum(l) > 0))
@@ -157,6 +166,19 @@ def test_shift_equivalence_range_error():
     s = builtin_sequence("ell1_canonical", 4)
     with pytest.raises(ParameterError):
         shift_equivalence_constants(s, 4, EXHAUSTIVE)
+
+
+def perturbation_budget_79(A, kappa, L):
+    """min(A / (4 K (1+L)), A L / (4 K (2+L))): Lemma 7.9's summed-gap
+    allowance.  No check computes it; the ``lemma79`` check verifies only
+    the lemma's conclusion."""
+    if not (A > 0 and L > 0):
+        raise ParameterError("A and L must be positive")
+    if kappa < 1:
+        raise ParameterError("kappa must be >= 1")
+    if all(not isinstance(v, float) for v in (A, kappa, L)):
+        A, kappa, L = Fraction(A), Fraction(kappa), Fraction(L)
+    return min(A / (4 * kappa * (1 + L)), A * L / (4 * kappa * (2 + L)))
 
 
 def test_perturbation_budget_79():

@@ -259,13 +259,13 @@ def test_certify_determinism_bytes(tmp_path):
 
 
 def test_certify_seed_override_changes_sampled_results(tmp_path):
-    cfgtext = MINIMAL.replace("kind = basis_constant", "kind = gap_bound")
+    cfgtext = MINIMAL.replace("kind = basis_constant", "kind = fixed_point_residual\nmap = f0")
     path = write(tmp_path, cfgtext)
     outs = []
     for seed in ("3", "4"):
         out = tmp_path / f"s{seed}.json"
         assert main(["certify", "--config", path, "--out", str(out), "--seed", seed]) == 0
-        outs.append(json.loads(out.read_text())["certificates"][0]["constants"]["min_gap"])
+        outs.append(json.loads(out.read_text())["certificates"][0]["constants"]["min_residual"])
     assert outs[0] != outs[1]
 
 

@@ -142,13 +142,17 @@ def test_rational_suite_certificates_are_pinned(tmp_path, seed):
 # reads 0.9374999999999999 (was 0.9375), c1_p2 and c1_hat 0.8789062499999999
 # (was 0.87890625), L_hat moves with them, and the minimizing pair is now a
 # sampled pair instead of the vertex pair (e_1, e_2).
+# james48 seeds 1-3 again when gap_bound became analytic (its bound derived
+# from kappa): only the ``gap`` certificate moved, which lost ``min_gap`` and
+# its head/tail witness and reads mode "analytic"; its bound, kappa_upper,
+# verdict and flags kept their bytes.
 SMOKE_PINNED = {
     ("theorem41", 1): "fe9b993c2bf13704e2bd58c1571b32b84e402a1af0490b716a60b24dc321e1d6",
     ("theorem41", 2): "eb5a251b32ce417f74bee0fb6deeb18e62e8fab955e4d22227ce117c45afcc20",
     ("theorem41", 3): "54fe1ede5a8fb0af8765d33b6d3faea59adbd9cf2a3e8038b3173de35c8e0430",
-    ("james48", 1): "151131d374090b127d7afdc2f5f28cad64b55d6406ba3b1309e9d067a77cf8d4",
-    ("james48", 2): "492433241896155cc770ce0042b20f9c83e03e77cea03db73c4adec55bcd210c",
-    ("james48", 3): "2ed881ce04b17fd678292bc6639030d052468ca9bb4c6857d65270b26d9a7b44",
+    ("james48", 1): "861538520dccafe0a4fc37154154cae02e0e53f856868a5b33a1d25cdd17cd57",
+    ("james48", 2): "a30a73e7c8d1074d2bfce1697464e06889601c6109e8a3e96e416fc7e0f5ee03",
+    ("james48", 3): "cfbd56b93c932a8c2d5a09d6dae2a62cb8d94465f93c92927a12f6e7b4533b45",
     ("rational_lin9", 1): "b792abd81ab8657508879445310bd19ed3c4daee20017b9c5589a160a4328465",
     ("rational_lin9", 2): "d70457473d1cdb0dd592e83abaa519a38c8774842c99c15dfb865f8f0c69ff40",
     ("rational_lin9", 3): "9026d2880b7085de647112565704580c6a025ac137b45bcfb8ba67570ec4dfff",
@@ -169,6 +173,9 @@ def test_smoke_workload_certificates_are_pinned(tmp_path, workload, seed):
 # ``basis_constant`` draws rows, and its value reaches ``gap_bound`` and
 # ``claim2_chain`` through the run context.  These bytes pin the sampled
 # kappa's ratio scan (its lower end and the local-search upper end).
+# Re-recorded when gap_bound became analytic: ``gap`` and ``gap_blocks`` lost
+# ``min_gap`` and their head/tail witness and read mode "analytic"; their
+# bound, kappa_upper, verdict and kappa-upper-heuristic flag kept their bytes.
 SAMPLED_KAPPA_SUITE = """
 [sequence]
 builtin = summing_c0
@@ -210,10 +217,10 @@ arithmetic = float
 """
 
 SAMPLED_KAPPA_PINNED = {
-    (8, 1): "311537743fbebdca7538919ab44a865b736df6df7eda87a6315730f0ca9f783f",
-    (8, 2): "eaf16981c42ba7f74638580a46a236b78d04ae208ff95e852e4095977d2bb686",
-    (13, 1): "0ec7e883560665cab5b53276f2b675d65dad2977cc698ec2374e5f6eee1c589d",
-    (13, 2): "7edf1bda5a584214df7c8c89b5ce35d74fd521cdaded445798ab9fb273383b1d",
+    (8, 1): "4bf3d3d9601eed1cab7a7e83b418dcb647e133491b830acc7d5695c0a3afbe16",
+    (8, 2): "cfd1ba5bf58922073cdbfc34484bf462fc0a97d429fe06bf11f13580db619a38",
+    (13, 1): "f4303164c35c3dcc1bc4bec889bab8e77f5c907ee5e78102b2fc76441e7e2860",
+    (13, 2): "c58dbbeb4f3cf254088ad12f592d6441cbb028fbf0e00d830f401729ff5b78cd",
 }
 
 

@@ -1,7 +1,9 @@
-"""The james DP against a row-major oracle, and kappa and the gap bound
-against the per-head loop they were written from."""
+"""The james DP against a row-major oracle, kappa against the per-head loop
+it was written from, and the gap bound derived from kappa against every
+head/tail pair its old sampler drew."""
 
 import tracemalloc
+from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
@@ -40,10 +42,11 @@ from seqcert.spaces import (
 )
 
 
-def pair_blocks(s: BasicSequence) -> BasicSequence:
-    """Blocks {1,2}, {3,4}, ... with weights 1/3, 2/3; an odd last index stays out."""
+def pair_blocks(s: BasicSequence, weights=(1 / 3, 2 / 3)) -> BasicSequence:
+    """Blocks {1,2}, {3,4}, ... with weights 1/3, 2/3 (floats by default); an
+    odd last index stays out."""
     sets = tuple((i, i + 1) for i in range(1, len(s), 2))
-    return build_convex_blocks(s, ConvexBlockSpec(sets, tuple((1 / 3, 2 / 3) for _ in sets)))
+    return build_convex_blocks(s, ConvexBlockSpec(sets, tuple(weights for _ in sets)))
 
 
 PREFIX_FAMILIES = [("c0_canonical", 2), ("james_summing", 2), ("james_summing", 3)]
@@ -171,9 +174,10 @@ def test_prefix_ends():
 
 
 # ---------------------------------------------------------------------------
-# Oracle: basis_constant and gap_bound_check as they were before the prefix
-# pass, one span_norm_batch per head, without their error paths and with
-# only the values the comparison needs returned.
+# Oracles: basis_constant as it was before the prefix pass, one
+# span_norm_batch per head, without its error paths and with only the values
+# the comparison needs returned; and the head/tail pairs gap_bound_check
+# drew before its bound was derived from kappa.
 # ---------------------------------------------------------------------------
 
 
@@ -222,13 +226,16 @@ def oracle_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Tuple[flo
     return (lower, max(upper, lower))
 
 
-def oracle_gap(s: BasicSequence, budget: SamplingBudget):
-    """(min_gap, head witness, tail witness) of gap_bound_check."""
+def oracle_gap(s: BasicSequence, budget: SamplingBudget) -> Tuple[np.ndarray, np.ndarray]:
+    """(heads, tails): every pair the sampled gap_bound_check drew.  Split n
+    drew Gaussian heads x on coefficients 1..n, kept those with ||x|| >
+    DENOM_GUARD, scaled each to ||x|| in [a, 2a), and drew Gaussian tails y
+    on coefficients n+1..m."""
     m = len(s)
     a = float(s.a)
     rng = np.random.default_rng(budget.seed)
     per_split = max(1, budget.count // (m - 1))
-    min_gap, wit = None, None
+    all_heads, all_tails = [], []
     for n in range(1, m):
         heads = np.zeros((per_split, m))
         heads[:, :n] = rng.standard_normal((per_split, n))
@@ -242,12 +249,9 @@ def oracle_gap(s: BasicSequence, budget: SamplingBudget):
         tails = np.zeros((len(heads), m))
         tails[:, n:] = rng.standard_normal((len(heads), m - n))
         tails *= rng.random((len(heads), 1)) * 2.0
-        gaps = s.span_norm_batch(heads - tails)
-        i = int(np.argmin(gaps))
-        if min_gap is None or gaps[i] < min_gap:
-            min_gap = float(gaps[i])
-            wit = (tuple(float(x) for x in heads[i]), tuple(float(x) for x in tails[i]))
-    return min_gap, wit
+        all_heads.append(heads)
+        all_tails.append(tails)
+    return np.concatenate(all_heads), np.concatenate(all_tails)
 
 
 FAMILIES = [(name, 2) for name in BUILTIN_NAMES] + [("james_summing", 3)]
@@ -263,40 +267,52 @@ def test_kappa_and_gap_bound_match_the_per_head_oracle(name, p, n, blocks):
     for seed in (1, 2, 3):
         budget = SamplingBudget(count=512, seed=seed)
         kappa = basis_constant(s, budget)
-        assert repr(kappa[:2]) == repr(oracle_basis_constant(s, budget))
-        gap_budget = SamplingBudget(count=300, seed=seed)
-        cert = gap_bound_check(s, kappa, gap_budget)
-        min_gap, (head, tail) = oracle_gap(s, gap_budget)
-        assert repr(cert.constants["min_gap"]) == repr(min_gap)
-        assert (cert.witness["head"], cert.witness["tail"]) == (head, tail)
+        lower, upper = oracle_basis_constant(s, budget)
+        assert repr(kappa[:2]) == repr((lower, upper))
+        assert gap_bound_check(s, kappa).constants["bound"] == float(s.a) / upper
+
+
+def fraction_rows(mat: np.ndarray) -> np.ndarray:
+    """The exact rational image of a float array, as object rows."""
+    return np.array([[Fraction(v) for v in row] for row in mat.tolist()], dtype=object)
+
+
+@pytest.mark.parametrize("blocks", [False, True], ids=["sequence", "pair-blocks"])
+@pytest.mark.parametrize("n", [6, 13])
+@pytest.mark.parametrize("name", ["ell1_canonical", "c0_canonical", "lin_ell1"])
+def test_every_sampled_head_tail_pair_obeys_the_derived_bound_exactly(name, n, blocks):
+    """Grunblum's criterion, which gap_bound_check rests on: for a head x and
+    a tail y, ||x|| <= kappa ||x - y||.  Here kappa = 1 is proved, and every
+    pair the old sampler drew obeys it in exact arithmetic, on the pairs'
+    Fraction images and under a piecewise-linear norm."""
+    s = builtin_sequence(name, n)
+    if blocks:
+        s = pair_blocks(s, (Fraction(1, 3), Fraction(2, 3)))
+    for seed in (1, 2, 3):
+        kappa = basis_constant(s, SamplingBudget(count=512, seed=seed))
+        assert kappa.source == PROVED_MONOTONE
+        heads, tails = (fraction_rows(part) for part in oracle_gap(s, SamplingBudget(count=300, seed=seed)))
+        head_norms, gaps = s.span_norm_batch(heads), s.span_norm_batch(heads - tails)
+        assert all(isinstance(v, (int, Fraction)) for v in [*head_norms, *gaps])
+        assert all(h <= Fraction(kappa.upper) * g for h, g in zip(head_norms, gaps))
+
+
+def test_every_sampled_head_tail_gap_reaches_the_derived_bound_on_james48():
+    """In float, at the james48 workload's family and budget, every gap the
+    old sampler drew is at least the bound derived from the proved kappa."""
+    s = builtin_sequence("james_summing", 48)
+    for seed in (1, 2, 3):
+        budget = SamplingBudget(count=2000, seed=seed)
+        kappa = basis_constant(s, budget)
+        assert kappa.source == PROVED_MONOTONE
+        heads, tails = oracle_gap(s, budget)
+        assert s.span_norm_batch(heads - tails).min() >= gap_bound_check(s, kappa).constants["bound"]
 
 
 def dense_family(n: int, tag: NormTag) -> BasicSequence:
     """n Gaussian vectors in R^n: a family with no prefix shape, so every
-    head and every gap goes through the ``coeffs @ X`` product."""
+    head goes through the ``coeffs @ X`` product."""
     return BasicSequence(np.random.default_rng(n).standard_normal((n, n)).tolist(), tag)
-
-
-@pytest.mark.parametrize(
-    "family",
-    [
-        lambda: builtin_sequence("james_summing", 48),
-        lambda: dense_family(12, NormTag.ell_p(2)),
-        lambda: dense_family(12, NormTag.sup()),
-    ],
-    ids=["james48", "dense12-ell2", "dense12-sup"],
-)
-def test_stacked_gap_bound_matches_the_per_split_oracle_at_scale(family):
-    """The gap rows of all splits go through one norm call; at the james48
-    workload's budget and on a dense float family the witness and min_gap
-    are still those of one call per split."""
-    s = family()
-    for seed in (1, 2, 3):
-        budget = SamplingBudget(count=2000, seed=seed)
-        cert = gap_bound_check(s, Kappa(1.0, 1.0, PROVED_MONOTONE), budget)
-        min_gap, (head, tail) = oracle_gap(s, budget)
-        assert repr(cert.constants["min_gap"]) == repr(min_gap)
-        assert (cert.witness["head"], cert.witness["tail"]) == (head, tail)
 
 
 @pytest.mark.parametrize("n", [12, 48])

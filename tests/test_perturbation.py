@@ -227,7 +227,7 @@ def test_kappa_is_an_explicit_input(kap, bound, flags):
     bound and the kappa-upper-heuristic flag: its source, not its width,
     decides the flag, so a sampled point interval is flagged too."""
     s = ell1(6)
-    gap = gap_bound_check(s, kap, SamplingBudget(count=200, seed=1))
+    gap = gap_bound_check(s, kap)
     assert gap.constants["bound"] == bound
     assert gap.flags == flags
     sch = make_alpha_schedule(R(1, 2), 1, 1, kap.upper, 5, arithmetic="rational")

@@ -165,28 +165,41 @@ def test_wide_s_witness_reproduces_constant():
     assert ratio == pytest.approx(float(cert.constants["d_hat"]), abs=1e-9)
 
 
-def test_gap_bound_ell1():
+def test_gap_bound_ell1(monkeypatch):
+    """The bound is a / K, derived from kappa: nothing is drawn and no norm
+    is evaluated."""
     s = builtin_sequence("ell1_canonical", 6)
     kappa = basis_constant(s, EXHAUSTIVE)
-    cert = gap_bound_check(s, kappa, SamplingBudget(count=600, seed=3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gap_bound_check drew or evaluated")
+
+    monkeypatch.setattr(BasicSequence, "span_norm_batch", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    cert = gap_bound_check(s, kappa)
     assert cert.holds
-    assert cert.constants["min_gap"] >= 1.0 - 1e-9
-    assert cert.constants["bound"] == pytest.approx(1.0)
+    assert cert.mode == "analytic"
+    assert cert.witness == {}
+    assert cert.constants == {"bound": 1.0, "kappa_upper": 1.0}
+    assert cert.flags == ()
 
 
 def test_gap_bound_single_vector_vacuous():
+    """With one vector there is no tail; the bound holds there too."""
     s = BasicSequence([(1, 0)], NormTag.ell_p(1))
-    cert = gap_bound_check(s, Kappa(1, 1, PROVED_MONOTONE), SamplingBudget(count=10, seed=0))
+    cert = gap_bound_check(s, Kappa(1, 1, PROVED_MONOTONE))
     assert cert.holds
-    assert cert.mode == "vacuous"
+    assert cert.mode == "analytic"
+    assert cert.constants == {"bound": 1.0, "kappa_upper": 1.0}
 
 
 def test_gap_bound_summing_with_oracle_kappa():
     s = builtin_sequence("summing_c0", 6)
     kappa = basis_constant(s, EXHAUSTIVE)  # lower end certified 2.0, upper sampled
-    cert = gap_bound_check(s, kappa, SamplingBudget(count=2000, seed=5))
+    cert = gap_bound_check(s, kappa)
     assert cert.holds
-    assert cert.constants["bound"] == pytest.approx(0.5)
+    assert cert.mode == "analytic"
+    assert cert.constants["bound"] == float(s.a) / float(kappa.upper) == pytest.approx(0.5)
     assert cert.flags == ("kappa-upper-heuristic",)
 
 

@@ -1,12 +1,14 @@
 """Every name a ``seqcert`` module imports is used in that module, every
 module-level private name is read somewhere in the package, every batch
 kernel and float enclosure (a function ``*_batch`` or ``*_enclosure``) is
-read by a module of the package, every script, config and workload path the
-README names exists, and so does every batch kernel and float enclosure it
-names.
+read by a module of the package, every name the package ``__init__``
+re-exports is read by a module of the package, by the acceptance tests or
+by a bench script, every script, config and workload path the README names
+exists, and so does every batch kernel and float enclosure it names.
 
 The package ``__init__`` is exempt from the first rule, and its reads do not
-count for the kernel rule: its imports are the public re-exports.
+count for the kernel and re-export rules: its imports are the public
+re-exports.
 """
 
 import ast
@@ -168,6 +170,41 @@ def test_the_checker_sees_an_unread_kernel():
         "b.py": "from .a import norm_batch\n\nx = norm_batch(1)\n",
     }
     assert unread_names(sources, is_kernel) == {"a.py": ["old_enclosure", "span_batch"]}
+
+
+def is_export(init_source: str) -> Callable[[ast.stmt, str], bool]:
+    """Accepts the names a package ``__init__`` (its source) re-exports from
+    its sibling modules."""
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    return lambda node, name: name in exported
+
+
+def test_every_export_is_read():
+    """A re-export that only tests read belongs in those tests, as an oracle."""
+    readers = [*MODULES, ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in readers}
+    unread = unread_names(sources, is_export((SRC / "__init__.py").read_text()))
+    assert not unread, f"re-exports no module, acceptance test or bench script reads: {unread}"
+
+
+def test_the_checker_sees_an_unread_export():
+    init = "from .a import kernel, oracle, _private\nfrom .b import Public\n"
+    sources = {
+        "a.py": (
+            "LIMIT = 3\n\n"
+            "def kernel(m):\n    return m\n\n"
+            "def oracle(m):\n    return oracle(m)\n\n"
+            "def _private():\n    return LIMIT\n"
+        ),
+        "b.py": "from .a import kernel\n\nclass Public:\n    pass\n",
+        "test_acceptance.py": "from seqcert import Public\n",
+    }
+    assert unread_names(sources, is_export(init)) == {"a.py": ["oracle", "_private"]}
 
 
 def named_paths(text: str) -> set:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,16 @@ def test_james_overflowing_prefix_sum_gives_inf(row):
         mixed = norm_batch(np.array(finite[:1] + [row + [0.0] * (3 - len(row))] + finite[1:]), tag)
     assert mixed[1] == np.inf
     assert mixed[[0, 2]].tobytes() == norm_batch(np.array(finite), tag).tobytes()
+
+
+@pytest.mark.parametrize("row", [[1e200, 1e200, -1e200], [1e308, 1e308, 1.0]])
+def test_james_overflow_is_inf_without_a_warning(row):
+    """A block sum whose power overflows, or a prefix sum that overflows,
+    gives inf, the correctly rounded result, as ell_p and lin do: no
+    RuntimeWarning reaches stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert norm_batch(np.array([row]), NormTag.james(2)).tolist() == [np.inf]
 
 
 # every kind of float entry, with zeros and subnormals drawn often
