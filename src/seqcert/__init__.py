@@ -47,7 +47,6 @@ from .fpmaps import (
     theta_of_map,
 )
 from .perturbation import (
-    PerturbedSequence,
     claim2_chain,
     perturb_toward_next,
     psp_equivalence_check,

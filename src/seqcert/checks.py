@@ -32,7 +32,7 @@ from .fpmaps import (
     make_summing_functional, residual_norms, start_length, theta_lower_bound_rightshift,
     theta_of_map,
 )
-from .perturbation import claim2_chain, perturb_toward_next, psp_equivalence_check
+from .perturbation import claim2_chain, perturb_toward_next, perturbation_sum, psp_equivalence_check
 from .sampling import EXHAUSTIVE_LIMIT, SamplingBudget, simplex_samples
 from .sequences import (
     BUILTIN_NAMES, INEQ_TOL, PM_ONE_LIMIT, _scan, _witness, basis_constant, builtin_sequence,
@@ -144,9 +144,10 @@ def _claim2_chain(ctx, args, seed) -> Certificate:
 
 
 def _psp_equivalence(ctx, args, seed) -> Certificate:
-    z, kappa = perturb_toward_next(ctx.seq, _schedule(ctx, args)), ctx.kappa["sequence"]
-    budget = SamplingBudget(args["samples"], seed)
-    return psp_equivalence_check(ctx.seq, z, z.theta, kappa, budget, arithmetic=ctx.cfg.arithmetic)
+    sch, kappa = _schedule(ctx, args), ctx.kappa["sequence"]
+    z = perturb_toward_next(ctx.seq, sch)
+    theta, budget = perturbation_sum(ctx.seq, z, sch.kappa), SamplingBudget(args["samples"], seed)
+    return psp_equivalence_check(ctx.seq, z, theta, kappa, budget, arithmetic=ctx.cfg.arithmetic)
 
 
 def _bilipschitz(ctx, args, seed) -> Certificate:
@@ -227,7 +228,7 @@ def _equivalence(ctx, args, seed) -> Certificate:
 
 
 def _gap_bound(ctx, args, seed) -> Certificate:
-    return gap_bound_check(ctx.target(args["on"]), ctx.kappa[args["on"]])
+    return gap_bound_check(ctx.target(args["on"]), ctx.kappa[args["on"]], ctx.cfg.arithmetic)
 
 
 def _wuc_constant(ctx, args, seed) -> Certificate:

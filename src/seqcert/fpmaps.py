@@ -35,7 +35,7 @@ import numpy as np
 from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError, TruncationError
-from .sampling import SamplingBudget, simplex_points
+from .sampling import SamplingBudget, simplex_halves
 from .sequences import BasicSequence, RowNorms, _require_exact_tags, _scan, _witness, row_norms
 from .spaces import ELL_P, SUP, CoordinateVector, NormTag, as_rows, norm, row_array, scalar
 
@@ -293,20 +293,21 @@ def check_theta_window(variant: str, m: int, n_window: int) -> None:
 
 def _pair_rows(n: int, budget: SamplingBudget, include_equal: bool, arithmetic: str = FLOAT) -> np.ndarray:
     """All vertex pairs, then simplex pairs, as the (P, 2n) pair rows [x | y],
-    filled in one array: the simplex pairs take their x from the first half
-    of one ``simplex_points`` draw and their y from the second; an ``object``
-    array in rational mode."""
+    filled in one array: the simplex pairs take their x from the first of the
+    ``simplex_halves`` and their y from the second, each half freed before
+    the next is drawn; an ``object`` array in rational mode."""
     # the vertex pairs (e_i, e_j) in row-major order, i != j unless include_equal
     i, j = np.nonzero(~np.eye(n, dtype=bool) | include_equal)
     exact = arithmetic == RATIONAL
     # rational mode draws budget.count points, so it pairs budget.count // 2
     # (the open pairs/2 defect); float draws budget.count pairs
     k = budget.count // 2 if exact else budget.count
-    pts = simplex_points(n, SamplingBudget(2 * k, budget.seed), exact)
     rows = np.zeros((len(i) + k, 2 * n), dtype=object if exact else float)
     rows[np.arange(len(i)), i] = 1
     rows[np.arange(len(i)), n + j] = 1
-    rows[len(i) :, :n], rows[len(i) :, n:] = pts[:k], pts[k:]
+    halves = simplex_halves(n, SamplingBudget(k, budget.seed), exact)
+    rows[len(i) :, :n] = next(halves)
+    rows[len(i) :, n:] = next(halves)
     return rows
 
 

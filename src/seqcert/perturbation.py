@@ -1,9 +1,11 @@
 """Small-perturbation pipeline.
 
-Given a basic sequence (x_n) with basis-constant estimate K and a perturbed
-family (z_n), the controlling quantity is
+The perturbed family z_n = (1 - alpha_n) x_n + alpha_n x_{n+1} of a basic
+sequence (x_n) is the diagonal shift's first pushed family f(I) X
+(``fpmaps.pushed_families``).  With basis-constant estimate K, the
+controlling quantity is
 
-    theta = 2 K * sum_n ||x_n - z_n|| / ||x_n||.
+    theta = 2 K * sum_n ||x_n - z_n|| / ||x_n||   (``perturbation_sum``).
 
 When theta < 1 the perturbed family is basic and (1 +- theta)-equivalent to
 the original; the check below verifies the two-sided inequality
@@ -24,16 +26,14 @@ not proved carries ``Kappa.flags`` instead of being trusted silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 import numpy as np
 
 from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError
-from .fpmaps import AlphaSchedule
+from .fpmaps import AffineMapSpec, AlphaSchedule, pushed_families
 from .sampling import SamplingBudget
 from .sequences import (
     BasicSequence,
@@ -45,54 +45,40 @@ from .sequences import (
     _witness,
     row_norms,
 )
-from .spaces import CoordinateVector, norm_batch, row_array, scalar
+from .spaces import norm_batch, scalar
 
 
-@dataclass(frozen=True)
-class PerturbedSequence:
-    """The coordinatewise perturbation of a base family."""
-
-    z_vectors: Tuple[CoordinateVector, ...]
-    theta: Real
-
-    def __len__(self):
-        return len(self.z_vectors)
-
-
-def perturb_toward_next(s: BasicSequence, alpha: AlphaSchedule) -> PerturbedSequence:
-    """z_n = (1 - alpha_n) x_n + alpha_n x_{n+1}, a nontrivial convex
-    combination of consecutive vectors; needs alpha no longer than M - 1.
-    theta uses the basis constant the schedule was budgeted with."""
+def perturb_toward_next(s: BasicSequence, alpha: AlphaSchedule) -> np.ndarray:
+    """The perturbed family z_1..z_k, k = len(alpha), as the k x N matrix
+    f(I) X of the diagonal shift f of ``alpha``: exact on an exact family
+    with an exact schedule.  Needs alpha no longer than M - 1."""
     k = len(alpha)
     if k > len(s) - 1:
         raise ParameterError(f"schedule of length {k} needs at least {k + 1} vectors")
-    rows = s.matrix(exact=True)  # each entry as given, so exact entries stay exact
-    al = np.array(alpha.alphas, dtype=object)[:, None]
-    zs = tuple(CoordinateVector(tuple(z)) for z in (1 - al) * rows[:k] + al * rows[1 : k + 1])
-    theta = 2 * alpha.kappa * _relative_gap_sum(s, zs)
-    return PerturbedSequence(z_vectors=zs, theta=theta)
+    exact = s.exact and not any(isinstance(al, float) for al in alpha.alphas)
+    if k == 0:
+        return s.matrix(exact)[:0]
+    return pushed_families(AffineMapSpec.diag_shift(alpha), s, k, 1, exact)[1]
 
 
-def _relative_gap_sum(s: BasicSequence, z_vectors) -> Real:
-    """sum_n ||x_n - z_n|| / ||x_n||, added up in n order."""
-    if not z_vectors:
-        return 0
-    zmat = row_array(z_vectors)
-    gaps = norm_batch(s.matrix(zmat.dtype == object)[: len(zmat)] - zmat, s.ambient)
-    return sum((scalar(g) / x for g, x in zip(gaps, s.vector_norms)), 0)
+def perturbation_sum(s: BasicSequence, z: np.ndarray, kappa: Real) -> Real:
+    """2 kappa sum_n ||x_n - z_n|| / ||x_n|| over the rows z_n of z, in n order."""
+    gaps = norm_batch(s.matrix(z.dtype == object)[: len(z)] - z, s.ambient)
+    return 2 * kappa * sum((scalar(g) / x for g, x in zip(gaps, s.vector_norms)), 0)
 
 
 def psp_equivalence_check(
     s: BasicSequence,
-    z: PerturbedSequence,
+    z: np.ndarray,
     theta: Real,
     kappa: Kappa,
     budget: SamplingBudget = SamplingBudget(),
     arithmetic: str = FLOAT,
 ) -> Certificate:
     """Verify (1-theta)||sum t x|| <= ||sum t z|| <= (1+theta)||sum t x||
-    on the evaluated coefficient set; records the worst margin per side.
-    ``kappa``, the basis-constant interval behind theta, only sets the flags."""
+    on the evaluated coefficient set (z as rows); records the worst margin
+    per side.  ``kappa``, the basis-constant interval behind theta, only
+    sets the flags."""
     validate_arithmetic(arithmetic)
     if not theta < 1:
         raise ParameterError(f"perturbation sum must be < 1, got {theta}")
@@ -110,7 +96,7 @@ def psp_equivalence_check(
     coeffs = _eval_rows(m, budget, arithmetic, s)
     theta = coerce(theta, arithmetic)
     # norm 0 is ||sum t x||, norm 1 is ||sum t z||
-    norms = [s.span_norms(), row_norms(s.ambient, row_array(z.z_vectors))]
+    norms = [s.span_norms(), row_norms(s.ambient, z)]
     margins = [((1, 1), (theta - 1, 0)), ((1 + theta, 0), (-1, 1))]
     (lo_margin, row_lo), (hi_margin, row_hi), (r_min, r_max, _, _, _) = _scan(
         coeffs, norms, arithmetic, margins, ratios=[(1, 0)]
@@ -149,8 +135,7 @@ def claim2_chain(
     if arithmetic == RATIONAL:
         _require_exact_tags(s)
         a, b = Fraction(a), Fraction(b)  # int norms would divide to a float
-    z = perturb_toward_next(s, alpha)
-    q1 = 2 * kap * _relative_gap_sum(s, z.z_vectors)
+    q1 = perturbation_sum(s, perturb_toward_next(s, alpha), kap)
     sum_alpha = sum(alpha.alphas, 0)
     q2 = 2 * kap * (2 * b / a) * sum_alpha
     q3 = (4 * b * kap / a) * sum_alpha

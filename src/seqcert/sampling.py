@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -124,6 +124,19 @@ def simplex_points(m: int, budget: SamplingBudget, exact: bool) -> np.ndarray:
     if exact:
         return np.array(rational_simplex(m, budget), dtype=object).reshape(budget.count, m)
     return simplex_uniform(np.random.default_rng(budget.seed), budget.count, m)
+
+
+def simplex_halves(m: int, budget: SamplingBudget, exact: bool) -> Iterator[np.ndarray]:
+    """The first and then the second half of ``simplex_points(m,
+    SamplingBudget(2 * budget.count, budget.seed), exact)``.  In float mode
+    they are two draws of ``budget.count`` rows from one generator, the same
+    bits, so the second is drawn only after the first is taken."""
+    if exact:
+        pts = simplex_points(m, SamplingBudget(2 * budget.count, budget.seed), True)
+        yield from (pts[: budget.count], pts[budget.count :])
+    else:
+        rng = np.random.default_rng(budget.seed)
+        yield from (simplex_uniform(rng, budget.count, m) for _ in range(2))
 
 
 def simplex_samples(m: int, budget: SamplingBudget, exact: bool = False) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import FLOAT, RATIONAL, Real, is_finite, validate_arithmetic
+from .arithmetic import FLOAT, RATIONAL, Real, coerce, is_finite, validate_arithmetic
 from .certificates import Certificate
 from .errors import DependenceError, ParameterError
 from .sampling import SamplingBudget, coefficient_samples
@@ -45,20 +45,16 @@ INEQ_TOL = 1e-9
 
 
 def _exact_rank(rows: List[Tuple[Real, ...]]) -> int:
-    """Rank over the rationals by fraction-free-ish Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Rank over the rationals by Gaussian elimination, exact through the pivot."""
+    mat = [list(row) for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
+        pv = Fraction(mat[rank][col])
         for r in range(rank + 1, len(mat)):
             if mat[r][col]:
                 f = mat[r][col] / pv
@@ -600,7 +596,7 @@ def wide_s_certificate(
     )
 
 
-def gap_bound_check(s: BasicSequence, kappa: Kappa) -> Certificate:
+def gap_bound_check(s: BasicSequence, kappa: Kappa, arithmetic: str = FLOAT) -> Certificate:
     """||x - y|| >= a / K for every head x with ||x|| >= a and every tail y,
     where K is the upper end of ``kappa``, the basis-constant interval of s.
 
@@ -609,16 +605,19 @@ def gap_bound_check(s: BasicSequence, kappa: Kappa) -> Certificate:
     kappa ||x - y||, so ||x - y|| >= ||x|| / K >= a / K whenever K bounds
     kappa, and every head/tail pair arises so.  Nothing is drawn or
     evaluated.  A sampled kappa does not prove K >= kappa, so the
-    certificate carries its flags, as ``claim2_chain`` does.
+    certificate carries its flags, as ``claim2_chain`` does.  a and K are
+    coerced to ``arithmetic``, so a rational run reports the exact a / K.
     """
-    kappa_up = float(kappa.upper)
+    validate_arithmetic(arithmetic)
+    a, kappa_up = coerce(s.a, arithmetic), coerce(kappa.upper, arithmetic)
+    bound = a / kappa_up if arithmetic == FLOAT else Fraction(a) / kappa_up  # int / int is a float
     return Certificate(
         kind="gap_bound",
-        constants={"bound": float(s.a) / kappa_up, "kappa_upper": kappa_up},
+        constants={"bound": bound, "kappa_upper": kappa_up},
         holds=True,
         witness={},
         mode="analytic",
-        arithmetic=FLOAT,
+        arithmetic=arithmetic,
         flags=kappa.flags,
     )
 

@@ -30,7 +30,7 @@ from seqcert.fpmaps import (
     make_alpha_schedule,
     start_length,
 )
-from seqcert.perturbation import perturb_toward_next, psp_equivalence_check
+from seqcert.perturbation import perturb_toward_next, perturbation_sum, psp_equivalence_check
 from seqcert.sampling import SamplingBudget, coefficient_samples, rational_simplex
 from seqcert.sequences import (
     basis_constant,
@@ -203,19 +203,20 @@ def test_psp_matches_reference(family):
     kappa = basis_constant(family, KAPPA_BUDGET)
     sch = make_alpha_schedule(Fraction(1, 2), family.a, family.b, kappa[1], m - 1, arithmetic=RATIONAL)
     z = perturb_toward_next(family, sch)
+    theta = perturbation_sum(family, z, sch.kappa)
     lower, upper, ratios = Extremes(), Extremes(), Extremes()
     rows = eval_rows(len(z))
     for t in rows:
         nx = family.span_norm(t)
-        zt = [sum(c * zv[j] for c, zv in zip(t, z.z_vectors)) for j in range(len(z.z_vectors[0]))]
+        zt = [sum(c * zn[j] for c, zn in zip(t, z)) for j in range(z.shape[1])]
         nz = norm(zt, family.ambient)
-        lower.add(nz - (1 - z.theta) * nx, t)
-        upper.add((1 + z.theta) * nx - nz, t)
+        lower.add(nz - (1 - theta) * nx, t)
+        upper.add((1 + theta) * nx - nz, t)
         if nx != 0:
             ratios.add(Fraction(nz) / nx, t)
-    cert = psp_equivalence_check(family, z, z.theta, kappa, BUDGET, RATIONAL)
+    cert = psp_equivalence_check(family, z, theta, kappa, BUDGET, RATIONAL)
     assert cert.constants == {
-        "theta": z.theta,
+        "theta": theta,
         "margin_lower": lower.lo,
         "margin_upper": upper.lo,
         "ratio_min": ratios.lo,

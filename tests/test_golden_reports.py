@@ -1,5 +1,5 @@
 """Pinned certificate bytes for a rational suite covering every rational-capable check kind,
-and for the three smoke benchmark workloads.
+and for the three benchmark workloads, at full size and as smoke configs.
 
 The sha256 values below are those of the certificates block that ``seqcert
 certify`` writes for ``SUITE``; a change to any exact constant, witness, flag
@@ -167,6 +167,34 @@ def test_smoke_workload_certificates_are_pinned(tmp_path, workload, seed):
     report = json.loads(out.read_text())
     block = json.dumps(report["certificates"], indent=2, sort_keys=True).encode()
     assert hashlib.sha256(block).hexdigest() == SMOKE_PINNED[workload, seed]
+
+
+# The certificates block of each full-size benchmark workload
+# (``bench/workloads/*.cfg``), serialised the same way.  Unlike the smoke
+# configs, these cross many ``spaces.BLOCK_CELLS`` row blocks in every float
+# scan, so they pin that no bit depends on the blocks.
+FULL = SMOKE.parent
+FULL_PINNED = {
+    ("theorem41", 1): "070941084168236772c3b64dff2925e27687bc3a7c7ac692b268013b43d8b42e",
+    ("theorem41", 2): "53a9cd9623520456a5e534a0503730ed8b246467df62c81cc539c383f7f11a4a",
+    ("theorem41", 3): "a7d42e67c248013dc9ae832e346e1bee0581f3b86153a36e2b7de17ce2e4afed",
+    ("james48", 1): "92b4c91c9cc75a2da81913f68a25dd48fc605d7df005b740b24a04b1bd1f803c",
+    ("james48", 2): "eb5bf7e92e4c1f068ca6ab5bb866b54cb1e0f0682462d394d10cca60444543f4",
+    ("james48", 3): "4ede59741cf6da627e733981842724536ffc97fe18c3ce2f1b2aa3cb5b603368",
+    ("rational_lin9", 1): "efd19a76012b9be1c9929e82265fd79be2bfc899b78a56c6a1d70bed32f1b5b3",
+    ("rational_lin9", 2): "47e29919ecdf5d07e575fe43ec3ef273351a00ca4032fc314b9afd2be8ca10e4",
+    ("rational_lin9", 3): "b791954c66e8c9f879a8e3f22e7a8542bc37a6f0766d57655eaaa81c5f95edaa",
+}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(FULL_PINNED))
+def test_full_workload_certificates_are_pinned(tmp_path, workload, seed):
+    out = tmp_path / "report.json"
+    config = str(FULL / f"{workload}.cfg")
+    assert main(["certify", "--config", config, "--seed", str(seed), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    block = json.dumps(report["certificates"], indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(block).hexdigest() == FULL_PINNED[workload, seed]
 
 
 # A family whose kappa is sampled: ``summing_c0`` is not prefix-shaped, so

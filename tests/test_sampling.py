@@ -4,9 +4,10 @@ The exact coefficient rows are pinned to the rows the rational scans
 evaluated before the float and exact rules were merged into one module
 (sha256 of their JSON list, and the rows themselves where they are few).
 Exact simplex sets hold ``int`` vertices and then ``Fraction`` points of
-mass exactly 1.  The pair sampler splits one draw of 2k simplex points into
-halves, which in float mode are bit for bit the two draws of k points each
-that it used to make.  No other module names the mode-specific samplers.
+mass exactly 1.  The pair sampler takes its x and y halves one after the
+other; they are bit for bit the halves of one draw of 2k simplex points,
+and in float mode two draws of k points each.  No other module names the
+mode-specific samplers.
 """
 
 import ast
@@ -26,6 +27,7 @@ from seqcert.sampling import (
     SamplingBudget,
     coefficient_samples,
     rational_simplex,
+    simplex_points,
     simplex_samples,
     simplex_uniform,
 )
@@ -110,6 +112,36 @@ def test_rational_pairs_are_halves_of_the_rational_simplex_points(count):
     half = count // 2
     assert X[n * n :].tolist() == points[:half]
     assert Y[n * n :].tolist() == points[half : 2 * half]
+
+
+def one_draw_pair_rows(n, budget, include_equal, arithmetic):
+    """The pair rows as first built: the x and y halves of one
+    ``simplex_points`` draw of 2k points, held whole while they are copied."""
+    i, j = np.nonzero(~np.eye(n, dtype=bool) | include_equal)
+    exact = arithmetic == RATIONAL
+    k = budget.count // 2 if exact else budget.count
+    pts = simplex_points(n, SamplingBudget(2 * k, budget.seed), exact)
+    rows = np.zeros((len(i) + k, 2 * n), dtype=object if exact else float)
+    rows[np.arange(len(i)), i] = 1
+    rows[np.arange(len(i)), n + j] = 1
+    rows[len(i) :, :n], rows[len(i) :, n:] = pts[:k], pts[k:]
+    return rows
+
+
+@pytest.mark.parametrize("arithmetic", [FLOAT, RATIONAL])
+@pytest.mark.parametrize("n,count,seed", [(1, 5, 0), (3, 0, 2), (4, 1, 7), (8, 33, 11), (63, 200, 7)])
+@pytest.mark.parametrize("include_equal", [False, True])
+def test_pair_rows_are_the_one_draw_pair_rows(arithmetic, n, count, seed, include_equal):
+    """Drawing the y half only after the x half is copied changes no row."""
+    budget = SamplingBudget(count, seed)
+    rows = _pair_rows(n, budget, include_equal, arithmetic)
+    oracle = one_draw_pair_rows(n, budget, include_equal, arithmetic)
+    assert rows.dtype == oracle.dtype and rows.shape == oracle.shape
+    if arithmetic == FLOAT:
+        assert rows.tobytes() == oracle.tobytes()
+    else:
+        assert rows.tolist() == oracle.tolist()
+        assert [type(v) for v in rows.flat] == [type(v) for v in oracle.flat]
 
 
 MODE_SAMPLERS = {"rational_vectors", "rational_simplex", "simplex_uniform"}

@@ -1,19 +1,23 @@
 """Basis machinery: constants, certificates, witnesses."""
 
 import itertools
+import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from seqcert.arithmetic import FLOAT
+from seqcert.arithmetic import FLOAT, RATIONAL
+from seqcert.cli import main
 from seqcert.errors import DependenceError, ParameterError
 from seqcert.sampling import SamplingBudget, pm_one_patterns, sign_patterns
 from seqcert.sequences import (
     PROVED_MONOTONE,
     BasicSequence,
     Kappa,
+    _exact_rank,
     _ratio_extremes,
     basis_constant,
     builtin_sequence,
@@ -201,6 +205,75 @@ def test_gap_bound_summing_with_oracle_kappa():
     assert cert.mode == "analytic"
     assert cert.constants["bound"] == float(s.a) / float(kappa.upper) == pytest.approx(0.5)
     assert cert.flags == ("kappa-upper-heuristic",)
+
+
+def test_rational_gap_bound_is_exact(tmp_path):
+    """A rational run reports a / K in Fractions, with the arithmetic it ran:
+    lin_ell1 has a = 8/9 at n = 9 and a proved kappa of 1."""
+    cfg = tmp_path / "gap.cfg"
+    cfg.write_text(
+        "[sequence]\nbuiltin = lin_ell1\nn = 9\n\n[check gap]\nkind = gap_bound\n\n"
+        "[run]\nseed = 1\narithmetic = rational\n"
+    )
+    out = tmp_path / "report.json"
+    assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
+    [gap] = json.loads(out.read_text())["certificates"]
+    assert gap["arithmetic"] == "rational"
+    assert gap["constants"] == {"bound": "8/9", "kappa_upper": "1/1"}
+    s = builtin_sequence("lin_ell1", 9)
+    cert = gap_bound_check(s, Kappa(1, 1, PROVED_MONOTONE), RATIONAL)
+    assert cert.constants == {"bound": Fraction(8, 9), "kappa_upper": 1}
+    assert type(cert.constants["bound"]) is Fraction
+    assert gap_bound_check(s, Kappa(1, 1, PROVED_MONOTONE)).constants == {
+        "bound": float(Fraction(8, 9)), "kappa_upper": 1.0,
+    }
+
+
+def all_fraction_rank(rows):
+    """Rank over the rationals with every entry made a Fraction up front."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col]:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def random_exact_rows(rng, m, n, rank):
+    """m rows of length n of ints and Fractions, of rank at most ``rank``:
+    combinations of ``rank`` random rows with small rational weights."""
+    def entry():
+        if rng.random() < 0.5:
+            return int(rng.integers(-3, 4))
+        return Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 5)))
+
+    base = [[entry() for _ in range(n)] for _ in range(rank)]
+    rows = []
+    for _ in range(m):
+        w = [entry() for _ in range(rank)]
+        rows.append(tuple(sum((c * b[j] for c, b in zip(w, base)), 0) for j in range(n)))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_rank_matches_the_all_fraction_elimination(seed):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    rows = random_exact_rows(rng, m, n, int(rng.integers(0, min(m, n) + 1)))
+    assert _exact_rank(rows) == all_fraction_rank(rows)
+    if all_fraction_rank(rows) < m:
+        with pytest.raises(DependenceError):
+            BasicSequence(rows, NormTag.ell_p(1))
 
 
 def test_dependent_vectors_rejected():
