@@ -44,6 +44,12 @@ def coerce(x: Real, mode: str) -> Real:
     return Fraction(x)
 
 
+def exact_value(x: float) -> Real:
+    """The exact value of a finite float: an int where it is integral (so a
+    sign pattern's -1.0 prints as -1, not "-1/1"), else a Fraction."""
+    return int(x) if x.is_integer() else Fraction(x)
+
+
 def parse_scalar(text: str) -> Fraction:
     """Parse a decimal or 'p/q' literal exactly."""
     try:

@@ -166,7 +166,7 @@ def _residual(ctx, args, seed) -> Certificate:
         constants={"min_residual": best, "evaluated": len(T)},
         holds=bool(best > 0),
         witness={"argmin": _witness(row)},
-        mode=budget.mode_label(n),
+        mode=budget.label(f"vertices({n})"),
         arithmetic=ctx.cfg.arithmetic,
     )
 

@@ -292,20 +292,16 @@ def check_theta_window(variant: str, m: int, n_window: int) -> None:
 
 
 def _pair_rows(n: int, budget: SamplingBudget, include_equal: bool, arithmetic: str = FLOAT) -> np.ndarray:
-    """All vertex pairs, then simplex pairs, as the (P, 2n) pair rows [x | y],
-    filled in one array: the simplex pairs take their x from the first of the
-    ``simplex_halves`` and their y from the second, each half freed before
-    the next is drawn; an ``object`` array in rational mode."""
+    """All vertex pairs, then ``budget.count`` simplex pairs, as the (P, 2n)
+    pair rows [x | y], filled in one float array: the simplex pairs take
+    their x from the first of the ``simplex_halves`` and their y from the
+    second (on the grid in rational mode), each freed before the next is drawn."""
     # the vertex pairs (e_i, e_j) in row-major order, i != j unless include_equal
     i, j = np.nonzero(~np.eye(n, dtype=bool) | include_equal)
-    exact = arithmetic == RATIONAL
-    # rational mode draws budget.count points, so it pairs budget.count // 2
-    # (the open pairs/2 defect); float draws budget.count pairs
-    k = budget.count // 2 if exact else budget.count
-    rows = np.zeros((len(i) + k, 2 * n), dtype=object if exact else float)
+    rows = np.zeros((len(i) + budget.count, 2 * n))
     rows[np.arange(len(i)), i] = 1
     rows[np.arange(len(i)), n + j] = 1
-    halves = simplex_halves(n, SamplingBudget(k, budget.seed), exact)
+    halves = simplex_halves(n, budget, arithmetic == RATIONAL)
     rows[len(i) :, :n] = next(halves)
     rows[len(i) :, n:] = next(halves)
     return rows

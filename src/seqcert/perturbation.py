@@ -33,7 +33,7 @@ import numpy as np
 from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError
-from .fpmaps import AffineMapSpec, AlphaSchedule, pushed_families
+from .fpmaps import AffineMapSpec, AlphaSchedule, apply_map_batch
 from .sampling import SamplingBudget
 from .sequences import (
     BasicSequence,
@@ -58,7 +58,8 @@ def perturb_toward_next(s: BasicSequence, alpha: AlphaSchedule) -> np.ndarray:
     exact = s.exact and not any(isinstance(al, float) for al in alpha.alphas)
     if k == 0:
         return s.matrix(exact)[:0]
-    return pushed_families(AffineMapSpec.diag_shift(alpha), s, k, 1, exact)[1]
+    eye = np.eye(k, dtype=object if exact else float)
+    return s._span(apply_map_batch(AffineMapSpec.diag_shift(alpha), eye))
 
 
 def perturbation_sum(s: BasicSequence, z: np.ndarray, kappa: Real) -> Real:

@@ -7,10 +7,10 @@ Three families are pooled, mirroring how extreme ratios arise:
 * Gaussian directions normalized to the Euclidean sphere, for smooth norms,
 * uniform points of the probability simplex, for convex-coefficient checks.
 
-Every evaluation set of both arithmetic modes is drawn here: with ``exact``
-(rational mode) the random families are ``rational_vectors`` and
-``rational_simplex``, and the rows are ``object`` arrays of ints and
-Fractions.
+Each evaluation set is drawn once, in float, for both arithmetic modes; with
+``exact`` (rational mode) its random rows are moved onto values that float
+holds exactly (``integer_image``, ``grid_image``), and a rational scan takes
+the exact values of only the rows it evaluates exactly.
 
 All randomness flows through ``numpy.random.default_rng(seed)``; results are
 a pure function of (seed, count).
@@ -19,14 +19,16 @@ a pure function of (seed, count).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
 
+from .arithmetic import exact_value
 from .errors import ParameterError
 
 EXHAUSTIVE_LIMIT = 10  # the largest m whose {-1,0,1}^m sign patterns are enumerated
+SCALE = 64.0  # the largest |entry| of a rational-mode random coefficient row
+GRID_BITS = 10  # rational-mode simplex coordinates are multiples of 2^-GRID_BITS
 
 
 @dataclass(frozen=True)
@@ -60,28 +62,26 @@ class SamplingBudget:
 
 
 def _product(values: tuple, m: int) -> np.ndarray:
-    """Every row of values^m as an int array, in ``itertools.product`` order:
+    """Every row of values^m as a float array, in ``itertools.product`` order:
     the last coordinate varies fastest."""
     digits = np.indices((len(values),) * m).reshape(m, -1).T
-    return np.array(values)[digits]
+    return np.array(values, dtype=float)[digits]
 
 
-def sign_patterns(m: int, exact: bool = False) -> np.ndarray:
-    """All vectors in {-1,0,1}^m except zero, as a (3^m - 1, m) float array,
-    or with ``exact`` an object array of Python ints."""
+def sign_patterns(m: int) -> np.ndarray:
+    """All vectors in {-1,0,1}^m except zero, as a (3^m - 1, m) float array."""
     if m == 0:
         return np.zeros((0, 0))
     pats = _product((-1, 0, 1), m)
     # the zero row is the middle one: every digit is the middle value
-    pats = np.delete(pats, len(pats) // 2, axis=0)
-    return pats.astype(object if exact else float)
+    return np.delete(pats, len(pats) // 2, axis=0)
 
 
 def pm_one_patterns(m: int) -> np.ndarray:
     """All vectors in {-1,+1}^m, as a (2^m, m) float array."""
     if m == 0:
         return np.zeros((0, 0))
-    return _product((-1, 1), m).astype(float)
+    return _product((-1, 1), m)
 
 
 def gaussian_sphere(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
@@ -95,79 +95,72 @@ def simplex_uniform(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
     return rng.dirichlet(np.ones(m), size=count)
 
 
+def integer_image(rows: np.ndarray) -> np.ndarray:
+    """``rows``, in place, scaled to largest |entry| ``SCALE`` and rounded."""
+    rows *= SCALE / np.max(np.abs(rows), axis=1, keepdims=True)
+    return np.rint(rows, out=rows)
+
+
+def grid_image(points: np.ndarray) -> np.ndarray:
+    """Simplex points, in place, on the 2^-``GRID_BITS`` grid: each coordinate
+    but a row's largest is floored, and the largest takes the rest.  Float
+    adds these multiples of 2^-GRID_BITS exactly, so the mass is exactly 1;
+    the floored ones sum to at most what the largest leaves, so it is >= 0."""
+    top = (np.arange(len(points)), np.argmax(points, axis=1))
+    points *= 2.0**GRID_BITS
+    np.floor(points, out=points)
+    points *= 2.0**-GRID_BITS
+    points[top] = 0.0
+    points[top] = 1.0 - points.sum(axis=1)
+    return points
+
+
+def _random_rows(m: int, budget: SamplingBudget) -> list:
+    """The Gaussian and then the Dirichlet rows of ``coefficient_samples``."""
+    rng = np.random.default_rng(budget.seed)
+    n_gauss = budget.count - budget.count // 2
+    return [gaussian_sphere(rng, n_gauss, m), simplex_uniform(rng, budget.count // 2, m)]
+
+
 def coefficient_samples(
     m: int, budget: SamplingBudget, pm_one: bool = False, exact: bool = False
 ) -> np.ndarray:
     """Pooled evaluation set for scalar-coefficient certificates; with
     ``pm_one``, every +-1 pattern comes first.  With ``exact`` (rational
-    mode) the rows are the sign patterns and then ``rational_vectors``, as an
-    object array of Python ints."""
+    mode) the random rows are ``rational_vectors``."""
     parts = [pm_one_patterns(m)] if pm_one else []
     if m <= EXHAUSTIVE_LIMIT:
-        parts.append(sign_patterns(m, exact))
-    if budget.count > 0 and exact:
-        parts.append(np.array(rational_vectors(m, budget), dtype=object))
-    elif budget.count > 0:
-        rng = np.random.default_rng(budget.seed)
-        n_gauss = budget.count - budget.count // 2
-        parts.append(gaussian_sphere(rng, n_gauss, m))
-        parts.append(simplex_uniform(rng, budget.count // 2, m))
+        parts.append(sign_patterns(m))
+    if budget.count > 0:
+        parts += [rational_vectors(m, budget)] if exact else _random_rows(m, budget)
     if not parts:
         raise ParameterError("empty sampling budget: no sign patterns and count=0")
     return np.concatenate(parts, axis=0)
 
 
-def simplex_points(m: int, budget: SamplingBudget, exact: bool) -> np.ndarray:
-    """``budget.count`` points of the probability simplex as rows: Dirichlet
-    draws, or with ``exact`` the ``rational_simplex`` points as an object
-    array of Fractions."""
-    if exact:
-        return np.array(rational_simplex(m, budget), dtype=object).reshape(budget.count, m)
-    return simplex_uniform(np.random.default_rng(budget.seed), budget.count, m)
+def rational_vectors(m: int, budget: SamplingBudget) -> np.ndarray:
+    """The ``integer_image`` of the random rows of ``coefficient_samples``."""
+    return integer_image(np.concatenate(_random_rows(m, budget)))
+
+
+def simplex_points(m: int, budget: SamplingBudget, exact: bool = False) -> np.ndarray:
+    """``budget.count`` Dirichlet draws as rows; with ``exact``, their ``grid_image``."""
+    return next(simplex_halves(m, budget, exact))
 
 
 def simplex_halves(m: int, budget: SamplingBudget, exact: bool) -> Iterator[np.ndarray]:
-    """The first and then the second half of ``simplex_points(m,
-    SamplingBudget(2 * budget.count, budget.seed), exact)``.  In float mode
-    they are two draws of ``budget.count`` rows from one generator, the same
-    bits, so the second is drawn only after the first is taken."""
-    if exact:
-        pts = simplex_points(m, SamplingBudget(2 * budget.count, budget.seed), True)
-        yield from (pts[: budget.count], pts[budget.count :])
-    else:
-        rng = np.random.default_rng(budget.seed)
-        yield from (simplex_uniform(rng, budget.count, m) for _ in range(2))
+    """Two draws of ``budget.count`` rows from one generator, the first being
+    ``simplex_points``; the first is freed once taken, before the second is drawn."""
+    rng = np.random.default_rng(budget.seed)
+    image = grid_image if exact else np.asarray  # np.asarray: the draw as it is
+    yield from (image(simplex_uniform(rng, budget.count, m)) for _ in range(2))
 
 
 def simplex_samples(m: int, budget: SamplingBudget, exact: bool = False) -> np.ndarray:
-    """Convex-coefficient evaluation set: all vertices, then ``simplex_points``;
-    with ``exact`` the vertices are Python ints."""
-    vertices = np.eye(m, dtype=object if exact else float)
-    return np.concatenate([vertices, simplex_points(m, budget, exact)], axis=0)
+    """Convex-coefficient evaluation set: all vertices, then ``simplex_points``."""
+    return np.concatenate([np.eye(m), simplex_points(m, budget, exact)], axis=0)
 
 
-def rational_vectors(m: int, budget: SamplingBudget):
-    """Deterministic integer coefficient vectors in [-3, 3]^m for RATIONAL mode."""
-    rng = np.random.default_rng(budget.seed)
-    out = []
-    draws = rng.integers(-3, 4, size=(budget.count, m)) if budget.count else []
-    for row in draws:
-        if not np.any(row):
-            row = row.copy()
-            row[0] = 1
-        out.append(tuple(int(v) for v in row))
-    return out
-
-
-def rational_simplex(m: int, budget: SamplingBudget):
-    """Deterministic rational simplex points: integer weights in [0, 64] over their sum."""
-    rng = np.random.default_rng(budget.seed)
-    out = []
-    for _ in range(budget.count):
-        ks = rng.integers(0, 65, size=m)
-        total = int(ks.sum())
-        if total == 0:
-            ks[0] = 1
-            total = 1
-        out.append(tuple(Fraction(int(k), total) for k in ks))
-    return out
+def rational_simplex(m: int, budget: SamplingBudget) -> list:
+    """The exact values of ``simplex_points(m, budget, exact=True)``, as tuples."""
+    return [tuple(map(exact_value, row)) for row in simplex_points(m, budget, True).tolist()]

@@ -22,7 +22,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arithmetic import FLOAT, RATIONAL, Real, coerce, is_finite, validate_arithmetic
+from .arithmetic import FLOAT, RATIONAL, Real, coerce, exact_value, is_finite, validate_arithmetic
 from .certificates import Certificate
 from .errors import DependenceError, ParameterError
 from .sampling import SamplingBudget, coefficient_samples
@@ -234,6 +234,7 @@ def _eval_rows(m: int, budget: SamplingBudget, arithmetic: str, *seqs: BasicSequ
 
 
 _FRACTION = np.frompyfunc(Fraction, 1, 1)
+_EXACT = np.frompyfunc(exact_value, 1, 1)
 
 
 def _guard(arithmetic: str):
@@ -388,13 +389,14 @@ def _scan(
     widest rows the norms' kernels fill (``RowNorms.width``; a block of
     coefficient rows is a view).  So no span of every row is built, and a
     james span's block is one block of its DP.  Rational mode's exact pass
-    over the kept rows is one call."""
+    over the kept rows, as their ``exact_value``s, is one call."""
     width = max(q.width or coeffs.shape[1] for q in norms)
     if arithmetic == RATIONAL:
         qs = [_interval(q) for q in blockwise([q.enclosure for q in norms], coeffs, width)]
         reach = [_can_reach_min(*_combination(*((c, qs[i]) for c, i in m))) for m in margins]
         reach += [_ratio_reach(qs[n], qs[d]) for n, d in ratios]
         coeffs = coeffs[np.logical_or.reduce(reach)]
+        coeffs = coeffs if coeffs.dtype == object else _EXACT(coeffs)
         values = [q.exact(coeffs) for q in norms]
     else:
         values = blockwise([q.exact for q in norms], coeffs, width)

@@ -36,7 +36,7 @@ kept as an independent check of the batch DP.
 
 Each exact kernel that a certificate scan reads has a float enclosure,
 ``norm_enclosure`` (sup, ell_1 and lin, of the rows or of their product
-with a family matrix): it evaluates the float image of the ``object`` rows
+with a family matrix): it evaluates the float image of the exact rows
 and returns ``(value, radius)`` with |value - exact| <= radius for every
 row.  The summing-basis norm is the sup norm of c @ U, U the
 lower-triangular ones matrix whose rows are the u_i, so its enclosure is
@@ -371,12 +371,12 @@ TINY = 2.0**-500
 
 
 def _float_image(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The entries of an ``object`` array rounded to float (Python's int and
-    Fraction conversions round to nearest), and per row whether every entry
+    """The entries of an array as floats (an ``object`` array's int and
+    Fraction entries round to nearest), and per row whether every entry
     is exactly 0 or rounds to at least TINY in magnitude.  An entry beyond
     the float range leaves no row enclosed."""
     try:
-        flt = mat.astype(float)
+        flt = np.asarray(mat, dtype=float)
     except OverflowError:
         return np.zeros(mat.shape), np.zeros(len(mat), dtype=bool)
     small = np.abs(flt) < TINY
@@ -388,8 +388,8 @@ def norm_enclosure(
     coeffs: np.ndarray, tag: NormTag, basis: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Float value and radius around the exact ``norm_batch(coeffs @ basis,
-    tag)`` (``norm_batch(coeffs, tag)`` without a basis) of every ``object``
-    row c of coeffs, for a piecewise-linear tag: |value - exact| <= radius.
+    tag)`` (``norm_batch(coeffs, tag)`` without a basis) of every row c of
+    coeffs, read exactly, for a piecewise-linear tag: |value - exact| <= radius.
 
     The value is the float kernel on the float image y^ = fl(c^ X^).  With
     m coefficients, N coordinates, u = 2^-53 and S = sum_j (|c| |X|)_j:

@@ -1,7 +1,8 @@
 """Rational-mode certificates against brute-force scalar references.
 
-Every rational op runs the shared numpy scan on exact object arrays.  The
-references below loop over the same evaluation set one point at a time,
+Every rational op runs the shared numpy scan, exact on the rows it keeps.
+The references below loop over the same evaluation set, the exact values
+of its float rows (``exact_tuples``), one point at a time,
 through the scalar ``span_norm`` / ``apply_map`` / ``fixed_point_residual``,
 keeping the first point that attains each extreme.
 """
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqcert.arithmetic import RATIONAL
+from seqcert.arithmetic import RATIONAL, exact_value
 from seqcert.blocks import (
     ConvexBlockSpec,
     build_convex_blocks,
@@ -61,8 +62,13 @@ FAMILIES = {
 }
 
 
+def exact_tuples(rows):
+    """Float rows of an evaluation set as tuples of their exact values."""
+    return [tuple(map(exact_value, row)) for row in rows.tolist()]
+
+
 def eval_rows(m):
-    return [tuple(row) for row in coefficient_samples(m, BUDGET, exact=True)]
+    return exact_tuples(coefficient_samples(m, BUDGET, exact=True))
 
 
 class Extremes:
@@ -242,9 +248,8 @@ def test_bilipschitz_matches_reference(family, map_name):
     pairs; the extremes over p then go to the first p attaining them."""
     spec, p_max = rational_maps(family)[map_name], 2
     n = start_length(spec.variant, spec.policy, len(family), p_max)
-    rows = _pair_rows(n, BUDGET, include_equal=False, arithmetic=RATIONAL)
-    X, Y = rows[:, :n], rows[:, n:]
-    pairs = [(tuple(x), tuple(y)) for x, y in zip(X, Y)]
+    rows = exact_tuples(_pair_rows(n, BUDGET, include_equal=False, arithmetic=RATIONAL))
+    pairs = [(row[:n], row[n:]) for row in rows]
     pairs = [(x, y) for x, y in pairs if family.span_norm([a - b for a, b in zip(x, y)]) != 0]
     per_p = {p: Extremes() for p in range(1, p_max + 1)}
     for p, extremes in per_p.items():

@@ -342,7 +342,9 @@ arithmetic = rational
 
 
 def test_rational_residual_evaluates_few_rows_exactly(tmp_path, monkeypatch):
-    """The certificate was recorded when every row was evaluated exactly."""
+    """The certificate was recorded when every row was evaluated exactly.
+    Its mode was re-recorded when it began to count the n vertices it
+    evaluates (it read "exhaustive+..." though no sign pattern is drawn)."""
     path = tmp_path / "residual.cfg"
     path.write_text(RESIDUAL_CONFIG)
     cfg = load_config(str(path))
@@ -361,7 +363,7 @@ def test_rational_residual_evaluates_few_rows_exactly(tmp_path, monkeypatch):
         "constants": {"evaluated": 208, "min_residual": "14913081/17179870208"},
         "holds": True,
         "witness": {"argmin": [0, 0, 0, 0, 0, 0, 0, 1]},
-        "mode": "exhaustive+sampled(count=200,seed=5)",
+        "mode": "vertices(8)+sampled(count=200,seed=5)",
         "arithmetic": "rational",
         "flags": [],
     }

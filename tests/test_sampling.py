@@ -1,18 +1,16 @@
 """Evaluation sets in both arithmetic modes come from ``seqcert.sampling``.
 
-The exact coefficient rows are pinned to the rows the rational scans
-evaluated before the float and exact rules were merged into one module
-(sha256 of their JSON list, and the rows themselves where they are few).
-Exact simplex sets hold ``int`` vertices and then ``Fraction`` points of
-mass exactly 1.  The pair sampler takes its x and y halves one after the
-other; they are bit for bit the halves of one draw of 2k simplex points,
-and in float mode two draws of k points each.  No other module names the
-mode-specific samplers.
+Each set is drawn once, in float.  Rational mode evaluates the exact images
+of that draw: the sign patterns as they are, each random coefficient row
+scaled to largest |entry| ``SCALE`` and rounded to integers, and each
+simplex point on the 2^-``GRID_BITS`` grid with mass exactly 1.  The pair
+sampler takes its x and y halves one after the other; they are bit for bit
+the halves of one draw of 2k simplex points, in both modes, and it never
+holds both.  No other module names the mode-specific samplers.
 """
 
 import ast
-import hashlib
-import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,66 +18,89 @@ import numpy as np
 import pytest
 
 import seqcert
-from seqcert.arithmetic import FLOAT, RATIONAL
+from seqcert.arithmetic import FLOAT, RATIONAL, exact_value
 from seqcert.errors import ParameterError
-from seqcert.fpmaps import ConvexCoefficients, _pair_rows
+from seqcert.fpmaps import AffineMapSpec, ConvexCoefficients, _pair_rows, bilipschitz_estimate
 from seqcert.sampling import (
+    EXHAUSTIVE_LIMIT,
+    GRID_BITS,
+    SCALE,
     SamplingBudget,
     coefficient_samples,
     rational_simplex,
+    rational_vectors,
     simplex_points,
     simplex_samples,
     simplex_uniform,
 )
-
-# (m, count, seed): (rows, sha256 of json.dumps(rows.tolist()))
-RECORDED_EXACT_ROWS = {
-    (3, 0, 1): (26, "cc5bd1f601b5d75111a95d5fabc0def39f3976e42a2a0a1de68993bcccbe587e"),
-    (3, 30, 5): (56, "fd05c20eec590aa398a651e6d06a0d2dd14ac05e15339d3adc4636a75a078b74"),
-    (10, 0, 1): (59048, "77c0ed4810d54bb7ea9b5224ec0220ff5b6a36e0e23944a5bc99b53025c15b97"),
-    (10, 30, 5): (59078, "40fd8db70e65e5b316d746bc5bfbde70420abcf5c759e38f798913766a651b58"),
-    (11, 30, 5): (30, "7249e9d2e5e669d65d0b691b8ba01fc1038febf7214feee93707a8791642a2cb"),
-}
-
-RECORDED_M11_ROWS = [
-    [2, -3, -2, -2, -2, 2, 3, 1, -3, -3, -1],
-    [0, 1, 0, -2, -2, 1, 2, -3, -3, 0, -1],
-    [3, 0, -1, 0, 1, 1, -2, 2, 2, 3, 2],
-    [-2, -1, 1, 1, 1, 3, -1, 3, -3, -3, 3],
-    [3, -1, -3, -1, -3, 3, 1, 1, -2, 0, -2],
-    [2, 0, -3, -2, 1, 0, -1, -2, -3, 1, 1],
-    [0, 3, 3, -2, 1, 1, -2, -1, 0, 2, -1],
-]
+from seqcert.sequences import builtin_sequence
 
 
-@pytest.mark.parametrize("key", sorted(RECORDED_EXACT_ROWS))
-def test_exact_coefficient_rows_are_the_recorded_rows(key):
-    m, count, seed = key
-    rows = coefficient_samples(m, SamplingBudget(count, seed), exact=True)
-    length, digest = RECORDED_EXACT_ROWS[key]
-    assert rows.dtype == object and rows.shape == (length, m)
-    assert all(type(v) is int for v in rows.flat)
-    assert hashlib.sha256(json.dumps(rows.tolist()).encode()).hexdigest() == digest
+def exact_tuples(rows):
+    return [tuple(map(exact_value, row)) for row in rows.tolist()]
 
 
-def test_exact_coefficient_rows_past_the_exhaustive_limit():
+@pytest.mark.parametrize("m,count,seed", [(3, 0, 1), (3, 30, 5), (10, 0, 1), (10, 31, 5), (11, 30, 5), (40, 9, 2)])
+def test_rational_coefficient_rows_are_images_of_the_float_rows(m, count, seed):
+    """The sign patterns are the float ones; each random row is its float
+    row scaled to largest |entry| SCALE and rounded to integers."""
+    budget = SamplingBudget(count, seed)
+    floats, rows = coefficient_samples(m, budget), coefficient_samples(m, budget, exact=True)
+    patterns = 3**m - 1 if m <= EXHAUSTIVE_LIMIT else 0
+    assert rows.dtype == float and rows.shape == floats.shape == (patterns + count, m)
+    assert rows[:patterns].tobytes() == floats[:patterns].tobytes()
+    ints, drawn = rows[patterns:], floats[patterns:]
+    assert ints.tobytes() == rational_vectors(m, budget).tobytes()
+    assert np.all(ints == np.rint(ints))
+    assert np.all(np.max(np.abs(ints), axis=1) == SCALE)
+    scaled = drawn * (SCALE / np.max(np.abs(drawn), axis=1, keepdims=True))
+    assert np.all(np.abs(ints - scaled) <= 0.5)
+    assert all(type(v) is int for row in exact_tuples(rows) for v in row)
+
+
+def test_rational_coefficient_rows_past_the_exhaustive_limit():
+    """A few rows recorded when they became the integer images of the float draw."""
     rows = coefficient_samples(11, SamplingBudget(7, 3), exact=True)
-    assert rows.tolist() == RECORDED_M11_ROWS
+    assert exact_tuples(rows) == [
+        (39, -49, 8, -11, -9, -4, -39, -4, -17, 64, 4),
+        (-15, -12, -28, -44, -16, 20, -10, 40, -8, 1, 64),
+        (18, -17, -6, 18, 64, -9, -8, 33, -29, -10, 29),
+        (13, 2, 15, -64, 23, -22, -38, 6, 16, -10, -24),
+        (29, 64, 3, 34, 10, 7, 3, 45, 2, 21, 9),
+        (38, 17, 64, 3, 3, 27, 7, 41, 17, 8, 51),
+        (5, 64, 47, 5, 9, 8, 19, 18, 20, 33, 12),
+    ]
     with pytest.raises(ParameterError, match="empty sampling budget"):
         coefficient_samples(11, SamplingBudget(0, 1), exact=True)
 
 
+@pytest.mark.parametrize("m", [1, 2, 6, 63])
+@pytest.mark.parametrize("count,seed", [(1, 0), (200, 4)])
+def test_rational_simplex_points_are_grid_images_of_the_float_points(m, count, seed):
+    """Each grid point is >= 0, has mass exactly 1 as Fractions, and lies
+    within m 2^-GRID_BITS of its Dirichlet draw."""
+    budget = SamplingBudget(count, seed)
+    floats, grid = simplex_points(m, budget), simplex_points(m, budget, exact=True)
+    assert grid.dtype == float and grid.shape == floats.shape == (count, m)
+    assert np.all(grid >= 0)
+    assert np.all(grid * 2**GRID_BITS == np.floor(grid * 2**GRID_BITS))
+    assert np.all(np.abs(grid - floats) <= m * 2.0**-GRID_BITS)
+    points = rational_simplex(m, budget)
+    assert points == exact_tuples(grid)
+    assert all(sum(map(Fraction, t)) == 1 for t in points)
+
+
 @pytest.mark.parametrize("count", [0, 1, 25])
-def test_exact_simplex_samples_are_int_vertices_then_fraction_points(count):
+def test_exact_simplex_samples_are_int_vertices_then_grid_points(count):
     m = 6
     rows = simplex_samples(m, SamplingBudget(count, 4), exact=True)
-    assert rows.dtype == object and rows.shape == (m + count, m)
-    assert rows[:m].tolist() == np.eye(m, dtype=int).tolist()
-    assert all(type(v) is int for v in rows[:m].flat)
-    assert all(type(v) is Fraction for v in rows[m:].flat)
-    assert rows[m:].tolist() == [list(t) for t in rational_simplex(m, SamplingBudget(count, 4))]
-    for row in rows:
-        ConvexCoefficients.of(row)
+    assert rows.dtype == float and rows.shape == (m + count, m)
+    points = exact_tuples(rows)
+    assert points[:m] == [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    assert all(type(v) is int for t in points[:m] for v in t)
+    assert points[m:] == rational_simplex(m, SamplingBudget(count, 4))
+    for t in points:
+        ConvexCoefficients.of(t)
 
 
 def test_float_simplex_samples_are_vertices_then_dirichlet_draws():
@@ -104,24 +125,44 @@ def test_float_pairs_split_one_draw_into_two_sequential_draws(n, count):
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 40])
-def test_rational_pairs_are_halves_of_the_rational_simplex_points(count):
+def test_rational_pairs_are_grid_images_of_the_float_pairs(count):
+    """Rational mode pairs ``count`` points, as float mode does: the grid
+    images of the float halves, the x half being ``rational_simplex``."""
     n = 4
     rows = _pair_rows(n, SamplingBudget(count, 9), include_equal=True, arithmetic=RATIONAL)
-    X, Y = rows[:, :n], rows[:, n:]
-    points = [list(t) for t in rational_simplex(n, SamplingBudget(count, 9))]
-    half = count // 2
-    assert X[n * n :].tolist() == points[:half]
-    assert Y[n * n :].tolist() == points[half : 2 * half]
+    floats = _pair_rows(n, SamplingBudget(count, 9), include_equal=True, arithmetic=FLOAT)
+    assert rows.shape == floats.shape == (n * n + count, 2 * n)
+    assert rows[: n * n].tobytes() == floats[: n * n].tobytes()
+    assert [t[:n] for t in exact_tuples(rows[n * n :])] == rational_simplex(n, SamplingBudget(count, 9))
+    for half in (rows[n * n :, :n], rows[n * n :, n:]):
+        assert np.all(half.sum(axis=1) == 1.0)
+    assert np.all(np.abs(rows - floats) <= n * 2.0**-GRID_BITS)
+
+
+def test_rational_bilipschitz_evaluates_every_pair(monkeypatch):
+    """A rational bilipschitz check scans the n(n-1) vertex pairs and then
+    ``pairs`` simplex pairs, under the label that names that many."""
+    scanned = []
+    scan = seqcert.fpmaps._scan
+
+    def counted(coeffs, *args, **kwargs):
+        scanned.append(len(coeffs))
+        return scan(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(seqcert.fpmaps, "_scan", counted)
+    s, n, pairs = builtin_sequence("lin_ell1", 6), 6, 25
+    cert = bilipschitz_estimate(AffineMapSpec.bilateral(), s, SamplingBudget(pairs, 3), 1, RATIONAL)
+    assert scanned == [n * (n - 1) + pairs]
+    assert cert.mode == f"vertex-pairs({n * (n - 1)})+sampled(count={pairs},seed=3)"
 
 
 def one_draw_pair_rows(n, budget, include_equal, arithmetic):
     """The pair rows as first built: the x and y halves of one
     ``simplex_points`` draw of 2k points, held whole while they are copied."""
     i, j = np.nonzero(~np.eye(n, dtype=bool) | include_equal)
-    exact = arithmetic == RATIONAL
-    k = budget.count // 2 if exact else budget.count
-    pts = simplex_points(n, SamplingBudget(2 * k, budget.seed), exact)
-    rows = np.zeros((len(i) + k, 2 * n), dtype=object if exact else float)
+    k = budget.count
+    pts = simplex_points(n, SamplingBudget(2 * k, budget.seed), arithmetic == RATIONAL)
+    rows = np.zeros((len(i) + k, 2 * n))
     rows[np.arange(len(i)), i] = 1
     rows[np.arange(len(i)), n + j] = 1
     rows[len(i) :, :n], rows[len(i) :, n:] = pts[:k], pts[k:]
@@ -137,11 +178,23 @@ def test_pair_rows_are_the_one_draw_pair_rows(arithmetic, n, count, seed, includ
     rows = _pair_rows(n, budget, include_equal, arithmetic)
     oracle = one_draw_pair_rows(n, budget, include_equal, arithmetic)
     assert rows.dtype == oracle.dtype and rows.shape == oracle.shape
-    if arithmetic == FLOAT:
-        assert rows.tobytes() == oracle.tobytes()
-    else:
-        assert rows.tolist() == oracle.tolist()
-        assert [type(v) for v in rows.flat] == [type(v) for v in oracle.flat]
+    assert rows.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("arithmetic", [FLOAT, RATIONAL])
+@pytest.mark.parametrize("include_equal", [False, True])
+def test_pair_rows_hold_one_half_at_a_time(arithmetic, include_equal):
+    """The traced peak of theorem41's pair rows is the rows plus about one
+    half (its draw and, in rational mode, its grid image in place): holding
+    the x half while the y half is drawn would add a second."""
+    tracemalloc.start()
+    try:
+        rows = _pair_rows(63, SamplingBudget(10000, 7), include_equal, arithmetic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    half = 10000 * 63 * 8
+    assert peak <= rows.nbytes + 1.5 * half
 
 
 MODE_SAMPLERS = {"rational_vectors", "rational_simplex", "simplex_uniform"}

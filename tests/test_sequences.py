@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqcert.arithmetic import FLOAT, RATIONAL
+from seqcert.arithmetic import FLOAT, RATIONAL, exact_value
 from seqcert.cli import main
 from seqcert.errors import DependenceError, ParameterError
 from seqcert.sampling import SamplingBudget, pm_one_patterns, sign_patterns
@@ -294,16 +294,16 @@ def test_non_finite_vector_norm_rejected():
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_sign_patterns_follow_product_order(m):
-    """One integer grid gives the float and the exact patterns, row for row
-    those of ``itertools.product``: float bits, and Python ints when exact."""
+    """The patterns are row for row those of ``itertools.product``, as float
+    bits, and their exact values (what a rational scan evaluates) are the
+    Python ints."""
     nonzero = [p for p in itertools.product((-1, 0, 1), repeat=m) if any(p)]
     floats = sign_patterns(m)
     assert floats.dtype == float
     assert floats.tobytes() == np.array(nonzero, dtype=float).tobytes()
-    exact = sign_patterns(m, exact=True)
-    assert exact.dtype == object
-    assert [tuple(row) for row in exact] == nonzero
-    assert all(type(v) is int for v in exact.ravel())
+    exact = [tuple(map(exact_value, row)) for row in floats.tolist()]
+    assert exact == nonzero
+    assert all(type(v) is int for row in exact for v in row)
     pm_one = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
     assert pm_one_patterns(m).tobytes() == pm_one.tobytes()
 
