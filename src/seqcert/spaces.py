@@ -26,8 +26,11 @@ so no bit depends on the blocks.
 Each norm is written once, as a batch kernel over the rows of a 2-D numpy
 array.  A float array is evaluated in float; an ``object`` array holding
 int/Fraction entries keeps them, so the piecewise-linear norms (sup, ell_1,
-lin, and the summing-basis norm) are exact on it.  The scalar entry points
-(``norm``, ``james_summing_norm``, ``summing_basis_norm``)
+lin, and the summing-basis norm) are exact on it.  Exact lin runs on
+integer keys (``_lin_exact``): the tail sums of |D x|, D the lcm of the
+entries' denominators, times the integer weights L * lin_weight(k), L the
+lcm of the 1 + 8^k, so a row costs one Fraction, its norm.  The scalar
+entry points (``norm``, ``james_summing_norm``, ``summing_basis_norm``)
 evaluate one row of that kernel: ``row_array`` makes a row with no float
 entry an ``object`` row, so exact inputs stay exact, and ``scalar`` returns
 the result as a built-in float, int or Fraction.  The ``james`` power sum
@@ -50,6 +53,7 @@ reach an extreme, and evaluate only those exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
@@ -339,15 +343,41 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
                 return np.sum(np.abs(mat), axis=1)
             return np.sum(np.abs(mat) ** p, axis=1) ** (1.0 / p)
     if tag.variant == LIN:
-        # exact weights on object rows; initial=0 keeps an all-zero exact row's norm the int 0
         if mat.dtype == object:
-            weights = np.array([lin_weight(k) for k in range(1, n + 1)], dtype=object)
-        else:
-            weights = lin_weights_float(n)
+            return _lin_exact(mat)
         with np.errstate(over="ignore"):
             tails = np.cumsum(np.abs(mat)[:, ::-1], axis=1)[:, ::-1]
-        return np.max(tails * weights, axis=1, initial=0)
+        return np.max(tails * lin_weights_float(n), axis=1)
     return james_power_sums_batch(mat, tag.p) ** (1.0 / float(tag.p))
+
+
+def _lin_exact(mat: np.ndarray) -> np.ndarray:
+    """The lin norm of every row of an ``object`` array of int/Fraction
+    entries, in integers.  With L the lcm of the 1 + 8^k, k = 1..N, each
+    c_k = L * lin_weight(k) is an integer; with D the lcm of the entries'
+    denominators, each t_k = sum_{n>=k} |D x(n)| is an integer tail sum, and
+    a row's norm is max_k c_k t_k / (L D).  So the weights cost N Fractions
+    a call, and a row integer sums, products and compares and one reduced
+    Fraction; an all-zero row gets the int 0 (a report writes Fraction(0)
+    as "0/1")."""
+    rows, n = mat.shape
+    weights = [lin_weight(k) for k in range(1, n + 1)]
+    scale = math.lcm(*(w.denominator for w in weights))
+    scaled = np.array([scale // w.denominator * w.numerator for w in weights], dtype=object)
+    flat = mat.ravel().tolist()
+    if not {int, Fraction}.issuperset(map(type, flat)):
+        # numpy integers (a row of a numpy int array) would multiply in 64 bits
+        flat = [x.item() if isinstance(x, np.generic) else x for x in flat]
+    den = math.lcm(*{x.denominator for x in flat})
+    keys = np.array([abs(x.numerator) * (den // x.denominator) for x in flat], dtype=object).reshape(rows, n)
+    # one column at a time: at N = 64, L has about 5 000 bits, and every
+    # product at once would hold rows x N such integers
+    tail = top = np.zeros(rows, dtype=object)
+    for k in range(n - 1, -1, -1):
+        tail = tail + keys[:, k]
+        top = np.maximum(top, tail * scaled[k])
+    scale *= den
+    return np.array([Fraction(t, scale) if t else 0 for t in top.tolist()], dtype=object)
 
 
 def summing_basis_norm_batch(mat: np.ndarray) -> np.ndarray:
@@ -380,7 +410,10 @@ def _float_image(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     except OverflowError:
         return np.zeros(mat.shape), np.zeros(len(mat), dtype=bool)
     small = np.abs(flt) < TINY
-    small[small] = mat[small] != 0
+    if mat.dtype == object:
+        small[small] = mat[small] != 0  # an exact nonzero may round to 0
+    else:
+        small &= flt != 0
     return flt, ~small.any(axis=1)
 
 

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqcert.arithmetic import exact_value, scalar_to_json
 from seqcert.errors import ParameterError
 from seqcert.spaces import (
+    TINY,
     CoordinateVector,
     NormTag,
+    _float_image,
     james_power_sum_exact,
     james_power_sums_batch,
     james_summing_norm,
@@ -93,19 +96,99 @@ def test_lin_norm_examples_exact():
     assert lin_norm(()) == 0
 
 
-def test_lin_kernel_on_exact_rows():
-    """The one lin kernel on object rows: an all-zero row gives the int 0,
-    which a report writes as 0 (Fraction(0) would be "0/1"), and every other
-    row the Fraction max_k lin_weight(k) * sum_{n>=k} |x_n|."""
-    rows = [(0, 0, 0, 0), (1, -2, 3, 0), (0, 0, 0, 5), (Fraction(1, 3), 0, Fraction(-5, 7), Fraction(2, 9))]
+def lin_oracle(row):
+    """max_k lin_weight(k) * sum_{n>=k} |x_n| of one exact row, term by term
+    in Fraction arithmetic; the int 0 for an all-zero row."""
+    best = 0
+    for k in range(1, len(row) + 1):
+        best = max(best, lin_weight(k) * sum(abs(x) for x in row[k - 1 :]))
+    return best
+
+
+def assert_lin_kernel_is_the_oracle(rows):
+    """The lin kernel on the object rows gives each row's ``lin_oracle``: a
+    Fraction on a nonzero row, and on an all-zero row the int 0, which a
+    report writes as 0 (Fraction(0) would be "0/1")."""
     got = norm_batch(np.array(rows, dtype=object), NormTag.lin())
-    assert type(got[0]) is int and got[0] == 0
+    for row, value in zip(rows, got):
+        assert type(value) is (int if not any(row) else Fraction)
+        assert value == lin_oracle(row)
+
+
+def test_lin_kernel_on_exact_rows():
+    rows = [(0, 0, 0, 0), (1, -2, 3, 0), (0, 0, 0, 5), (Fraction(1, 3), 0, Fraction(-5, 7), Fraction(2, 9))]
+    assert_lin_kernel_is_the_oracle(rows)
     assert type(lin_norm((0, 0))) is int
-    for row, value in zip(rows[1:], got[1:]):
-        best = 0
-        for k in range(1, len(row) + 1):
-            best = max(best, lin_weight(k) * sum(abs(x) for x in row[k - 1 :]))
-        assert type(value) is Fraction and value == best
+
+
+@pytest.mark.parametrize("n", [1, 9, 16, 64])
+@pytest.mark.parametrize("kind", ["int", "grid", "mixed"])
+def test_exact_lin_kernel_matches_the_oracle(n, kind):
+    """The integer-key kernel against the term-by-term oracle: int rows,
+    rows on the 2^-10 grid, and rows whose denominators (3, 7, 2^-10, ...)
+    share no factor, each batch with negative entries and an all-zero row."""
+    rng = np.random.default_rng(n)
+    if kind == "int":
+        rows = rng.integers(-3, 4, size=(12, n)).tolist()
+    elif kind == "grid":
+        rows = [[Fraction(int(v), 1 << 10) for v in r] for r in rng.integers(-2048, 2049, size=(12, n))]
+    else:
+        nums = rng.integers(-50, 51, size=(12, n))
+        dens = rng.choice([1, 3, 7, 9, 1 << 10, 11 * 13], size=(12, n))
+        rows = [[Fraction(int(a), int(b)) for a, b in zip(*r)] for r in zip(nums, dens)]
+    rows += [[0] * n, [Fraction(-1, 3)] + [0] * (n - 1), [0] * (n - 1) + [Fraction(1, 7)]]
+    assert_lin_kernel_is_the_oracle([tuple(r) for r in rows])
+
+
+def test_exact_lin_kernel_reads_numpy_integers_as_python_ints():
+    """A numpy int array's entries reach the exact kernel as np.int64
+    scalars; the kernel works in Python ints, since np.int64 products of
+    these entries and the lin weights would overflow."""
+    v = np.array([2**40, -3, 2**50] * 3)
+    assert norm(v, NormTag.lin()) == lin_oracle(tuple(int(x) for x in v))
+    rows = np.array([[np.int64(2**62), np.int64(2**62), 1]], dtype=object)
+    assert norm_batch(rows, NormTag.lin())[0] == lin_oracle((2**62, 2**62, 1))
+
+
+def test_exact_lin_kernel_keeps_integral_values_as_fractions():
+    """lin((9, 0)) = (8/9) * 9 = 8 comes back as Fraction(8), as the weighted
+    Fraction products gave it, and a report writes it "8/1"."""
+    [value] = norm_batch(np.array([[9, 0]], dtype=object), NormTag.lin())
+    assert type(value) is Fraction and value == 8
+    assert scalar_to_json(value) == "8/1"
+
+
+def test_exact_lin_kernel_makes_one_fraction_per_row(monkeypatch):
+    """A count, not a timing: besides the N weights lin_weight(k) of the
+    width, the exact lin kernel makes at most one Fraction per row, the norm
+    itself; its tail sums, products and maxima are integers.  Every Fraction
+    made counts, by a constructor call or by Fraction arithmetic (which in
+    some Python versions skips __new__)."""
+    rng = np.random.default_rng(5)
+    rows = [[Fraction(int(v), 1 << 10) if i % 2 else int(v) for i, v in enumerate(r)]
+            for r in rng.integers(-1024, 1025, size=(40, 9))] + [[0] * 9]
+    mat = np.array(rows, dtype=object)
+    expected = [lin_oracle(row) for row in rows]
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        from_ints = Fraction._from_coprime_ints
+
+        def counting_from_ints(cls, numerator, denominator):
+            made.append(cls)
+            return from_ints(numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_from_ints))
+    got = norm_batch(mat, NormTag.lin())
+    monkeypatch.undo()
+    assert list(got) == list(expected)
+    assert 0 < len(made) <= 9 + len(rows)  # 0 <: the patches count
 
 
 def test_james_examples():
@@ -289,3 +372,32 @@ def test_summing_basis_norm_vanishes_exactly_on_zero_float_rows(rows):
 def test_summing_basis_norm_vanishes_exactly_on_zero_exact_rows(rows):
     mat = np.array(rows, dtype=object)
     np.testing.assert_array_equal(summing_basis_norm_batch(mat) > 0, mat.any(axis=1))
+
+
+def test_float_image_agrees_on_float_rows_and_their_exact_values():
+    """``_float_image`` of a float array and of its ``object`` image (each
+    entry's ``exact_value``) gives the same floats and the same per-row
+    mask: float input compares the floats with 0, object input its exact
+    entries, and each float entry is its exact value.  The exact value of
+    -0.0 is the int 0, whose float is +0.0, so the floats are compared after
+    adding +0.0, which turns -0.0 into +0.0 and keeps every other bit."""
+    rows = [
+        [0.0, -0.0, 1.0],
+        [0.0, 0.0, 0.0],
+        [2.0**-1074, 1.0, 0.0],
+        [-(2.0**-1074), 0.0, -0.0],
+        [TINY / 2, 3.5, -2.0],
+        [TINY, -TINY, 0.0],
+        [1e308, -1e308, 0.0],
+        [-0.0, TINY, 1e308],
+        [1e308, TINY / 2, -0.25],
+        [0.1, -(2.0**-600), 7.0],
+    ]
+    flt = np.array(rows)
+    exact = np.array([[exact_value(x) for x in row] for row in rows], dtype=object)
+    from_float, from_exact = _float_image(flt), _float_image(exact)
+    assert (from_float[0] + 0.0).tobytes() == (from_exact[0] + 0.0).tobytes()
+    np.testing.assert_array_equal(from_float[1], from_exact[1])
+    np.testing.assert_array_equal(
+        from_float[1], [True, True, False, False, False, True, True, True, False, False]
+    )
