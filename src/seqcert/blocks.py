@@ -17,7 +17,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
+from .arithmetic import FLOAT, RATIONAL, Real, coerce
 from .certificates import Certificate
 from .errors import BlockSpecError, ParameterError
 from .fpmaps import ConvexCoefficients
@@ -99,17 +99,15 @@ def wuc_constant(
 ) -> Certificate:
     """c2_hat = max ||sum t y|| / max|t_i|, a certified lower bound for the
     optimal sup-coefficient domination constant."""
-    validate_arithmetic(arithmetic)
-    m = len(ys)
-    coeffs = _eval_rows(m, budget, arithmetic, ys)
+    rows = _eval_rows(len(ys), budget, arithmetic, ys)
     norms = [row_norms(NormTag.sup()), ys.span_norms()]
-    [(_, c2_hat, _, row, _)] = _scan(coeffs, norms, arithmetic, ratios=[(1, 0)])
+    [(_, c2_hat, _, row, _)] = _scan(rows.coeffs, norms, arithmetic, ratios=[(1, 0)])
     return Certificate(
         kind="wuc_constant",
         constants={"c2_hat": c2_hat},
         holds=True,
         witness={"argmax": _witness(row)},
-        mode=budget.mode_label(m),
+        mode=rows.mode,
         arithmetic=arithmetic,
     )
 
@@ -123,12 +121,10 @@ def summing_equivalence_check(
 ) -> Certificate:
     """Verify c1*||a||_s <= ||sum a X|| <= 2*c2*||a||_s on the evaluated
     set, where ||a||_s is the summing-basis norm of the coefficients."""
-    validate_arithmetic(arithmetic)
     if not (c1 > 0 and c2 > 0):
         raise ParameterError("c1 and c2 must be positive")
-    m = len(bs)
-    coeffs = _eval_rows(m, budget, arithmetic, bs)
-    c1s, c2s = coerce(c1, arithmetic), coerce(c2, arithmetic)
+    rows = _eval_rows(len(bs), budget, arithmetic, bs)
+    coeffs, c1s, c2s = rows.coeffs, coerce(c1, arithmetic), coerce(c2, arithmetic)
     keep = coeffs.any(axis=1)  # ||a||_s = max_k |sum_{i>=k} a_i| > 0 iff a != 0
     skipped = int(len(keep) - np.count_nonzero(keep))
     norms = [bs.span_norms(), summing_norms()]  # ||sum a X|| and ||a||_s
@@ -146,7 +142,7 @@ def summing_equivalence_check(
         },
         holds=bool(holds),
         witness={"worst_lower": _witness(row_lo), "worst_upper": _witness(row_hi)},
-        mode=budget.mode_label(m),
+        mode=rows.mode,
         arithmetic=arithmetic,
     )
 
@@ -159,17 +155,15 @@ def shift_equivalence_constants(
 ) -> Certificate:
     """Per-shift ratio ranges of ||sum a x_{i+p}|| / ||sum a x_i|| and the
     smallest uniform constant L_hat = max_p max(r_max(p), 1/r_min(p))."""
-    validate_arithmetic(arithmetic)
     if not 1 <= p_max < len(s):
         raise ParameterError(f"p_max must lie in 1..{len(s) - 1}, got {p_max}")
-    m = len(s) - p_max
     constants = {"p_max": p_max}
     l_hat = None
     wit = ()
     rejected = 0
-    coeffs = _eval_rows(m, budget, arithmetic, s)
+    rows = _eval_rows(len(s) - p_max, budget, arithmetic, s)
     norms = [s.span_norms(p) for p in range(p_max + 1)]  # norm p is shifted by p
-    scans = _scan(coeffs, norms, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
+    scans = _scan(rows.coeffs, norms, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
     for p, (r_min, r_max, row_min, row_max, rej) in enumerate(scans, start=1):
         rejected += rej
         constants[f"r_min_p{p}"] = r_min
@@ -185,7 +179,7 @@ def shift_equivalence_constants(
         constants=constants,
         holds=True,
         witness={"extreme": wit},
-        mode=budget.mode_label(m),
+        mode=rows.mode,
         arithmetic=arithmetic,
         flags=(f"dependence-evidence(rejected={rejected})",) if rejected else (),
     )
@@ -207,7 +201,6 @@ def lemma79_conclusion_check(
     always recorded, and ``holds`` refers to the one lower_c selects:
     ``"printed"`` or ``None`` (L/2), ``"symmetric"`` (1/(2L)) or a scalar.
     """
-    validate_arithmetic(arithmetic)
     if not L > 0:
         raise ParameterError("L must be positive")
     if not 1 <= p_max < len(s):
@@ -219,8 +212,7 @@ def lemma79_conclusion_check(
     convention = (
         "printed(L/2)" if used == printed else "symmetric(1/(2L))" if used == symmetric else "custom"
     )
-    m = len(s) - p_max
-    coeffs = _eval_rows(m, budget, arithmetic, s)
+    rows = _eval_rows(len(s) - p_max, budget, arithmetic, s)
     c_printed, c_symmetric, c_used, c_L = (coerce(c, arithmetic) for c in (printed, symmetric, used, L))
     # norm p is ||sum a x_{i+p}||; each shift has the printed, symmetric and
     # used lower margins, then the upper one
@@ -228,7 +220,7 @@ def lemma79_conclusion_check(
     for p in range(1, p_max + 1):
         margins += [((1, p), (-c, 0)) for c in (c_printed, c_symmetric, c_used)]
         margins.append(((c_L, 0), (-1, p)))
-    found = _scan(coeffs, [s.span_norms(p) for p in range(p_max + 1)], arithmetic, margins)
+    found = _scan(rows.coeffs, [s.span_norms(p) for p in range(p_max + 1)], arithmetic, margins)
     # the least of each margin over the shifts; the first shift wins ties
     (lo_pr, _), (lo_sy, _), (lo_used, row_lo), (hi_m, row_hi) = (
         min(found[k::4], key=lambda extreme: extreme[0]) for k in range(4)
@@ -247,7 +239,7 @@ def lemma79_conclusion_check(
         },
         holds=bool(holds),
         witness={"worst_lower": _witness(row_lo), "worst_upper": _witness(row_hi)},
-        mode=budget.mode_label(m),
+        mode=rows.mode,
         arithmetic=arithmetic,
         flags=(f"lower-convention={convention}",),
     )

@@ -3,8 +3,9 @@
 A ``CheckKind`` holds the runner, the parameters and, for kinds that read a
 map, the map variant they need (``None``: any) and ``steps``, the number of
 map applications they make as a function of the parsed parameters, which
-``cli.RunContext`` checks against the family's length before any work.
-Kinds that scan coefficient rows from ``sampling.coefficient_samples``
+``cli.RunContext`` checks against the family's length before any work, and
+``least``, the fewest start coefficients (``fpmaps.start_length``) they take.
+Kinds that scan coefficient rows from ``sampling.coefficient_rows``
 declare ``width``, the length of those rows as a function of the parsed
 parameters and the target's length.  With ``samples = 0`` the rows are
 only enumerated patterns, which exist up to length ``enumerated``; the
@@ -33,7 +34,7 @@ from .fpmaps import (
     theta_of_map,
 )
 from .perturbation import claim2_chain, perturb_toward_next, perturbation_sum, psp_equivalence_check
-from .sampling import EXHAUSTIVE_LIMIT, SamplingBudget, simplex_samples
+from .sampling import EXHAUSTIVE_LIMIT, SamplingBudget, simplex_rows
 from .sequences import (
     BUILTIN_NAMES, INEQ_TOL, PM_ONE_LIMIT, _scan, _witness, basis_constant, builtin_sequence,
     domination_constant, equivalence_constants, gap_bound_check, wide_s_certificate,
@@ -52,6 +53,7 @@ class CheckKind:
     params: Dict[str, Param]
     variant: Optional[str] = None
     steps: Optional[Callable[[dict], int]] = None
+    least: int = 1
     width: Optional[Callable[[dict, int], int]] = None
     enumerated: int = EXHAUSTIVE_LIMIT
 
@@ -158,15 +160,14 @@ def _bilipschitz(ctx, args, seed) -> Certificate:
 def _residual(ctx, args, seed) -> Certificate:
     spec, exact = ctx.map_specs[args["map"]], ctx.cfg.arithmetic == RATIONAL
     n = start_length(spec.variant, spec.policy, len(ctx.seq), 1)
-    budget = SamplingBudget(args["samples"], seed)
-    T = simplex_samples(n, budget, exact=exact)
+    T, mode = simplex_rows(n, SamplingBudget(args["samples"], seed), exact=exact)
     [(best, row)] = _scan(T, [residual_norms(spec, ctx.seq, n, exact)], ctx.cfg.arithmetic, [((1, 0),)])
     return Certificate(
         kind="fixed_point_residual",
         constants={"min_residual": best, "evaluated": len(T)},
         holds=bool(best > 0),
         witness={"argmin": _witness(row)},
-        mode=budget.label(f"vertices({n})"),
+        mode=mode,
         arithmetic=ctx.cfg.arithmetic,
     )
 
@@ -280,7 +281,7 @@ CHECKS: Dict[str, CheckKind] = {
     ),
     "bilipschitz": CheckKind(
         _bilipschitz, {**MAP, "pairs": (count, "2000"), "p_max": (positive, "1")},
-        steps=lambda args: args["p_max"],
+        steps=lambda args: args["p_max"], least=2,
     ),
     "fixed_point_residual": CheckKind(
         _residual, {**MAP, "samples": (count, "1000")}, steps=lambda args: 1

@@ -60,10 +60,10 @@ class RunContext:
     rules out raises ConfigError before any basis constant is estimated:
     blocks that cannot be built, a shift ``p_max`` not below the target's
     length, ``samples = 0`` on rows too long to enumerate (``CheckKind.width``),
-    a check whose map steps the family is too short for
-    (``fpmaps.start_length``), an orbit window on a right shift too short for
-    it (``fpmaps.check_theta_window``), a ``phi`` that gives no summing
-    functional (``functionals`` maps each configured phi to its functional),
+    a check whose map steps leave fewer start coefficients than it takes
+    (``CheckKind.least``, ``fpmaps.start_length``), a right-shift orbit
+    window too short for it (``fpmaps.check_theta_window``), a ``phi`` that
+    gives no summing functional (``functionals`` maps each phi to its own),
     or in rational mode an ``other`` family whose norm is not piecewise linear;
     right after them, before any check runs, an ``eps`` past its limit too.
     ``setup_times`` holds the wall time of each step, in seconds, and
@@ -113,7 +113,7 @@ class RunContext:
         if steps is not None:
             mc = self.cfg.maps[args["map"]]
             policy = map_policy(mc.variant, mc.theta, mc.policy)
-            start_length(mc.variant, policy, len(self.seq), steps(args))
+            start_length(mc.variant, policy, len(self.seq), steps(args), spec.least)
             if "n_window" in args:
                 check_theta_window(mc.variant, len(self.seq), args["n_window"])
         if "on" in args and "p_max" in args:  # a shift of the target family

@@ -35,8 +35,8 @@ import numpy as np
 from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError, TruncationError
-from .sampling import SamplingBudget, simplex_halves
-from .sequences import BasicSequence, RowNorms, _require_exact_tags, _scan, _witness, row_norms
+from .sampling import SamplingBudget, pair_rows
+from .sequences import BasicSequence, RowNorms, _eval_rows, _scan, _witness, row_norms
 from .spaces import ELL_P, SUP, CoordinateVector, NormTag, as_rows, norm, row_array, scalar
 
 DIAG_SHIFT = "diag_shift"
@@ -263,18 +263,17 @@ def apply_map_batch(spec: AffineMapSpec, mat: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def start_length(variant: str, policy: str, m: int, steps: int) -> int:
+def start_length(variant: str, policy: str, m: int, steps: int, least: int = 1) -> int:
     """Largest coefficient length that stays evaluable after ``steps``
     applications of a ``variant`` map with truncation ``policy`` against a
-    family of m vectors; the schedule plays no part."""
+    family of m vectors; the schedule plays no part.  Below ``least`` it raises."""
     grows = variant in (DIAG_SHIFT, RIGHT_SHIFT) and policy == GROW
     n = m - steps if grows else m
     if variant == BILATERAL and n % 2 != 0:
         n -= 1
-    if n < 1:
-        raise ParameterError(
-            f"sequence of length {m} too short for {steps} applications"
-        )
+    if n < least:
+        need = f" and {least} start coefficients" if least > 1 else ""
+        raise ParameterError(f"sequence of length {m} too short for {steps} applications{need}")
     return n
 
 
@@ -289,22 +288,6 @@ def check_theta_window(variant: str, m: int, n_window: int) -> None:
             f"n_window = {n_window} is too short for a right shift of {m} vectors: "
             f"need ceil(n_window/2) >= {m} - n_window, or vertex pairs meet inside the window"
         )
-
-
-def _pair_rows(n: int, budget: SamplingBudget, include_equal: bool, arithmetic: str = FLOAT) -> np.ndarray:
-    """All vertex pairs, then ``budget.count`` simplex pairs, as the (P, 2n)
-    pair rows [x | y], filled in one float array: the simplex pairs take
-    their x from the first of the ``simplex_halves`` and their y from the
-    second (on the grid in rational mode), each freed before the next is drawn."""
-    # the vertex pairs (e_i, e_j) in row-major order, i != j unless include_equal
-    i, j = np.nonzero(~np.eye(n, dtype=bool) | include_equal)
-    rows = np.zeros((len(i) + budget.count, 2 * n))
-    rows[np.arange(len(i)), i] = 1
-    rows[np.arange(len(i)), n + j] = 1
-    halves = simplex_halves(n, budget, arithmetic == RATIONAL)
-    rows[len(i) :, :n] = next(halves)
-    rows[len(i) :, n:] = next(halves)
-    return rows
 
 
 def pushed_families(spec: AffineMapSpec, s: BasicSequence, n: int, steps: int, exact: bool) -> list:
@@ -333,19 +316,16 @@ def bilipschitz_estimate(
     c1_hat.  The iterate count attaining each extreme is recorded so the
     witness pair re-evaluates to the reported constant.  When some iterate
     identifies two evaluated points, c1_hat = 0: the certificate fails with
-    a flag and has no L_hat.
+    a flag and has no L_hat.  It needs n >= 2: at n = 1 every pair has x = y.
     """
-    validate_arithmetic(arithmetic)
     if p_max < 1:
         raise ParameterError("p_max must be >= 1")
-    n = start_length(spec.variant, spec.policy, len(s), p_max)
-    if arithmetic == RATIONAL:
-        _require_exact_tags(s)
-    pairs = _pair_rows(n, pair_budget, include_equal=False, arithmetic=arithmetic)
+    n = start_length(spec.variant, spec.policy, len(s), p_max, least=2)
+    pairs = _eval_rows(n, pair_budget, arithmetic, s, rows=pair_rows, include_equal=False)
     # norm p is ||f^p(x) - f^p(y)||, the span of the pair row [x | y] over [B_p; -B_p]
     families = pushed_families(spec, s, n, p_max, arithmetic == RATIONAL)
     gaps = [row_norms(s.ambient, np.concatenate([B, -B])) for B in families]
-    scans = _scan(pairs, gaps, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
+    scans = _scan(pairs.coeffs, gaps, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
     # the extremes over the iterates; the first p wins ties
     p1, (c1, _, row1, _, _) = min(enumerate(scans, start=1), key=lambda ps: ps[1][0])
     p2, (_, c2, _, row2, _) = max(enumerate(scans, start=1), key=lambda ps: ps[1][1])
@@ -363,7 +343,7 @@ def bilipschitz_estimate(
             "pair_min_x": _witness(row1[:n]), "pair_min_y": _witness(row1[n:]),
             "pair_max_x": _witness(row2[:n]), "pair_max_y": _witness(row2[n:]),
         },
-        mode=pair_budget.label(f"vertex-pairs({n * (n - 1)})"),
+        mode=pairs.mode,
         arithmetic=arithmetic,
         flags=() if injective else ("not-injective-at-truncation",),
     )
@@ -401,14 +381,14 @@ def theta_of_map(
     if n_window < 1:
         raise ParameterError("n_window must be >= 1")
     n = start_length(spec.variant, spec.policy, len(s), n_window)
-    pairs = _pair_rows(n, pair_budget, include_equal=True)
+    pairs = pair_rows(n, pair_budget, include_equal=True)
     lo = (n_window + 1) // 2
     # norm k is ||x - f^(lo+k)(y)||, the span of the pair row [x | y] over
     # [B_0; -B_(lo+k)], one margin per window step
     B = pushed_families(spec, s, n, n_window, exact=False)
     dists = [row_norms(s.ambient, np.concatenate([B[0], -Bk])) for Bk in B[lo:]]
     margins = [((1, k),) for k in range(n_window - lo + 1)]
-    found = _scan(pairs, dists, FLOAT, margins)
+    found = _scan(pairs.coeffs, dists, FLOAT, margins)
     # the least distance over the window; the first step wins ties
     best, row = min(found, key=lambda extreme: extreme[0])
     holds = best > tol
@@ -420,7 +400,7 @@ def theta_of_map(
         constants={"theta_hat": best, "n_window": n_window, "tol": tol},
         holds=bool(holds),
         witness={"x": tuple(map(float, row[:n])), "y": tuple(map(float, row[n:]))},
-        mode=pair_budget.label(f"vertex-pairs({n * n})"),
+        mode=pairs.mode,
         arithmetic=FLOAT,
         flags=tuple(flags),
     )

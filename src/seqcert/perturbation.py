@@ -80,7 +80,6 @@ def psp_equivalence_check(
     on the evaluated coefficient set (z as rows); records the worst margin
     per side.  ``kappa``, the basis-constant interval behind theta, only
     sets the flags."""
-    validate_arithmetic(arithmetic)
     if not theta < 1:
         raise ParameterError(f"perturbation sum must be < 1, got {theta}")
     m = len(z)
@@ -91,16 +90,16 @@ def psp_equivalence_check(
             holds=True,
             witness={},
             mode="vacuous",
-            arithmetic=arithmetic,
+            arithmetic=validate_arithmetic(arithmetic),
             flags=kappa.flags,
         )
-    coeffs = _eval_rows(m, budget, arithmetic, s)
+    rows = _eval_rows(m, budget, arithmetic, s)
     theta = coerce(theta, arithmetic)
     # norm 0 is ||sum t x||, norm 1 is ||sum t z||
     norms = [s.span_norms(), row_norms(s.ambient, z)]
     margins = [((1, 1), (theta - 1, 0)), ((1 + theta, 0), (-1, 1))]
     (lo_margin, row_lo), (hi_margin, row_hi), (r_min, r_max, _, _, _) = _scan(
-        coeffs, norms, arithmetic, margins, ratios=[(1, 0)]
+        rows.coeffs, norms, arithmetic, margins, ratios=[(1, 0)]
     )
     holds = _nonnegative(lo_margin, arithmetic) and _nonnegative(hi_margin, arithmetic)
     return Certificate(
@@ -111,11 +110,11 @@ def psp_equivalence_check(
             "margin_upper": hi_margin,
             "ratio_min": r_min,
             "ratio_max": r_max,
-            "evaluated": len(coeffs),
+            "evaluated": len(rows.coeffs),
         },
         holds=bool(holds),
         witness={"worst_lower": _witness(row_lo), "worst_upper": _witness(row_hi)},
-        mode=budget.mode_label(m),
+        mode=rows.mode,
         arithmetic=arithmetic,
         flags=kappa.flags,
     )

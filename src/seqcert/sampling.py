@@ -7,6 +7,9 @@ Three families are pooled, mirroring how extreme ratios arise:
 * Gaussian directions normalized to the Euclidean sphere, for smooth norms,
 * uniform points of the probability simplex, for convex-coefficient checks.
 
+A scan takes its evaluation set as ``Rows``, the rows with their mode, from
+one builder per shape: ``coefficient_rows``, ``pair_rows`` or ``simplex_rows``.
+
 Each evaluation set is drawn once, in float, for both arithmetic modes; with
 ``exact`` (rational mode) its random rows are moved onto values that float
 holds exactly (``integer_image``, ``grid_image``), and a rational scan takes
@@ -19,7 +22,7 @@ a pure function of (seed, count).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,6 +49,8 @@ class SamplingBudget:
     def __post_init__(self):
         if self.count < 0:
             raise ParameterError("sampling count must be >= 0")
+        if self.seed < 0:
+            raise ParameterError("sampling seed must be >= 0")
 
     def label(self, enumerated: Optional[str] = None) -> str:
         """An evaluated set in a certificate's words: the ``enumerated`` rows
@@ -55,10 +60,17 @@ class SamplingBudget:
             return sampled
         return f"{enumerated}+{sampled}" if self.count > 0 else enumerated
 
-    def mode_label(self, m: int, pm_one: bool = False) -> str:
-        """The ``label`` of ``coefficient_samples(m, ...)``; ``pm_one`` names its
-        +-1 patterns past the exhaustive limit."""
-        return self.label("exhaustive" if m <= EXHAUSTIVE_LIMIT else "pm-one" if pm_one else None)
+
+class Rows(NamedTuple):
+    """A scan's coefficient rows, and the ``SamplingBudget.label`` of what they hold."""
+
+    coeffs: np.ndarray
+    mode: str
+
+
+def _enumerates(m: int) -> bool:
+    """Whether ``coefficient_samples`` enumerates the {-1,0,1}^m sign patterns."""
+    return m <= EXHAUSTIVE_LIMIT
 
 
 def _product(values: tuple, m: int) -> np.ndarray:
@@ -129,13 +141,19 @@ def coefficient_samples(
     ``pm_one``, every +-1 pattern comes first.  With ``exact`` (rational
     mode) the random rows are ``rational_vectors``."""
     parts = [pm_one_patterns(m)] if pm_one else []
-    if m <= EXHAUSTIVE_LIMIT:
+    if _enumerates(m):
         parts.append(sign_patterns(m))
     if budget.count > 0:
         parts += [rational_vectors(m, budget)] if exact else _random_rows(m, budget)
     if not parts:
         raise ParameterError("empty sampling budget: no sign patterns and count=0")
     return np.concatenate(parts, axis=0)
+
+
+def coefficient_rows(m: int, budget: SamplingBudget, pm_one: bool = False, exact: bool = False) -> Rows:
+    """``coefficient_samples`` with its mode, "exhaustive" or "pm-one" for its enumerated rows."""
+    enumerated = "exhaustive" if _enumerates(m) else "pm-one" if pm_one else None
+    return Rows(coefficient_samples(m, budget, pm_one, exact), budget.label(enumerated))
 
 
 def rational_vectors(m: int, budget: SamplingBudget) -> np.ndarray:
@@ -159,6 +177,27 @@ def simplex_halves(m: int, budget: SamplingBudget, exact: bool) -> Iterator[np.n
 def simplex_samples(m: int, budget: SamplingBudget, exact: bool = False) -> np.ndarray:
     """Convex-coefficient evaluation set: all vertices, then ``simplex_points``."""
     return np.concatenate([np.eye(m), simplex_points(m, budget, exact)], axis=0)
+
+
+def simplex_rows(m: int, budget: SamplingBudget, exact: bool = False) -> Rows:
+    """``simplex_samples`` with its mode, "vertices(m)" for the vertices."""
+    return Rows(simplex_samples(m, budget, exact), budget.label(f"vertices({m})"))
+
+
+def pair_rows(n: int, budget: SamplingBudget, include_equal: bool, exact: bool = False) -> Rows:
+    """The k vertex pairs ("vertex-pairs(k)"), then ``budget.count`` simplex
+    pairs, as the (P, 2n) pair rows [x | y] of one float array: the simplex
+    pairs take x from the first of the ``simplex_halves`` and y from the
+    second (on the grid with ``exact``), each freed before the next is drawn."""
+    # the vertex pairs (e_i, e_j) in row-major order, i != j unless include_equal
+    i, j = np.nonzero(~np.eye(n, dtype=bool) | include_equal)
+    rows = np.zeros((len(i) + budget.count, 2 * n))
+    rows[np.arange(len(i)), i] = 1
+    rows[np.arange(len(i)), n + j] = 1
+    halves = simplex_halves(n, budget, exact)
+    rows[len(i) :, :n] = next(halves)
+    rows[len(i) :, n:] = next(halves)
+    return Rows(rows, budget.label(f"vertex-pairs({len(i)})"))
 
 
 def rational_simplex(m: int, budget: SamplingBudget) -> list:

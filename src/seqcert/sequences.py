@@ -25,7 +25,7 @@ import numpy as np
 from .arithmetic import FLOAT, RATIONAL, Real, coerce, exact_value, is_finite, validate_arithmetic
 from .certificates import Certificate
 from .errors import DependenceError, ParameterError
-from .sampling import SamplingBudget, coefficient_samples
+from .sampling import Rows, SamplingBudget, coefficient_rows
 from .spaces import (
     CoordinateVector,
     NormTag,
@@ -225,12 +225,14 @@ def builtin_sequence(name: str, n: int, p: Real = 2) -> BasicSequence:
 # ---------------------------------------------------------------------------
 
 
-def _eval_rows(m: int, budget: SamplingBudget, arithmetic: str, *seqs: BasicSequence) -> np.ndarray:
-    """Coefficient rows of one scan, exact in rational mode (which needs
-    piecewise-linear norms)."""
-    if arithmetic == RATIONAL:
+def _eval_rows(
+    m: int, budget: SamplingBudget, arithmetic: str, *seqs: BasicSequence, rows=coefficient_rows, **kw
+) -> Rows:
+    """The ``Rows`` of one scan from the ``sampling`` builder ``rows`` (given
+    ``kw``), exact in rational mode, which needs ``seqs``' norms piecewise linear."""
+    if validate_arithmetic(arithmetic) == RATIONAL:
         _require_exact_tags(*seqs)
-    return coefficient_samples(m, budget, exact=arithmetic == RATIONAL)
+    return rows(m, budget, exact=arithmetic == RATIONAL, **kw)
 
 
 _FRACTION = np.frompyfunc(Fraction, 1, 1)
@@ -486,7 +488,7 @@ def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
     """
     m = len(s)
     pm_one = m <= PM_ONE_LIMIT
-    coeffs = coefficient_samples(m, budget, pm_one=pm_one)
+    coeffs, source = coefficient_rows(m, budget, pm_one=pm_one)
 
     def best_ratio(mat: np.ndarray) -> Optional[Tuple[float, np.ndarray]]:
         """(max ratio, its row) over the rows e of mat that pass ``_guard``, or
@@ -514,19 +516,18 @@ def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
         found = best_ratio(seedvec + sigma * rng.standard_normal((64, m)))
         if found is not None and found[0] > upper:
             upper, seedvec = found
-    return Kappa(lower, max(upper, lower), budget.mode_label(m, pm_one))
+    return Kappa(lower, max(upper, lower), source)
 
 
 def _family_ratio_scan(
     xs: BasicSequence, ys: BasicSequence, budget: SamplingBudget, arithmetic: str
 ):
-    """``_ratio_extremes`` of ||sum a y|| / ||sum a x|| over the evaluated rows a."""
-    validate_arithmetic(arithmetic)
+    """``_ratio_extremes`` of ||sum a y|| / ||sum a x|| over the rows a, and their mode."""
     if len(xs) != len(ys):
         raise ParameterError("sequences must have the same number of vectors")
-    coeffs = _eval_rows(len(xs), budget, arithmetic, xs, ys)
-    [scan] = _scan(coeffs, [xs.span_norms(), ys.span_norms()], arithmetic, ratios=[(1, 0)])
-    return scan
+    rows = _eval_rows(len(xs), budget, arithmetic, xs, ys)
+    [scan] = _scan(rows.coeffs, [xs.span_norms(), ys.span_norms()], arithmetic, ratios=[(1, 0)])
+    return scan, rows.mode
 
 
 def domination_constant(
@@ -537,13 +538,13 @@ def domination_constant(
 ) -> Certificate:
     """L_hat = max ||sum a y|| / ||sum a x||: a certified lower bound on the
     best constant with which (x_n) dominates (y_n)."""
-    _, l_hat, _, wit_row, rejected = _family_ratio_scan(xs, ys, budget, arithmetic)
+    (_, l_hat, _, wit_row, rejected), mode = _family_ratio_scan(xs, ys, budget, arithmetic)
     return Certificate(
         kind="domination",
         constants={"L_hat": l_hat, "rejected_denominators": rejected},
         holds=True,
         witness={"argmax": _witness(wit_row)},
-        mode=budget.mode_label(len(xs)),
+        mode=mode,
         arithmetic=arithmetic,
         flags=(f"dependence-evidence(rejected={rejected})",) if rejected else (),
     )
@@ -556,7 +557,7 @@ def equivalence_constants(
     arithmetic: str = FLOAT,
 ) -> Certificate:
     """Two-sided ratio scan; smallest admissible L is max(r_max, 1/r_min)."""
-    r_min, r_max, row_min, row_max, rejected = _family_ratio_scan(xs, ys, budget, arithmetic)
+    (r_min, r_max, row_min, row_max, rejected), mode = _family_ratio_scan(xs, ys, budget, arithmetic)
     return Certificate(
         kind="equivalence",
         constants={
@@ -567,7 +568,7 @@ def equivalence_constants(
         },
         holds=True,
         witness={"argmin": _witness(row_min), "argmax": _witness(row_max)},
-        mode=budget.mode_label(len(xs)),
+        mode=mode,
         arithmetic=arithmetic,
         flags=(f"dependence-evidence(rejected={rejected})",) if rejected else (),
     )
@@ -583,17 +584,15 @@ def wide_s_certificate(
     d_hat is a certified upper bound on the best domination constant of the
     summing family; the certificate holds iff d_hat stayed positive.
     """
-    validate_arithmetic(arithmetic)
-    m = len(s)
-    coeffs = _eval_rows(m, budget, arithmetic, s)
+    rows = _eval_rows(len(s), budget, arithmetic, s)
     norms = [summing_norms(), s.span_norms()]
-    [(d_hat, _, row, _, _)] = _scan(coeffs, norms, arithmetic, ratios=[(1, 0)])
+    [(d_hat, _, row, _, _)] = _scan(rows.coeffs, norms, arithmetic, ratios=[(1, 0)])
     return Certificate(
         kind="wide_s",
         constants={"d_hat": d_hat},
         holds=bool(d_hat > _guard(arithmetic)),
         witness={"argmin": _witness(row)},
-        mode=budget.mode_label(m),
+        mode=rows.mode,
         arithmetic=arithmetic,
     )
 

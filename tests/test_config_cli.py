@@ -18,7 +18,7 @@ from seqcert.checks import CHECKS
 from seqcert.cli import RunContext, main
 from seqcert.config import load_config, parse_cli_tag, parse_coeff_list
 from seqcert.errors import ConfigError, ParameterError
-from seqcert.fpmaps import RIGHT_SHIFT
+from seqcert.fpmaps import RIGHT_SHIFT, AffineMapSpec, bilipschitz_estimate
 from seqcert.sequences import BasicSequence, builtin_sequence
 from seqcert.spaces import NormTag, summing_basis_norm_batch
 
@@ -1052,6 +1052,53 @@ seed = 3
     assert not out.exists()
 
 
+BILIPSCHITZ_ON_TWO = """
+[sequence]
+builtin = ell1_canonical
+n = 2
+
+[map f]
+variant = diag_shift
+theta = 1/2
+policy = {policy}
+
+[check bip]
+kind = bilipschitz
+map = f
+pairs = {pairs}
+
+[run]
+seed = 3
+"""
+
+
+@pytest.mark.parametrize("pairs", [0, 5])
+def test_bilipschitz_from_one_start_coefficient_exits_2_before_any_work(tmp_path, monkeypatch, capsys, pairs):
+    """One grown diag-shift step leaves a two-vector family one start
+    coefficient, where every vertex pair has x = y: the check is rejected
+    by name at load, not failed mid-run, and the op raises on its own."""
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("basis_constant ran for a bilipschitz check with no distinct pairs")
+
+    monkeypatch.setattr("seqcert.cli.basis_constant", no_kappa)
+    out = tmp_path / "r.json"
+    text = BILIPSCHITZ_ON_TWO.format(policy="grow", pairs=pairs)
+    assert main(["certify", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert "[check bip]" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ParameterError, match="2 start coefficients"):
+        bilipschitz_estimate(AffineMapSpec.right_shift(), builtin_sequence("ell1_canonical", 2))
+
+
+@pytest.mark.parametrize("pairs", [0, 5])
+def test_bilipschitz_from_two_start_coefficients_runs(tmp_path, pairs):
+    """Folding the tail keeps both coefficients: the same family certifies."""
+    out = tmp_path / "r.json"
+    text = BILIPSCHITZ_ON_TWO.format(policy="fold_tail", pairs=pairs)
+    assert main(["certify", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["certificates"][0]["holds"] is True
+
+
 def test_arithmetic_override_coerces_block_weights(tmp_path):
     text = """
 [sequence]
@@ -1190,14 +1237,14 @@ def test_set_up_draws_no_kappa_rows_on_bundled_families(monkeypatch, path):
     """Every bundled family is prefix-shaped under a monotone norm, so the
     run's kappa is the proved (1, 1) and set-up samples nothing."""
     rows = []
-    original = seqcert.sequences.coefficient_samples
+    original = seqcert.sequences.coefficient_rows
 
     def counted(m, budget, **kw):
         out = original(m, budget, **kw)
-        rows.append(len(out))
+        rows.append(len(out.coeffs))
         return out
 
-    monkeypatch.setattr("seqcert.sequences.coefficient_samples", counted)
+    monkeypatch.setattr("seqcert.sequences.coefficient_rows", counted)
     ctx = RunContext(load_config(path))
     assert rows == []
     assert set(ctx.kappa) == ({"sequence"} if ctx.blocks_seq is None else {"sequence", "blocks"})

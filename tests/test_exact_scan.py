@@ -24,7 +24,6 @@ from seqcert.cli import RunContext, run_check
 from seqcert.config import load_config
 from seqcert.fpmaps import (
     AffineMapSpec,
-    _pair_rows,
     apply_map,
     bilipschitz_estimate,
     fixed_point_residual,
@@ -32,7 +31,7 @@ from seqcert.fpmaps import (
     start_length,
 )
 from seqcert.perturbation import perturb_toward_next, perturbation_sum, psp_equivalence_check
-from seqcert.sampling import SamplingBudget, coefficient_samples, rational_simplex
+from seqcert.sampling import SamplingBudget, coefficient_samples, pair_rows, rational_simplex
 from seqcert.sequences import (
     basis_constant,
     builtin_sequence,
@@ -248,7 +247,7 @@ def test_bilipschitz_matches_reference(family, map_name):
     pairs; the extremes over p then go to the first p attaining them."""
     spec, p_max = rational_maps(family)[map_name], 2
     n = start_length(spec.variant, spec.policy, len(family), p_max)
-    rows = exact_tuples(_pair_rows(n, BUDGET, include_equal=False, arithmetic=RATIONAL))
+    rows = exact_tuples(pair_rows(n, BUDGET, include_equal=False, exact=True).coeffs)
     pairs = [(row[:n], row[n:]) for row in rows]
     pairs = [(x, y) for x, y in pairs if family.span_norm([a - b for a, b in zip(x, y)]) != 0]
     per_p = {p: Extremes() for p in range(1, p_max + 1)}

@@ -349,7 +349,7 @@ def test_basis_constant_evaluates_only_a_sampled_kappa(monkeypatch, name, p, for
     if blocks:
         s = pair_blocks(s)
     calls, draws = [], []
-    norms, samples = BasicSequence.span_norm_batch, seqcert.sequences.coefficient_samples
+    norms, samples = BasicSequence.span_norm_batch, seqcert.sequences.coefficient_rows
 
     def counted_norms(self, coeff_mat):
         calls.append(len(coeff_mat))
@@ -360,7 +360,7 @@ def test_basis_constant_evaluates_only_a_sampled_kappa(monkeypatch, name, p, for
         return samples(m, budget, **kw)
 
     monkeypatch.setattr(BasicSequence, "span_norm_batch", counted_norms)
-    monkeypatch.setattr("seqcert.sequences.coefficient_samples", counted_samples)
+    monkeypatch.setattr("seqcert.sequences.coefficient_rows", counted_samples)
     estimate = _sampled_basis_constant if forced else basis_constant
     sampled = estimate(s, SamplingBudget(count=512, seed=1)).source != PROVED_MONOTONE
     assert sampled == (forced or name in ("dense_ell2", "summing_c0"))
@@ -417,13 +417,13 @@ def test_families_without_the_proof_still_sample(monkeypatch, blocks):
         s = pair_blocks(s)
     assert not proved_monotone(s)
     draws = []
-    original = seqcert.sequences.coefficient_samples
+    original = seqcert.sequences.coefficient_rows
 
     def counted(m, budget, **kw):
         draws.append(m)
         return original(m, budget, **kw)
 
-    monkeypatch.setattr("seqcert.sequences.coefficient_samples", counted)
+    monkeypatch.setattr("seqcert.sequences.coefficient_rows", counted)
     kappa = basis_constant(s, SamplingBudget(count=512, seed=1))
     assert repr(kappa[:2]) == repr(RECORDED_SAMPLED_KAPPA[blocks])
     enumerated = "exhaustive+" if blocks else ""  # 6 blocks, 13 vectors

@@ -14,7 +14,6 @@ from seqcert.config import load_config
 from seqcert.errors import ParameterError
 from seqcert.fpmaps import (
     AffineMapSpec,
-    _pair_rows,
     apply_map,
     apply_map_batch,
     make_alpha_schedule,
@@ -22,7 +21,7 @@ from seqcert.fpmaps import (
     start_length,
     theta_of_map,
 )
-from seqcert.sampling import SamplingBudget
+from seqcert.sampling import SamplingBudget, pair_rows
 from seqcert.sequences import builtin_sequence
 
 SCHEDULE = make_alpha_schedule(0.5, 1, 1, 1, 12)
@@ -52,7 +51,7 @@ def theta_loop(spec, s, budget, n_window, tol=1e-9):
     step's iterate replaces the best only when strictly smaller, so the first
     step and the first pair win ties."""
     n = start_length(spec.variant, spec.policy, len(s), n_window)
-    rows = _pair_rows(n, budget, include_equal=True)
+    rows = pair_rows(n, budget, include_equal=True).coeffs
     X, Y = rows[:, :n], rows[:, n:]
     lo = (n_window + 1) // 2
     FY = Y

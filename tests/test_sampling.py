@@ -6,10 +6,12 @@ scaled to largest |entry| ``SCALE`` and rounded to integers, and each
 simplex point on the 2^-``GRID_BITS`` grid with mass exactly 1.  The pair
 sampler takes its x and y halves one after the other; they are bit for bit
 the halves of one draw of 2k simplex points, in both modes, and it never
-holds both.  No other module names the mode-specific samplers.
+holds both.  No other module names the mode-specific samplers.  Each
+builder's label names as many enumerated rows as lead its rows.
 """
 
 import ast
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -20,18 +22,23 @@ import pytest
 import seqcert
 from seqcert.arithmetic import FLOAT, RATIONAL, exact_value
 from seqcert.errors import ParameterError
-from seqcert.fpmaps import AffineMapSpec, ConvexCoefficients, _pair_rows, bilipschitz_estimate
+from seqcert.fpmaps import AffineMapSpec, ConvexCoefficients, bilipschitz_estimate
 from seqcert.sampling import (
     EXHAUSTIVE_LIMIT,
     GRID_BITS,
     SCALE,
     SamplingBudget,
+    coefficient_rows,
     coefficient_samples,
+    pair_rows,
+    pm_one_patterns,
     rational_simplex,
     rational_vectors,
     simplex_points,
+    simplex_rows,
     simplex_samples,
     simplex_uniform,
+    sign_patterns,
 )
 from seqcert.sequences import builtin_sequence
 
@@ -115,7 +122,7 @@ def test_float_simplex_samples_are_vertices_then_dirichlet_draws():
 @pytest.mark.parametrize("count", [1, 7, 100])
 def test_float_pairs_split_one_draw_into_two_sequential_draws(n, count):
     """Dirichlet draws of 2c rows are two draws of c rows, bit for bit."""
-    rows = _pair_rows(n, SamplingBudget(count, 9), include_equal=False, arithmetic=FLOAT)
+    rows = pair_rows(n, SamplingBudget(count, 9), include_equal=False, exact=False).coeffs
     X, Y = rows[:, :n], rows[:, n:]
     rng = np.random.default_rng(9)
     first, second = simplex_uniform(rng, count, n), simplex_uniform(rng, count, n)
@@ -129,8 +136,8 @@ def test_rational_pairs_are_grid_images_of_the_float_pairs(count):
     """Rational mode pairs ``count`` points, as float mode does: the grid
     images of the float halves, the x half being ``rational_simplex``."""
     n = 4
-    rows = _pair_rows(n, SamplingBudget(count, 9), include_equal=True, arithmetic=RATIONAL)
-    floats = _pair_rows(n, SamplingBudget(count, 9), include_equal=True, arithmetic=FLOAT)
+    rows = pair_rows(n, SamplingBudget(count, 9), include_equal=True, exact=True).coeffs
+    floats = pair_rows(n, SamplingBudget(count, 9), include_equal=True, exact=False).coeffs
     assert rows.shape == floats.shape == (n * n + count, 2 * n)
     assert rows[: n * n].tobytes() == floats[: n * n].tobytes()
     assert [t[:n] for t in exact_tuples(rows[n * n :])] == rational_simplex(n, SamplingBudget(count, 9))
@@ -175,7 +182,7 @@ def one_draw_pair_rows(n, budget, include_equal, arithmetic):
 def test_pair_rows_are_the_one_draw_pair_rows(arithmetic, n, count, seed, include_equal):
     """Drawing the y half only after the x half is copied changes no row."""
     budget = SamplingBudget(count, seed)
-    rows = _pair_rows(n, budget, include_equal, arithmetic)
+    rows = pair_rows(n, budget, include_equal, exact=arithmetic == RATIONAL).coeffs
     oracle = one_draw_pair_rows(n, budget, include_equal, arithmetic)
     assert rows.dtype == oracle.dtype and rows.shape == oracle.shape
     assert rows.tobytes() == oracle.tobytes()
@@ -189,7 +196,7 @@ def test_pair_rows_hold_one_half_at_a_time(arithmetic, include_equal):
     the x half while the y half is drawn would add a second."""
     tracemalloc.start()
     try:
-        rows = _pair_rows(63, SamplingBudget(10000, 7), include_equal, arithmetic)
+        rows = pair_rows(63, SamplingBudget(10000, 7), include_equal, exact=arithmetic == RATIONAL).coeffs
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -213,3 +220,83 @@ def test_only_sampling_names_the_mode_samplers():
                 names |= {node.name, node.asname}
             offenders += [f"{path.name}:{node.lineno}: {name}" for name in names & MODE_SAMPLERS]
     assert offenders == []
+
+
+@pytest.mark.parametrize("field,value", [("count", -1), ("seed", -1)])
+def test_budget_rejects_a_negative_count_or_seed(field, value):
+    with pytest.raises(ParameterError, match=f"sampling {field} must be >= 0"):
+        SamplingBudget(**{field: value})
+
+
+LABEL_BUDGETS = [SamplingBudget(0, 1), SamplingBudget(7, 3), SamplingBudget(40, 11)]
+
+
+def enumerated_part(mode: str, budget: SamplingBudget):
+    """The enumerated part of ``mode`` (None: there is none), once its
+    sampled part is checked to name ``budget``."""
+    sampled = f"sampled(count={budget.count},seed={budget.seed})"
+    if mode == sampled:
+        return None
+    if budget.count > 0:
+        assert mode.endswith("+" + sampled), mode
+        mode = mode[: -len(sampled) - 1]
+    return mode
+
+
+def named_count(mode: str, budget: SamplingBudget, word: str) -> int:
+    """The k of the ``word(k)`` that ``mode`` names, 0 for no enumerated part."""
+    part = enumerated_part(mode, budget)
+    if part is None:
+        return 0
+    match = re.fullmatch(rf"{word}\((\d+)\)", part)
+    assert match, mode
+    return int(match[1])
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("budget", LABEL_BUDGETS, ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("include_equal", [False, True])
+def test_pair_label_counts_the_leading_vertex_pairs(include_equal, n, budget, exact):
+    rows = pair_rows(n, budget, include_equal, exact)
+    k = named_count(rows.mode, budget, "vertex-pairs")
+    eye = np.eye(n)
+    vertex_pairs = [np.concatenate([eye[i], eye[j]]) for i in range(n) for j in range(n) if include_equal or i != j]
+    assert k == len(vertex_pairs)
+    assert rows.coeffs[:k].tolist() == [row.tolist() for row in vertex_pairs]
+    assert len(rows.coeffs) == k + budget.count
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("budget", LABEL_BUDGETS, ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_simplex_label_counts_the_leading_vertices(n, budget, exact):
+    rows = simplex_rows(n, budget, exact)
+    k = named_count(rows.mode, budget, "vertices")
+    assert k == n
+    assert rows.coeffs[:k].tobytes() == np.eye(n).tobytes()
+    assert len(rows.coeffs) == k + budget.count
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("budget", LABEL_BUDGETS, ids=repr)
+@pytest.mark.parametrize("m", [1, 3, EXHAUSTIVE_LIMIT, EXHAUSTIVE_LIMIT + 1, 13])
+@pytest.mark.parametrize("pm_one", [False, True])
+def test_coefficient_label_counts_the_leading_patterns(pm_one, m, budget, exact):
+    """"exhaustive" names the 3^m - 1 sign patterns (after the 2^m +-1
+    patterns with ``pm_one``), "pm-one" the 2^m +-1 patterns alone."""
+    if m > EXHAUSTIVE_LIMIT and not pm_one and budget.count == 0:
+        with pytest.raises(ParameterError, match="empty sampling budget"):
+            coefficient_rows(m, budget, pm_one, exact)
+        return
+    rows = coefficient_rows(m, budget, pm_one, exact)
+    part = enumerated_part(rows.mode, budget)
+    patterns = {
+        None: [],
+        "pm-one": [pm_one_patterns(m)],
+        "exhaustive": [pm_one_patterns(m)] * pm_one + [sign_patterns(m)],
+    }[part]
+    k = sum(map(len, patterns))
+    assert k == (3**m - 1 + 2**m * pm_one if m <= EXHAUSTIVE_LIMIT else 2**m * pm_one)
+    assert rows.coeffs[:k].tobytes() == np.concatenate(patterns or [np.zeros((0, m))]).tobytes()
+    assert len(rows.coeffs) == k + budget.count

@@ -4,7 +4,9 @@ kernel and float enclosure (a function ``*_batch`` or ``*_enclosure``) is
 read by a module of the package, every name the package ``__init__``
 re-exports is read by a module of the package, by the acceptance tests or
 by a bench script, every script, config and workload path the README names
-exists, and so does every batch kernel and float enclosure it names.
+exists, and so does every batch kernel and float enclosure it names.  Only
+``sampling`` writes a certificate's mode: no other module labels a budget or
+spells a label word.
 
 The package ``__init__`` is exempt from the first rule, and its reads do not
 count for the kernel and re-export rules: its imports are the public
@@ -250,3 +252,43 @@ def test_the_checker_sees_a_kernel_name():
     )
     assert kernel_names(text) == {"norm_batch", "norm_enclosure", "span_norm_batch", "span_batch", "gone_batch"}
     assert kernel_names(text) - package_names() == {"span_batch", "gone_batch"}
+
+
+LABEL_WORDS = ("vertex-pairs(", "vertices(", "sampled(", "exhaustive", "pm-one")
+
+
+def label_rule_breaches(text: str) -> list:
+    """Each label word in text, and each ``.label(`` call on a receiver
+    whose source names a budget (``budget``, ``pair_budget``, ``SamplingBudget(...)``)."""
+    found = [word for word in LABEL_WORDS if word in text]
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "label":
+            if "budget" in ast.unparse(node.func.value).lower():
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SRC.glob("*.py") if p.name != "sampling.py"], ids=lambda p: p.name)
+def test_only_sampling_writes_a_mode_label(path):
+    """A scan's mode comes from the ``sampling.Rows`` it scanned, whose
+    builder labels the rows it built; a label written elsewhere can drift
+    from the rows."""
+    assert label_rule_breaches(path.read_text()) == [], f"{path.name} writes a mode label"
+
+
+def test_the_checker_sees_a_mode_label():
+    text = (
+        "def f(tag, budget, pair_budget, n):\n"
+        "    pair_budget.label(f'vertex-pairs({n * n})')\n"
+        "    SamplingBudget(3, 1).label()\n"
+        "    budget.label()\n"
+        "    return tag.label(), 'exhaustive'\n"
+    )
+    assert label_rule_breaches(text) == [
+        "vertex-pairs(",
+        "exhaustive",
+        "line 2: pair_budget.label(f'vertex-pairs({n * n})')",
+        "line 3: SamplingBudget(3, 1).label()",
+        "line 4: budget.label()",
+    ]
+    assert label_rule_breaches((SRC / "sampling.py").read_text())
