@@ -147,6 +147,14 @@ def summing_equivalence_check(
     )
 
 
+def shift_width(m: int, p_max: int) -> int:
+    """The coefficients of m vectors that every shift p = 1..p_max can move,
+    m - p_max; ParameterError unless p_max lies in 1..m - 1."""
+    if not 1 <= p_max < m:
+        raise ParameterError(f"p_max must lie in 1..{m - 1}, got {p_max}")
+    return m - p_max
+
+
 def shift_equivalence_constants(
     s: BasicSequence,
     p_max: int,
@@ -155,13 +163,11 @@ def shift_equivalence_constants(
 ) -> Certificate:
     """Per-shift ratio ranges of ||sum a x_{i+p}|| / ||sum a x_i|| and the
     smallest uniform constant L_hat = max_p max(r_max(p), 1/r_min(p))."""
-    if not 1 <= p_max < len(s):
-        raise ParameterError(f"p_max must lie in 1..{len(s) - 1}, got {p_max}")
     constants = {"p_max": p_max}
     l_hat = None
     wit = ()
     rejected = 0
-    rows = _eval_rows(len(s) - p_max, budget, arithmetic, s)
+    rows = _eval_rows(shift_width(len(s), p_max), budget, arithmetic, s)
     norms = [s.span_norms(p) for p in range(p_max + 1)]  # norm p is shifted by p
     scans = _scan(rows.coeffs, norms, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
     for p, (r_min, r_max, row_min, row_max, rej) in enumerate(scans, start=1):
@@ -203,8 +209,6 @@ def lemma79_conclusion_check(
     """
     if not L > 0:
         raise ParameterError("L must be positive")
-    if not 1 <= p_max < len(s):
-        raise ParameterError(f"p_max must lie in 1..{len(s) - 1}, got {p_max}")
     exact = arithmetic == RATIONAL
     printed = Fraction(L) / 2 if exact else float(L) / 2.0
     symmetric = 1 / (2 * Fraction(L)) if exact else 1.0 / (2.0 * float(L))
@@ -212,7 +216,7 @@ def lemma79_conclusion_check(
     convention = (
         "printed(L/2)" if used == printed else "symmetric(1/(2L))" if used == symmetric else "custom"
     )
-    rows = _eval_rows(len(s) - p_max, budget, arithmetic, s)
+    rows = _eval_rows(shift_width(len(s), p_max), budget, arithmetic, s)
     c_printed, c_symmetric, c_used, c_L = (coerce(c, arithmetic) for c in (printed, symmetric, used, L))
     # norm p is ||sum a x_{i+p}||; each shift has the printed, symmetric and
     # used lower margins, then the upper one

@@ -1,20 +1,20 @@
 """The check registry: each ``[check NAME]`` kind is declared once, in ``CHECKS``.
 
-A ``CheckKind`` holds the runner, the parameters and, for kinds that read a
-map, the map variant they need (``None``: any) and ``steps``, the number of
-map applications they make as a function of the parsed parameters, which
-``cli.RunContext`` checks against the family's length before any work, and
-``least``, the fewest start coefficients (``fpmaps.start_length``) they take.
-Kinds that scan coefficient rows from ``sampling.coefficient_rows``
-declare ``width``, the length of those rows as a function of the parsed
-parameters and the target's length.  With ``samples = 0`` the rows are
-only enumerated patterns, which exist up to length ``enumerated``; the
-run context rejects a longer width before any work too.
+A ``CheckKind`` holds the runner, the parameters, the map variant a kind
+that reads a map needs (``None``: any) and the kind's load-time rules.
 ``params`` is a schema that ``parse_params`` reads, the same kind of schema
 ``config.SECTIONS`` gives the fixed sections.  Parsed values do not depend
 on the arithmetic mode, so runners coerce where it matters.  A runner is
 ``run(ctx, args, seed)`` with the run's ``cli.RunContext``, the parsed
-parameters and the check's derived seed.
+parameters and the check's derived seed.  A rule is ``rule(ctx, args)``: it
+raises ParameterError where the runner would fail on the run's families,
+found by what the runner or its op calls (``fpmaps.start_length``,
+``fpmaps.check_theta_window``, ``blocks.shift_width``,
+``summing_functional``, ``builtin_sequence``).  ``cli.RunContext`` runs the
+``rules`` once the families are built, before the basis constant is
+estimated, and the ``kappa_rules`` right after it, so a config its family
+rules out exits 2 with no report.  Rules and runners call ops by module
+name, which a span tracer can replace.
 """
 
 from __future__ import annotations
@@ -24,14 +24,15 @@ from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from .arithmetic import FLOAT, RATIONAL, coerce, parse_coeff_list, parse_scalar
 from .blocks import (
-    lemma79_conclusion_check, shift_equivalence_constants, summing_equivalence_check, wuc_constant,
+    lemma79_conclusion_check, shift_equivalence_constants, shift_width, summing_equivalence_check,
+    wuc_constant,
 )
 from .certificates import Certificate
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .fpmaps import (
     DIAG_SHIFT, RIGHT_SHIFT, AlphaSchedule, SummingFunctional, bilipschitz_estimate,
-    make_summing_functional, residual_norms, start_length, theta_lower_bound_rightshift,
-    theta_of_map,
+    check_theta_window, make_summing_functional, map_policy, residual_norms, start_length,
+    theta_lower_bound_rightshift, theta_of_map,
 )
 from .perturbation import claim2_chain, perturb_toward_next, perturbation_sum, psp_equivalence_check
 from .sampling import EXHAUSTIVE_LIMIT, SamplingBudget, simplex_rows
@@ -39,12 +40,14 @@ from .sequences import (
     BUILTIN_NAMES, INEQ_TOL, PM_ONE_LIMIT, _scan, _witness, basis_constant, builtin_sequence,
     domination_constant, equivalence_constants, gap_bound_check, wide_s_certificate,
 )
+from .spaces import require_exact
 
 # (parser, default).  The parser is a function of the text, or the tuple of
 # the allowed values.  The default is config text, parsed like user input;
 # None marks a required key, and OPTIONAL a key that parses to None when absent.
 Param = Tuple[Union[Callable[[str], object], Tuple[str, ...]], object]
 OPTIONAL = object()
+Rule = Callable[..., object]
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,8 @@ class CheckKind:
     run: Callable[..., Certificate]
     params: Dict[str, Param]
     variant: Optional[str] = None
-    steps: Optional[Callable[[dict], int]] = None
-    least: int = 1
-    width: Optional[Callable[[dict, int], int]] = None
-    enumerated: int = EXHAUSTIVE_LIMIT
+    rules: Tuple[Rule, ...] = ()
+    kappa_rules: Tuple[Rule, ...] = ()
 
 
 def parse_params(where: str, schema: Mapping[str, Param], params: Mapping[str, str]) -> dict:
@@ -177,16 +178,16 @@ def _theta_of_map(ctx, args, seed) -> Certificate:
     return theta_of_map(spec, ctx.seq, budget, args["n_window"], float(args["tol"]))
 
 
-def summing_functional(s, phi, arithmetic: str) -> SummingFunctional:
-    """The summing functional of a ``phi`` parameter on s ("ones": all ones);
-    ``cli.RunContext`` builds one per configured phi before any work."""
+def summing_functional(ctx, args) -> SummingFunctional:
+    """The summing functional of the ``phi`` parameter on the run's family ("ones": all ones)."""
+    s, phi = ctx.seq, args["phi"]
     if phi == "ones":
         return make_summing_functional(s, (1,) * s.ambient_length)
-    return make_summing_functional(s, tuple(coerce(v, arithmetic) for v in phi))
+    return make_summing_functional(s, tuple(coerce(v, ctx.cfg.arithmetic) for v in phi))
 
 
 def _theta_rightshift_bound(ctx, args, seed) -> Certificate:
-    s, functional, kappa = ctx.seq, ctx.functionals[args["phi"]], ctx.kappa["sequence"]
+    s, functional, kappa = ctx.seq, summing_functional(ctx, args), ctx.kappa["sequence"]
     bound = theta_lower_bound_rightshift(functional, args["eps"], kappa.upper)
     spec, budget = ctx.map_specs[args["map"]], SamplingBudget(args["pairs"], seed)
     theta_cert = theta_of_map(spec, s, budget, n_window=args["n_window"])
@@ -261,63 +262,96 @@ OTHER: Dict[str, Param] = {"other": (BUILTIN_NAMES, None)}
 SAMPLES: Dict[str, Param] = {"samples": (count, "2000")}
 
 
-def _whole(args: dict, m: int) -> int:
-    """A scan over coefficient rows as long as the target."""
-    return m
+def _steps(steps: Callable[[dict], int], least: int = 1) -> Rule:
+    """The rule that ``steps(args)`` applications of the check's map leave
+    ``least`` start coefficients."""
+    def rule(ctx, args) -> None:
+        mc = ctx.cfg.maps[args["map"]]
+        policy = map_policy(mc.variant, mc.theta, mc.policy)
+        start_length(mc.variant, policy, len(ctx.seq), steps(args), least)
+
+    return rule
 
 
-def _shifted(args: dict, m: int) -> int:
-    """A scan over the coefficients that every shift up to ``p_max`` can move."""
-    return m - args["p_max"]
+def _window(ctx, args) -> None:
+    check_theta_window(ctx.cfg.maps[args["map"]].variant, len(ctx.seq), args["n_window"])
 
+
+def _rows(width: Callable[[dict, int], int], enumerated: int = EXHAUSTIVE_LIMIT) -> Rule:
+    """The rule that a scan over rows ``width(args, m)`` long, on a target of m
+    vectors, has rows: with ``samples = 0`` only the enumerated patterns, up
+    to ``enumerated`` coefficients long."""
+    def rule(ctx, args) -> None:
+        m = width(args, len(ctx.target(args.get("on", "sequence"))))
+        if args["samples"] == 0 and m > enumerated:
+            raise ParameterError(f"samples = 0 enumerates rows only up to {enumerated} long, not {m}")
+
+    return rule
+
+
+def _other(ctx, args) -> None:
+    """The ``other`` family, built as the runner builds it (at length 1)."""
+    other = builtin_sequence(args["other"], 1, p=ctx.cfg.james_p)
+    if ctx.cfg.arithmetic == RATIONAL:
+        require_exact(other.ambient)
+
+
+def _eps(ctx, args) -> None:
+    theta_lower_bound_rightshift(summing_functional(ctx, args), args["eps"], ctx.kappa["sequence"].upper)
+
+
+WHOLE = _rows(lambda args, m: m)
+SHIFTED = _rows(lambda args, m: shift_width(m, args["p_max"]))
+WINDOW = (_steps(lambda args: args["n_window"]), _window)
 
 CHECKS: Dict[str, CheckKind] = {
     "basis_constant": CheckKind(
-        _basis_constant, {**ON, "samples": (count, "1024")}, width=_whole, enumerated=PM_ONE_LIMIT
+        _basis_constant, {**ON, "samples": (count, "1024")}, rules=(_rows(lambda args, m: m, PM_ONE_LIMIT),)
     ),
     "claim2_chain": CheckKind(_claim2_chain, MAP, DIAG_SHIFT),
     "psp_equivalence": CheckKind(  # rows as long as the schedule, M - 1
-        _psp_equivalence, {**MAP, **SAMPLES}, DIAG_SHIFT, width=lambda args, m: m - 1
+        _psp_equivalence, {**MAP, **SAMPLES}, DIAG_SHIFT, rules=(_rows(lambda args, m: m - 1),)
     ),
     "bilipschitz": CheckKind(
         _bilipschitz, {**MAP, "pairs": (count, "2000"), "p_max": (positive, "1")},
-        steps=lambda args: args["p_max"], least=2,
+        rules=(_steps(lambda args: args["p_max"], least=2),),
     ),
     "fixed_point_residual": CheckKind(
-        _residual, {**MAP, "samples": (count, "1000")}, steps=lambda args: 1
+        _residual, {**MAP, "samples": (count, "1000")}, rules=(_steps(lambda args: 1),)
     ),
     "theta_of_map": CheckKind(
         _theta_of_map,
         {**MAP, "pairs": (count, "200"), "n_window": (positive, "50"),
          "tol": (parse_scalar, "1e-9")},
-        steps=lambda args: args["n_window"],
+        rules=WINDOW,
     ),
     "theta_rightshift_bound": CheckKind(
         _theta_rightshift_bound,
         {**MAP, "eps": (positive_scalar, None), "n_window": (positive, "50"), "phi": (_phi, "ones"),
          "pairs": (count, "0")},
         RIGHT_SHIFT,
-        lambda args: args["n_window"],
+        (*WINDOW, summing_functional),
+        (_eps,),
     ),
-    "wide_s": CheckKind(_wide_s, {**ON, **SAMPLES}, width=_whole),
-    "domination": CheckKind(_domination, {**ON, **OTHER, **SAMPLES}, width=_whole),
-    "equivalence": CheckKind(_equivalence, {**ON, **OTHER, **SAMPLES}, width=_whole),
+    "wide_s": CheckKind(_wide_s, {**ON, **SAMPLES}, rules=(WHOLE,)),
+    "domination": CheckKind(_domination, {**ON, **OTHER, **SAMPLES}, rules=(WHOLE, _other)),
+    "equivalence": CheckKind(_equivalence, {**ON, **OTHER, **SAMPLES}, rules=(WHOLE, _other)),
     # analytic (a / K from kappa): it draws nothing, and accepts ``samples``,
     # which the james48 bench workloads set, only to ignore it
     "gap_bound": CheckKind(_gap_bound, {**ON, **SAMPLES}),
-    "wuc_constant": CheckKind(_wuc_constant, {**ON, **SAMPLES}, width=_whole),
+    "wuc_constant": CheckKind(_wuc_constant, {**ON, **SAMPLES}, rules=(WHOLE,)),
     "summing_equivalence": CheckKind(
         _summing_equivalence,
         {**ON, "c1": (positive_scalar, None), "c2": (positive_scalar, None), **SAMPLES},
-        width=_whole,
+        rules=(WHOLE,),
     ),
     "shift_equivalence": CheckKind(
-        _shift_equivalence, {**ON, "p_max": (positive, None), **SAMPLES}, width=_shifted
+        _shift_equivalence, {**ON, "p_max": (positive, None), **SAMPLES}, rules=(SHIFTED,)
     ),
     "lemma79": CheckKind(
         _lemma79,
         {**ON, "L": (positive_scalar, None), "lower_c": (_lower_c, "printed"),
          "p_max": (positive, "1"), **SAMPLES},
-        width=_shifted,
+        rules=(SHIFTED,),
     ),
 }

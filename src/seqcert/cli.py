@@ -28,15 +28,14 @@ from . import __version__
 from .arithmetic import FLOAT, RATIONAL, Real, parse_coeff_list, scalar_to_json
 from .blocks import ConvexBlockSpec, build_convex_blocks
 from .certificates import Certificate
-from .checks import CHECKS, count, summing_functional
+from .checks import CHECKS, count
 from .config import CheckConfig, ExperimentConfig, build_sequence, load_config, parse_cli_tag, parse_point
 from .errors import BlockSpecError, ConfigError, ParameterError
 from .fpmaps import (
-    DIAG_SHIFT, AffineMapSpec, ConvexCoefficients, SummingFunctional, check_theta_window,
-    make_alpha_schedule, map_policy, orbit, start_length, theta_lower_bound_rightshift,
+    DIAG_SHIFT, AffineMapSpec, ConvexCoefficients, make_alpha_schedule, map_policy, orbit, start_length,
 )
 from .sampling import SamplingBudget
-from .sequences import INEQ_TOL, BasicSequence, Kappa, basis_constant, builtin_sequence
+from .sequences import INEQ_TOL, BasicSequence, Kappa, basis_constant
 from .spaces import norm, require_exact, row_array, scalar
 
 KAPPA_SAMPLES = 512
@@ -54,21 +53,14 @@ def kappa_json(kappa: Kappa) -> dict:
 
 
 class RunContext:
-    """Sequence, block sequence, their basis-constant intervals, realized
-    maps and summing functionals for one certify run.  ``seq`` is the
-    configured family when the caller has built it already.  What the family
-    rules out raises ConfigError before any basis constant is estimated:
-    blocks that cannot be built, a shift ``p_max`` not below the target's
-    length, ``samples = 0`` on rows too long to enumerate (``CheckKind.width``),
-    a check whose map steps leave fewer start coefficients than it takes
-    (``CheckKind.least``, ``fpmaps.start_length``), a right-shift orbit
-    window too short for it (``fpmaps.check_theta_window``), a ``phi`` that
-    gives no summing functional (``functionals`` maps each phi to its own),
-    or in rational mode an ``other`` family whose norm is not piecewise linear;
-    right after them, before any check runs, an ``eps`` past its limit too.
-    ``setup_times`` holds the wall time of each step, in seconds, and
-    ``kappa`` the basis-constant interval of each target, keyed by its ``on``
-    value ("blocks" only with blocks)."""
+    """Sequence, block sequence, their basis-constant intervals and realized
+    maps for one certify run; ``seq`` is the configured family when the
+    caller has built it already.  Blocks that cannot be built, and what a
+    check's ``CheckKind.rules`` reject, raise ConfigError before any basis
+    constant is estimated; what its ``kappa_rules`` reject, right after.
+    The context reads no check parameter.  ``setup_times`` holds the wall
+    time of each step, in seconds, and ``kappa`` the basis-constant interval
+    of each target, keyed by its ``on`` value ("blocks" only with blocks)."""
 
     def __init__(self, cfg: ExperimentConfig, seq: Optional[BasicSequence] = None):
         self.cfg = cfg
@@ -83,55 +75,23 @@ class RunContext:
                 self.blocks_seq = self._timed("blocks", build_convex_blocks, self.seq, spec)
             except BlockSpecError as exc:
                 raise ConfigError(f"[blocks]: {exc}") from exc
-        self.functionals: Dict[object, SummingFunctional] = {}
-        self._each_check(self._prepare)
+        self._each_check("rules")
         self.kappa: Dict[str, Kappa] = {"sequence": self._kappa("kappa", self.seq, 0)}
         if self.blocks_seq is not None:
             self.kappa["blocks"] = self._kappa("kappa_blocks", self.blocks_seq, 1)
-        self._each_check(self._check_eps)  # its limit beta / (1 + 2 kappa) needs kappa
+        self._each_check("kappa_rules")
         self.map_specs: Dict[str, AffineMapSpec] = self._timed(
             "maps", lambda: {name: self._realize_map(mc) for name, mc in cfg.maps.items()}
         )
 
-    def _each_check(self, check_args: Callable[[str, dict], None]) -> None:
-        """``check_args(kind, args)`` on every check; a ParameterError names the check."""
+    def _each_check(self, rules: str) -> None:
+        """Every check's ``rules`` (a ``CheckKind`` field); a ParameterError names the check."""
         for check in self.cfg.checks:
             try:
-                check_args(check.kind, check.args)
+                for rule in getattr(CHECKS[check.kind], rules):
+                    rule(self, check.args)
             except ParameterError as exc:
                 raise ConfigError(f"[check {check.name}]: {exc}") from exc
-
-    def _check_eps(self, kind: str, args: dict) -> None:
-        if "eps" in args:
-            functional = self.functionals[args["phi"]]
-            theta_lower_bound_rightshift(functional, args["eps"], self.kappa["sequence"].upper)
-
-    def _prepare(self, kind: str, args: dict) -> None:
-        """Check what the family implies for one check; build its functional."""
-        spec = CHECKS[kind]
-        steps = spec.steps
-        if steps is not None:
-            mc = self.cfg.maps[args["map"]]
-            policy = map_policy(mc.variant, mc.theta, mc.policy)
-            start_length(mc.variant, policy, len(self.seq), steps(args), spec.least)
-            if "n_window" in args:
-                check_theta_window(mc.variant, len(self.seq), args["n_window"])
-        if "on" in args and "p_max" in args:  # a shift of the target family
-            m = len(self.target(args["on"]))
-            if not args["p_max"] < m:
-                raise ParameterError(f"p_max must lie in 1..{m - 1}, got {args['p_max']}")
-        if spec.width is not None and args["samples"] == 0:
-            width = spec.width(args, len(self.target(args.get("on", "sequence"))))
-            if width > spec.enumerated:
-                raise ParameterError(
-                    f"samples = 0 leaves only enumerated patterns, which exist up to "
-                    f"{spec.enumerated} coefficients; this check scans {width}"
-                )
-        if "phi" in args:
-            phi = args["phi"]
-            self.functionals[phi] = summing_functional(self.seq, phi, self.cfg.arithmetic)
-        if "other" in args and self.cfg.arithmetic == RATIONAL:
-            require_exact(builtin_sequence(args["other"], 1).ambient)
 
     def _timed(self, step: str, fn: Callable, *args):
         t0 = time.perf_counter()

@@ -957,6 +957,34 @@ seed = 1
     assert dom["constants"]["L_hat"] == 1.0
 
 
+def test_other_family_the_configured_p_rules_out_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    """The load-time rule builds ``other`` with ``[sequence] p``, as the runner
+    does: james_summing needs p > 1, so p = 1 exits 2 with no report."""
+    text = """
+[sequence]
+builtin = ell1_canonical
+n = 4
+p = 1
+
+[check eq]
+kind = equivalence
+other = james_summing
+samples = 10
+
+[run]
+seed = 1
+"""
+
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("basis_constant ran for a malformed config")
+
+    monkeypatch.setattr("seqcert.cli.basis_constant", no_kappa)
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert "[check eq]: james requires p > 1, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["certify", "orbit"])
 def test_dependent_csv_family_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command):
     """A CSV family that is not a basic sequence is a config error.  (Not an

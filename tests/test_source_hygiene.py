@@ -6,7 +6,8 @@ re-exports is read by a module of the package, by the acceptance tests or
 by a bench script, every script, config and workload path the README names
 exists, and so does every batch kernel and float enclosure it names.  Only
 ``sampling`` writes a certificate's mode: no other module labels a budget or
-spells a label word.
+spells a label word.  ``cli`` reads no check parameter: a kind's load-time
+rules live in its ``CHECKS`` entry.
 
 The package ``__init__`` is exempt from the first rule, and its reads do not
 count for the kernel and re-export rules: its imports are the public
@@ -292,3 +293,45 @@ def test_the_checker_sees_a_mode_label():
         "line 4: budget.label()",
     ]
     assert label_rule_breaches((SRC / "sampling.py").read_text())
+
+
+def parameter_reads(text: str) -> list:
+    """Each read by key of a check's parsed parameters in text: a subscript
+    of, a ``.get`` on or a membership test in a name ``args`` or an
+    attribute ``.args``."""
+    def is_args(node: ast.AST) -> bool:
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name == "args"
+
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Subscript) and is_args(node.value):
+            found.append(node)
+        elif isinstance(node, ast.Attribute) and node.attr == "get" and is_args(node.value):
+            found.append(node)
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.In, ast.NotIn)) and is_args(right) for op, right in zip(node.ops, node.comparators)
+        ):
+            found.append(node)
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+def test_cli_reads_no_check_parameter():
+    """What a check's parameters rule out is a rule of its ``CHECKS`` entry;
+    the run context passes the parsed parameters on without reading them."""
+    assert parameter_reads((SRC / "cli.py").read_text()) == []
+
+
+def test_the_checker_sees_a_parameter_read():
+    text = (
+        "def f(ctx, check, args):\n"
+        "    run(ctx, check.args, *args)\n"
+        "    if 'eps' in args and 'on' not in check.args:\n"
+        "        return args['eps'], check.args.get('on'), args.command\n"
+    )
+    assert parameter_reads(text) == [
+        "line 3: 'eps' in args",
+        "line 3: 'on' not in check.args",
+        "line 4: args['eps']",
+        "line 4: check.args.get",
+    ]
