@@ -82,14 +82,12 @@ def build_convex_blocks(s: BasicSequence, spec: ConvexBlockSpec) -> BasicSequenc
             f"block index {spec.max_index} exceeds sequence length {len(s)}"
         )
     rows = s.matrix(exact=True)  # each entry as given, so exact entries stay exact
-    vecs = []
-    for blk, wts in zip(spec.blocks, spec.weights):
-        acc = np.zeros(s.ambient_length, dtype=object)
+    out = np.zeros((len(spec), s.ambient_length), dtype=object)
+    for acc, blk, wts in zip(out, spec.blocks, spec.weights):
         for i, w in zip(blk, wts):
             if w:
-                acc = acc + w * rows[i - 1]
-        vecs.append(tuple(acc))
-    return BasicSequence(vecs, s.ambient)
+                acc += w * rows[i - 1]
+    return BasicSequence(out, s.ambient)
 
 
 def wuc_constant(

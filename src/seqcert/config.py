@@ -285,7 +285,7 @@ def build_sequence(cfg: ExperimentConfig) -> BasicSequence:
     if cfg.builtin is not None:
         s = builtin_sequence(cfg.builtin, cfg.n, p=cfg.james_p)
         if cfg.space is not None and cfg.space != s.ambient:
-            s = BasicSequence([v.entries for v in s.vectors], cfg.space)
+            s = BasicSequence(s.matrix(exact=True), cfg.space)
         return s
     rows = load_vector_csv(Path(cfg.source_dir) / cfg.csv_path, cfg.arithmetic)
     try:

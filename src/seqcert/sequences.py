@@ -17,8 +17,9 @@ coefficient space are only ever refined heuristically and carry a flag.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,9 +28,14 @@ from .certificates import Certificate
 from .errors import DependenceError, ParameterError
 from .sampling import Rows, SamplingBudget, coefficient_rows
 from .spaces import (
+    ELL_P,
+    JAMES,
+    LIN,
+    SUP,
     CoordinateVector,
     NormTag,
     blockwise,
+    integer_keys,
     norm_batch,
     norm_enclosure,
     require_exact,
@@ -44,49 +50,48 @@ DENOM_GUARD = 1e-12
 INEQ_TOL = 1e-9
 
 
-def _exact_rank(rows: List[Tuple[Real, ...]]) -> int:
-    """Rank over the rationals by Gaussian elimination, exact through the pivot."""
-    mat = [list(row) for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = Fraction(mat[rank][col])
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                f = mat[r][col] / pv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
+def _exact_rank(mat) -> int:
+    """Rank over the rationals of int/Fraction rows, with no Fraction made: the
+    ``integer_keys`` of the rows, eliminated fraction-free, each changed row
+    divided by the gcd of its entries, and dropped once it is zero."""
+    n = np.shape(mat)[1]
+    flat = integer_keys(np.asarray(mat, dtype=object))[1]
+    rows, rank = [flat[i : i + n] for i in range(0, len(flat), n)], 0
+    for col in range(n):
+        pivots = [r for r in rows if r[col]]
+        if pivots:
+            top, rank = pivots[0], rank + 1
+            changed = ([top[col] * a - r[col] * b for a, b in zip(r, top)] for r in pivots[1:])
+            rows = [r for r in rows if not r[col]] + [[a // g for a in c] for c in changed if (g := math.gcd(*c))]
     return rank
 
 
 class BasicSequence:
-    """Ordered family of coordinate vectors with an ambient norm tag."""
+    """Ordered family of coordinate vectors with an ambient norm tag, stored as
+    one ``matrix`` of the rows given (tuples, ``CoordinateVector``s or a 2-D
+    array); numpy ints, which multiply in 64 bits, become Python ints."""
 
     def __init__(self, vectors: Sequence, ambient: NormTag):
-        vecs = tuple(CoordinateVector.of(v) for v in vectors)
-        if not vecs:
+        mat = np.array(vectors, dtype=object)
+        if not mat.shape or not len(mat):
             raise ParameterError("a basic sequence needs at least one vector")
-        n = len(vecs[0])
-        if any(len(v) != n for v in vecs):
+        if mat.ndim != 2:
             raise ParameterError("all vectors must share the ambient length")
-        if len(vecs) > n:
-            raise DependenceError(
-                f"{len(vecs)} vectors cannot be independent in ambient length {n}"
-            )
-        self.vectors = vecs
+        kinds = set(map(type, mat.ravel().tolist()))
+        if any(issubclass(k, np.generic) for k in kinds):
+            mat = _ITEM(mat)
+            kinds = set(map(type, mat.ravel().tolist()))
+        flt = mat.astype(float)  # each entry rounded as float(x) rounds it
+        if not np.isfinite(flt).all():
+            raise ParameterError("non-finite entry in a basic sequence")
+        m, n = mat.shape
+        if m > n:
+            raise DependenceError(f"{m} vectors cannot be independent in ambient length {n}")
         self.ambient = ambient
-        self.exact = all(
-            not isinstance(x, float) for v in vecs for x in v.entries
-        )
-        self._float_matrix = np.array([v.as_floats() for v in vecs], dtype=float)
-        self._exact_matrix = np.array([v.entries for v in vecs], dtype=object)
-        self._check_independent()
+        self.exact = float not in kinds
+        self._exact_matrix, self._float_matrix = mat, flt
+        if (_exact_rank(mat) if self.exact else np.linalg.matrix_rank(flt)) < m:
+            raise DependenceError("vectors are linearly dependent")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
             self.vector_norms = tuple(map(scalar, norm_batch(self.matrix(self.exact), ambient)))
         if not all(map(is_finite, self.vector_norms)):
@@ -96,20 +101,17 @@ class BasicSequence:
         if not self.a > 0:
             raise DependenceError("sequence is not seminormalized: some ||x_n|| = 0")
 
-    def _check_independent(self):
-        if self.exact:
-            rank = _exact_rank([v.entries for v in self.vectors])
-        else:
-            rank = int(np.linalg.matrix_rank(self.matrix()))
-        if rank < len(self.vectors):
-            raise DependenceError("vectors are linearly dependent")
+    @property
+    def vectors(self) -> Tuple[CoordinateVector, ...]:
+        """The rows of ``matrix(exact=True)`` as coordinate vectors, made on each read."""
+        return tuple(map(CoordinateVector, map(tuple, self._exact_matrix.tolist())))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self._exact_matrix)
 
     @property
     def ambient_length(self) -> int:
-        return len(self.vectors[0])
+        return self._exact_matrix.shape[1]
 
     def matrix(self, exact: bool = False) -> np.ndarray:
         """The vectors as rows: floats, or with ``exact`` an object array of
@@ -118,7 +120,7 @@ class BasicSequence:
 
     def _basis(self, m: int, shift: int, exact: bool) -> np.ndarray:
         """The vectors x_{1+shift}..x_{m+shift} as rows (see ``matrix``)."""
-        if shift + m > len(self.vectors):
+        if shift + m > len(self):
             raise ParameterError("more coefficients than vectors")
         return self.matrix(exact)[shift : shift + m]
 
@@ -205,19 +207,11 @@ def builtin_sequence(name: str, n: int, p: Real = 2) -> BasicSequence:
     """Construct one of the named coordinate families at truncation n."""
     if n < 1:
         raise ParameterError("truncation must be >= 1")
-    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    if name == "ell1_canonical":
-        return BasicSequence(unit, NormTag.ell_p(1))
-    if name == "c0_canonical":
-        return BasicSequence(unit, NormTag.sup())
-    if name == "summing_c0":
-        steps = [tuple(1 if j <= i else 0 for j in range(n)) for i in range(n)]
-        return BasicSequence(steps, NormTag.sup())
-    if name == "james_summing":
-        return BasicSequence(unit, NormTag.james(p))
-    if name == "lin_ell1":
-        return BasicSequence(unit, NormTag.lin())
-    raise ParameterError(f"unknown builtin sequence {name!r}; choose from {BUILTIN_NAMES}")
+    if name not in BUILTIN_NAMES:
+        raise ParameterError(f"unknown builtin sequence {name!r}; choose from {BUILTIN_NAMES}")
+    tags = {"ell1_canonical": (ELL_P, 1), "james_summing": (JAMES, p), "lin_ell1": (LIN, None)}
+    rows = np.tri(n, dtype=int) if name == "summing_c0" else np.eye(n, dtype=int)
+    return BasicSequence(rows, NormTag(*tags.get(name, (SUP, None))))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +231,7 @@ def _eval_rows(
 
 _FRACTION = np.frompyfunc(Fraction, 1, 1)
 _EXACT = np.frompyfunc(exact_value, 1, 1)
+_ITEM = np.frompyfunc(lambda x: x.item() if isinstance(x, np.generic) else x, 1, 1)  # as a Python scalar
 
 
 def _guard(arithmetic: str):

@@ -28,8 +28,8 @@ array.  A float array is evaluated in float; an ``object`` array holding
 int/Fraction entries keeps them, so the piecewise-linear norms (sup, ell_1,
 lin, and the summing-basis norm) are exact on it.  Exact lin runs on
 integer keys (``_lin_exact``): the tail sums of |D x|, D the lcm of the
-entries' denominators, times the integer weights L * lin_weight(k), L the
-lcm of the 1 + 8^k, so a row costs one Fraction, its norm.  The scalar
+entries' denominators (``integer_keys``), times the integer weights
+L * lin_weight(k), L the lcm of the 1 + 8^k: one Fraction a row.  The scalar
 entry points (``norm``, ``james_summing_norm``, ``summing_basis_norm``)
 evaluate one row of that kernel: ``row_array`` makes a row with no float
 entry an ``object`` row, so exact inputs stay exact, and ``scalar`` returns
@@ -351,25 +351,32 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
     return james_power_sums_batch(mat, tag.p) ** (1.0 / float(tag.p))
 
 
-def _lin_exact(mat: np.ndarray) -> np.ndarray:
-    """The lin norm of every row of an ``object`` array of int/Fraction
-    entries, in integers.  With L the lcm of the 1 + 8^k, k = 1..N, each
-    c_k = L * lin_weight(k) is an integer; with D the lcm of the entries'
-    denominators, each t_k = sum_{n>=k} |D x(n)| is an integer tail sum, and
-    a row's norm is max_k c_k t_k / (L D).  So the weights cost N Fractions
-    a call, and a row integer sums, products and compares and one reduced
-    Fraction; an all-zero row gets the int 0 (a report writes Fraction(0)
-    as "0/1")."""
-    rows, n = mat.shape
-    weights = [lin_weight(k) for k in range(1, n + 1)]
-    scale = math.lcm(*(w.denominator for w in weights))
-    scaled = np.array([scale // w.denominator * w.numerator for w in weights], dtype=object)
+def integer_keys(mat: np.ndarray) -> Tuple[int, list]:
+    """(D, D times each entry of an ``object`` array of int/Fraction entries, as
+    a flat list of ints), D the lcm of their denominators: 1 for ints, kept as they are."""
     flat = mat.ravel().tolist()
-    if not {int, Fraction}.issuperset(map(type, flat)):
-        # numpy integers (a row of a numpy int array) would multiply in 64 bits
+    kinds = set(map(type, flat))
+    if kinds <= {int}:
+        return 1, flat
+    if not kinds <= {int, Fraction}:  # numpy ints (a numpy int array's) would multiply in 64 bits
         flat = [x.item() if isinstance(x, np.generic) else x for x in flat]
     den = math.lcm(*{x.denominator for x in flat})
-    keys = np.array([abs(x.numerator) * (den // x.denominator) for x in flat], dtype=object).reshape(rows, n)
+    return den, [x.numerator * (den // x.denominator) for x in flat]
+
+
+def _lin_exact(mat: np.ndarray) -> np.ndarray:
+    """The lin norm of every row of an ``object`` array of int/Fraction
+    entries, in integers: lin_weight(k) = (d_k - 1) / d_k, d_k = 1 + 8^k, so
+    with L the lcm of the d_k, a row's norm is max_k c_k t_k / (L D), c_k =
+    (L // d_k) (d_k - 1) and t_k = sum_{n>=k} |D x(n)| over ``integer_keys``.
+    One reduced Fraction a row; an all-zero row gets the int 0 (a report
+    writes Fraction(0) as "0/1")."""
+    rows, n = mat.shape
+    dens = [1 + 8**k for k in range(1, n + 1)]
+    scale = math.lcm(*dens)
+    scaled = [scale // d * (d - 1) for d in dens]
+    den, flat = integer_keys(mat)
+    keys = np.array(list(map(abs, flat)), dtype=object).reshape(rows, n)
     # one column at a time: at N = 64, L has about 5 000 bits, and every
     # product at once would hold rows x N such integers
     tail = top = np.zeros(rows, dtype=object)

@@ -9,11 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seqcert.arithmetic import FLOAT, RATIONAL, exact_value
+from seqcert.arithmetic import FLOAT, RATIONAL, exact_value, scalar_to_json
 from seqcert.cli import main
 from seqcert.errors import DependenceError, ParameterError
 from seqcert.sampling import SamplingBudget, pm_one_patterns, sign_patterns
 from seqcert.sequences import (
+    BUILTIN_NAMES,
     PROVED_MONOTONE,
     BasicSequence,
     Kappa,
@@ -26,7 +27,7 @@ from seqcert.sequences import (
     gap_bound_check,
     wide_s_certificate,
 )
-from seqcert.spaces import NormTag, norm, summing_basis_norm
+from seqcert.spaces import CoordinateVector, NormTag, norm, summing_basis_norm
 
 EXHAUSTIVE = SamplingBudget(count=0, seed=0)
 
@@ -345,3 +346,128 @@ def test_a_nan_ratio_is_never_an_extreme():
         lo, hi, row_lo, row_hi, _ = _ratio_extremes(np.array([inf, inf]), np.array([inf, inf]), rows[:2], FLOAT)
     assert math.isnan(lo) and math.isnan(hi)
     assert row_lo.tolist() == row_hi.tolist() == rows[0].tolist()
+
+
+def summing_rows(n):
+    """The rows of ``summing_c0`` at n: u_i = e_1 + ... + e_i."""
+    return [tuple(int(j <= i) for j in range(n)) for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_exact_rank_matches_the_all_fraction_elimination_up_to_12(seed):
+    rng = np.random.default_rng(1000 + seed)
+    m, n = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+    rows = random_exact_rows(rng, m, n, int(rng.integers(0, min(m, n) + 1)))
+    assert _exact_rank(rows) == all_fraction_rank(rows)
+    assert _exact_rank(np.array(rows, dtype=object)) == all_fraction_rank(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_exact_rank_of_the_summing_shape(n):
+    """``summing_c0``'s rows u_1..u_n as they are, reversed, each times a
+    Fraction, with their sum appended, and with u_n replaced by u_1 - u_n/3
+    have rank n; with u_n replaced by u_1 + 2 u_{n-1} they have rank n - 1."""
+    steps = summing_rows(n)
+    cases = [
+        steps,
+        steps[::-1],
+        [tuple(Fraction(k + 1, 3) * x for x in row) for k, row in enumerate(steps)],
+        steps + [tuple(map(sum, zip(*steps)))],
+        steps[:-1] + [tuple(a - Fraction(b, 3) for a, b in zip(steps[0], steps[-1]))],
+    ]
+    for rows in cases:
+        assert _exact_rank(rows) == all_fraction_rank(rows) == n
+    if n > 1:
+        dependent = steps[:-1] + [tuple(a + 2 * b for a, b in zip(steps[0], steps[-2]))]
+        assert _exact_rank(dependent) == all_fraction_rank(dependent) == n - 1
+
+
+@pytest.mark.parametrize("rows", [summing_rows(9), unit_vectors(12), random_exact_rows(np.random.default_rng(3), 8, 8, 6)])
+def test_exact_rank_makes_no_fraction(rows, fractions_made):
+    """A count, not a timing: the rank is found in integers, on int rows and
+    on rows with Fraction entries alike; the all-Fraction oracle, run after
+    it, shows that the count sees every Fraction made."""
+    rank = _exact_rank(np.array(rows, dtype=object))
+    assert fractions_made == []
+    assert rank == all_fraction_rank(rows)
+    assert fractions_made  # the patches count
+
+
+@pytest.mark.parametrize("rows", [np.array([[2**62, 0], [0, 1]]), [(np.int64(2**62), 0), (0, np.int64(1))]])
+def test_a_family_of_numpy_ints_spans_in_python_ints(rows):
+    """An exact family built from numpy integers holds the Python ints they
+    hold, so its exact spans and norms do not wrap at 64 bits."""
+    s = BasicSequence(rows, NormTag.ell_p(1))
+    assert s.exact and {type(x) for x in s.matrix(exact=True).flat} == {int}
+    assert s.span_norm((2, 0)) == 2**63
+    assert type(s.a) is int and s.a == 1
+    assert scalar_to_json(s.b) == 2**62
+
+
+EXACT_ROWS = [(1, Fraction(1, 2), 0), (0, 3, Fraction(-2, 3)), (Fraction(5, 4), 0, 2)]
+INT_ROWS = [(2, 1, 0), (0, 3, -1), (1, 0, 2)]
+FLOAT_ROWS = [(1.0, 0.5, 0.0), (0.0, 3.0, -0.1), (1.25, 0.0, 2.0)]
+
+
+def row_forms(rows):
+    """The rows as tuples, as ``CoordinateVector``s, as an ``object`` 2-D
+    array and, where numpy holds them without loss, as a numeric 2-D array."""
+    forms = [rows, [CoordinateVector(r) for r in rows], np.array(rows, dtype=object)]
+    if not any(isinstance(x, Fraction) for r in rows for x in r):
+        forms.append(np.array(rows))
+    return forms
+
+
+def entries(mat):
+    return [[(x, type(x)) for x in row] for row in mat.tolist()]
+
+
+@pytest.mark.parametrize("tag", [NormTag.ell_p(1), NormTag.lin(), NormTag.sup()], ids=NormTag.label)
+@pytest.mark.parametrize("rows", [EXACT_ROWS, INT_ROWS, FLOAT_ROWS], ids=["exact", "int", "float"])
+def test_one_family_from_any_row_form(rows, tag):
+    ref = BasicSequence(rows, tag)
+    assert ref.exact == (rows is not FLOAT_ROWS)
+    for form in row_forms(rows):
+        s = BasicSequence(form, tag)
+        assert s.matrix().dtype == float and s.matrix().tobytes() == ref.matrix().tobytes()
+        assert entries(s.matrix(exact=True)) == entries(ref.matrix(exact=True))
+        assert (s.exact, len(s), s.ambient_length) == (ref.exact, 3, 3)
+        for got, want in [(s.vector_norms, ref.vector_norms), ((s.a, s.b), (ref.a, ref.b))]:
+            assert [(x, type(x)) for x in got] == [(x, type(x)) for x in want]
+        assert [v.entries for v in s.vectors] == [tuple(r) for r in rows]
+        again = BasicSequence(s.vectors, tag)
+        assert entries(again.matrix(exact=True)) == entries(s.matrix(exact=True))
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([], ParameterError),
+        (np.zeros((0, 3)), ParameterError),
+        ([(1, 0), (0, 1, 0)], ParameterError),
+        ([(1, 0, 0), (0, 1)], ParameterError),
+        ([(1.0, float("nan")), (0.0, 1.0)], ParameterError),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), ParameterError),
+        ([CoordinateVector((1, 0)), (0, -np.inf)], ParameterError),
+        (unit_vectors(3, length=2), DependenceError),
+        (np.eye(3)[:, :2], DependenceError),
+        ([(1, 2), (2, 4)], DependenceError),
+        ([(1, Fraction(1, 3), 0), (3, 1, 0)], DependenceError),
+        ([(1.0, 2.0), (0.5, 1.0)], DependenceError),
+        ([(0, 0)], DependenceError),
+        ([(1, 0), (0, 0)], DependenceError),
+        (np.zeros((2, 2)), DependenceError),
+    ],
+)
+def test_malformed_rows_raise(rows, error):
+    with pytest.raises(error):
+        BasicSequence(rows, NormTag.ell_p(1))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_builtin_rows_are_python_ints(name, n):
+    s = builtin_sequence(name, n)
+    want = summing_rows(n) if name == "summing_c0" else unit_vectors(n)
+    assert entries(s.matrix(exact=True)) == [[(x, int) for x in row] for row in want]
+    assert s.exact

@@ -7,7 +7,8 @@ by a bench script, every script, config and workload path the README names
 exists, and so does every batch kernel and float enclosure it names.  Only
 ``sampling`` writes a certificate's mode: no other module labels a budget or
 spells a label word.  ``cli`` reads no check parameter: a kind's load-time
-rules live in its ``CHECKS`` entry.
+rules live in its ``CHECKS`` entry.  No module but ``sequences`` reads a
+family's ``vectors``: a family is its matrix.
 
 The package ``__init__`` is exempt from the first rule, and its reads do not
 count for the kernel and re-export rules: its imports are the public
@@ -335,3 +336,28 @@ def test_the_checker_sees_a_parameter_read():
         "line 4: args['eps']",
         "line 4: check.args.get",
     ]
+
+
+def vectors_reads(text: str) -> list:
+    """Each read of an attribute ``.vectors`` in text."""
+    return [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and node.attr == "vectors"
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC.glob("*.py") if p.name != "sequences.py"], ids=lambda p: p.name)
+def test_only_sequences_reads_a_family_s_vectors(path):
+    """A family is its matrix (``BasicSequence.matrix``); its ``vectors``
+    are a view made on each read, for callers outside the package."""
+    assert vectors_reads(path.read_text()) == [], f"{path.name} reads a family's vectors"
+
+
+def test_the_checker_sees_a_vectors_read():
+    text = (
+        "def f(s, vectors):\n"
+        "    rows = [v.entries for v in s.vectors]\n"
+        "    return vectors, s.matrix(exact=True), len(s.vectors[1:])\n"
+    )
+    assert vectors_reads(text) == ["line 2: s.vectors", "line 3: s.vectors"]

@@ -401,3 +401,16 @@ def test_float_image_agrees_on_float_rows_and_their_exact_values():
     np.testing.assert_array_equal(
         from_float[1], [True, True, False, False, False, True, True, True, False, False]
     )
+
+
+def test_exact_lin_kernel_makes_no_weight_fraction(fractions_made):
+    """A count, not a timing: the weights c_k = (L // d_k) (d_k - 1), d_k =
+    1 + 8^k, are integers, so the kernel makes one Fraction per nonzero row,
+    its norm, and none for the N weights; the oracle, run after it, shows
+    that the count sees every Fraction made."""
+    rows = [[int(v) for v in r] for r in np.random.default_rng(6).integers(-9, 10, size=(30, 16))] + [[0] * 16]
+    got = norm_batch(np.array(rows, dtype=object), NormTag.lin())
+    made = len(fractions_made)
+    assert 0 < made <= sum(map(any, rows))
+    assert list(got) == [lin_oracle(row) for row in rows]
+    assert len(fractions_made) > made  # the patches count
