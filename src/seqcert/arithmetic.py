@@ -36,9 +36,13 @@ def coerce(x: Real, mode: str) -> Real:
     """Coerce a scalar into the representation of the given mode.
 
     RATIONAL coercion of a float is exact (binary floats are rationals).
+    FLOAT coercion of a value beyond the float range raises ParameterError.
     """
     if mode == FLOAT:
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError as exc:
+            raise ParameterError("value beyond the float range") from exc
     if isinstance(x, (int, Fraction)):
         return x
     return Fraction(x)
@@ -61,10 +65,7 @@ def parse_scalar(text: str) -> Fraction:
 def parse_coeff_list(text: str, arithmetic: str = FLOAT) -> tuple:
     """Comma-separated scalar literals, as floats in FLOAT mode."""
     items = [s for s in (piece.strip() for piece in text.split(",")) if s]
-    vals = [parse_scalar(s) for s in items]
-    if arithmetic == FLOAT:
-        return tuple(float(v) for v in vals)
-    return tuple(vals)
+    return tuple(coerce(parse_scalar(s), arithmetic) for s in items)
 
 
 def scalar_to_json(x: Real):

@@ -81,8 +81,12 @@ class BasicSequence:
         if any(issubclass(k, np.generic) for k in kinds):
             mat = _ITEM(mat)
             kinds = set(map(type, mat.ravel().tolist()))
-        flt = mat.astype(float)  # each entry rounded as float(x) rounds it
-        if not np.isfinite(flt).all():
+        try:
+            flt = mat.astype(float)  # each entry rounded as float(x) rounds it
+            finite = np.isfinite(flt).all()
+        except OverflowError:  # an int or Fraction beyond the float range
+            finite = False
+        if not finite:
             raise ParameterError("non-finite entry in a basic sequence")
         m, n = mat.shape
         if m > n:

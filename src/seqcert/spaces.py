@@ -21,7 +21,11 @@ DP may therefore leave indices uncovered on either side or in the middle.
 prefix width over every interval start at once, on blocks of rows small
 enough for its tables to stay in L2, and stops each block at its last
 nonzero column, past which the optimum repeats bit for bit; a max is exact,
-so no bit depends on the blocks.
+so no bit depends on the blocks.  The step squares a difference in place
+for p = 2 (the square of -d is that of d, so no ``abs``), and its column
+max needs no running max beside it: the candidate whose last block is {j}
+adds a nonnegative term to best[j-1], the value of leaving j uncovered,
+and rounding is monotone.
 
 Each norm is written once, as a batch kernel over the rows of a 2-D numpy
 array.  A float array is evaluated in float; an ``object`` array holding
@@ -278,23 +282,32 @@ def james_power_sums_batch(mat: np.ndarray, p: Real) -> np.ndarray:
     tables ``prefix`` and ``best`` are (w+1) x rows and C-contiguous, and
     each width j is one vector step over every start i = 1..j at once: the
     j x rows candidates best[i-1] + |prefix[j] - prefix[i-1]|^p fill the
-    top of one reused buffer, and best[j] is the larger of best[j-1] and
-    their column max.  Each entry goes through the same elementwise
-    operations as in the one-start-at-a-time DP on rows x (N+1) tables, and
-    a max is exact whatever order it takes its operands in, so the bits do
-    not depend on the layout, on the block boundaries or on how many rows
-    are evaluated together.
+    top of one reused buffer (filled with prefix[j], then prefix[i-1]
+    subtracted in place, the same IEEE subtraction), and best[j] is their
+    column max.  Two facts make this the textbook step bit for bit.  For
+    p = 2 the difference d is squared in place with no ``abs``: (-d)^2 ==
+    d^2 exactly, and numpy's ``**= 2.0`` is that same square.  And the
+    candidate with i = j is best[j-1] plus a nonnegative term, which
+    round-to-nearest never rounds below best[j-1] (rounding is monotone),
+    so the column max is already at least best[j-1] and the running max
+    max(best[j], best[j-1]) of the one-start-at-a-time DP changes no bit.
+    Each entry goes through the same elementwise operations as in that DP
+    on rows x (N+1) tables, and a max is exact whatever order it takes its
+    operands in, so the bits do not depend on the layout, on the block
+    boundaries or on how many rows are evaluated together.
 
     A block stops at w, its last column with a nonzero entry (an all-zero
     block at w = 0, with power sum 0.0).  Past w every prefix sum repeats
     exactly: adding +-0.0 leaves a value unchanged, or changes only the sign
-    of a zero, and ``abs`` drops that sign.  So every candidate of a width
-    j > w is a candidate of width w or a best[i-1] plus 0.0, and best[j] ==
-    best[j-1] bit for bit.
+    of a zero, and the power step (``abs``, or the square) drops that sign.
+    So every candidate of a width j > w is a candidate of width w or a
+    best[i-1] plus 0.0, and best[j] == best[j-1] bit for bit.
 
     A row with an infinite prefix sum gets inf, the correctly rounded
     result: the block that ends at that prefix already overflows.  The DP
-    would give inf - inf = nan for it instead.
+    would give inf - inf = nan for it instead, the only way a nan arises;
+    a difference of two finite prefix sums that overflows is inf, and stays
+    inf through the power and the max.
     """
     mat = np.asarray(mat, dtype=float)
     [sums] = blockwise([lambda block: _james_block(block, float(p))], mat, mat.shape[1])
@@ -314,12 +327,15 @@ def _james_block(chunk: np.ndarray, p: float) -> np.ndarray:
         np.cumsum(chunk[:, :w].T, axis=0, out=prefix[1:])
         for j in range(1, w + 1):
             v = buf[:j]  # a last interval starting at i = 1..j
-            np.subtract(prefix[j], prefix[:j], out=v)
-            np.abs(v, out=v)
-            v **= p
-            np.add(best[:j], v, out=v)
+            v[...] = prefix[j]
+            v -= prefix[:j]
+            if p == 2.0:
+                v *= v  # (-d)^2 == d^2 bit for bit, and v **= 2.0 is np.square
+            else:
+                np.abs(v, out=v)
+                v **= p
+            v += best[:j]
             v.max(axis=0, out=best[j])
-            np.maximum(best[j], best[j - 1], out=best[j])
     return np.where(np.isinf(prefix).any(axis=0), np.inf, best[w])
 
 

@@ -1054,6 +1054,42 @@ seed = 1
     assert not out.exists()
 
 
+@pytest.mark.parametrize("arithmetic", ["float", "rational"])
+def test_csv_entry_beyond_the_float_range_exits_2(tmp_path, capsys, arithmetic):
+    """1e400 has no float: a float run cannot coerce it, and a rational
+    family cannot take its float image, so both are input errors."""
+    (tmp_path / "family.csv").write_text("1e400,0\n0,1\n")
+    text = f"""
+[space]
+tag = ell_p
+p = 1
+
+[sequence]
+csv = family.csv
+
+[check wide]
+kind = wide_s
+
+[run]
+seed = 1
+arithmetic = {arithmetic}
+"""
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_norm_of_a_coefficient_beyond_the_float_range(capsys):
+    """A float norm of 1e400 is an input error; a rational one is exact."""
+    assert main(["norm", "--tag", "sup", "--coeffs", "1e400"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert main(["norm", "--tag", "sup", "--coeffs", "1e400", "--arithmetic", "rational"]) == 0
+    assert capsys.readouterr().out.strip() == str(10**400)
+
+
 def test_residual_on_one_vector_exits_2_before_any_work(tmp_path, monkeypatch):
     """One right-shift step leaves no start length on a one-vector family."""
     def no_kappa(*args, **kwargs):

@@ -40,6 +40,7 @@ from seqcert.spaces import (
     james_power_sum_exact,
     james_power_sums_batch,
 )
+from test_spaces import entry_floats, matrices
 
 
 def pair_blocks(s: BasicSequence, weights=(1 / 3, 2 / 3)) -> BasicSequence:
@@ -129,6 +130,25 @@ def test_prefix_dp_is_bitwise_the_row_major_dp(p, n, count):
     one-start-at-a-time DP, whatever the row count and block boundaries."""
     rows = count(BLOCK_CELLS // n)
     assert_last_column_of_the_oracle(spread_rows(np.random.default_rng(rows * 100 + n), rows, n), p)
+
+
+@given(
+    matrices(st.one_of(entry_floats, st.sampled_from([1e308, -1e308]))),
+    st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+)
+def test_prefix_dp_keeps_the_oracle_bits_on_every_float_entry(rows, p):
+    """Zeros of both signs, subnormals and any finite float, with +-1e308 so
+    that two finite prefix sums can differ by more than the float range.
+    This guards the step's two bit arguments: a square drops the sign of
+    -d as ``abs`` does, and best[i-1] plus a nonnegative term never rounds
+    below best[i-1], so the column max needs no running max beside it.  A
+    row with an infinite prefix sum gets inf in place of the DP's nan."""
+    mat = np.array(rows, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = james_power_sums_batch(mat, p)
+        want = row_major_prefix_power_sums(mat, p)[:, -1]
+        want[np.isinf(np.cumsum(mat, axis=1)).any(axis=1)] = np.inf
+    assert list(map(repr, got.tolist())) == list(map(repr, want.tolist()))
 
 
 @pytest.mark.parametrize("rows,n", [(5, 0), (0, 7), (0, 0)])
