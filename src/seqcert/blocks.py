@@ -99,7 +99,7 @@ def wuc_constant(
     optimal sup-coefficient domination constant."""
     rows = _eval_rows(len(ys), budget, arithmetic, ys)
     norms = [row_norms(NormTag.sup()), ys.span_norms()]
-    [(_, c2_hat, _, row, _)] = _scan(rows.coeffs, norms, arithmetic, ratios=[(1, 0)])
+    [(_, c2_hat, _, row, _)] = _scan(rows.coeffs, norms, arithmetic, ratios=[(1, 0)], mirrored=rows.mirrored)
     return Certificate(
         kind="wuc_constant",
         constants={"c2_hat": c2_hat},
@@ -122,12 +122,12 @@ def summing_equivalence_check(
     if not (c1 > 0 and c2 > 0):
         raise ParameterError("c1 and c2 must be positive")
     rows = _eval_rows(len(bs), budget, arithmetic, bs)
-    coeffs, c1s, c2s = rows.coeffs, coerce(c1, arithmetic), coerce(c2, arithmetic)
-    keep = coeffs.any(axis=1)  # ||a||_s = max_k |sum_{i>=k} a_i| > 0 iff a != 0
-    skipped = int(len(keep) - np.count_nonzero(keep))
+    c1s, c2s = coerce(c1, arithmetic), coerce(c2, arithmetic)
+    kept = rows.select(rows.coeffs.any(axis=1))  # ||a||_s = max_k |sum_{i>=k} a_i| > 0 iff a != 0
+    skipped = rows.size - kept.size
     norms = [bs.span_norms(), summing_norms()]  # ||sum a X|| and ||a||_s
     margins = [((1, 0), (-c1s, 1)), ((2 * c2s, 1), (-1, 0))]
-    (lo_m, row_lo), (hi_m, row_hi) = _scan(coeffs[keep], norms, arithmetic, margins)
+    (lo_m, row_lo), (hi_m, row_hi) = _scan(kept.coeffs, norms, arithmetic, margins, mirrored=kept.mirrored)
     holds = _nonnegative(lo_m, arithmetic) and _nonnegative(hi_m, arithmetic)
     return Certificate(
         kind="summing_equivalence",
@@ -167,7 +167,8 @@ def shift_equivalence_constants(
     rejected = 0
     rows = _eval_rows(shift_width(len(s), p_max), budget, arithmetic, s)
     norms = [s.span_norms(p) for p in range(p_max + 1)]  # norm p is shifted by p
-    scans = _scan(rows.coeffs, norms, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
+    ratios = [(p, 0) for p in range(1, p_max + 1)]
+    scans = _scan(rows.coeffs, norms, arithmetic, ratios=ratios, mirrored=rows.mirrored)
     for p, (r_min, r_max, row_min, row_max, rej) in enumerate(scans, start=1):
         rejected += rej
         constants[f"r_min_p{p}"] = r_min
@@ -222,7 +223,8 @@ def lemma79_conclusion_check(
     for p in range(1, p_max + 1):
         margins += [((1, p), (-c, 0)) for c in (c_printed, c_symmetric, c_used)]
         margins.append(((c_L, 0), (-1, p)))
-    found = _scan(rows.coeffs, [s.span_norms(p) for p in range(p_max + 1)], arithmetic, margins)
+    norms = [s.span_norms(p) for p in range(p_max + 1)]
+    found = _scan(rows.coeffs, norms, arithmetic, margins, mirrored=rows.mirrored)
     # the least of each margin over the shifts; the first shift wins ties
     (lo_pr, _), (lo_sy, _), (lo_used, row_lo), (hi_m, row_hi) = (
         min(found[k::4], key=lambda extreme: extreme[0]) for k in range(4)

@@ -99,7 +99,7 @@ def psp_equivalence_check(
     norms = [s.span_norms(), row_norms(s.ambient, z)]
     margins = [((1, 1), (theta - 1, 0)), ((1 + theta, 0), (-1, 1))]
     (lo_margin, row_lo), (hi_margin, row_hi), (r_min, r_max, _, _, _) = _scan(
-        rows.coeffs, norms, arithmetic, margins, ratios=[(1, 0)]
+        rows.coeffs, norms, arithmetic, margins, ratios=[(1, 0)], mirrored=rows.mirrored
     )
     holds = _nonnegative(lo_margin, arithmetic) and _nonnegative(hi_margin, arithmetic)
     return Certificate(
@@ -110,7 +110,7 @@ def psp_equivalence_check(
             "margin_upper": hi_margin,
             "ratio_min": r_min,
             "ratio_max": r_max,
-            "evaluated": len(rows.coeffs),
+            "evaluated": rows.size,
         },
         holds=bool(holds),
         witness={"worst_lower": _witness(row_lo), "worst_upper": _witness(row_hi)},

@@ -2,8 +2,9 @@
 
 Three families are pooled, mirroring how extreme ratios arise:
 
-* all sign patterns in {-1, 0, 1}^m (minus the zero vector) when m is small
-  enough to enumerate; polyhedral norms attain their extremes there,
+* one of each +- pair of sign patterns in {-1, 0, 1}^m (minus the zero
+  vector) when m is small enough to enumerate; polyhedral norms attain their
+  extremes there, and a norm is even, so a pattern stands for its negation,
 * Gaussian directions normalized to the Euclidean sphere, for smooth norms,
 * uniform points of the probability simplex, for convex-coefficient checks.
 
@@ -62,10 +63,24 @@ class SamplingBudget:
 
 
 class Rows(NamedTuple):
-    """A scan's coefficient rows, and the ``SamplingBudget.label`` of what they hold."""
+    """A scan's coefficient rows, the ``SamplingBudget.label`` of the set
+    they stand for, and ``mirrored``, how many leading rows stand for
+    themselves and for their negations: the enumerated patterns, one of each
+    +- pair.  Every value a scan reads is a norm, even in the row, so the set
+    is ``coeffs`` with those rows' negations added, ``size`` rows."""
 
     coeffs: np.ndarray
     mode: str
+    mirrored: int = 0
+
+    @property
+    def size(self) -> int:
+        """The number of rows of the set the rows stand for."""
+        return len(self.coeffs) + self.mirrored
+
+    def select(self, keep: np.ndarray) -> "Rows":
+        """The rows where the boolean ``keep`` holds."""
+        return Rows(self.coeffs[keep], self.mode, int(np.count_nonzero(keep[: self.mirrored])))
 
 
 def _enumerates(m: int) -> bool:
@@ -73,27 +88,40 @@ def _enumerates(m: int) -> bool:
     return m <= EXHAUSTIVE_LIMIT
 
 
-def _product(values: tuple, m: int) -> np.ndarray:
-    """Every row of values^m as a float array, in ``itertools.product`` order:
-    the last coordinate varies fastest."""
-    digits = np.indices((len(values),) * m).reshape(m, -1).T
-    return np.array(values, dtype=float)[digits]
+def _product(values: tuple, m: int, count: int) -> np.ndarray:
+    """The first ``count`` rows of values^m as a float array, in
+    ``itertools.product`` order: the last coordinate varies fastest, so
+    column i cycles through the values, each repeated len(values)^(m-1-i)
+    times."""
+    vals = np.array(values, dtype=float)
+    rows = np.empty((count, m))
+    for i in range(m):
+        cycle = np.repeat(vals, len(vals) ** (m - 1 - i))
+        rows[:, i] = np.tile(cycle, -(-count // len(cycle)))[:count]
+    return rows
+
+
+# values^m in product order is symmetric under negation when the values are:
+# row i negated is row len - 1 - i.  So its first half holds one row of each
+# +- pair, those whose first nonzero entry is -1 (the zero row, if any, is
+# the middle one), and the second half is that first half negated, reversed.
 
 
 def sign_patterns(m: int) -> np.ndarray:
-    """All vectors in {-1,0,1}^m except zero, as a (3^m - 1, m) float array."""
+    """One of each +- pair of nonzero vectors in {-1,0,1}^m, the one whose
+    first nonzero entry is -1: the first (3^m - 1) / 2 rows of {-1,0,1}^m in
+    product order, as a float array."""
     if m == 0:
         return np.zeros((0, 0))
-    pats = _product((-1, 0, 1), m)
-    # the zero row is the middle one: every digit is the middle value
-    return np.delete(pats, len(pats) // 2, axis=0)
+    return _product((-1, 0, 1), m, (3**m - 1) // 2)
 
 
 def pm_one_patterns(m: int) -> np.ndarray:
-    """All vectors in {-1,+1}^m, as a (2^m, m) float array."""
+    """One of each +- pair of vectors in {-1,+1}^m, the one whose first entry
+    is -1: the first 2^(m-1) rows of {-1,+1}^m in product order, as a float array."""
     if m == 0:
         return np.zeros((0, 0))
-    return _product((-1, 1), m)
+    return _product((-1, 1), m, 2 ** (m - 1))
 
 
 def gaussian_sphere(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
@@ -137,9 +165,10 @@ def _random_rows(m: int, budget: SamplingBudget) -> list:
 def coefficient_samples(
     m: int, budget: SamplingBudget, pm_one: bool = False, exact: bool = False
 ) -> np.ndarray:
-    """Pooled evaluation set for scalar-coefficient certificates; with
-    ``pm_one``, every +-1 pattern comes first.  With ``exact`` (rational
-    mode) the random rows are ``rational_vectors``."""
+    """Pooled evaluation set for scalar-coefficient certificates, one of each
+    +- pair of enumerated patterns: with ``pm_one`` the +-1 patterns come
+    first, then the sign patterns up to ``EXHAUSTIVE_LIMIT``, then the random
+    rows, which with ``exact`` (rational mode) are ``rational_vectors``."""
     parts = [pm_one_patterns(m)] if pm_one else []
     if _enumerates(m):
         parts.append(sign_patterns(m))
@@ -151,9 +180,12 @@ def coefficient_samples(
 
 
 def coefficient_rows(m: int, budget: SamplingBudget, pm_one: bool = False, exact: bool = False) -> Rows:
-    """``coefficient_samples`` with its mode, "exhaustive" or "pm-one" for its enumerated rows."""
+    """``coefficient_samples`` with its mode, "exhaustive" or "pm-one" for its
+    enumerated patterns, each of which stands for its negation too."""
     enumerated = "exhaustive" if _enumerates(m) else "pm-one" if pm_one else None
-    return Rows(coefficient_samples(m, budget, pm_one, exact), budget.label(enumerated))
+    coeffs = coefficient_samples(m, budget, pm_one, exact)
+    # every row but the budget.count random ones is an enumerated pattern
+    return Rows(coeffs, budget.label(enumerated), len(coeffs) - budget.count)
 
 
 def rational_vectors(m: int, budget: SamplingBudget) -> np.ndarray:

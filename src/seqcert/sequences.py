@@ -224,13 +224,14 @@ def builtin_sequence(name: str, n: int, p: Real = 2) -> BasicSequence:
 
 
 def _eval_rows(
-    m: int, budget: SamplingBudget, arithmetic: str, *seqs: BasicSequence, rows=coefficient_rows, **kw
+    m: int, budget: SamplingBudget, arithmetic: str, *seqs: BasicSequence, rows: Optional[Callable] = None, **kw
 ) -> Rows:
     """The ``Rows`` of one scan from the ``sampling`` builder ``rows`` (given
-    ``kw``), exact in rational mode, which needs ``seqs``' norms piecewise linear."""
+    ``kw``; ``coefficient_rows`` if None, looked up when called), exact in
+    rational mode, which needs ``seqs``' norms piecewise linear."""
     if validate_arithmetic(arithmetic) == RATIONAL:
         _require_exact_tags(*seqs)
-    return rows(m, budget, exact=arithmetic == RATIONAL, **kw)
+    return (rows or coefficient_rows)(m, budget, exact=arithmetic == RATIONAL, **kw)
 
 
 _FRACTION = np.frompyfunc(Fraction, 1, 1)
@@ -362,10 +363,26 @@ def _scan(
     arithmetic: str,
     margins: Sequence[Margin] = (),
     ratios: Sequence[Ratio] = (),
+    mirrored: int = 0,
 ) -> list:
     """The extremes of a scan over the coefficient rows, given the norms of
     each row: for each margin, its least value and the first row attaining
     it; then for each ratio, ``_ratio_extremes`` of the norms it names.
+
+    The first ``mirrored`` rows (``Rows.mirrored``) stand for themselves and
+    for their negations, which the scan does not evaluate: it reports the
+    extremes over the set with the negations added.  That set is the one
+    ``Rows.mode`` names, where each negation comes after its row (in the
+    second half of its part; see ``sampling``).  Every norm of a mirrored
+    scan, ||c|| or ||c X||, is even in the row c, and so is every margin and
+    ratio of them.  Exactly, that is trivial.  In float, negation is exact
+    and round-to-nearest is symmetric, so the product c X, the tail sums and
+    the james prefix sums of -c are those of c negated, up to the sign of a
+    zero, which every kernel drops with ``abs`` or a square: each value of -c
+    equals that of c bit for bit.  So the first row of the set attaining an
+    extreme is never a negation, the other rows keep their order, and every
+    extreme and first witness is that of the set; ``_ratio_extremes``
+    counts a rejected mirrored row twice.
 
     Float mode evaluates every row.  Rational mode is exact, but evaluates
     exactly only the rows that can reach an extreme, in order.  Each norm of
@@ -396,7 +413,8 @@ def _scan(
         qs = [_interval(q) for q in blockwise([q.enclosure for q in norms], coeffs, width)]
         reach = [_can_reach_min(*_combination(*((c, qs[i]) for c, i in m))) for m in margins]
         reach += [_ratio_reach(qs[n], qs[d]) for n, d in ratios]
-        coeffs = coeffs[np.logical_or.reduce(reach)]
+        keep = np.logical_or.reduce(reach)
+        coeffs, mirrored = coeffs[keep], int(np.count_nonzero(keep[:mirrored]))
         coeffs = coeffs if coeffs.dtype == object else _EXACT(coeffs)
         values = [q.exact(coeffs) for q in norms]
     else:
@@ -404,18 +422,20 @@ def _scan(
     sums = [_margin_values(m, values) for m in margins]
     mins = [int(np.argmin(v)) for v in sums]
     extremes = [(scalar(v[i]), coeffs[i]) for v, i in zip(sums, mins)]
-    return extremes + [_ratio_extremes(values[n], values[d], coeffs, arithmetic) for n, d in ratios]
+    return extremes + [_ratio_extremes(values[n], values[d], coeffs, arithmetic, mirrored) for n, d in ratios]
 
 
 def _ratio_extremes(
-    num: np.ndarray, den: np.ndarray, coeffs: np.ndarray, arithmetic: str
+    num: np.ndarray, den: np.ndarray, coeffs: np.ndarray, arithmetic: str, mirrored: int = 0
 ) -> Tuple[Real, Real, np.ndarray, np.ndarray, int]:
     """(min, max, argmin row, argmax row, rejected) of num/den over the rows
-    whose denominator passes ``_guard``; ties go to the first row.  Exact
-    entries divide as Fractions, since int / int would give a float.  A nan
-    ratio (inf / inf) is an extreme, on the first row, only if all are nan."""
+    whose denominator passes ``_guard``; ties go to the first row.  Each of
+    the first ``mirrored`` rows stands for its negation too (see ``_scan``),
+    so it counts twice among the rejected.  Exact entries divide as
+    Fractions, since int / int would give a float.  A nan ratio (inf / inf)
+    is an extreme, on the first row, only if all are nan."""
     ok = den > _guard(arithmetic)
-    rejected = int(np.size(den) - np.count_nonzero(ok))
+    rejected = int(np.size(den) - np.count_nonzero(ok)) + int(mirrored - np.count_nonzero(ok[:mirrored]))
     if not np.any(ok):
         raise DependenceError("all denominators vanished on the evaluated set")
     with np.errstate(invalid="ignore"):
@@ -479,15 +499,15 @@ def basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
 def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
     """``basis_constant`` from samples, with the rows it evaluates as source.
 
-    ``lower`` is certified: the max ratio ||P_n e|| / ||e|| over every
-    evaluated e (all +-1 patterns up to M = 12, all {-1,0,1} patterns up to
-    ``EXHAUSTIVE_LIMIT``) and every n.  ``upper`` comes from
+    ``lower`` is certified: the max ratio ||P_n e|| / ||e|| over every e of
+    the set (all +-1 patterns up to M = 12, all {-1,0,1} patterns up to
+    ``EXHAUSTIVE_LIMIT``, one of each +- pair evaluated, as in ``_scan``)
+    and every n.  ``upper`` comes from
     local-search refinement around the best witness and is NOT certified;
     treat it as an estimate of the same finite-truncation value.
     """
     m = len(s)
-    pm_one = m <= PM_ONE_LIMIT
-    coeffs, source = coefficient_rows(m, budget, pm_one=pm_one)
+    rows = coefficient_rows(m, budget, pm_one=m <= PM_ONE_LIMIT)
 
     def best_ratio(mat: np.ndarray) -> Optional[Tuple[float, np.ndarray]]:
         """(max ratio, its row) over the rows e of mat that pass ``_guard``, or
@@ -502,7 +522,7 @@ def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
         maxima = [_ratio_extremes(head, heads[-1], mat, FLOAT)[1::2] for head in heads]
         return max([(1.0, first)] + maxima, key=lambda found: found[0])
 
-    found = best_ratio(coeffs)
+    found = best_ratio(rows.coeffs)
     if found is None:
         raise DependenceError("all span norms vanished while estimating kappa")
     lower, seedvec = found
@@ -515,7 +535,7 @@ def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
         found = best_ratio(seedvec + sigma * rng.standard_normal((64, m)))
         if found is not None and found[0] > upper:
             upper, seedvec = found
-    return Kappa(lower, max(upper, lower), source)
+    return Kappa(lower, max(upper, lower), rows.mode)
 
 
 def _family_ratio_scan(
@@ -525,7 +545,8 @@ def _family_ratio_scan(
     if len(xs) != len(ys):
         raise ParameterError("sequences must have the same number of vectors")
     rows = _eval_rows(len(xs), budget, arithmetic, xs, ys)
-    [scan] = _scan(rows.coeffs, [xs.span_norms(), ys.span_norms()], arithmetic, ratios=[(1, 0)])
+    norms = [xs.span_norms(), ys.span_norms()]
+    [scan] = _scan(rows.coeffs, norms, arithmetic, ratios=[(1, 0)], mirrored=rows.mirrored)
     return scan, rows.mode
 
 
@@ -585,7 +606,7 @@ def wide_s_certificate(
     """
     rows = _eval_rows(len(s), budget, arithmetic, s)
     norms = [summing_norms(), s.span_norms()]
-    [(d_hat, _, row, _, _)] = _scan(rows.coeffs, norms, arithmetic, ratios=[(1, 0)])
+    [(d_hat, _, row, _, _)] = _scan(rows.coeffs, norms, arithmetic, ratios=[(1, 0)], mirrored=rows.mirrored)
     return Certificate(
         kind="wide_s",
         constants={"d_hat": d_hat},

@@ -33,7 +33,7 @@ int/Fraction entries keeps them, so the piecewise-linear norms (sup, ell_1,
 lin, and the summing-basis norm) are exact on it.  Exact lin runs on
 integer keys (``_lin_exact``): the tail sums of |D x|, D the lcm of the
 entries' denominators (``integer_keys``), times the integer weights
-L * lin_weight(k), L the lcm of the 1 + 8^k: one Fraction a row.  The scalar
+L * 8^k / (1 + 8^k), L the lcm of the 1 + 8^k: one Fraction a row.  The scalar
 entry points (``norm``, ``james_summing_norm``, ``summing_basis_norm``)
 evaluate one row of that kernel: ``row_array`` makes a row with no float
 entry an ``object`` row, so exact inputs stay exact, and ``scalar`` returns
@@ -153,14 +153,6 @@ class CoordinateVector:
         if len(self.entries) >= n:
             return self
         return CoordinateVector(self.entries + (0,) * (n - len(self.entries)))
-
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(x) for x in self.entries], dtype=float)
-
-
-def lin_weight(k: int) -> Fraction:
-    """Exact weight 8^k / (1 + 8^k), k >= 1."""
-    return Fraction(8**k, 1 + 8**k)
 
 
 def summing_basis_norm(a) -> Real:
@@ -382,9 +374,10 @@ def integer_keys(mat: np.ndarray) -> Tuple[int, list]:
 
 def _lin_exact(mat: np.ndarray) -> np.ndarray:
     """The lin norm of every row of an ``object`` array of int/Fraction
-    entries, in integers: lin_weight(k) = (d_k - 1) / d_k, d_k = 1 + 8^k, so
-    with L the lcm of the d_k, a row's norm is max_k c_k t_k / (L D), c_k =
-    (L // d_k) (d_k - 1) and t_k = sum_{n>=k} |D x(n)| over ``integer_keys``.
+    entries, in integers: the weight 8^k / (1 + 8^k) is (d_k - 1) / d_k,
+    d_k = 1 + 8^k, so with L the lcm of the d_k, a row's norm is
+    max_k c_k t_k / (L D), c_k = (L // d_k) (d_k - 1) and
+    t_k = sum_{n>=k} |D x(n)| over ``integer_keys``.
     One reduced Fraction a row; an all-zero row gets the int 0 (a report
     writes Fraction(0) as "0/1")."""
     rows, n = mat.shape

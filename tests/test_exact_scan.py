@@ -1,12 +1,14 @@
 """Rational-mode certificates against brute-force scalar references.
 
 Every rational op runs the shared numpy scan, exact on the rows it keeps.
-The references below loop over the same evaluation set, the exact values
-of its float rows (``exact_tuples``), one point at a time,
+The references below loop over the same evaluation set, in full (every
+sign pattern, where the ops evaluate one of each +- pair) and as the exact
+values of its float rows (``exact_tuples``), one point at a time,
 through the scalar ``span_norm`` / ``apply_map`` / ``fixed_point_residual``,
 keeping the first point that attains each extreme.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,7 @@ from seqcert.fpmaps import (
     start_length,
 )
 from seqcert.perturbation import perturb_toward_next, perturbation_sum, psp_equivalence_check
-from seqcert.sampling import SamplingBudget, coefficient_samples, pair_rows, rational_simplex
+from seqcert.sampling import SamplingBudget, coefficient_rows, pair_rows, rational_simplex
 from seqcert.sequences import (
     basis_constant,
     builtin_sequence,
@@ -67,7 +69,10 @@ def exact_tuples(rows):
 
 
 def eval_rows(m):
-    return exact_tuples(coefficient_samples(m, BUDGET, exact=True))
+    """Every nonzero sign pattern in product order, then the random rows."""
+    rows = coefficient_rows(m, BUDGET, exact=True)
+    signs = [p for p in itertools.product((-1, 0, 1), repeat=m) if any(p)]
+    return signs + exact_tuples(rows.coeffs[rows.mirrored :])
 
 
 class Extremes:

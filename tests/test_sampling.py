@@ -7,10 +7,13 @@ simplex point on the 2^-``GRID_BITS`` grid with mass exactly 1.  The pair
 sampler takes its x and y halves one after the other; they are bit for bit
 the halves of one draw of 2k simplex points, in both modes, and it never
 holds both.  No other module names the mode-specific samplers.  Each
-builder's label names as many enumerated rows as lead its rows.
+builder's label names as many enumerated rows as lead its rows; a
+coefficient set's patterns are one of each +- pair of the set it names.
 """
 
 import ast
+import functools
+import itertools
 import re
 import tracemalloc
 from fractions import Fraction
@@ -31,14 +34,12 @@ from seqcert.sampling import (
     coefficient_rows,
     coefficient_samples,
     pair_rows,
-    pm_one_patterns,
     rational_simplex,
     rational_vectors,
     simplex_points,
     simplex_rows,
     simplex_samples,
     simplex_uniform,
-    sign_patterns,
 )
 from seqcert.sequences import builtin_sequence
 
@@ -53,7 +54,7 @@ def test_rational_coefficient_rows_are_images_of_the_float_rows(m, count, seed):
     row scaled to largest |entry| SCALE and rounded to integers."""
     budget = SamplingBudget(count, seed)
     floats, rows = coefficient_samples(m, budget), coefficient_samples(m, budget, exact=True)
-    patterns = 3**m - 1 if m <= EXHAUSTIVE_LIMIT else 0
+    patterns = (3**m - 1) // 2 if m <= EXHAUSTIVE_LIMIT else 0
     assert rows.dtype == float and rows.shape == floats.shape == (patterns + count, m)
     assert rows[:patterns].tobytes() == floats[:patterns].tobytes()
     ints, drawn = rows[patterns:], floats[patterns:]
@@ -231,6 +232,12 @@ def test_budget_rejects_a_negative_count_or_seed(field, value):
 LABEL_BUDGETS = [SamplingBudget(0, 1), SamplingBudget(7, 3), SamplingBudget(40, 11)]
 
 
+@functools.lru_cache(maxsize=None)
+def full_product(values: tuple, m: int) -> np.ndarray:
+    """Every nonzero row of values^m as floats, in ``itertools.product`` order."""
+    return np.array([p for p in itertools.product(values, repeat=m) if any(p)], dtype=float)
+
+
 def enumerated_part(mode: str, budget: SamplingBudget):
     """The enumerated part of ``mode`` (None: there is none), once its
     sampled part is checked to name ``budget``."""
@@ -284,7 +291,10 @@ def test_simplex_label_counts_the_leading_vertices(n, budget, exact):
 @pytest.mark.parametrize("pm_one", [False, True])
 def test_coefficient_label_counts_the_leading_patterns(pm_one, m, budget, exact):
     """"exhaustive" names the 3^m - 1 sign patterns (after the 2^m +-1
-    patterns with ``pm_one``), "pm-one" the 2^m +-1 patterns alone."""
+    patterns with ``pm_one``), "pm-one" the 2^m +-1 patterns alone.  The rows
+    hold one of each +- pair, the ``mirrored`` leading rows: each part's half,
+    followed by its negation in reverse order, is that full set of patterns,
+    byte for byte in ``itertools.product`` order."""
     if m > EXHAUSTIVE_LIMIT and not pm_one and budget.count == 0:
         with pytest.raises(ParameterError, match="empty sampling budget"):
             coefficient_rows(m, budget, pm_one, exact)
@@ -293,10 +303,14 @@ def test_coefficient_label_counts_the_leading_patterns(pm_one, m, budget, exact)
     part = enumerated_part(rows.mode, budget)
     patterns = {
         None: [],
-        "pm-one": [pm_one_patterns(m)],
-        "exhaustive": [pm_one_patterns(m)] * pm_one + [sign_patterns(m)],
+        "pm-one": [full_product((-1, 1), m)],
+        "exhaustive": [full_product((-1, 1), m)] * pm_one + [full_product((-1, 0, 1), m)],
     }[part]
     k = sum(map(len, patterns))
     assert k == (3**m - 1 + 2**m * pm_one if m <= EXHAUSTIVE_LIMIT else 2**m * pm_one)
-    assert rows.coeffs[:k].tobytes() == np.concatenate(patterns or [np.zeros((0, m))]).tobytes()
-    assert len(rows.coeffs) == k + budget.count
+    assert 2 * rows.mirrored == k
+    halves = np.split(rows.coeffs[: rows.mirrored], np.cumsum([len(p) // 2 for p in patterns])[:-1])
+    for half, whole in zip(halves, patterns):
+        assert np.concatenate([half, 0.0 - half[::-1]]).tobytes() == whole.tobytes()  # 0.0 - 0.0 is +0.0
+    assert len(rows.coeffs) == rows.mirrored + budget.count
+    assert rows.size == k + budget.count

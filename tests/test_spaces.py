@@ -20,12 +20,16 @@ from seqcert.spaces import (
     james_power_sum_exact,
     james_power_sums_batch,
     james_summing_norm,
-    lin_weight,
     norm,
     norm_batch,
     summing_basis_norm,
     summing_basis_norm_batch,
 )
+
+def lin_weight(k: int) -> Fraction:
+    """The exact lin weight 8^k / (1 + 8^k), k >= 1."""
+    return Fraction(8**k, 1 + 8**k)
+
 
 # grid floats keep norm arithmetic exact enough for tight tolerances
 grid_floats = st.integers(-64, 64).map(lambda k: k / 16.0)
