@@ -36,7 +36,7 @@ from .arithmetic import FLOAT, RATIONAL, Real, coerce, validate_arithmetic
 from .certificates import Certificate
 from .errors import ParameterError, TruncationError
 from .sampling import SamplingBudget, pair_rows
-from .sequences import BasicSequence, RowNorms, _eval_rows, _scan, _witness, row_norms
+from .sequences import BasicSequence, RowNorms, _eval_rows, _scan, _span_rows, _witness, row_norms
 from .spaces import ELL_P, SUP, CoordinateVector, NormTag, as_rows, norm, row_array, scalar
 
 DIAG_SHIFT = "diag_shift"
@@ -225,7 +225,10 @@ def apply_map_batch(spec: AffineMapSpec, mat: np.ndarray) -> np.ndarray:
     if spec.variant == RIGHT_SHIFT:
         out = np.concatenate([np.zeros((rows, 1), dtype=mat.dtype), mat], axis=1)
     elif spec.variant == DIAG_SHIFT:
-        al = np.array(spec.schedule.alphas[:n], dtype=mat.dtype)
+        # object rows take each alpha's exact value: in float, 1 - alpha
+        # rounds to 1 for alpha < 2^-53
+        alphas = spec.schedule.alphas[:n]
+        al = np.array([coerce(a, RATIONAL) for a in alphas] if mat.dtype == object else alphas, dtype=mat.dtype)
         if len(al) < n:
             raise ParameterError(
                 f"alpha schedule has {len(spec.schedule.alphas)} entries; need at least {n}"
@@ -292,9 +295,10 @@ def check_theta_window(variant: str, m: int, n_window: int) -> None:
 
 def pushed_families(spec: AffineMapSpec, s: BasicSequence, n: int, steps: int, exact: bool) -> list:
     """B_p = f^p(I) X, p = 0..steps: the ``orbit`` of the n x n identity (of
-    ``object`` ints with ``exact``: exact on an exact schedule), each iterate
-    spanned once over the vectors X of s.  The span of t over B_p is the point
-    with coefficients f^p(t), so a map distance is a span over pushed families."""
+    ``object`` ints with ``exact``, which ``apply_map_batch`` keeps exact on
+    any schedule), each iterate spanned once over the vectors X of s.  The
+    span of t over B_p is the point with coefficients f^p(t), so a map
+    distance is a span over pushed families."""
     eye = np.eye(n, dtype=object if exact else float)
     return [s._span(M) for M in orbit(spec, eye, steps)]
 
@@ -441,7 +445,7 @@ def make_summing_functional(s: BasicSequence, phi) -> SummingFunctional:
     pv = CoordinateVector.of(phi).padded(s.ambient_length)
     if len(pv) != s.ambient_length:
         raise ParameterError("functional length exceeds the ambient length")
-    gamma = min(s.matrix(exact=True) @ np.array(pv.entries, dtype=object))
+    gamma = min(_span_rows(s.matrix(exact=True), np.array(pv.entries, dtype=object)[:, None])[:, 0])
     nphi = dual_norm(pv, s.ambient)
     if not nphi > 0:
         raise ParameterError("zero functional")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from .spaces import (
     LIN,
     SUP,
     CoordinateVector,
+    IntegerKeys,
     NormTag,
     blockwise,
     integer_keys,
@@ -55,7 +57,7 @@ def _exact_rank(mat) -> int:
     ``integer_keys`` of the rows, eliminated fraction-free, each changed row
     divided by the gcd of its entries, and dropped once it is zero."""
     n = np.shape(mat)[1]
-    flat = integer_keys(np.asarray(mat, dtype=object))[1]
+    flat = integer_keys(np.asarray(mat, dtype=object)).keys
     rows, rank = [flat[i : i + n] for i in range(0, len(flat), n)], 0
     for col in range(n):
         pivots = [r for r in rows if r[col]]
@@ -154,13 +156,70 @@ class BasicSequence:
 
 def _span_rows(coeff_mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The rows c @ basis of every coefficient row c; exact on object rows.
+
+    Two ``object`` arrays of int/Fraction entries multiply on their
+    ``integer_keys``: with D_C and D_X the lcms of their denominators,
+    (D_C c) @ (D_X X) is a product of integer matrices, an ``int64`` matmul
+    when max |D_C c| * max |D_X X| * K < 2^63 (K the inner width; no partial
+    sum can then overflow), else a Python-int one, and each entry is that
+    integer divided by D_C D_X once.  Exact arithmetic does not depend on
+    the order of its operations, so every entry has the value of
+    ``coeff_mat @ basis``, and it has that product's type too: an entry is a
+    Fraction exactly when a term of its sum is, that is when its row of C or
+    its column of X holds a Fraction (int * int is int, and a Fraction
+    operand makes the product and every later sum a Fraction); else it is
+    an int.  A report writes Fraction(3) as "3/1", so the type matters.
+    An ``object`` array that holds a float (a float family's exact matrix)
+    takes ``coeff_mat @ basis``.
+
     numpy evaluates a one-row float ``c @ X`` as a matrix-vector product,
     which can round differently from the same row inside a batch, so one row
     goes in stacked with a zero row: a row's bits do not depend on how many
     rows are evaluated with it."""
-    if len(coeff_mat) == 1 and coeff_mat.dtype != object:
+    if coeff_mat.dtype == object and basis.dtype == object:
+        c, x = integer_keys(coeff_mat), integer_keys(basis)
+        if c is not None and x is not None:
+            a, b = _key_matrices(c, coeff_mat.shape, x, basis.shape)
+            return _key_quotients(a @ b, c, x)
+    elif len(coeff_mat) == 1 and coeff_mat.dtype != object:
         return (np.concatenate([coeff_mat, np.zeros_like(coeff_mat)]) @ basis)[:1]
     return coeff_mat @ basis
+
+
+def _key_matrices(
+    c: IntegerKeys, c_shape: Tuple[int, int], x: IntegerKeys, x_shape: Tuple[int, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The keys of C and of X as matrices of their shapes whose product cannot
+    overflow: ``int64`` when max |key_C| * max |key_X| * K < 2^63, K the
+    inner width, which bounds every partial sum; else ``object`` (Python ints)."""
+    mats, top = [], max(c_shape[1], 1)
+    for keys, shape in ((c.keys, c_shape), (x.keys, x_shape)):
+        try:
+            mat = np.array(keys, dtype=np.int64).reshape(shape)
+        except OverflowError:  # a key beyond int64
+            mat = np.array(keys, dtype=object).reshape(shape)
+        mats.append(mat)
+        top *= max(int(mat.max()), -int(mat.min()), 1) if mat.size else 1
+    return tuple(mats) if top < 2**63 else tuple(mat.astype(object) for mat in mats)
+
+
+def _key_quotients(sums: np.ndarray, c: IntegerKeys, x: IntegerKeys) -> np.ndarray:
+    """Each entry of (D_C C) @ (D_X X), given as ``sums``, divided by D_C D_X:
+    a Fraction where its row of C or its column of X holds a Fraction (see
+    ``_span_rows``), else an int."""
+    out = sums.astype(object)  # Python ints
+    if c.fractions is None and x.fractions is None:
+        return out  # every denominator is 1
+    fractions = np.zeros(out.shape, dtype=bool)
+    if c.fractions is not None:
+        fractions |= c.fractions.any(axis=1)[:, None]
+    if x.fractions is not None:
+        fractions |= x.fractions.any(axis=0)
+    den = c.den * x.den
+    out[fractions] = list(map(Fraction, out[fractions].tolist(), repeat(den)))
+    if den != 1:
+        out[~fractions] //= den  # a sum of int terms is D_C D_X times an int
+    return out
 
 
 def proved_monotone(s: BasicSequence) -> bool:

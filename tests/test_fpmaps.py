@@ -1,12 +1,15 @@
 """Affine simplex maps: formulas, invariants, iterate estimates."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqcert.cli import RunContext
+from seqcert.config import load_config
 from seqcert.errors import ParameterError, TruncationError
 from seqcert.fpmaps import (
     AffineMapSpec,
@@ -20,6 +23,7 @@ from seqcert.fpmaps import (
     make_alpha_schedule,
     make_summing_functional,
     map_policy,
+    pushed_families,
     start_length,
     theta_lower_bound_rightshift,
     theta_of_map,
@@ -28,6 +32,7 @@ from seqcert.sampling import SamplingBudget
 from seqcert.sequences import basis_constant, builtin_sequence
 
 R = Fraction
+THEOREM41 = Path(__file__).resolve().parents[1] / "configs" / "theorem41.cfg"
 
 simplex_rationals = st.lists(st.integers(0, 8), min_size=2, max_size=8).filter(
     lambda l: sum(l) > 0
@@ -398,3 +403,21 @@ def test_convex_coefficients_validation():
     with pytest.raises(ParameterError):
         ConvexCoefficients((0.5, 0.5 + 1e-9))
     ConvexCoefficients((0.5, 0.5 + 1e-14))  # within float mass tolerance
+
+
+def test_an_exact_orbit_on_theorem41_s_float_schedule_is_exact():
+    """theorem41's schedule is float, alpha_k = 2^-(k+3), and 1 - alpha_k
+    rounds to 1 in float for k >= 51.  Exact rows take each alpha at its
+    exact value, so B_1 - B_0 = (f(I) - I) X keeps -alpha_k on every
+    diagonal entry, and the residual at the last vertex is 2 alpha_63 = 2^-65."""
+    ctx = RunContext(load_config(str(THEOREM41)))
+    spec, s = ctx.map_specs["f"], ctx.seq
+    alphas = spec.schedule.alphas
+    assert all(isinstance(a, float) for a in alphas)
+    assert sum(1 - a == 1 for a in alphas[:63]) == 13  # k = 51..63
+    B0, B1 = pushed_families(spec, s, 63, 1, exact=True)
+    step = B1 - B0
+    assert [step[k, k] for k in range(63)] == [-Fraction(a) for a in alphas[:63]]
+    assert all(type(step[k, k]) is Fraction for k in range(63))
+    residual = fixed_point_residual(spec, ConvexCoefficients.vertex(63, 63), s)
+    assert type(residual) is Fraction and residual == Fraction(1, 2**65)

@@ -8,7 +8,9 @@ exists, and so does every batch kernel and float enclosure it names.  Only
 ``sampling`` writes a certificate's mode: no other module labels a budget or
 spells a label word.  ``cli`` reads no check parameter: a kind's load-time
 rules live in its ``CHECKS`` entry.  No module but ``sequences`` reads a
-family's ``vectors``: a family is its matrix.
+family's ``vectors``: a family is its matrix.  Only ``sequences._span_rows``
+(every exact product) and ``spaces.norm_enclosure`` (float images) multiply
+matrices with ``@``.
 
 The package ``__init__`` is exempt from the first rule, and its reads do not
 count for the kernel and re-export rules: its imports are the public
@@ -361,3 +363,36 @@ def test_the_checker_sees_a_vectors_read():
         "    return vectors, s.matrix(exact=True), len(s.vectors[1:])\n"
     )
     assert vectors_reads(text) == ["line 2: s.vectors", "line 3: s.vectors"]
+
+
+MATMUL_SITES = {("sequences.py", "_span_rows"), ("spaces.py", "norm_enclosure")}
+
+
+def matmul_uses(text: str) -> list:
+    """Each matrix product in text, ``@`` or ``@=``, as (the module-level
+    function or class it sits in, or None at module level; its line)."""
+    found = []
+    for top in ast.parse(text).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((owner, node.lineno))
+    return sorted(found, key=lambda use: use[1])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_span_and_the_float_enclosure_multiply_matrices(path):
+    """Every exact product goes through ``sequences._span_rows``, which takes
+    it on integer keys; ``spaces.norm_enclosure`` multiplies float images."""
+    stray = [(owner, line) for owner, line in matmul_uses(path.read_text()) if (path.name, owner) not in MATMUL_SITES]
+    assert stray == [], f"{path.name} multiplies matrices outside {sorted(MATMUL_SITES)}"
+
+
+def test_the_checker_sees_a_matrix_product():
+    text = (
+        "g = A @ B\n\n"
+        "def f(c, x):\n    y = c @ x\n    y @= x\n    return 'c @ x', y\n\n"
+        "class K:\n    def m(self, c):\n        return (lambda v: v @ c)(c)\n"
+    )
+    assert matmul_uses(text) == [(None, 1), ("f", 4), ("f", 5), ("K", 10)]
+    assert [owner for owner, _ in matmul_uses((SRC / "sequences.py").read_text())] == ["_span_rows"] * 3
