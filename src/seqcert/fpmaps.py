@@ -37,7 +37,7 @@ from .certificates import Certificate
 from .errors import ParameterError, TruncationError
 from .sampling import SamplingBudget, pair_rows
 from .sequences import BasicSequence, RowNorms, _eval_rows, _scan, _span_rows, _witness, row_norms
-from .spaces import ELL_P, SUP, CoordinateVector, NormTag, as_rows, norm, row_array, scalar
+from .spaces import ELL_P, SUP, NormTag, as_rows, norm, row_array, scalar
 
 DIAG_SHIFT = "diag_shift"
 RIGHT_SHIFT = "right_shift"
@@ -419,13 +419,13 @@ def theta_of_map(
 class SummingFunctional:
     """A functional phi with gamma = min_n phi(x_n) and beta = gamma/||phi||*."""
 
-    phi: CoordinateVector
+    phi: tuple
     gamma: Real
     norm_phi: Real
     beta: Real
 
 
-def dual_norm(phi: CoordinateVector, tag) -> Real:
+def dual_norm(phi: tuple, tag) -> Real:
     """Dual-norm value of a coordinate functional, where representable."""
     if tag.variant == SUP:
         return norm(phi, NormTag.ell_p(1))
@@ -440,18 +440,20 @@ def dual_norm(phi: CoordinateVector, tag) -> Real:
 
 def make_summing_functional(s: BasicSequence, phi) -> SummingFunctional:
     """phi, zero-padded to the ambient length, as a summing functional of s;
-    ParameterError when it is longer than the ambient, the ambient norm has
-    no dual here, phi is zero, or gamma = min_n phi(x_n) is not positive."""
-    pv = CoordinateVector.of(phi).padded(s.ambient_length)
-    if len(pv) != s.ambient_length:
+    ParameterError when it is longer than the ambient or not finite, the
+    ambient norm has no dual here, phi is zero, or gamma = min_n phi(x_n) is
+    not positive."""
+    phi, n = tuple(phi), s.ambient_length
+    if len(phi) > n:
         raise ParameterError("functional length exceeds the ambient length")
-    gamma = min(_span_rows(s.matrix(exact=True), np.array(pv.entries, dtype=object)[:, None])[:, 0])
-    nphi = dual_norm(pv, s.ambient)
+    phi += (0,) * (n - len(phi))
+    nphi = dual_norm(phi, s.ambient)
+    gamma = min(_span_rows(s.matrix(exact=True), np.array(phi, dtype=object)[:, None])[:, 0])
     if not nphi > 0:
         raise ParameterError("zero functional")
     if not gamma > 0:
         raise ParameterError("functional must have gamma > 0")
-    return SummingFunctional(phi=pv, gamma=gamma, norm_phi=nphi, beta=gamma / nphi)
+    return SummingFunctional(phi=phi, gamma=gamma, norm_phi=nphi, beta=gamma / nphi)
 
 
 def theta_lower_bound_rightshift(f: SummingFunctional, eps: Real, kappa: Real) -> Real:

@@ -40,11 +40,12 @@ products run on the same keys: ``sequences._span_rows`` multiplies two
 ``IntegerKeys.fractions`` tells it which entries the ``object`` matmul would
 have made Fractions, so no value and no type changes.  The scalar
 entry points (``norm``, ``james_summing_norm``, ``summing_basis_norm``)
-evaluate one row of that kernel: ``row_array`` makes a row with no float
-entry an ``object`` row, so exact inputs stay exact, and ``scalar`` returns
-the result as a built-in float, int or Fraction.  The ``james`` power sum
-is exact for integer p via ``james_power_sum_exact``, a separate scalar DP
-kept as an independent check of the batch DP.
+evaluate one row of that kernel: ``row_array`` rejects a non-finite entry
+(ParameterError) and makes a row with no float entry an ``object`` row, so
+exact inputs stay exact, and ``scalar`` returns the result as a built-in
+float, int or Fraction.  The ``james`` power sum is exact for integer p via
+``james_power_sum_exact``, a separate scalar DP kept as an independent check
+of the batch DP.
 
 The sup, float lin and summing-basis kernels share ``_column_max``.  On a
 narrow block, with at least ``NARROW_ROWS`` rows per column, it keeps the
@@ -141,34 +142,29 @@ def require_exact(tag: NormTag) -> None:
         raise ParameterError(f"rational mode requires a piecewise-linear norm, got {tag.label()}")
 
 
+def _finite(row) -> tuple:
+    """``row`` as a tuple: the one finite check of a scalar row (ParameterError)."""
+    row = tuple(row)
+    for x in row:
+        if not is_finite(x):
+            raise ParameterError(f"non-finite entry {x!r} in coordinate vector")
+    return row
+
+
 @dataclass(frozen=True)
 class CoordinateVector:
-    """Finite real coefficient tuple; the zero-length vector is valid."""
+    """A finite row, the view ``BasicSequence.vectors`` and ``span_vector`` give."""
 
     entries: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        for x in self.entries:
-            if not is_finite(x):
-                raise ParameterError(f"non-finite entry {x!r} in coordinate vector")
-
-    @staticmethod
-    def of(entries: Sequence[Real]) -> "CoordinateVector":
-        if isinstance(entries, CoordinateVector):
-            return entries
-        return CoordinateVector(tuple(entries))
+        object.__setattr__(self, "entries", _finite(self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __getitem__(self, i: int) -> Real:
         return self.entries[i]
-
-    def padded(self, n: int) -> "CoordinateVector":
-        if len(self.entries) >= n:
-            return self
-        return CoordinateVector(self.entries + (0,) * (n - len(self.entries)))
 
 
 def summing_basis_norm(a) -> Real:
@@ -204,9 +200,8 @@ def james_power_sum_exact(a, p: int) -> Fraction:
     """
     if not (isinstance(p, int) and p >= 2):
         raise ParameterError(f"exact james power sum needs integer p >= 2, got {p}")
-    entries = CoordinateVector.of(a).entries
     prefix = [Fraction(0)]
-    for e in entries:
+    for e in _finite(a):
         prefix.append(prefix[-1] + Fraction(e))
     return _james_dp_powers(prefix, p)
 
@@ -238,8 +233,9 @@ def as_rows(mat) -> np.ndarray:
 def row_array(rows) -> np.ndarray:
     """Coordinate rows as a 2-D array for the batch kernels: an ``object``
     array when no entry is a float, so int/Fraction entries stay exact
-    (``as_rows`` would read them as float), else a float array."""
-    rows = [CoordinateVector.of(r).entries for r in rows]
+    (``as_rows`` would read them as float), else a float array.
+    ParameterError on a non-finite entry."""
+    rows = [_finite(r) for r in rows]
     exact = not any(isinstance(x, float) for r in rows for x in r)
     return np.array(rows, dtype=object if exact else float)
 
@@ -358,8 +354,8 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
         return np.zeros(rows, dtype=mat.dtype)
     if tag.variant == SUP:
         return _column_max(mat)
-    # an ell_p or lin sum past the float range is inf, the correctly rounded
-    # result (a certificate fails a non-finite constant), so it does not warn
+    # an ell_p sum past the float range is inf, the correctly rounded result
+    # (a certificate fails a non-finite constant), so it does not warn
     if tag.variant == ELL_P:
         p = float(tag.p)
         with np.errstate(over="ignore"):
@@ -369,8 +365,7 @@ def norm_batch(mat: np.ndarray, tag: NormTag) -> np.ndarray:
     if tag.variant == LIN:
         if mat.dtype == object:
             return _lin_exact(mat)
-        with np.errstate(over="ignore"):
-            return _column_max(np.abs(mat), tails=True, weights=lin_weights_float(n))
+        return _column_max(np.abs(mat), tails=True, weights=lin_weights_float(n))
     return james_power_sums_batch(mat, tag.p) ** (1.0 / float(tag.p))
 
 
@@ -462,24 +457,26 @@ def _column_max(mat: np.ndarray, tails: bool = False, weights: Optional[np.ndarr
     first operand, and the candidate is the earlier column; ``np.max`` keeps
     the earlier entry of a row.  So an ``object`` result is the first entry
     attaining the max, int or Fraction, either way.  A float nan propagates
-    through both; after |.| every nan is the same quiet nan."""
+    through both; after |.| every nan is the same quiet nan.  A tail sum past
+    the float range is inf, the correctly rounded result, and does not warn."""
     rows, n = mat.shape
-    if rows < NARROW_ROWS * n:
-        s = np.abs(np.cumsum(mat[:, ::-1], axis=1)[:, ::-1] if tails else mat)
-        return np.max(s if weights is None else s * weights, axis=1)
-    tail = mat[:, n - 1].copy()
-    top = np.abs(tail)
-    if weights is not None:
-        top *= weights[n - 1]
-    candidate = np.empty_like(top)
-    for k in range(n - 2, -1, -1):
-        if tails:
-            tail += mat[:, k]
-        np.abs(tail if tails else mat[:, k], out=candidate)
+    with np.errstate(over="ignore"):
+        if rows < NARROW_ROWS * n:
+            s = np.abs(np.cumsum(mat[:, ::-1], axis=1)[:, ::-1] if tails else mat)
+            return np.max(s if weights is None else s * weights, axis=1)
+        tail = mat[:, n - 1].copy()
+        top = np.abs(tail)
         if weights is not None:
-            candidate *= weights[k]
-        np.maximum(candidate, top, out=top)
-    return top
+            top *= weights[n - 1]
+        candidate = np.empty_like(top)
+        for k in range(n - 2, -1, -1):
+            if tails:
+                tail += mat[:, k]
+            np.abs(tail if tails else mat[:, k], out=candidate)
+            if weights is not None:
+                candidate *= weights[k]
+            np.maximum(candidate, top, out=top)
+        return top
 
 
 def summing_basis_norm_batch(mat: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ exists, and so does every batch kernel and float enclosure it names.  Only
 ``sampling`` writes a certificate's mode: no other module labels a budget or
 spells a label word.  ``cli`` reads no check parameter: a kind's load-time
 rules live in its ``CHECKS`` entry.  No module but ``sequences`` reads a
-family's ``vectors``: a family is its matrix.  Only ``sequences._span_rows``
+family's ``vectors``: a family is its matrix.  No module but ``spaces``,
+which defines it, and ``sequences``, which returns it, names the row view
+``CoordinateVector``.  Only ``sequences._span_rows``
 (every exact product) and ``spaces.norm_enclosure`` (float images) multiply
 matrices with ``@``.
 
@@ -363,6 +365,34 @@ def test_the_checker_sees_a_vectors_read():
         "    return vectors, s.matrix(exact=True), len(s.vectors[1:])\n"
     )
     assert vectors_reads(text) == ["line 2: s.vectors", "line 3: s.vectors"]
+
+
+VIEW_MODULES = ("spaces.py", "sequences.py", "__init__.py")
+
+
+def coordinate_vector_names(text: str) -> list:
+    """Each line of text that names ``CoordinateVector``, in code, in a string
+    or in a comment."""
+    return [f"line {i}" for i, line in enumerate(text.splitlines(), 1) if "CoordinateVector" in line]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC.glob("*.py") if p.name not in VIEW_MODULES], ids=lambda p: p.name)
+def test_only_spaces_and_sequences_name_the_row_view(path):
+    """``CoordinateVector`` is the row view that ``BasicSequence.vectors``
+    and ``span_vector`` return; every kernel and functional takes a row as
+    any sequence of scalars, checked finite by ``spaces.row_array``."""
+    assert coordinate_vector_names(path.read_text()) == [], f"{path.name} names CoordinateVector"
+
+
+def test_the_checker_sees_a_row_view_name():
+    text = (
+        "from .spaces import NormTag, CoordinateVector\n"
+        "def f(phi: 'CoordinateVector') -> tuple:\n"
+        "    return tuple(phi)  # not a CoordinateVector\n"
+        "def g(row):\n"
+        "    return spaces.CoordinateVector(row).entries\n"
+    )
+    assert coordinate_vector_names(text) == ["line 1", "line 2", "line 3", "line 5"]
 
 
 MATMUL_SITES = {("sequences.py", "_span_rows"), ("spaces.py", "norm_enclosure")}

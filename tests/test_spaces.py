@@ -344,6 +344,18 @@ def test_james_overflow_is_inf_without_a_warning(row):
         assert norm_batch(np.array([row]), NormTag.james(2)).tolist() == [np.inf]
 
 
+@pytest.mark.parametrize("rows", [1, 64])
+def test_tail_sum_overflow_is_inf_without_a_warning(rows):
+    """A tail sum past the float range gives inf with no RuntimeWarning, on
+    both branches of the shared column max: one row of width 2 is reduced
+    along its rows, 64 rows (NARROW_ROWS per column) a column at a time."""
+    mat = np.full((rows, 2), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert summing_basis_norm_batch(mat).tolist() == [np.inf] * rows
+        assert norm_batch(mat, NormTag.lin()).tolist() == [np.inf] * rows
+
+
 # every kind of float entry, with zeros and subnormals drawn often
 entry_floats = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1070, -(2.0**-1022)]),
