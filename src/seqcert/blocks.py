@@ -99,7 +99,7 @@ def wuc_constant(
     optimal sup-coefficient domination constant."""
     rows = _eval_rows(len(ys), budget, arithmetic, ys)
     norms = [row_norms(NormTag.sup()), ys.span_norms()]
-    [(_, c2_hat, _, row, _)] = _scan(rows.coeffs, norms, arithmetic, ratios=[(1, 0)], mirrored=rows.mirrored)
+    [(_, c2_hat, _, row, _)] = _scan(rows, norms, arithmetic, ratios=[(1, 0)])
     return Certificate(
         kind="wuc_constant",
         constants={"c2_hat": c2_hat},
@@ -127,7 +127,7 @@ def summing_equivalence_check(
     skipped = rows.size - kept.size
     norms = [bs.span_norms(), summing_norms()]  # ||sum a X|| and ||a||_s
     margins = [((1, 0), (-c1s, 1)), ((2 * c2s, 1), (-1, 0))]
-    (lo_m, row_lo), (hi_m, row_hi) = _scan(kept.coeffs, norms, arithmetic, margins, mirrored=kept.mirrored)
+    (lo_m, row_lo), (hi_m, row_hi) = _scan(kept, norms, arithmetic, margins)
     holds = _nonnegative(lo_m, arithmetic) and _nonnegative(hi_m, arithmetic)
     return Certificate(
         kind="summing_equivalence",
@@ -168,7 +168,7 @@ def shift_equivalence_constants(
     rows = _eval_rows(shift_width(len(s), p_max), budget, arithmetic, s)
     norms = [s.span_norms(p) for p in range(p_max + 1)]  # norm p is shifted by p
     ratios = [(p, 0) for p in range(1, p_max + 1)]
-    scans = _scan(rows.coeffs, norms, arithmetic, ratios=ratios, mirrored=rows.mirrored)
+    scans = _scan(rows, norms, arithmetic, ratios=ratios)
     for p, (r_min, r_max, row_min, row_max, rej) in enumerate(scans, start=1):
         rejected += rej
         constants[f"r_min_p{p}"] = r_min
@@ -224,7 +224,7 @@ def lemma79_conclusion_check(
         margins += [((1, p), (-c, 0)) for c in (c_printed, c_symmetric, c_used)]
         margins.append(((c_L, 0), (-1, p)))
     norms = [s.span_norms(p) for p in range(p_max + 1)]
-    found = _scan(rows.coeffs, norms, arithmetic, margins, mirrored=rows.mirrored)
+    found = _scan(rows, norms, arithmetic, margins)
     # the least of each margin over the shifts; the first shift wins ties
     (lo_pr, _), (lo_sy, _), (lo_used, row_lo), (hi_m, row_hi) = (
         min(found[k::4], key=lambda extreme: extreme[0]) for k in range(4)

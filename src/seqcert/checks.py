@@ -162,7 +162,7 @@ def _residual(ctx, args, seed) -> Certificate:
     spec, exact = ctx.map_specs[args["map"]], ctx.cfg.arithmetic == RATIONAL
     n = start_length(spec.variant, spec.policy, len(ctx.seq), 1)
     rows = simplex_rows(n, SamplingBudget(args["samples"], seed), exact=exact)
-    [(best, row)] = _scan(rows.coeffs, [residual_norms(spec, ctx.seq, n, exact)], ctx.cfg.arithmetic, [((1, 0),)])
+    [(best, row)] = _scan(rows, [residual_norms(spec, ctx.seq, n, exact)], ctx.cfg.arithmetic, [((1, 0),)])
     return Certificate(
         kind="fixed_point_residual",
         constants={"min_residual": best, "evaluated": rows.size},

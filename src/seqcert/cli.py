@@ -30,7 +30,7 @@ from .blocks import ConvexBlockSpec, build_convex_blocks
 from .certificates import Certificate
 from .checks import CHECKS, count
 from .config import CheckConfig, ExperimentConfig, build_sequence, load_config, parse_cli_tag, parse_point
-from .errors import BlockSpecError, ConfigError, ParameterError
+from .errors import BlockSpecError, ConfigError, DependenceError, ParameterError
 from .fpmaps import (
     DIAG_SHIFT, AffineMapSpec, ConvexCoefficients, make_alpha_schedule, map_policy, orbit, start_length,
 )
@@ -103,9 +103,13 @@ class RunContext:
         """The run's basis-constant interval for s, timed as ``step``.  Exact
         families get Fraction endpoints (the float-to-Fraction conversion
         loses nothing), so rational theta and claim2 values computed from it
-        stay exact."""
+        stay exact.  A family whose every sampled span norm vanishes is a
+        ConfigError naming its section, as a dependent CSV family is."""
         budget = SamplingBudget(count=KAPPA_SAMPLES, seed=derive_seed(self.cfg.seed, index))
-        kappa = self._timed(step, basis_constant, s, budget)
+        try:
+            kappa = self._timed(step, basis_constant, s, budget)
+        except DependenceError as exc:
+            raise ConfigError(f"[{'blocks' if index else 'sequence'}]: {exc}") from exc
         if s.exact:
             return kappa._replace(lower=Fraction(kappa.lower), upper=Fraction(kappa.upper))
         return kappa

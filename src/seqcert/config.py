@@ -21,9 +21,9 @@ each check kind, both as schemas that ``checks.parse_params`` reads; names
 and choices are case-sensitive.  ``load_config`` adds the rules that tie
 keys and sections together.  Scalar literals may be decimal or exact 'p/q'
 fractions; coefficient lists are comma separated.  CSV vector files hold one
-vector per row, decimal or 'p/q' cells, optional header row.  An unknown
-section or key, a missing required value or an unparsable one raises
-ConfigError (exit 2) at load.
+vector per row, decimal or 'p/q' cells; only the first non-empty row may be
+a header.  An unknown section or key, a missing required value or an
+unparsable one raises ConfigError (exit 2) at load.
 """
 
 from __future__ import annotations
@@ -168,17 +168,15 @@ def parse_cli_tag(text: str) -> NormTag:
 
 
 def load_vector_csv(path: Path, arithmetic: str) -> List[tuple]:
-    """One vector per row; decimal or 'p/q' cells; optional header row."""
+    """One vector per row; decimal or 'p/q' cells; the first non-empty row
+    may be a header, and any later row that does not parse is an error."""
     rows: List[tuple] = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            cells = [c.strip() for c in row if c.strip()]
-            if not cells:
-                continue
+        for i, row in enumerate(r for r in csv.reader(fh) if any(c.strip() for c in r)):
             try:
-                vals = [parse_scalar(c) for c in cells]
+                vals = [parse_scalar(c) for c in row if c.strip()]
             except ParameterError:
-                if not rows:
+                if i == 0:
                     continue  # header row
                 raise ConfigError(f"unparsable CSV row {row!r} in {path}")
             rows.append(tuple(coerce(v, arithmetic) for v in vals))

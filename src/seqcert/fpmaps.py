@@ -85,9 +85,6 @@ class ConvexCoefficients:
         zero: Real = 0 if exact else 0.0
         return ConvexCoefficients(tuple(one if j == i - 1 else zero for j in range(n)))
 
-    def __len__(self):
-        return len(self.t)
-
 
 @dataclass(frozen=True)
 class AlphaSchedule:
@@ -329,7 +326,7 @@ def bilipschitz_estimate(
     # norm p is ||f^p(x) - f^p(y)||, the span of the pair row [x | y] over [B_p; -B_p]
     families = pushed_families(spec, s, n, p_max, arithmetic == RATIONAL)
     gaps = [row_norms(s.ambient, np.concatenate([B, -B])) for B in families]
-    scans = _scan(pairs.coeffs, gaps, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
+    scans = _scan(pairs, gaps, arithmetic, ratios=[(p, 0) for p in range(1, p_max + 1)])
     # the extremes over the iterates; the first p wins ties
     p1, (c1, _, row1, _, _) = min(enumerate(scans, start=1), key=lambda ps: ps[1][0])
     p2, (_, c2, _, row2, _) = max(enumerate(scans, start=1), key=lambda ps: ps[1][1])
@@ -392,7 +389,7 @@ def theta_of_map(
     B = pushed_families(spec, s, n, n_window, exact=False)
     dists = [row_norms(s.ambient, np.concatenate([B[0], -Bk])) for Bk in B[lo:]]
     margins = [((1, k),) for k in range(n_window - lo + 1)]
-    found = _scan(pairs.coeffs, dists, FLOAT, margins)
+    found = _scan(pairs, dists, FLOAT, margins)
     # the least distance over the window; the first step wins ties
     best, row = min(found, key=lambda extreme: extreme[0])
     holds = best > tol

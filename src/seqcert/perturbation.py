@@ -99,7 +99,7 @@ def psp_equivalence_check(
     norms = [s.span_norms(), row_norms(s.ambient, z)]
     margins = [((1, 1), (theta - 1, 0)), ((1 + theta, 0), (-1, 1))]
     (lo_margin, row_lo), (hi_margin, row_hi), (r_min, r_max, _, _, _) = _scan(
-        rows.coeffs, norms, arithmetic, margins, ratios=[(1, 0)], mirrored=rows.mirrored
+        rows, norms, arithmetic, margins, ratios=[(1, 0)]
     )
     holds = _nonnegative(lo_margin, arithmetic) and _nonnegative(hi_margin, arithmetic)
     return Certificate(

@@ -111,17 +111,13 @@ def sign_patterns(m: int) -> np.ndarray:
     """One of each +- pair of nonzero vectors in {-1,0,1}^m, the one whose
     first nonzero entry is -1: the first (3^m - 1) / 2 rows of {-1,0,1}^m in
     product order, as a float array."""
-    if m == 0:
-        return np.zeros((0, 0))
     return _product((-1, 0, 1), m, (3**m - 1) // 2)
 
 
 def pm_one_patterns(m: int) -> np.ndarray:
     """One of each +- pair of vectors in {-1,+1}^m, the one whose first entry
     is -1: the first 2^(m-1) rows of {-1,+1}^m in product order, as a float array."""
-    if m == 0:
-        return np.zeros((0, 0))
-    return _product((-1, 1), m, 2 ** (m - 1))
+    return _product((-1, 1), m, 2**m // 2)
 
 
 def gaussian_sphere(rng: np.random.Generator, count: int, m: int) -> np.ndarray:

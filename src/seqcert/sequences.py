@@ -417,21 +417,21 @@ def _margin_values(margin: Margin, values: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _scan(
-    coeffs: np.ndarray,
+    rows: Rows,
     norms: Sequence[RowNorms],
     arithmetic: str,
     margins: Sequence[Margin] = (),
     ratios: Sequence[Ratio] = (),
-    mirrored: int = 0,
 ) -> list:
-    """The extremes of a scan over the coefficient rows, given the norms of
-    each row: for each margin, its least value and the first row attaining
-    it; then for each ratio, ``_ratio_extremes`` of the norms it names.
+    """The extremes of a scan over the coefficient rows of ``rows``, given the
+    norms of each row: for each margin, its least value and the first row
+    attaining it; then for each ratio, ``_ratio_extremes`` of the norms it
+    names.
 
-    The first ``mirrored`` rows (``Rows.mirrored``) stand for themselves and
-    for their negations, which the scan does not evaluate: it reports the
-    extremes over the set with the negations added.  That set is the one
-    ``Rows.mode`` names, where each negation comes after its row (in the
+    The first ``rows.mirrored`` rows stand for themselves and for their
+    negations, which the scan does not evaluate: it reports the extremes
+    over the set with the negations added.  That set is the one
+    ``rows.mode`` names, where each negation comes after its row (in the
     second half of its part; see ``sampling``).  Every norm of a mirrored
     scan, ||c|| or ||c X||, is even in the row c, and so is every margin and
     ratio of them.  Exactly, that is trivial.  In float, negation is exact
@@ -465,23 +465,24 @@ def _scan(
     enclosures) go through ``spaces.blockwise``, in blocks sized by the
     widest rows the norms' kernels fill (``RowNorms.width``; a block of
     coefficient rows is a view).  So no span of every row is built, and a
-    james span's block is one block of its DP.  Rational mode's exact pass
-    over the kept rows, as their ``exact_value``s, is one call."""
+    james span's block is one block of its DP.  Rational mode keeps its rows
+    with ``Rows.select``, and its exact pass over them, as their
+    ``exact_value``s, is one call."""
+    coeffs = rows.coeffs
     width = max(q.width or coeffs.shape[1] for q in norms)
     if arithmetic == RATIONAL:
         qs = [_interval(q) for q in blockwise([q.enclosure for q in norms], coeffs, width)]
         reach = [_can_reach_min(*_combination(*((c, qs[i]) for c, i in m))) for m in margins]
         reach += [_ratio_reach(qs[n], qs[d]) for n, d in ratios]
-        keep = np.logical_or.reduce(reach)
-        coeffs, mirrored = coeffs[keep], int(np.count_nonzero(keep[:mirrored]))
-        coeffs = coeffs if coeffs.dtype == object else _EXACT(coeffs)
+        rows = rows.select(np.logical_or.reduce(reach))
+        coeffs = rows.coeffs if rows.coeffs.dtype == object else _EXACT(rows.coeffs)
         values = [q.exact(coeffs) for q in norms]
     else:
         values = blockwise([q.exact for q in norms], coeffs, width)
     sums = [_margin_values(m, values) for m in margins]
     mins = [int(np.argmin(v)) for v in sums]
     extremes = [(scalar(v[i]), coeffs[i]) for v, i in zip(sums, mins)]
-    return extremes + [_ratio_extremes(values[n], values[d], coeffs, arithmetic, mirrored) for n, d in ratios]
+    return extremes + [_ratio_extremes(values[n], values[d], coeffs, arithmetic, rows.mirrored) for n, d in ratios]
 
 
 def _ratio_extremes(
@@ -489,10 +490,10 @@ def _ratio_extremes(
 ) -> Tuple[Real, Real, np.ndarray, np.ndarray, int]:
     """(min, max, argmin row, argmax row, rejected) of num/den over the rows
     whose denominator passes ``_guard``; ties go to the first row.  Each of
-    the first ``mirrored`` rows stands for its negation too (see ``_scan``),
-    so it counts twice among the rejected.  Exact entries divide as
-    Fractions, since int / int would give a float.  A nan ratio (inf / inf)
-    is an extreme, on the first row, only if all are nan."""
+    the first ``mirrored`` rows (``_scan`` passes ``Rows.mirrored``) stands
+    for its negation too, so it counts twice among the rejected.  Exact
+    entries divide as Fractions, since int / int would give a float.  A nan
+    ratio (inf / inf) is an extreme, on the first row, only if all are nan."""
     ok = den > _guard(arithmetic)
     rejected = int(np.size(den) - np.count_nonzero(ok)) + int(mirrored - np.count_nonzero(ok[:mirrored]))
     if not np.any(ok):
@@ -585,7 +586,6 @@ def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
     if found is None:
         raise DependenceError("all span norms vanished while estimating kappa")
     lower, seedvec = found
-    lower = max(lower, 1.0)
 
     # heuristic refinement: random perturbations of the best witness
     rng = np.random.default_rng(budget.seed + 1)
@@ -594,7 +594,7 @@ def _sampled_basis_constant(s: BasicSequence, budget: SamplingBudget) -> Kappa:
         found = best_ratio(seedvec + sigma * rng.standard_normal((64, m)))
         if found is not None and found[0] > upper:
             upper, seedvec = found
-    return Kappa(lower, max(upper, lower), rows.mode)
+    return Kappa(lower, upper, rows.mode)
 
 
 def _family_ratio_scan(
@@ -605,7 +605,7 @@ def _family_ratio_scan(
         raise ParameterError("sequences must have the same number of vectors")
     rows = _eval_rows(len(xs), budget, arithmetic, xs, ys)
     norms = [xs.span_norms(), ys.span_norms()]
-    [scan] = _scan(rows.coeffs, norms, arithmetic, ratios=[(1, 0)], mirrored=rows.mirrored)
+    [scan] = _scan(rows, norms, arithmetic, ratios=[(1, 0)])
     return scan, rows.mode
 
 
@@ -665,7 +665,7 @@ def wide_s_certificate(
     """
     rows = _eval_rows(len(s), budget, arithmetic, s)
     norms = [summing_norms(), s.span_norms()]
-    [(d_hat, _, row, _, _)] = _scan(rows.coeffs, norms, arithmetic, ratios=[(1, 0)], mirrored=rows.mirrored)
+    [(d_hat, _, row, _, _)] = _scan(rows, norms, arithmetic, ratios=[(1, 0)])
     return Certificate(
         kind="wide_s",
         constants={"d_hat": d_hat},

@@ -16,11 +16,11 @@ import seqcert.sequences
 from seqcert.certificates import Certificate
 from seqcert.checks import CHECKS
 from seqcert.cli import RunContext, main
-from seqcert.config import load_config, parse_cli_tag, parse_coeff_list
+from seqcert.config import build_sequence, load_config, parse_cli_tag, parse_coeff_list
 from seqcert.errors import ConfigError, ParameterError
 from seqcert.fpmaps import RIGHT_SHIFT, AffineMapSpec, bilipschitz_estimate
 from seqcert.sequences import BasicSequence, builtin_sequence
-from seqcert.spaces import NormTag, summing_basis_norm_batch
+from seqcert.spaces import NormTag, norm, summing_basis_norm_batch
 
 REPO = Path(__file__).resolve().parent.parent
 THEOREM41 = REPO / "configs" / "theorem41.cfg"
@@ -1332,3 +1332,158 @@ def test_every_check_kind_runs_with_only_required_parameters(tmp_path, kind):
     assert [c["name"] for c in report["certificates"]] == ["c"]
     if kind == "theta_rightshift_bound":
         assert isinstance(report["certificates"][0]["constants"]["eps"], float)
+
+
+ORBIT = "\n[orbit]\nmap = r\nx = delta:1\ny = delta:2\nn_window = 1\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("certify", STRICT_BASE + "[wat]\nx = 1\n", "unknown section [wat]"),
+        ("certify", STRICT_BASE + "[map r]\nvariant = right_shift\n", "cannot parse config"),
+        ("certify", STRICT_BASE.replace("[run]\nseed = 3\n", ""), "[run] requires seed"),
+        ("certify", STRICT_BASE.replace("builtin = ell1_canonical\nn = 6\n", ""), "exactly one of builtin / csv"),
+        ("certify", STRICT_BASE.replace("n = 6", "n = 6\ncsv = family.csv"), "exactly one of builtin / csv"),
+        ("certify", STRICT_BASE.replace("builtin = ell1_canonical\nn = 6", "csv = family.csv"), "require a [space]"),
+        ("certify", STRICT_BASE.replace("n = 6", "n = 0"), "truncation n must be >= 1"),
+        (
+            "certify",
+            "[space]\ntag = sup\n" + STRICT_BASE.replace("builtin = ell1_canonical\nn = 6", "csv = header.csv"),
+            "no vectors found",
+        ),
+        ("certify", STRICT_BASE + "[check c]\nkind = bilipschitz\nmap = g\n", "[check c]: unknown map 'g'"),
+        ("certify", STRICT_BASE + ORBIT.replace("map = r", "map = g"), "[orbit]: unknown map 'g'"),
+        ("certify", STRICT_BASE + ORBIT.replace("map = r\n", ""), "[orbit] must name exactly one map"),
+        ("certify", STRICT_BASE + ORBIT.replace("y = delta:2\n", ""), "[orbit] requires both x and y"),
+        ("orbit", STRICT_BASE + ORBIT.replace("delta:1", "delta:x"), "bad vertex spec 'delta:x'"),
+        ("orbit", STRICT_BASE + ORBIT.replace("delta:1", "1/2,1/4"), "orbit point is not a simplex point"),
+        (
+            "certify",
+            STRICT_BASE + "[blocks]\nsets = 1,2 | 3,4\nweights = 1/2,1/2\n",
+            "[blocks]: sets and weights group counts differ",
+        ),
+        ("certify", STRICT_BASE + "[blocks]\nsets = 1,2 |\nweights = 1/2,1/2 |\n", "[blocks]: empty block"),
+        ("certify", STRICT_BASE + "[blocks]\nsets = 0,1\nweights = 1/2,1/2\n", "1-based and positive"),
+        ("certify", STRICT_BASE + "[blocks]\nsets = 2,2\nweights = 1/2,1/2\n", "repeated index inside a block"),
+    ],
+    ids=[
+        "unknown-section",
+        "duplicate-section",
+        "no-run",
+        "no-sequence",
+        "builtin-and-csv",
+        "csv-without-space",
+        "n-zero",
+        "header-only-csv",
+        "check-unknown-map",
+        "orbit-unknown-map",
+        "orbit-no-map-beside-two",
+        "orbit-without-y",
+        "orbit-delta-x",
+        "orbit-point-off-the-simplex",
+        "blocks-group-counts-differ",
+        "blocks-empty-block",
+        "blocks-index-0",
+        "blocks-repeated-index",
+    ],
+)
+def test_load_time_rejections_exit_2_before_any_work(tmp_path, monkeypatch, capsys, command, text, message):
+    """Each malformed config is refused with its message and exit 2: no
+    report is written and no basis constant is estimated."""
+    def no_kappa(*args, **kwargs):
+        raise AssertionError("basis_constant ran for a malformed config")
+
+    monkeypatch.setattr("seqcert.cli.basis_constant", no_kappa)
+    monkeypatch.setattr("seqcert.checks.basis_constant", no_kappa)
+    (tmp_path / "family.csv").write_text("1,0\n0,1\n")
+    (tmp_path / "header.csv").write_text("x1,x2\n")
+    out = tmp_path / "r.out"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+CSV_FAMILY = """
+[space]
+tag = sup
+
+[sequence]
+csv = family.csv
+
+[map r]
+variant = right_shift
+
+[check wide]
+kind = wide_s
+samples = 20
+
+[orbit]
+x = delta:1
+y = delta:2
+n_window = 1
+
+[run]
+seed = 3
+"""
+
+
+def test_csv_row_after_the_first_must_parse(tmp_path, capsys):
+    """Only the first non-empty row may be a header: a later row that does
+    not parse (here a letter O typed for a zero) is an error, not a row
+    skipped, which would certify a two-vector family."""
+    (tmp_path / "family.csv").write_text("x1,x2,x3\n1,O,0\n0,1,0\n0,0,1\n")
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", write(tmp_path, CSV_FAMILY), "--out", str(out)]) == 2
+    assert "unparsable CSV row ['1', 'O', '0']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_csv_header_row_then_vectors_loads(tmp_path):
+    (tmp_path / "family.csv").write_text("\nx1,x2,x3\n\n1,0,0\n0,1,0\n0,0,1\n")
+    s = build_sequence(load_config(write(tmp_path, CSV_FAMILY)))
+    assert s.matrix(exact=True).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert [type(x) for x in s.matrix(exact=True)[0]] == [float] * 3
+
+
+TINY = 1e-13
+
+
+@pytest.mark.parametrize("command", ["certify", "orbit"])
+@pytest.mark.parametrize(
+    "rows,blocks,section",
+    [
+        (TINY * np.tri(4), "", "[sequence]"),
+        # x_1 = e_1 and a tiny summing family after it: the family's sampled
+        # spans do not all vanish, those of its blocks do
+        (np.diag([1.0, 0, 0, 0, 0]) + np.pad(TINY * np.tri(4), ((1, 0), (1, 0))),
+         "[blocks]\nsets = 2,3 | 4,5\nweights = 1/2,1/2 | 1/2,1/2\n", "[blocks]"),
+    ],
+    ids=["sequence", "blocks"],
+)
+def test_kappa_of_vanishing_spans_exits_2(tmp_path, capsys, command, rows, blocks, section):
+    """A family whose every sampled span norm falls below the float guard
+    has no sampled basis constant: set-up refuses it as a config error
+    naming its section, with no report, not with a traceback."""
+    (tmp_path / "family.csv").write_text("\n".join(",".join(map(repr, r)) for r in rows.tolist()) + "\n")
+    out = tmp_path / "r.out"
+    assert main([command, "--config", write(tmp_path, CSV_FAMILY + blocks), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section}: all span norms vanished while estimating kappa")
+    assert not out.exists()
+
+
+def test_theta_bound_reads_the_ell_q_dual_norm(tmp_path):
+    """Under ell_3 the summing functional phi = (1, ..., 1) has the ell_{3/2}
+    dual norm 8^(2/3), about 4."""
+    text = STRICT_BASE.replace("ell1_canonical\nn = 6", "c0_canonical\nn = 8").replace(
+        "[check ok]\nkind = wide_s",
+        "[space]\ntag = ell_p\np = 3\n\n[check c]\nkind = theta_rightshift_bound\nmap = r\neps = 1/100\nn_window = 6",
+    )
+    out = tmp_path / "r.json"
+    assert main(["certify", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    [cert] = json.loads(out.read_text())["certificates"]
+    assert cert["constants"]["norm_phi"] == norm((1,) * 8, NormTag.ell_p(1.5))
+    assert cert["constants"]["gamma"] == 1
+    assert cert["holds"]

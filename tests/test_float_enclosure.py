@@ -31,7 +31,7 @@ from seqcert.blocks import ConvexBlockSpec, build_convex_blocks, summing_equival
 from seqcert.checks import CHECKS
 from seqcert.cli import RunContext
 from seqcert.config import load_config
-from seqcert.sampling import SamplingBudget, rational_simplex
+from seqcert.sampling import Rows, SamplingBudget, rational_simplex
 from seqcert.sequences import (
     RowNorms,
     _ratio_extremes,
@@ -148,7 +148,7 @@ def counting(norms: RowNorms, counter: list) -> RowNorms:
 def ratio_scan(coeffs, nums, den):
     """The num/den ratio of each num in ``nums``, through ``_scan``."""
     ratios = [(i, 0) for i in range(1, len(nums) + 1)]
-    return _scan(coeffs, [den, *nums], RATIONAL, ratios=ratios)
+    return _scan(Rows(coeffs, ""), [den, *nums], RATIONAL, ratios=ratios)
 
 
 def full_scan(coeffs, nums, den):
@@ -247,7 +247,7 @@ def test_margin_minimum_equals_the_full_scan(inp, tag, a, b):
     """min over rows of a*||c|| + b*||c @ X||, the form of the lemma79 and psp margins."""
     basis, coeffs = inp
     plain, spanned = row_norms(tag), row_norms(tag, basis)
-    [(margin, row)] = _scan(coeffs, [plain, spanned], RATIONAL, margins=[((a, 0), (b, 1))])
+    [(margin, row)] = _scan(Rows(coeffs, ""), [plain, spanned], RATIONAL, margins=[((a, 0), (b, 1))])
     full = a * plain.exact(coeffs) + b * spanned.exact(coeffs)
     j = int(np.argmin(full))
     assert margin == full[j]
@@ -281,9 +281,9 @@ def test_scan_equals_the_full_exact_evaluation(inp, tag, margins, ratios):
         full_ratios = [_ratio_extremes(values[n], values[d], coeffs, RATIONAL) for n, d in ratios]
     except Exception as exc:  # every denominator of a ratio vanished
         with pytest.raises(type(exc)):
-            _scan(coeffs, norms, RATIONAL, margins, ratios)
+            _scan(Rows(coeffs, ""), norms, RATIONAL, margins, ratios)
         return
-    found = _scan(coeffs, norms, RATIONAL, margins, ratios)
+    found = _scan(Rows(coeffs, ""), norms, RATIONAL, margins, ratios)
     got = [(value, type(value), tuple(row)) for value, row in found[: len(margins)]]
     assert got == expected
     assert comparable(found[len(margins) :]) == comparable(full_ratios)

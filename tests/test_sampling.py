@@ -153,9 +153,9 @@ def test_rational_bilipschitz_evaluates_every_pair(monkeypatch):
     scanned = []
     scan = seqcert.fpmaps._scan
 
-    def counted(coeffs, *args, **kwargs):
-        scanned.append(len(coeffs))
-        return scan(coeffs, *args, **kwargs)
+    def counted(rows, *args, **kwargs):
+        scanned.append(len(rows.coeffs))
+        return scan(rows, *args, **kwargs)
 
     monkeypatch.setattr(seqcert.fpmaps, "_scan", counted)
     s, n, pairs = builtin_sequence("lin_ell1", 6), 6, 25

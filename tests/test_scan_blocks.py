@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from seqcert.arithmetic import FLOAT, RATIONAL
+from seqcert.sampling import Rows
 from seqcert.sequences import DENOM_GUARD, _margin_values, _ratio_extremes, _scan, row_norms
 from seqcert.spaces import BLOCK_CELLS, NormTag, blockwise
 
@@ -79,7 +80,7 @@ def test_blocked_float_scan_is_the_unblocked_pass(tag, rows, overflow):
     with np.errstate(over="ignore", invalid="ignore"):
         values, want = unblocked_scan(coeffs, norms, MARGINS, RATIOS)
         blocked = blockwise([q.exact for q in norms], coeffs, SPAN)
-        got = _scan(coeffs, counted, FLOAT, MARGINS, RATIOS)
+        got = _scan(Rows(coeffs, ""), counted, FLOAT, MARGINS, RATIOS)
     blocks = [min(B, rows - i) for i in range(0, rows, B)]
     assert block_rows == [r for r in blocks for _ in norms]
     for v, b in zip(values, blocked):
@@ -105,7 +106,7 @@ def test_blocked_enclosures_keep_the_exact_rational_scan():
     sums = _margin_values(margins[0], values)
     i = int(np.argmin(sums))
     want = [(sums[i], coeffs[i]), _ratio_extremes(values[1], values[0], coeffs, RATIONAL)]
-    got = _scan(coeffs, norms, RATIONAL, margins, [(1, 0)])
+    got = _scan(Rows(coeffs, ""), norms, RATIONAL, margins, [(1, 0)])
     plain = lambda extreme: [x.tolist() if isinstance(x, np.ndarray) else x for x in extreme]
     assert [plain(e) for e in got] == [plain(e) for e in want]
 
@@ -120,7 +121,7 @@ def test_float_scan_memory_stays_near_its_output():
     norms = [row_norms(NormTag.ell_p(1), rng.standard_normal((126, 64))) for _ in range(2)]
     tracemalloc.start()
     try:
-        _scan(coeffs, norms, FLOAT, ratios=[(1, 0)])
+        _scan(Rows(coeffs, ""), norms, FLOAT, ratios=[(1, 0)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -293,7 +293,7 @@ def test_non_finite_vector_norm_rejected():
         BasicSequence(huge, NormTag.ell_p(2))
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(0, 7))
 def test_sign_patterns_follow_product_order(m):
     """The patterns are row for row the first half of ``itertools.product``,
     one of each +- pair, as float bits, and their exact values (what a
@@ -301,14 +301,15 @@ def test_sign_patterns_follow_product_order(m):
     nonzero = [p for p in itertools.product((-1, 0, 1), repeat=m) if any(p)]
     half = nonzero[: len(nonzero) // 2]
     floats = sign_patterns(m)
-    assert floats.dtype == float
+    assert floats.dtype == float and floats.shape == (len(half), m)
     assert floats.tobytes() == np.array(half, dtype=float).tobytes()
     exact = [tuple(map(exact_value, row)) for row in floats.tolist()]
     assert exact == half
     assert all(type(v) is int for row in exact for v in row)
     assert [tuple(-v for v in p) for p in reversed(half)] == nonzero[len(half) :]
-    pm_one = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
-    assert pm_one_patterns(m).tobytes() == pm_one[: 2 ** (m - 1)].tobytes()
+    pm_one = np.array(list(itertools.product((-1.0, 1.0), repeat=m))).reshape(2**m, m)
+    assert pm_one_patterns(m).shape == (len(pm_one) // 2, m)
+    assert pm_one_patterns(m).tobytes() == pm_one[: len(pm_one) // 2].tobytes()
 
 
 def test_float_dependence_detected():

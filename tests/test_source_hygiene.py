@@ -10,7 +10,9 @@ spells a label word.  ``cli`` reads no check parameter: a kind's load-time
 rules live in its ``CHECKS`` entry.  No module but ``sequences`` reads a
 family's ``vectors``: a family is its matrix.  No module but ``spaces``,
 which defines it, and ``sequences``, which returns it, names the row view
-``CoordinateVector``.  Only ``sequences._span_rows``
+``CoordinateVector``.  No module but ``sampling``, which counts them, and
+``sequences``, whose scan reads the count, names the ``mirrored`` rows of a
+``Rows``.  Only ``sequences._span_rows``
 (every exact product) and ``spaces.norm_enclosure`` (float images) multiply
 matrices with ``@``.
 
@@ -426,3 +428,27 @@ def test_the_checker_sees_a_matrix_product():
     )
     assert matmul_uses(text) == [(None, 1), ("f", 4), ("f", 5), ("K", 10)]
     assert [owner for owner, _ in matmul_uses((SRC / "sequences.py").read_text())] == ["_span_rows"] * 3
+
+
+MIRROR_MODULES = ("sampling.py", "sequences.py")
+
+
+def mirrored_names(text: str) -> list:
+    """Each line of text that names ``mirrored``, in code, in a string or in a comment."""
+    return [f"line {i}" for i, line in enumerate(text.splitlines(), 1) if re.search(r"\bmirrored\b", line)]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC.glob("*.py") if p.name not in MIRROR_MODULES], ids=lambda p: p.name)
+def test_only_sampling_and_the_scan_name_the_mirrored_rows(path):
+    """A scan takes the ``Rows`` it scans and reads ``Rows.mirrored`` itself,
+    so no op can scan mirrored rows and forget to pass their count."""
+    assert mirrored_names(path.read_text()) == [], f"{path.name} names the mirrored rows"
+
+
+def test_the_checker_sees_a_mirrored_name():
+    text = (
+        "found = _scan(rows.coeffs, norms, FLOAT, mirrored=rows.mirrored)\n"
+        "n = rows.size  # not mirroring anything\n"
+        "kept = Rows(c, mode, mirrored)\n"
+    )
+    assert mirrored_names(text) == ["line 1", "line 3"]
